@@ -89,7 +89,7 @@ def parse_bindings(text: str) -> dict:
         if not piece:
             continue
         name, value = piece.split("=", 1)
-        out[name.strip()] = complex(value.strip().replace("j", "j"))
+        out[name.strip()] = complex(value.strip())
     return out
 
 

@@ -193,9 +193,6 @@ class Chart:
             raise MissingRuleError("generator d", name)
         return rule
 
-    def has_d_rule(self, name: str) -> bool:
-        return name in self._d_rules
-
     def scalar_rule(self, v: Variable) -> "FormExpr":
         rule = self._scalar_rules.get(v.name)
         if rule is None:

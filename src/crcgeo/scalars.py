@@ -209,11 +209,6 @@ class VariableTable:
     def variables(self) -> list[Variable]:
         return list(self._vars.values())
 
-    def partner_of(self, v: Variable) -> Variable:
-        if v.reality != COMPLEX_PAIRED:
-            raise ExprError(f"{v.name} is not complex-paired")
-        return self._vars[v.partner]
-
 
 # ---------------------------------------------------------------------------
 # expression trees
@@ -385,10 +380,6 @@ def lift(x: NumberLike) -> Expr:
     raise TypeError(f"cannot lift {type(x).__name__} into an expression")
 
 
-def const(re, im=0) -> Expr:
-    return Const(QC.of(re, im))
-
-
 # ---------------------------------------------------------------------------
 # normalization to a sum of monomials
 #
@@ -405,11 +396,12 @@ _NORM_MEMO: dict = {}
 _CONJ_MEMO: dict = {}
 _DIFF_MEMO: dict = {}
 _FREEVARS_MEMO: dict = {}
+_QUOT_MEMO: dict = {}
 
 
 def clear_caches() -> None:
     for memo in (_SKEY_MEMO, _NF_MEMO, _NORM_MEMO, _CONJ_MEMO,
-                 _DIFF_MEMO, _FREEVARS_MEMO):
+                 _DIFF_MEMO, _FREEVARS_MEMO, _QUOT_MEMO):
         memo.clear()
 
 
@@ -506,24 +498,6 @@ def _nf_mul(a: Mapping, b: Mapping) -> dict:
                 powmap[atom] = powmap.get(atom, Fraction(0)) + e
             _nf_add_into(acc, _fix_monomial(ca * cb, powmap))
     return acc
-
-
-def _rational_root(x: Fraction, q: int) -> Fraction | None:
-    """Exact q-th root of a nonnegative rational, or None."""
-    def iroot(n: int) -> int | None:
-        if n == 0:
-            return 0
-        r = round(n ** (1.0 / q))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** q == n:
-                return cand
-        return None
-
-    num = iroot(x.numerator)
-    den = iroot(x.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
 
 
 def _factor_positive_int(n: int) -> list:
@@ -718,8 +692,64 @@ def _mono_quotient(num_pows, num_coeff, den_pows, den_coeff):
     return pows, num_coeff * den_coeff.inverse()
 
 
-def _exact_quotient(nf: Mapping, base: Mapping, max_steps: int = 60):
-    """nf / base when the division terminates exactly, else None."""
+_QUOT_MAX_STEPS = 60
+
+
+def _var_span_rejects(nf: Mapping, base: Mapping) -> bool:
+    """True when no exact quotient nf / base can exist, for a divisor of at
+    least two terms whose atoms are all variables.
+
+    A Var-only divisor never touches the non-Var part of a monomial, so the
+    monomials of nf sharing one non-Var part divide on their own, inside
+    the integral domain Q(i)[Var^Q]; there the exponent range of each
+    variable (an absent one counts as exponent 0) adds under
+    multiplication.  A group spanning a smaller range than the divisor in
+    some variable therefore has no exact quotient.
+
+    Divisors with Const or sum atoms are left to the long division: constant
+    radicals fold and sum atoms expand under multiplication, which makes
+    units such as 1 + 2^(1/2) or A^(1/2) + x with A = x^2 + y, and the
+    ranges no longer add.
+    """
+    if len(base) < 2:
+        return False
+    for pows in base:
+        for atom, _ in pows:
+            if not isinstance(atom, Var):
+                return False
+    divisor = [dict(pows) for pows in base]
+    spans = {}
+    for v in {atom for pows in base for atom, _ in pows}:
+        exps = [pmap.get(v, 0) for pmap in divisor]
+        spans[v] = max(exps) - min(exps)
+    groups: dict = {}
+    for pows in nf:
+        rest = tuple(item for item in pows if not isinstance(item[0], Var))
+        groups.setdefault(rest, []).append(dict(pows))
+    for members in groups.values():
+        for v, span in spans.items():
+            exps = [pmap.get(v, 0) for pmap in members]
+            if max(exps) - min(exps) < span:
+                return True
+    return False
+
+
+def _exact_quotient(nf: Mapping, base: Mapping):
+    """nf / base when the division terminates exactly, else None.
+
+    Outcomes are memoized per (dividend, divisor) pair; a quotient is
+    stored and returned as a fresh dict, so callers may mutate it.
+    """
+    key = (frozenset(nf.items()), frozenset(base.items()))
+    if key in _QUOT_MEMO:
+        cached = _QUOT_MEMO[key]
+        return None if cached is None else dict(cached)
+    quotient = None if _var_span_rejects(nf, base) else _long_division(nf, base)
+    _QUOT_MEMO[key] = None if quotient is None else tuple(quotient.items())
+    return quotient
+
+
+def _long_division(nf: Mapping, base: Mapping):
     remainder = dict(nf)
     quotient: dict = {}
     lead_pows, lead_coeff = _leading_item(base)
@@ -727,7 +757,7 @@ def _exact_quotient(nf: Mapping, base: Mapping, max_steps: int = 60):
     limit = len(nf) + 4 * len(base) + 8
     while remainder:
         steps += 1
-        if steps > max_steps or len(remainder) > limit:
+        if steps > _QUOT_MAX_STEPS or len(remainder) > limit:
             return None
         rp, rc = _leading_item(remainder)
         qp, qc = _mono_quotient(rp, rc, lead_pows, lead_coeff)
@@ -1055,19 +1085,26 @@ def evaluate(e: Expr, point: Mapping, check: bool = True) -> complex:
 
 
 def _eval(e: Expr, point: Mapping[str, complex]) -> complex:
+    try:
+        return _eval_tree(e, point)
+    except OverflowError as exc:
+        raise DomainEvalError(f"value outside the floating-point range ({exc})") from None
+
+
+def _eval_tree(e: Expr, point: Mapping[str, complex]) -> complex:
     if isinstance(e, Const):
         return e.value.to_complex()
     if isinstance(e, Var):
         return point[e.var.name]
     if isinstance(e, Add):
-        return sum(_eval(t, point) for t in e.terms)
+        return sum(_eval_tree(t, point) for t in e.terms)
     if isinstance(e, Mul):
         out = 1.0 + 0.0j
         for f in e.factors:
-            out *= _eval(f, point)
+            out *= _eval_tree(f, point)
         return out
     if isinstance(e, Pow):
-        base = _eval(e.base, point)
+        base = _eval_tree(e.base, point)
         if e.exp.denominator == 1:
             k = int(e.exp)
             if k < 0 and base == 0:

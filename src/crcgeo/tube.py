@@ -37,6 +37,7 @@ from .scalars import (
     conjugate,
     differentiate,
     evaluate,
+    free_variables,
     is_identically_zero,
     lift,
     normalize,
@@ -45,7 +46,7 @@ from .scalars import (
     to_text,
 )
 from .forms import Chart, FormExpr, g_imaginary, g_pair, g_real
-from .report import Report
+from .report import INCONCLUSIVE, Report
 
 HALF = Fraction(1, 2)
 
@@ -150,9 +151,16 @@ def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
     else:
         rho_expr = lift(rho)
         rho_expr = _rebind(rho_expr, table)
+    try:
+        derivs = _derivative_cache(rho_expr, table)
+    except DomainEvalError:
+        # S = (rho12/rho11)_1 divides by rho11
+        t1 = table["t1"]
+        if differentiate(differentiate(rho_expr, t1), t1) != ZERO:
+            raise
+        raise TubeHypothesisError("positivity", "rho11 is identically zero")
     model = TubeModel(table, normalize(rho_expr), dict(box),
-                      trials=trials, seed=seed, tol=tol,
-                      derivs=_derivative_cache(rho_expr, table))
+                      trials=trials, seed=seed, tol=tol, derivs=derivs)
 
     residual = ma_residual(model.derivs)
     try:
@@ -182,21 +190,16 @@ def _restricted_view(table: VariableTable, names) -> VariableTable:
 
 
 def _rebind(e: Expr, table: VariableTable) -> Expr:
-    for v in sorted({v.name for v in _free(e)}):
+    for v in sorted({v.name for v in free_variables(e)}):
         if v not in table:
             raise ExprError(f"defining function uses unexpected variable {v}")
     return e
 
 
-def _free(e: Expr):
-    from .scalars import free_variables
-    return free_variables(e)
-
-
 def _check_positivity(model: TubeModel, n_points: int = 16) -> None:
     rng = random.Random(model.seed + 5)
     rho11 = model.d("rho11")
-    variables = sorted(_free(rho11), key=lambda v: v.name)
+    variables = sorted(free_variables(rho11), key=lambda v: v.name)
     found = 0
     for _ in range(8 * n_points):
         if found >= n_points:
@@ -423,12 +426,13 @@ def _base_substitution(model: TubeModel, frame: Chart) -> dict:
     return sub
 
 
-def _form_vanishes(model: TubeModel, form: FormExpr, seed_shift: int) -> bool:
+def _form_vanishes(model: TubeModel, form: FormExpr, seed_shift: int):
+    """True or False, or ``INCONCLUSIVE`` when the zero test cannot decide."""
     try:
         return form.vanishes(model.zero_test_box, trials=model.trials,
                              seed=model.seed + seed_shift, tol=model.tol)
     except ZeroTestInconclusiveError:
-        return False
+        return INCONCLUSIVE
 
 
 def build_coframe(model: TubeModel) -> TubeCoframe:
@@ -436,7 +440,8 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
 
     Verifies the substitution table inverts the definitions, the two
     structure identities of the coframe, and that the fiber correction
-    form extracted from the second identity vanishes at b=0.
+    form extracted from the second identity vanishes at b=0.  An identity
+    the zero test cannot decide is recorded as inconclusive, not failed.
     """
     ambient = _ambient_chart(model)
     forms = _ambient_forms(model, ambient)
@@ -444,9 +449,9 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     sub = _base_substitution(model, frame)
     checks: list = []
 
-    def record(name: str, ok: bool, detail: str = "") -> None:
+    def record(name: str, ok, detail: str = "") -> None:
         checks.append((name, ok))
-        if not ok:
+        if ok is False:
             raise CoframeVerificationError(name, detail)
 
     # substitution table inverts the coframe definitions

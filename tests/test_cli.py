@@ -71,6 +71,14 @@ def test_expr_eval_and_diff():
     assert result.returncode == 0
 
 
+def test_expr_eval_overflow_is_an_input_error():
+    result = run_cli("expr", "eval", "--expr", "2^(1/2)*(10^400)^(1/2)",
+                     "--at", "t1=1")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
 def test_expr_zero_subcommand():
     result = run_cli("expr", "zero",
                      "--expr", "(t1+t2)^2 - t1^2 - 2*t1*t2 - t2^2",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from crcgeo import scalars
 from crcgeo.parsing import parse
 from crcgeo.scalars import (
     Add,
@@ -385,3 +386,121 @@ def test_parse_print_round_trip():
         tree = _random_tree(rng, variables, rng.randint(1, 5))
         text = to_text(tree)
         assert normalize(parse(text, table)) == normalize(tree)
+
+
+# ---------------------------------------------------------------------------
+# exact division behind radical recombination
+
+
+def _nf_of(text, table):
+    return scalars._nf(normalize(parse(text, table)))
+
+
+def _random_univariate(rng, v, n_terms):
+    terms = [Const(QC.of(rng.randint(-4, 4) or 1, rng.randint(-2, 2)))
+             * Pow(Var(v), Fraction(rng.randint(0, 6), 2)) for _ in range(n_terms)]
+    return scalars._nf(normalize(Add(tuple(terms))))
+
+
+def _random_laurent(rng, variables, n_terms):
+    terms = [Const(QC.of(rng.randint(-3, 3) or 1, rng.randint(-1, 1)))
+             * Mul(tuple(Pow(Var(v), Fraction(rng.randint(-2, 4), 2)) for v in variables))
+             for _ in range(n_terms)]
+    return scalars._nf(normalize(Add(tuple(terms))))
+
+
+def test_exact_quotient_recovers_var_only_factor():
+    table = VariableTable()
+    variables = table.positive("x", "y", "z")
+    rng = random.Random(31)
+    recovered = 0
+    for _ in range(150):
+        # one variable: the long division's leading-term order is a
+        # monomial order there, so every exact quotient is found
+        v = rng.choice(variables)
+        b = _random_univariate(rng, v, rng.randint(2, 3))
+        q = _random_univariate(rng, v, rng.randint(1, 4))
+        if len(b) < 2 or not q:
+            continue
+        assert scalars._exact_quotient(scalars._nf_mul(q, b), b) == q
+        recovered += 1
+        # several variables: the rejection never refuses a true multiple,
+        # and a quotient found is the factor
+        b = _random_laurent(rng, variables, rng.randint(2, 3))
+        q = _random_laurent(rng, variables, rng.randint(1, 3))
+        if len(b) < 2 or not q:
+            continue
+        product = scalars._nf_mul(q, b)
+        assert not scalars._var_span_rejects(product, b)
+        assert scalars._exact_quotient(product, b) in (None, q)
+    assert recovered > 100
+
+
+def test_span_rejection_agrees_with_long_division(monkeypatch):
+    # every division _collapse asks for on the random-tree stream
+    pairs = []
+    divide = scalars._exact_quotient
+
+    def recording(nf, base):
+        pairs.append((dict(nf), dict(base)))
+        return divide(nf, base)
+
+    monkeypatch.setattr(scalars, "_exact_quotient", recording)
+    table = VariableTable()
+    variables = table.positive("x", "y", "z")
+    rng = random.Random(2024)
+    for _ in range(100):
+        tree = _random_tree(rng, variables, rng.randint(1, 5))
+        try:
+            differentiate(tree, rng.choice(variables))
+        except DomainEvalError:
+            continue
+    rejected = [pair for pair in pairs if scalars._var_span_rejects(*pair)]
+    assert len(rejected) > 50
+    for nf, base in rejected:
+        assert scalars._long_division(nf, base) is None
+    # an exact multiple of a stream dividend is never refused
+    var_only = [(nf, base) for nf, base in pairs
+                if all(isinstance(atom, Var) for pows in base for atom, _ in pows)]
+    assert len(var_only) > 50
+    for nf, base in var_only:
+        assert not scalars._var_span_rejects(scalars._nf_mul(nf, base), base)
+
+
+def test_span_rejection_ignores_const_and_sum_atom_divisors():
+    table = VariableTable()
+    table.positive("x", "y")
+    # units: (1 + 2^(1/2)) (2^(1/2) - 1) = 1 and
+    # ((x^2+y)^(1/2) + x) ((x^2+y)^(1/2) - x) = y
+    for num, den in (("1", "1+2^(1/2)"), ("y", "(x^2+y)^(1/2)+x"),
+                     ("x", "(x^2+y)^(1/2)+x"), ("x*y^2", "x+2^(1/2)*y")):
+        assert not scalars._var_span_rejects(_nf_of(num, table), _nf_of(den, table))
+    # the same shapes over a Var-only divisor are refused
+    assert scalars._var_span_rejects(_nf_of("y", table), _nf_of("x+y", table))
+
+
+def test_quotient_memo_returns_fresh_copies():
+    scalars.clear_caches()
+    table = VariableTable()
+    table.positive("x")
+    product = _nf_of("x^2-1", table)
+    base = _nf_of("x+1", table)
+    expected = _nf_of("x-1", table)
+    first = scalars._exact_quotient(product, base)
+    assert first == expected
+    first.clear()
+    again = scalars._exact_quotient(product, base)
+    assert again == expected
+    again[()] = QC.of(7)
+    assert scalars._exact_quotient(product, base) == expected
+    assert scalars._exact_quotient(_nf_of("x", table), base) is None
+    assert scalars._exact_quotient(_nf_of("x", table), base) is None
+
+
+def test_clear_caches_empties_quotient_memo():
+    table = VariableTable()
+    table.positive("x")
+    scalars._exact_quotient(_nf_of("x^2-1", table), _nf_of("x-1", table))
+    assert scalars._QUOT_MEMO
+    scalars.clear_caches()
+    assert not scalars._QUOT_MEMO

@@ -1,16 +1,19 @@
 """Tube pipeline: hypothesis screening, Levi analysis, coframe identities,
 torsion coefficients, and the flatness verdict."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from crcgeo import tube
+from crcgeo import cli, tube
+from crcgeo.forms import FormExpr
 from crcgeo.parsing import parse
 from crcgeo.scalars import (
     Var,
     VariableTable,
     ZERO,
+    ZeroTestInconclusiveError,
     certify_zero,
     conjugate,
     differentiate,
@@ -81,6 +84,16 @@ def test_negative_rho11_rejected():
     with pytest.raises(tube.TubeHypothesisError) as err:
         tube.tube_from_rho("-t1^2/t2", {"t1": (0.5, 1), "t2": (0.5, 1)})
     assert err.value.hypothesis == "positivity"
+
+
+def test_vanishing_rho11_rejected_by_positivity():
+    # rho11 = 0, so S = (rho12/rho11)_1 is undefined
+    with pytest.raises(tube.TubeHypothesisError) as err:
+        tube.tube_from_rho("t1*t2", BOX)
+    assert err.value.hypothesis == "positivity"
+    report = tube.analyze("t1*t2", BOX)
+    assert report.overall == "fail"
+    assert [c.name for c in report.checks] == ["hypothesis:positivity"]
 
 
 def test_homogeneous_family_accepted(homog_model):
@@ -317,3 +330,20 @@ def test_analyze_report_homogeneous():
     assert "levi rank 1 at sampled points" in names
     verdict = [c for c in report.checks if c.name == "flatness verdict"][0]
     assert verdict.details["final_coefficient_zero"] == "zero"
+
+
+def test_inconclusive_coframe_identity_is_reported_inconclusive(monkeypatch, capsys):
+    def undecided(self, *args, **kwargs):
+        raise ZeroTestInconclusiveError("forced")
+
+    monkeypatch.setattr(FormExpr, "vanishes", undecided)
+    report = tube.analyze("t1^2/t2", HOMOG_BOX, trials=16)
+    coframe = {c.name: c.status for c in report.checks if c.name.startswith("coframe:")}
+    assert coframe["coframe:contact form structure identity"] == "inconclusive"
+    assert coframe["coframe:fiber correction uses only coframe covectors"] == "pass"
+    assert "fail" not in coframe.values()
+    assert report.overall == "inconclusive"
+    code = cli.main(["tube", "analyze", "--rho", "t1^2/t2",
+                     "--box", "t1=0.5:1,t2=0.5:1", "--trials", "16"])
+    assert code == cli.EXIT_INCONCLUSIVE
+    assert json.loads(capsys.readouterr().out)["overall"] == "inconclusive"
