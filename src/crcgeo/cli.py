@@ -271,6 +271,9 @@ def main(argv=None) -> int:
     except ZeroTestInconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except RecursionError:
+        print("inconclusive: expression nested too deeply to process", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except (DomainEvalError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -128,11 +128,11 @@ class QC:
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     @property
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return not self.im and self.re == 1
 
     @property
     def is_real(self) -> bool:
@@ -217,9 +217,18 @@ NumberLike = Union[int, Fraction, QC, "Expr"]
 
 
 class Expr:
-    """Immutable symbolic expression node (hash cached per node)."""
+    """Immutable symbolic expression node, hash-consed.
 
-    __slots__ = ("_h",)
+    Every node is interned in ``_INTERN`` when it is built, so building a
+    node structurally equal to a live one returns that same object and
+    equality is an identity test.  Structural comparison remains as the
+    fallback for nodes that outlive a ``clear_caches()``, which empties the
+    table.  A node carries its hash and, once it has served as a
+    monomial atom, its sort key.
+    """
+
+    __slots__ = ("_h", "_skey")
+    _fields: tuple = ()
 
     def __add__(self, other: NumberLike) -> "Expr":
         return Add((self, lift(other)))
@@ -252,116 +261,109 @@ class Expr:
         return Pow(self, Fraction(e))
 
     def __hash__(self):
-        h = self._h
-        if h is None:
-            h = self._compute_hash()
-            self._h = h
-        return h
+        return self._h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self) or other._h != self._h:
+            return False
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+
+_INTERN: dict = {}
+
+
+def _interned(cls, key, h: int):
+    """A fresh node of ``cls`` registered under ``key`` (fields unset)."""
+    node = object.__new__(cls)
+    node._h = h
+    node._skey = None
+    _INTERN[key] = node
+    return node
 
 
 class Const(Expr):
     __slots__ = ("value",)
+    _fields = ("value",)
 
-    def __init__(self, value: QC):
-        self._h = None
-        self.value = value
-
-    def _compute_hash(self):
-        return hash(("C", self.value.re, self.value.im))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Const and self.value == other.value)
+    def __new__(cls, value: QC):
+        key = ("C", value.re, value.im)
+        node = _INTERN.get(key)
+        if node is None:
+            node = _interned(cls, key, hash(key))
+            node.value = value
+        return node
 
     def __repr__(self):
         return f"Const({qc_text(self.value)})"
 
-    __hash__ = Expr.__hash__
-
 
 class Var(Expr):
     __slots__ = ("var",)
+    _fields = ("var",)
 
-    def __init__(self, var: Variable):
-        self._h = None
-        self.var = var
-
-    def _compute_hash(self):
-        return hash(("V", self.var.name))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Var and self.var == other.var)
+    def __new__(cls, var: Variable):
+        key = ("V", var)
+        node = _INTERN.get(key)
+        if node is None:
+            node = _interned(cls, key, hash(("V", var.name)))
+            node.var = var
+        return node
 
     def __repr__(self):
         return f"Var({self.var.name})"
 
-    __hash__ = Expr.__hash__
-
 
 class Add(Expr):
     __slots__ = ("terms",)
+    _fields = ("terms",)
 
-    def __init__(self, terms: tuple):
-        self._h = None
-        self.terms = terms
-
-    def _compute_hash(self):
-        return hash(("A", self.terms))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is Add and hash(self) == hash(other)
-                and self.terms == other.terms)
+    def __new__(cls, terms: tuple):
+        key = ("A", terms)
+        node = _INTERN.get(key)
+        if node is None:
+            node = _interned(cls, key, hash(key))
+            node.terms = terms
+        return node
 
     def __repr__(self):
         return "Add(" + ", ".join(map(repr, self.terms)) + ")"
 
-    __hash__ = Expr.__hash__
-
 
 class Mul(Expr):
     __slots__ = ("factors",)
+    _fields = ("factors",)
 
-    def __init__(self, factors: tuple):
-        self._h = None
-        self.factors = factors
-
-    def _compute_hash(self):
-        return hash(("M", self.factors))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is Mul and hash(self) == hash(other)
-                and self.factors == other.factors)
+    def __new__(cls, factors: tuple):
+        key = ("M", factors)
+        node = _INTERN.get(key)
+        if node is None:
+            node = _interned(cls, key, hash(key))
+            node.factors = factors
+        return node
 
     def __repr__(self):
         return "Mul(" + ", ".join(map(repr, self.factors)) + ")"
 
-    __hash__ = Expr.__hash__
-
 
 class Pow(Expr):
     __slots__ = ("base", "exp")
+    _fields = ("exp", "base")
 
-    def __init__(self, base: Expr, exp):
-        self._h = None
-        self.base = base
-        self.exp = exp if isinstance(exp, Fraction) else Fraction(exp)
-
-    def _compute_hash(self):
-        return hash(("P", self.base, self.exp))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is Pow and hash(self) == hash(other)
-                and self.exp == other.exp and self.base == other.base)
+    def __new__(cls, base: Expr, exp):
+        if not isinstance(exp, Fraction):
+            exp = Fraction(exp)
+        key = ("P", base, exp)
+        node = _INTERN.get(key)
+        if node is None:
+            node = _interned(cls, key, hash(key))
+            node.base = base
+            node.exp = exp
+        return node
 
     def __repr__(self):
         return f"Pow({self.base!r}, {self.exp})"
-
-    __hash__ = Expr.__hash__
 
 
 ZERO = Const(QC_ZERO)
@@ -390,7 +392,6 @@ def lift(x: NumberLike) -> Expr:
 _PowsKey = tuple
 
 
-_SKEY_MEMO: dict = {}
 _NF_MEMO: dict = {}
 _NORM_MEMO: dict = {}
 _CONJ_MEMO: dict = {}
@@ -400,21 +401,36 @@ _QUOT_MEMO: dict = {}
 
 
 def clear_caches() -> None:
-    for memo in (_SKEY_MEMO, _NF_MEMO, _NORM_MEMO, _CONJ_MEMO,
-                 _DIFF_MEMO, _FREEVARS_MEMO, _QUOT_MEMO):
+    """Empty the memos and the intern table; nodes built before stay valid."""
+    for memo in (_NF_MEMO, _NORM_MEMO, _CONJ_MEMO, _DIFF_MEMO,
+                 _FREEVARS_MEMO, _QUOT_MEMO, _INTERN):
         memo.clear()
 
 
 def _atom_sort_key(atom: Expr):
-    if isinstance(atom, Var):
-        return (0, atom.var.name)
-    if isinstance(atom, Const):
-        return (1, qc_text(atom.value))
-    key = _SKEY_MEMO.get(atom)
+    key = atom._skey
     if key is None:
-        key = (2, _render(atom))
-        _SKEY_MEMO[atom] = key
+        if type(atom) is Var:
+            key = (0, atom.var.name)
+        elif type(atom) is Const:
+            key = (1, qc_text(atom.value))
+        else:
+            key = (2, _render(atom))
+        atom._skey = key
     return key
+
+
+def _mono_key(pows: _PowsKey):
+    return tuple([(_atom_sort_key(a), e) for a, e in pows])
+
+
+def _item_key(item):
+    return _atom_sort_key(item[0])
+
+
+def _add_exp(powmap: dict, atom: Expr, e) -> None:
+    cur = powmap.get(atom)
+    powmap[atom] = e if cur is None else cur + e
 
 
 def _mono_expr(coeff: QC, pows: _PowsKey) -> Expr:
@@ -432,7 +448,7 @@ def _rebuild(nf: dict) -> Expr:
     items = [(pows, c) for pows, c in nf.items() if not c.is_zero]
     if not items:
         return ZERO
-    items.sort(key=lambda it: tuple((_atom_sort_key(a), e) for a, e in it[0]))
+    items.sort(key=lambda it: _mono_key(it[0]))
     monos = [_mono_expr(c, pows) for pows, c in items]
     return monos[0] if len(monos) == 1 else Add(tuple(monos))
 
@@ -461,14 +477,14 @@ def _fix_monomial(coeff: QC, powmap: dict) -> dict:
     reduced: dict = {}
     expansions: list[dict] = []
     for atom, e in powmap.items():
-        if e == 0:
+        if not e:
             continue
         if isinstance(atom, Const) and (e.denominator == 1 or e >= 1 or e < 0):
             # fold integer parts of constant powers into the coefficient
             whole = e.numerator // e.denominator
             coeff = coeff * atom.value.pow_int(whole)
             e = e - whole
-            if e == 0:
+            if not e:
                 continue
         elif _is_sum_atom(atom) and e >= 1:
             n = int(e) if e.denominator == 1 else int(e.numerator // e.denominator)
@@ -476,11 +492,10 @@ def _fix_monomial(coeff: QC, powmap: dict) -> dict:
             for _ in range(n):
                 expansions.append(base_nf)
             e = e - n
-            if e == 0:
+            if not e:
                 continue
-        reduced[atom] = reduced.get(atom, Fraction(0)) + e
-    pows = tuple(sorted(((a, e) for a, e in reduced.items() if e != 0),
-                        key=lambda it: _atom_sort_key(it[0])))
+        reduced[atom] = e
+    pows = tuple(sorted(reduced.items(), key=_item_key))
     result = {pows: coeff}
     for base_nf in expansions:
         result = _nf_mul(result, base_nf)
@@ -491,11 +506,10 @@ def _nf_mul(a: Mapping, b: Mapping) -> dict:
     acc: dict = {}
     for pa, ca in a.items():
         for pb, cb in b.items():
-            powmap: dict = {}
-            for atom, e in pa:
-                powmap[atom] = powmap.get(atom, Fraction(0)) + e
+            powmap = dict(pa)
             for atom, e in pb:
-                powmap[atom] = powmap.get(atom, Fraction(0)) + e
+                cur = powmap.get(atom)
+                powmap[atom] = e if cur is None else cur + e
             _nf_add_into(acc, _fix_monomial(ca * cb, powmap))
     return acc
 
@@ -543,7 +557,7 @@ def _const_pow(c: QC, e: Fraction) -> dict:
             coeff *= Fraction(p) ** whole
             if frac:
                 pows.append((Const(QC.of(p)), frac))
-        pows.sort(key=lambda it: _atom_sort_key(it[0]))
+        pows.sort(key=_item_key)
         return {tuple(pows): QC.of(coeff)}
     # non-positive or non-real constant under a fractional power: opaque atom
     return {((Const(c), e),): QC_ONE}
@@ -593,12 +607,12 @@ def _nf_pow(nf: Mapping, e: Fraction) -> dict:
         split: dict = {}
         for atom, ex in pows:
             if _atom_certified_positive(atom, ex) or _exp_mul_safe(ex):
-                split[atom] = split.get(atom, Fraction(0)) + ex * e
+                _add_exp(split, atom, ex * e)
             else:
-                residual[atom] = residual.get(atom, Fraction(0)) + ex
+                _add_exp(residual, atom, ex)
         if residual or not residual_coeff.is_one:
             base = _rebuild(_fix_monomial(residual_coeff, residual))
-            split[base] = split.get(base, Fraction(0)) + e
+            _add_exp(split, base, e)
         out = _nf_mul(out, _fix_monomial(QC_ONE, split))
         return out
     # a genuine sum
@@ -612,8 +626,8 @@ def _nf_pow(nf: Mapping, e: Fraction) -> dict:
     out = _const_pow(content_coeff, e) if not content_coeff.is_one else {(): QC_ONE}
     powmap: dict = {}
     for atom, ex in content_pows:
-        powmap[atom] = powmap.get(atom, Fraction(0)) + ex * e
-    powmap[primitive] = powmap.get(primitive, Fraction(0)) + e
+        _add_exp(powmap, atom, ex * e)
+    _add_exp(powmap, primitive, e)
     return _nf_mul(out, _fix_monomial(QC_ONE, powmap))
 
 
@@ -624,7 +638,7 @@ def _extract_content(nf: Mapping, fractional: bool):
     the full common atom powers; under fractional powers only certified
     positive content may be pulled out.
     """
-    items = sorted(nf.items(), key=lambda it: tuple((_atom_sort_key(a), e) for a, e in it[0]))
+    items = sorted(nf.items(), key=lambda it: _mono_key(it[0]))
     common: dict | None = None
     for pows, _ in items:
         pmap = dict(pows)
@@ -649,11 +663,11 @@ def _extract_content(nf: Mapping, fractional: bool):
         pmap = dict(pows)
         for a, e in common.items():
             pmap[a] = pmap[a] - e
-        key = tuple(sorted(((a, e) for a, e in pmap.items() if e != 0),
-                           key=lambda it: _atom_sort_key(it[0])))
+        key = tuple(sorted(((a, e) for a, e in pmap.items() if e),
+                           key=_item_key))
         prim[key] = inv * c
     primitive = _rebuild(prim)
-    content_pows = tuple(sorted(common.items(), key=lambda it: _atom_sort_key(it[0])))
+    content_pows = tuple(sorted(common.items(), key=_item_key))
     return coeff, content_pows, primitive
 
 
@@ -679,16 +693,16 @@ def _positive_rational_content(coeffs: Sequence[QC]) -> QC:
 
 
 def _leading_item(nf: Mapping):
-    key = max(nf, key=lambda pows: tuple((_atom_sort_key(a), x) for a, x in pows))
+    key = max(nf, key=_mono_key)
     return key, nf[key]
 
 
 def _mono_quotient(num_pows, num_coeff, den_pows, den_coeff):
     powmap = dict(num_pows)
     for a, x in den_pows:
-        powmap[a] = powmap.get(a, Fraction(0)) - x
-    pows = tuple(sorted(((a, x) for a, x in powmap.items() if x != 0),
-                        key=lambda it: _atom_sort_key(it[0])))
+        cur = powmap.get(a)
+        powmap[a] = -x if cur is None else cur - x
+    pows = tuple(sorted(((a, x) for a, x in powmap.items() if x), key=_item_key))
     return pows, num_coeff * den_coeff.inverse()
 
 
@@ -763,7 +777,7 @@ def _long_division(nf: Mapping, base: Mapping):
         qp, qc = _mono_quotient(rp, rc, lead_pows, lead_coeff)
         piece = {qp: qc}
         _nf_add_into(quotient, piece)
-        _nf_add_into(remainder, {p: (QC_ZERO - c) for p, c in _nf_mul(piece, base).items()})
+        _nf_add_into(remainder, {p: -c for p, c in _nf_mul(piece, base).items()})
     return quotient
 
 
@@ -786,7 +800,7 @@ def _collapse(nf: dict) -> dict:
         for atom in sorted(atoms, key=_atom_sort_key):
             groups: dict = {}
             for pows, c in nf.items():
-                exp = Fraction(0)
+                exp = 0
                 rest = []
                 for a, x in pows:
                     if a == atom:
@@ -891,7 +905,7 @@ def certify_zero(e: Expr, budget: int = 200_000) -> bool:
     for pows, c in nf.items():
         powmap = dict(pows)
         for a, m in clearing.items():
-            powmap[a] = powmap.get(a, Fraction(0)) + m
+            _add_exp(powmap, a, m)
         _nf_add_into(cleared, _fix_monomial(c, powmap))
         if len(cleared) > budget:
             return False

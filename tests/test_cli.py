@@ -71,6 +71,15 @@ def test_expr_eval_and_diff():
     assert result.returncode == 0
 
 
+def test_expr_eval_deep_input_is_inconclusive_without_traceback():
+    result = run_cli("expr", "eval", "--expr", "+".join(["t1"] * 3000),
+                     "--at", "t1=1")
+    assert result.returncode == 3
+    assert result.stderr.startswith("inconclusive:")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+
+
 def test_expr_eval_overflow_is_an_input_error():
     result = run_cli("expr", "eval", "--expr", "2^(1/2)*(10^400)^(1/2)",
                      "--at", "t1=1")

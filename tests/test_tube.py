@@ -332,6 +332,16 @@ def test_analyze_report_homogeneous():
     assert verdict.details["final_coefficient_zero"] == "zero"
 
 
+def test_every_coframe_check_carries_its_own_timing():
+    report = tube.analyze("t1^2/t2", HOMOG_BOX, trials=16)
+    coframe = [c for c in report.checks if c.name.startswith("coframe:")]
+    assert len(coframe) == 9
+    assert all(c.timing_s is not None and c.timing_s >= 0 for c in coframe)
+    # the stage's time is spread over its checks, not put on the last one
+    assert sum(c.timing_s for c in coframe[:-1]) > 0
+    assert "timing_s" not in report.to_json(include_timing=False)
+
+
 def test_inconclusive_coframe_identity_is_reported_inconclusive(monkeypatch, capsys):
     def undecided(self, *args, **kwargs):
         raise ZeroTestInconclusiveError("forced")
