@@ -22,6 +22,7 @@ from .scalars import (
     ExprError,
     ParseError,
     VariableTable,
+    WorkBudgetError,
     ZeroTestInconclusiveError,
     differentiate,
     evaluate,
@@ -268,7 +269,7 @@ def main(argv=None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ZeroTestInconclusiveError as exc:
+    except (ZeroTestInconclusiveError, WorkBudgetError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except RecursionError:

@@ -28,6 +28,7 @@ fixed, ``imaginary`` ones negate, ``unit_modulus`` ones invert, and
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,6 +73,10 @@ class ZeroTestInconclusiveError(ExprError):
     """Raised when every sampled point hit a singularity."""
 
 
+class WorkBudgetError(ExprError):
+    """Raised when expanding a power of a sum would exceed the work budget."""
+
+
 # ---------------------------------------------------------------------------
 # rational-complex constants
 
@@ -84,9 +89,16 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+_F0 = Fraction(0)
+
+
 @dataclass(frozen=True)
 class QC:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
+
+    Arithmetic between real values (``im == 0``) takes a fast path: one
+    ``Fraction`` operation on ``re``, with ``im`` the shared ``_F0``.
+    """
 
     re: Fraction
     im: Fraction
@@ -96,30 +108,44 @@ class QC:
         return QC(_as_fraction(re), _as_fraction(im))
 
     def __add__(self, other: "QC") -> "QC":
+        if not self.im and not other.im:
+            return QC(self.re + other.re, _F0)
         return QC(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "QC") -> "QC":
+        if not self.im and not other.im:
+            return QC(self.re - other.re, _F0)
         return QC(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "QC") -> "QC":
+        if not self.im and not other.im:
+            return QC(self.re * other.re, _F0)
         return QC(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
     def __neg__(self) -> "QC":
+        if not self.im:
+            return QC(-self.re, _F0)
         return QC(-self.re, -self.im)
 
     def conjugate(self) -> "QC":
         return QC(self.re, -self.im)
 
     def inverse(self) -> "QC":
+        if not self.im:
+            if not self.re:
+                raise DomainEvalError("division by zero constant")
+            return QC(1 / self.re, _F0)
         n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise DomainEvalError("division by zero constant")
         return QC(self.re / n, -self.im / n)
 
     def pow_int(self, k: int) -> "QC":
+        if not self.im:
+            if k < 0 and not self.re:
+                raise DomainEvalError("division by zero constant")
+            return QC(self.re ** k, _F0)
         base = self if k >= 0 else self.inverse()
         result = QC_ONE
         for _ in range(abs(k)):
@@ -142,9 +168,9 @@ class QC:
         return complex(float(self.re), float(self.im))
 
 
-QC_ZERO = QC(Fraction(0), Fraction(0))
-QC_ONE = QC(Fraction(1), Fraction(0))
-QC_I = QC(Fraction(0), Fraction(1))
+QC_ZERO = QC(_F0, _F0)
+QC_ONE = QC(Fraction(1), _F0)
+QC_I = QC(_F0, Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +395,7 @@ class Pow(Expr):
 ZERO = Const(QC_ZERO)
 ONE = Const(QC_ONE)
 I = Const(QC_I)
-MINUS_ONE = Const(QC(Fraction(-1), Fraction(0)))
+MINUS_ONE = Const(QC(Fraction(-1), _F0))
 
 
 def lift(x: NumberLike) -> Expr:
@@ -388,6 +414,9 @@ def lift(x: NumberLike) -> Expr:
 # A monomial is (coefficient, pows) where pows is a tuple of (atom, exponent)
 # sorted by atom key.  Atoms are Var nodes, positive-rational Const bases of
 # irrational powers, and canonical non-monomial expressions (sum bases).
+# An integral exponent is stored as an int and any other as a Fraction
+# (``_key_exp``): ints add and hash in C, and since equal values hash alike
+# the memos see the same keys as with Fractions throughout.
 
 _PowsKey = tuple
 
@@ -418,6 +447,11 @@ def _atom_sort_key(atom: Expr):
             key = (2, _render(atom))
         atom._skey = key
     return key
+
+
+def _key_exp(e):
+    """An exponent as a pows key stores it: int when integral, else Fraction."""
+    return e if type(e) is int or e.denominator != 1 else e.numerator
 
 
 def _mono_key(pows: _PowsKey):
@@ -467,6 +501,27 @@ def _is_sum_atom(atom: Expr) -> bool:
     return not isinstance(atom, (Var, Const))
 
 
+# Monomial products one expansion of a power of a sum may make.  The
+# heaviest expansion in the tests and benchmark workloads is estimated at
+# 2448; an expansion at the budget takes about 2-3 s on one core.
+_EXPANSION_BUDGET = 200_000
+
+
+def _check_expansion(terms: int, k: int) -> None:
+    """Refuse to multiply a monomial by a ``terms``-term sum ``k`` times
+    when the monomial products that takes exceed the budget.
+
+    After j factors at most C(terms+j-1, j) monomials remain, so the k
+    steps make at most terms * C(terms+k-1, k-1) products; that also
+    bounds the expanded term count, C(terms+k-1, k).
+    """
+    products = terms * math.comb(terms + k - 1, k - 1)
+    if products > _EXPANSION_BUDGET:
+        raise WorkBudgetError(
+            f"expanding a {terms}-term sum to the power {k} exceeds the work "
+            f"budget of {_EXPANSION_BUDGET} monomial products")
+
+
 def _fix_monomial(coeff: QC, powmap: dict) -> dict:
     """Canonicalize one monomial, splitting integer parts off sum-atom powers.
 
@@ -489,12 +544,13 @@ def _fix_monomial(coeff: QC, powmap: dict) -> dict:
         elif _is_sum_atom(atom) and e >= 1:
             n = int(e) if e.denominator == 1 else int(e.numerator // e.denominator)
             base_nf = _nf(atom)
+            _check_expansion(len(base_nf), n)
             for _ in range(n):
                 expansions.append(base_nf)
             e = e - n
             if not e:
                 continue
-        reduced[atom] = e
+        reduced[atom] = _key_exp(e)
     pows = tuple(sorted(reduced.items(), key=_item_key))
     result = {pows: coeff}
     for base_nf in expansions:
@@ -617,6 +673,7 @@ def _nf_pow(nf: Mapping, e: Fraction) -> dict:
         return out
     # a genuine sum
     if e.denominator == 1 and e >= 2:
+        _check_expansion(len(items), int(e))
         acc = dict(nf)
         for _ in range(int(e) - 1):
             acc = _nf_mul(acc, nf)
@@ -663,7 +720,7 @@ def _extract_content(nf: Mapping, fractional: bool):
         pmap = dict(pows)
         for a, e in common.items():
             pmap[a] = pmap[a] - e
-        key = tuple(sorted(((a, e) for a, e in pmap.items() if e),
+        key = tuple(sorted(((a, _key_exp(e)) for a, e in pmap.items() if e),
                            key=_item_key))
         prim[key] = inv * c
     primitive = _rebuild(prim)
@@ -702,7 +759,8 @@ def _mono_quotient(num_pows, num_coeff, den_pows, den_coeff):
     for a, x in den_pows:
         cur = powmap.get(a)
         powmap[a] = -x if cur is None else cur - x
-    pows = tuple(sorted(((a, x) for a, x in powmap.items() if x), key=_item_key))
+    pows = tuple(sorted(((a, _key_exp(x)) for a, x in powmap.items() if x),
+                        key=_item_key))
     return pows, num_coeff * den_coeff.inverse()
 
 
@@ -839,7 +897,7 @@ def _nf(e: Expr) -> dict:
     if isinstance(e, Const):
         out = {} if e.value.is_zero else {(): e.value}
     elif isinstance(e, Var):
-        out = {((e, Fraction(1)),): QC_ONE}
+        out = {((e, 1),): QC_ONE}
     elif isinstance(e, Add):
         acc: dict = {}
         for t in e.terms:

@@ -13,10 +13,10 @@ from crcgeo import cli, model
 GOLDEN = Path(__file__).parent / "golden" / "model_verify.json"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     result = subprocess.run(
         [sys.executable, "-m", "crcgeo.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, timeout=timeout)
     return result
 
 
@@ -78,6 +78,16 @@ def test_expr_eval_deep_input_is_inconclusive_without_traceback():
     assert result.stderr.startswith("inconclusive:")
     assert result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
+
+
+def test_expr_diff_power_of_sum_over_work_budget_is_inconclusive():
+    # a power of a sum whose expansion exceeds the work budget ends at once
+    for text in ("(1+t1)^100000", "(1+t1+t2)^(2001/2)"):
+        result = run_cli("expr", "diff", "--expr", text, "--by", "t1", timeout=15)
+        assert result.returncode == 3, text
+        assert result.stderr.startswith("inconclusive:")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
 
 
 def test_expr_eval_overflow_is_an_input_error():

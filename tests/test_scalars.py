@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crcgeo import scalars
 from crcgeo.parsing import parse
@@ -572,3 +574,110 @@ def test_cached_sort_key_equals_rendered_key():
         assert atom._skey == (2, scalars._render(atom))
     assert scalars._atom_sort_key(Var(table["x"])) == (0, "x")
     assert scalars._atom_sort_key(Const(QC.of(5))) == (1, "5")
+
+
+# ---------------------------------------------------------------------------
+# exponent and coefficient representation
+
+
+def _exponents(nf, seen=None):
+    """Every exponent in the pows keys of nf and of its sum atoms' forms."""
+    seen = set() if seen is None else seen
+    for pows in nf:
+        for atom, e in pows:
+            yield e
+            if scalars._is_sum_atom(atom) and atom not in seen:
+                seen.add(atom)
+                yield from _exponents(scalars._nf(atom), seen)
+
+
+def test_pows_keys_store_integral_exponents_as_int():
+    table = VariableTable()
+    variables = table.positive("x", "y", "z")
+    texts = [
+        "x", "x*y^2/z", "x^(1/2)*x^(1/2)", "(x+y)^(-1)*(x+y)", "2^(1/2)*2^(3/2)",
+        "(x^2+y)^(3/2)", "(2*x^(3/2) + 4*x^(1/2)*y)^(-1)", "(x*y + x^2*y)^(-1/2)",
+        "(x^2-1)*(x+1)^(-1)", "x*(x+y)^(-1/2) + y*(x+y)^(-1/2)",
+    ]
+    trees = [parse(t, table) for t in texts]
+    rng = random.Random(12)
+    trees += [_random_tree(rng, variables, rng.randint(1, 4)) for _ in range(60)]
+    kinds = {int: 0, Fraction: 0}
+    for tree in trees:
+        try:
+            nf = scalars._nf(tree)
+        except DomainEvalError:
+            continue
+        for e in _exponents(nf):
+            assert type(e) is (int if e.denominator == 1 else Fraction), (tree, e)
+            kinds[type(e)] += 1
+    quotient = scalars._exact_quotient(_nf_of("x^(5/2) - x^(1/2)", table),
+                                       _nf_of("x^(3/2) + x^(1/2)", table))
+    assert quotient == _nf_of("x - 1", table)
+    assert all(type(e) is int for e in _exponents(quotient))
+    assert kinds[int] > 50 and kinds[Fraction] > 20
+
+
+def test_equal_integer_powers_normalize_to_one_node():
+    table = VariableTable()
+    x, y = (Var(v) for v in table.real("x", "y"))
+    for base in (x, x + y):
+        forms = [normalize(base * base), normalize(Pow(base, 2)),
+                 normalize(Pow(base, Fraction(4, 2)))]
+        assert forms[0] is forms[1] is forms[2]
+        assert len({to_text(f) for f in forms}) == 1
+
+
+def _mul_formula(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _inverse_formula(a):
+    n = a[0] * a[0] + a[1] * a[1]
+    if n == 0:
+        raise DomainEvalError("division by zero constant")
+    return (a[0] / n, -a[1] / n)
+
+
+def _pow_formula(a, k):
+    base = a if k >= 0 else _inverse_formula(a)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = _mul_formula(out, base)
+    return out
+
+
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+_gaussian = st.one_of(
+    st.builds(lambda r: QC(r, Fraction(0)), _rationals),
+    st.builds(QC, _rationals, _rationals),
+)
+
+
+def _parts(c):
+    assert type(c.re) is Fraction and type(c.im) is Fraction
+    return (c.re, c.im)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_gaussian, _gaussian, st.integers(min_value=-5, max_value=5))
+def test_qc_fast_paths_match_the_complex_formulas(a, b, k):
+    pa, pb = (a.re, a.im), (b.re, b.im)
+    assert _parts(a + b) == (pa[0] + pb[0], pa[1] + pb[1])
+    assert _parts(a - b) == (pa[0] - pb[0], pa[1] - pb[1])
+    assert _parts(a * b) == _mul_formula(pa, pb)
+    assert _parts(-a) == (-pa[0], -pa[1])
+    try:
+        expected = _inverse_formula(pa)
+    except DomainEvalError:
+        with pytest.raises(DomainEvalError):
+            a.inverse()
+    else:
+        assert _parts(a.inverse()) == expected
+    try:
+        expected = _pow_formula(pa, k)
+    except DomainEvalError:
+        with pytest.raises(DomainEvalError):
+            a.pow_int(k)
+    else:
+        assert _parts(a.pow_int(k)) == expected

@@ -342,6 +342,19 @@ def test_every_coframe_check_carries_its_own_timing():
     assert "timing_s" not in report.to_json(include_timing=False)
 
 
+def test_hypothesis_levi_and_verdict_checks_carry_their_own_timing():
+    report = tube.analyze("t1^2/t2", HOMOG_BOX, trials=16)
+    timed = {c.name: c.timing_s for c in report.checks
+             if not c.name.startswith("coframe:")}
+    assert list(timed) == [
+        "hypothesis:monge_ampere", "hypothesis:positivity",
+        "hypothesis:twonondegenerate", "levi rank 1 at sampled points",
+        "curvature coefficients", "flatness verdict"]
+    # each check is timed on its own, not lumped onto the last of its stage
+    assert all(t is not None and t > 0 for t in timed.values())
+    assert "timing_s" not in report.to_json(include_timing=False)
+
+
 def test_inconclusive_coframe_identity_is_reported_inconclusive(monkeypatch, capsys):
     def undecided(self, *args, **kwargs):
         raise ZeroTestInconclusiveError("forced")
