@@ -82,17 +82,33 @@ class WorkBudgetError(ExprError):
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return x
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 _F0 = Fraction(0)
 
+# Size a coefficient raised to an integer power may reach, estimated as
+# |k| times floor(log2) of its largest numerator or denominator (doubled,
+# plus one, when it is not real).  The parts of a result within it stay
+# under 12000 bits, so they print within Python's 4300-digit limit on
+# converting an int to text.
+_POWER_BITS_BUDGET = 6000
 
-@dataclass(frozen=True)
+
+def _check_power_bits(log2: int, k: int) -> None:
+    """Refuse to raise a number of size ``log2`` (see ``_POWER_BITS_BUDGET``)
+    to the power ``k`` when the estimate exceeds the budget."""
+    if abs(k) * log2 > _POWER_BITS_BUDGET:
+        raise WorkBudgetError(
+            f"raising a coefficient to the power {k} exceeds the work budget "
+            f"of {_POWER_BITS_BUDGET} bits")
+
+
+@dataclass(frozen=True, slots=True)
 class QC:
     """Complex number with exact rational real and imaginary parts.
 
@@ -142,6 +158,10 @@ class QC:
         return QC(self.re / n, -self.im / n)
 
     def pow_int(self, k: int) -> "QC":
+        if k > 1 or k < -1:
+            log2 = max(n.bit_length() for part in (self.re, self.im)
+                       for n in (part.numerator, part.denominator)) - 1
+            _check_power_bits(2 * log2 + 1 if self.im else log2, k)
         if not self.im:
             if k < 0 and not self.re:
                 raise DomainEvalError("division by zero constant")
@@ -310,7 +330,7 @@ def _interned(cls, key, h: int):
 
 
 class Const(Expr):
-    __slots__ = ("value",)
+    __slots__ = ("value", "_complex")
     _fields = ("value",)
 
     def __new__(cls, value: QC):
@@ -319,6 +339,7 @@ class Const(Expr):
         if node is None:
             node = _interned(cls, key, hash(key))
             node.value = value
+            node._complex = None
         return node
 
     def __repr__(self):
@@ -378,7 +399,7 @@ class Pow(Expr):
     _fields = ("exp", "base")
 
     def __new__(cls, base: Expr, exp):
-        if not isinstance(exp, Fraction):
+        if type(exp) is not Fraction:  # also turns a _KeyExp into a Fraction
             exp = Fraction(exp)
         key = ("P", base, exp)
         node = _INTERN.get(key)
@@ -414,9 +435,12 @@ def lift(x: NumberLike) -> Expr:
 # A monomial is (coefficient, pows) where pows is a tuple of (atom, exponent)
 # sorted by atom key.  Atoms are Var nodes, positive-rational Const bases of
 # irrational powers, and canonical non-monomial expressions (sum bases).
-# An integral exponent is stored as an int and any other as a Fraction
-# (``_key_exp``): ints add and hash in C, and since equal values hash alike
-# the memos see the same keys as with Fractions throughout.
+# An integral exponent is stored as an int and any other as an interned
+# ``_KeyExp`` (``_key_exp``): ints add and hash in C, a ``_KeyExp`` carries
+# its hash, and since equal values hash alike the memos see the same keys
+# as with Fractions throughout.  The pows tuples that ``_fix_monomial`` and
+# ``_mono_quotient`` build are interned too (``_shared_pows``), so equal
+# keys held by many normal forms and memo entries are one object.
 
 _PowsKey = tuple
 
@@ -427,12 +451,18 @@ _CONJ_MEMO: dict = {}
 _DIFF_MEMO: dict = {}
 _FREEVARS_MEMO: dict = {}
 _QUOT_MEMO: dict = {}
+_STEP_MEMO: dict = {}
+_POWS: dict = {}
+_PAIRS: dict = {}
+_EXPS: dict = {}
 
 
 def clear_caches() -> None:
-    """Empty the memos and the intern table; nodes built before stay valid."""
+    """Empty the memos and the intern tables; nodes and normal forms built
+    before stay valid."""
     for memo in (_NF_MEMO, _NORM_MEMO, _CONJ_MEMO, _DIFF_MEMO,
-                 _FREEVARS_MEMO, _QUOT_MEMO, _INTERN):
+                 _FREEVARS_MEMO, _QUOT_MEMO, _STEP_MEMO, _INTERN,
+                 _POWS, _PAIRS, _EXPS):
         memo.clear()
 
 
@@ -449,9 +479,42 @@ def _atom_sort_key(atom: Expr):
     return key
 
 
+class _KeyExp(Fraction):
+    """A non-integral exponent in a pows key: one instance per value (see
+    ``_key_exp``), its hash, equal to ``Fraction``'s, computed once.
+    Arithmetic on it gives plain Fractions, and ``Pow`` and ``QC`` convert
+    it, so it never reaches a node."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+
 def _key_exp(e):
-    """An exponent as a pows key stores it: int when integral, else Fraction."""
-    return e if type(e) is int or e.denominator != 1 else e.numerator
+    """An exponent as a pows key stores it: int when integral, else the
+    interned ``_KeyExp`` of its value."""
+    if type(e) is int or type(e) is _KeyExp:
+        return e
+    num, den = e.numerator, e.denominator
+    if den == 1:
+        return num
+    shared = _EXPS.get((num, den))
+    if shared is None:
+        shared = _KeyExp(num, den)
+        shared._hash = Fraction.__hash__(shared)
+        _EXPS[num, den] = shared
+    return shared
+
+
+def _shared_pows(pows: _PowsKey) -> _PowsKey:
+    """The one interned tuple equal to ``pows``, built from interned
+    (atom, exponent) pairs."""
+    shared = _POWS.get(pows)
+    if shared is None:
+        shared = tuple([_PAIRS.setdefault(pair, pair) for pair in pows])
+        _POWS[shared] = shared
+    return shared
 
 
 def _mono_key(pows: _PowsKey):
@@ -551,7 +614,7 @@ def _fix_monomial(coeff: QC, powmap: dict) -> dict:
             if not e:
                 continue
         reduced[atom] = _key_exp(e)
-    pows = tuple(sorted(reduced.items(), key=_item_key))
+    pows = _shared_pows(tuple(sorted(reduced.items(), key=_item_key)))
     result = {pows: coeff}
     for base_nf in expansions:
         result = _nf_mul(result, base_nf)
@@ -610,13 +673,14 @@ def _const_pow(c: QC, e: Fraction) -> dict:
             exp = powmap[p] * e
             whole = int(exp.numerator // exp.denominator)
             frac = exp - whole
+            _check_power_bits(p.bit_length() - 1, whole)
             coeff *= Fraction(p) ** whole
             if frac:
-                pows.append((Const(QC.of(p)), frac))
+                pows.append((Const(QC.of(p)), _key_exp(frac)))
         pows.sort(key=_item_key)
         return {tuple(pows): QC.of(coeff)}
     # non-positive or non-real constant under a fractional power: opaque atom
-    return {((Const(c), e),): QC_ONE}
+    return {((Const(c), _key_exp(e)),): QC_ONE}
 
 
 def _atom_certified_positive(atom: Expr, exp: Fraction) -> bool:
@@ -754,14 +818,13 @@ def _leading_item(nf: Mapping):
     return key, nf[key]
 
 
-def _mono_quotient(num_pows, num_coeff, den_pows, den_coeff):
+def _mono_quotient(num_pows: _PowsKey, den_pows: _PowsKey) -> _PowsKey:
     powmap = dict(num_pows)
     for a, x in den_pows:
         cur = powmap.get(a)
         powmap[a] = -x if cur is None else cur - x
-    pows = tuple(sorted(((a, _key_exp(x)) for a, x in powmap.items() if x),
-                        key=_item_key))
-    return pows, num_coeff * den_coeff.inverse()
+    return _shared_pows(tuple(sorted(
+        ((a, _key_exp(x)) for a, x in powmap.items() if x), key=_item_key)))
 
 
 _QUOT_MAX_STEPS = 60
@@ -812,30 +875,64 @@ def _exact_quotient(nf: Mapping, base: Mapping):
     Outcomes are memoized per (dividend, divisor) pair; a quotient is
     stored and returned as a fresh dict, so callers may mutate it.
     """
-    key = (frozenset(nf.items()), frozenset(base.items()))
+    base_key = frozenset(base.items())
+    key = (frozenset(nf.items()), base_key)
     if key in _QUOT_MEMO:
         cached = _QUOT_MEMO[key]
         return None if cached is None else dict(cached)
-    quotient = None if _var_span_rejects(nf, base) else _long_division(nf, base)
+    quotient = (None if _var_span_rejects(nf, base)
+                else _long_division(nf, base, base_key))
     _QUOT_MEMO[key] = None if quotient is None else tuple(quotient.items())
     return quotient
 
 
-def _long_division(nf: Mapping, base: Mapping):
+def _long_division(nf: Mapping, base: Mapping, base_key: frozenset | None = None):
+    """nf / base by cancelling the remainder's leading monomial until it
+    is empty; None once it has more than ``limit`` terms or the steps run
+    out.
+
+    A step for leading monomial rp subtracts qc * (qp * base), where
+    qp = rp / lead.  qp and the product qp * base at unit coefficient
+    depend only on rp and the divisor, so ``_STEP_MEMO`` keeps them per
+    divisor (``base_key``, its frozen item set).  Scaling the cached product
+    by qc gives exactly the terms, in the same order, that multiplying by
+    qc * qp gives: ``_fix_monomial(c*u, m) == c*_fix_monomial(u, m)`` over
+    exact coefficients, and zero terms drop out alike.
+    """
+    if base_key is None:
+        base_key = frozenset(base.items())
+    steps_memo = _STEP_MEMO.setdefault(base_key, {})
     remainder = dict(nf)
+    sort_keys = {p: _mono_key(p) for p in remainder}
     quotient: dict = {}
     lead_pows, lead_coeff = _leading_item(base)
+    lead_inv = lead_coeff.inverse()
     steps = 0
     limit = len(nf) + 4 * len(base) + 8
     while remainder:
         steps += 1
         if steps > _QUOT_MAX_STEPS or len(remainder) > limit:
             return None
-        rp, rc = _leading_item(remainder)
-        qp, qc = _mono_quotient(rp, rc, lead_pows, lead_coeff)
-        piece = {qp: qc}
-        _nf_add_into(quotient, piece)
-        _nf_add_into(remainder, {p: -c for p, c in _nf_mul(piece, base).items()})
+        rp = max(remainder, key=sort_keys.__getitem__)
+        step = steps_memo.get(rp)
+        if step is None:
+            qp = _mono_quotient(rp, lead_pows)
+            step = steps_memo[rp] = (qp, tuple(_nf_mul({qp: QC_ONE}, base).items()))
+        qp, product = step
+        qc = remainder[rp] * lead_inv
+        _nf_add_into(quotient, {qp: qc})
+        for p, c in product:
+            cur = remainder.get(p)
+            if cur is None:
+                remainder[p] = -(qc * c)
+                if p not in sort_keys:
+                    sort_keys[p] = _mono_key(p)
+            else:
+                new = cur - qc * c
+                if new.is_zero:
+                    del remainder[p]
+                else:
+                    remainder[p] = new
     return quotient
 
 
@@ -897,7 +994,7 @@ def _nf(e: Expr) -> dict:
     if isinstance(e, Const):
         out = {} if e.value.is_zero else {(): e.value}
     elif isinstance(e, Var):
-        out = {((e, 1),): QC_ONE}
+        out = {_shared_pows(((e, 1),)): QC_ONE}
     elif isinstance(e, Add):
         acc: dict = {}
         for t in e.terms:
@@ -1165,7 +1262,10 @@ def _eval(e: Expr, point: Mapping[str, complex]) -> complex:
 
 def _eval_tree(e: Expr, point: Mapping[str, complex]) -> complex:
     if isinstance(e, Const):
-        return e.value.to_complex()
+        value = e._complex
+        if value is None:
+            value = e._complex = e.value.to_complex()
+        return value
     if isinstance(e, Var):
         return point[e.var.name]
     if isinstance(e, Add):

@@ -90,6 +90,16 @@ def test_expr_diff_power_of_sum_over_work_budget_is_inconclusive():
         assert "Traceback" not in result.stderr
 
 
+def test_expr_diff_coefficient_power_over_work_budget_is_inconclusive():
+    # a power of a monomial whose coefficient would outgrow the bit budget
+    for text in ("(2*t1)^20000", "2^(40001/2)"):
+        result = run_cli("expr", "diff", "--expr", text, "--by", "t1", timeout=15)
+        assert result.returncode == 3, text
+        assert result.stderr.startswith("inconclusive:")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
+
 def test_expr_eval_overflow_is_an_input_error():
     result = run_cli("expr", "eval", "--expr", "2^(1/2)*(10^400)^(1/2)",
                      "--at", "t1=1")

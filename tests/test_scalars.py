@@ -508,6 +508,100 @@ def test_clear_caches_empties_quotient_memo():
     assert not scalars._QUOT_MEMO
 
 
+def _reference_long_division(nf, base):
+    """The long division without its step memo: every step multiplies the
+    quotient monomial by the divisor afresh.  The reference for the
+    memoized ``scalars._long_division``."""
+    remainder = dict(nf)
+    quotient = {}
+    lead_pows, lead_coeff = scalars._leading_item(base)
+    steps = 0
+    limit = len(nf) + 4 * len(base) + 8
+    while remainder:
+        steps += 1
+        if steps > scalars._QUOT_MAX_STEPS or len(remainder) > limit:
+            return None
+        rp, rc = scalars._leading_item(remainder)
+        powmap = dict(rp)
+        for a, x in lead_pows:
+            cur = powmap.get(a)
+            powmap[a] = -x if cur is None else cur - x
+        qp = tuple(sorted(((a, scalars._key_exp(x)) for a, x in powmap.items() if x),
+                          key=scalars._item_key))
+        piece = {qp: rc * lead_coeff.inverse()}
+        scalars._nf_add_into(quotient, piece)
+        scalars._nf_add_into(remainder, {p: -c for p, c in
+                                         scalars._nf_mul(piece, base).items()})
+    return quotient
+
+
+def _items(nf):
+    return None if nf is None else [(pows, c.re, c.im) for pows, c in nf.items()]
+
+
+def _paper_ladder(rng, t1, t2, w, n_terms):
+    """A sum of monomials c * t1^a * t2^b * w^(j/2), w = 1-12*t1*t2."""
+    terms = [Const(QC.of(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))))
+             * Pow(t1, rng.randint(-2, 2)) * Pow(t2, rng.randint(-2, 2))
+             * Pow(w, Fraction(rng.randint(-5, 1), 2)) for _ in range(n_terms)]
+    return scalars._nf(normalize(Add(tuple(terms))))
+
+
+def test_memoized_long_division_matches_reference():
+    scalars.clear_caches()
+    table = VariableTable()
+    t1, t2 = (Var(v) for v in table.real("t1", "t2"))
+    w = 1 - 12 * t1 * t2
+    divisors = [scalars._nf(normalize(d)) for d in
+                (w, 1 - Pow(w, Fraction(1, 2)), 1 - Pow(w, Fraction(-1, 2)))]
+    rng = random.Random(606)
+    pairs = []
+    for base in divisors:
+        for _ in range(15):
+            dividend = _paper_ladder(rng, t1, t2, w, rng.randint(1, 6))
+            pairs.append((dividend, base))
+            pairs.append((scalars._nf_mul(dividend, base), base))
+    variables = table.positive("x", "y", "z")
+    for _ in range(40):
+        base = _random_laurent(rng, variables, rng.randint(2, 3))
+        if len(base) < 2:
+            continue
+        dividend = _random_laurent(rng, variables, rng.randint(1, 5))
+        pairs.append((dividend, base))
+        pairs.append((scalars._nf_mul(_random_laurent(rng, variables, 2), base), base))
+    outcomes = {True: 0, False: 0}
+    # cold, then with the step memo warmed by every division of the first pass
+    for _ in range(2):
+        for nf, base in pairs:
+            got = scalars._long_division(nf, base)
+            assert _items(got) == _items(_reference_long_division(nf, base))
+            outcomes[got is not None] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 50
+    assert len(scalars._STEP_MEMO) > 20
+
+
+def test_clear_caches_empties_step_memo_and_key_tables():
+    table = VariableTable()
+    table.positive("x")
+    scalars._exact_quotient(_nf_of("x^(5/2)-x^(1/2)", table), _nf_of("x^(1/2)+1", table))
+    tables = (scalars._STEP_MEMO, scalars._POWS, scalars._PAIRS, scalars._EXPS)
+    assert all(tables)
+    scalars.clear_caches()
+    assert not any(tables)
+
+
+def test_coefficient_power_budget_refuses_only_growing_powers():
+    table = VariableTable()
+    table.real("t")
+    with pytest.raises(scalars.WorkBudgetError):
+        QC.of(2).pow_int(20000)
+    with pytest.raises(scalars.WorkBudgetError):
+        normalize(parse("(2*t)^20000", table))
+    # unit coefficients do not grow, however large the exponent
+    assert to_text(parse("(-t)^100001", table)) == "-t^100001"
+    assert QC.of(-1).pow_int(10**9) == QC.of(1)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "_long_division takes leading terms in _leading_item's order, which is "
     "not a monomial order, so it misses exact quotients in several variables"))
@@ -576,6 +670,18 @@ def test_cached_sort_key_equals_rendered_key():
     assert scalars._atom_sort_key(Const(QC.of(5))) == (1, "5")
 
 
+def test_const_evaluates_to_its_cached_complex():
+    scalars.clear_caches()
+    table = VariableTable()
+    x = Var(table.real("x")[0])
+    third = Const(QC.of(Fraction(1, 3), Fraction(-2, 7)))
+    assert third._complex is None
+    value = evaluate(third * x + third, {"x": 0.25})
+    assert third._complex == complex(float(Fraction(1, 3)), float(Fraction(-2, 7)))
+    assert value == third._complex * 0.25 + third._complex
+    assert evaluate(third, {}) is third._complex
+
+
 # ---------------------------------------------------------------------------
 # exponent and coefficient representation
 
@@ -592,6 +698,10 @@ def _exponents(nf, seen=None):
 
 
 def test_pows_keys_store_integral_exponents_as_int():
+    # integral exponents are ints; any other is the one interned _KeyExp of
+    # its value, hashing as its Fraction does; every pows key is the one
+    # interned tuple of its value
+    scalars.clear_caches()
     table = VariableTable()
     variables = table.positive("x", "y", "z")
     texts = [
@@ -602,20 +712,31 @@ def test_pows_keys_store_integral_exponents_as_int():
     trees = [parse(t, table) for t in texts]
     rng = random.Random(12)
     trees += [_random_tree(rng, variables, rng.randint(1, 4)) for _ in range(60)]
-    kinds = {int: 0, Fraction: 0}
+    kinds = {int: 0, scalars._KeyExp: 0}
     for tree in trees:
         try:
             nf = scalars._nf(tree)
         except DomainEvalError:
             continue
+        for pows in nf:
+            assert scalars._shared_pows(pows) is pows, (tree, pows)
         for e in _exponents(nf):
-            assert type(e) is (int if e.denominator == 1 else Fraction), (tree, e)
+            assert type(e) is (int if e.denominator == 1 else scalars._KeyExp), (tree, e)
+            if type(e) is scalars._KeyExp:
+                assert scalars._key_exp(Fraction(e)) is e
+                assert hash(e) == hash(Fraction(e))
             kinds[type(e)] += 1
     quotient = scalars._exact_quotient(_nf_of("x^(5/2) - x^(1/2)", table),
                                        _nf_of("x^(3/2) + x^(1/2)", table))
     assert quotient == _nf_of("x - 1", table)
     assert all(type(e) is int for e in _exponents(quotient))
-    assert kinds[int] > 50 and kinds[Fraction] > 20
+    assert all(scalars._shared_pows(pows) is pows for pows in quotient)
+    assert kinds[int] > 50 and kinds[scalars._KeyExp] > 20
+    # nodes and coefficients built from key exponents hold plain Fractions
+    scalars.clear_caches()
+    half = scalars._key_exp(Fraction(1, 2))
+    assert type(Pow(Var(table["x"]), half).exp) is Fraction
+    assert type(QC.of(half).re) is Fraction
 
 
 def test_equal_integer_powers_normalize_to_one_node():

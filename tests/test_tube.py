@@ -3,10 +3,11 @@ torsion coefficients, and the flatness verdict."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from crcgeo import cli, tube
+from crcgeo import cli, scalars, tube
 from crcgeo.forms import FormExpr
 from crcgeo.parsing import parse
 from crcgeo.scalars import (
@@ -26,6 +27,7 @@ from crcgeo.scalars import (
 )
 
 BOX = {"t1": (0.02, 0.08), "t2": (0.02, 0.08)}
+GOLDEN = Path(__file__).parent / "golden"
 HOMOG_BOX = {"t1": (0.5, 1.0), "t2": (0.5, 1.0)}
 
 
@@ -370,3 +372,13 @@ def test_inconclusive_coframe_identity_is_reported_inconclusive(monkeypatch, cap
                      "--box", "t1=0.5:1,t2=0.5:1", "--trials", "16"])
     assert code == cli.EXIT_INCONCLUSIVE
     assert json.loads(capsys.readouterr().out)["overall"] == "inconclusive"
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_paper_example_report_is_byte_identical_to_golden(seed):
+    # the deterministic report of `crc tube paper-example` for the default
+    # box; a kernel change that keeps every result keeps every byte
+    scalars.clear_caches()
+    report = tube.analyze(tube.paper_example_rho(), BOX, seed=seed)
+    golden = (GOLDEN / f"paper_example_seed{seed}.json").read_text()
+    assert report.to_json(include_timing=False) == golden
