@@ -15,6 +15,7 @@ import json
 import sys
 
 from . import __version__, dga, model, tube
+from .forms import declare_variables
 from .parsing import parse
 from .report import FAIL, INCONCLUSIVE, PASS, Report
 from .scalars import (
@@ -64,22 +65,13 @@ def parse_declarations(text: str) -> VariableTable:
         if not piece:
             continue
         if "~" in piece:
-            name, partner = (p.strip() for p in piece.split("~", 1))
-            table.pair(name, partner)
-            continue
-        if ":" not in piece:
-            raise ValueError(f"bad declaration {piece!r}; expected name:kind")
-        name, kind = (p.strip() for p in piece.split(":", 1))
-        if kind == "real":
-            table.real(name)
-        elif kind == "positive":
-            table.positive(name)
-        elif kind == "imaginary":
-            table.imaginary(name)
-        elif kind in ("unit", "unit_modulus"):
-            table.unit_modulus(name)
+            names, kind = piece.split("~", 1), "pair"
+        elif ":" in piece:
+            name, kind = piece.split(":", 1)
+            names = [name]
         else:
-            raise ValueError(f"unknown variable kind {kind!r}")
+            raise ValueError(f"bad declaration {piece!r}; expected name:kind")
+        declare_variables(table, [n.strip() for n in names], kind.strip())
     return table
 
 
@@ -250,6 +242,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        for key, value in vars(args).items():
+            if value == []:  # argparse drops the value of "--key=--"
+                raise ValueError(f"--{key} needs a value")
         for key, value in (("trials", None), ("tol", None)):
             if getattr(args, key, None) is not None and getattr(args, key) <= 0:
                 raise ValueError(f"--{key} must be positive")

@@ -2,10 +2,15 @@
 
 The chart carries the canonical coframe (contact form, two complex coframe
 pairs, two connection-form pairs, one imaginary connection scalar) with
-d-rules that solve the curvature definitions for the differentials; the
-four curvature 2-forms appear either as zero placeholders ("opaque" flat
-mode) or expanded over named coefficient scalars with the reality
-constraints wired in ("expanded" mode).
+d-rules that solve the curvature definitions for the differentials: each
+rule is the model structure equation (``model.model_chart()``, read with
+omega, omega1 for theta, theta1) plus a curvature 2-form, and
+``curvature_from`` is the differential minus the same structure terms.
+The four curvature 2-forms appear either as zero placeholders ("opaque"
+flat mode) or expanded over named coefficient scalars with the reality
+constraints wired in ("expanded" mode).  The isotropy transformations are
+``model.h2_transform`` and ``model.h1_transform``, the formulas the model
+suite certifies against matrix conjugation.
 
 Verified here: the five gauge-shift identities that pin the normalization,
 the equivariance of the curvature forms under the unipotent isotropy
@@ -16,6 +21,7 @@ scaling relations.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +39,7 @@ from .scalars import (
     to_text,
 )
 from .forms import Chart, FormExpr, g_imaginary, g_pair, g_real
+from . import model
 from .report import Report
 
 HALF = Fraction(1, 2)
@@ -69,6 +76,10 @@ class DgaChart:
 
     def var(self, name: str) -> Expr:
         return Var(self.chart.table[name])
+
+    def coframe(self) -> tuple[FormExpr, ...]:
+        """The six coframe generators, in the order of ``model.COMPONENTS``."""
+        return tuple(self.gen(name) for name in COFRAME)
 
 
 def _declare_scalars(table: VariableTable) -> None:
@@ -181,21 +192,11 @@ def build_chart(mode: str = "expanded", zero_coeffs=frozenset(),
         raise ValueError(f"unknown mode {mode!r}")
 
     g = chart.gen
-    w = lambda x, y: g(x).wedge(g(y))
-    phi = g("phi2") + g("phi2c")
-    d_rules = {
-        "omega": w("omega1", "omega1c").scale(-1) - g("omega").wedge(phi),
-        "omega1": w("theta2", "omega1c") - w("omega1", "phi2") - w("omega", "phi1"),
-        "theta2": curv["Theta2"] - g("theta2").wedge(g("phi2") - g("phi2c"))
-                  + w("omega1", "phi1"),
-        "phi1": curv["Phi1"] - w("theta2", "phi1c") + w("omega1", "psi")
-                + w("phi1", "phi2c"),
-        "phi2": curv["Phi2"] + w("theta2", "theta2c") + w("omega1", "phi1c")
-                + w("omega", "psi"),
-        "psi": curv["Psi"] - w("phi1", "phi1c") - phi.wedge(g("psi")),
-    }
-    placeholder_gens = {name for name in ("theta2", "phi1", "phi2", "psi")
-                        if not curv[_CURV_OF_GEN[name]].is_zero}
+    d_rules = _structure_terms({name: g(name) for name in COFRAME}, COFRAME)
+    for name, curv_name in _CURV_OF_GEN.items():
+        d_rules[name] = d_rules[name] + curv[curv_name]
+    placeholder_gens = {name for name, curv_name in _CURV_OF_GEN.items()
+                        if not curv[curv_name].is_zero}
     scalar_rules: dict[str, FormExpr] = {}
     for a, b in PAIRED_COEFFS:
         scalar_rules[a] = g(f"d_{a}")
@@ -213,45 +214,42 @@ def build_chart(mode: str = "expanded", zero_coeffs=frozenset(),
 
 _CURV_OF_GEN = {"theta2": "Theta2", "phi1": "Phi1", "phi2": "Phi2", "psi": "Psi"}
 
+# the coframe in model.COMPONENTS order; the model chart names the first
+# two theta and theta1
+COFRAME = ("omega", "omega1", "theta2", "phi1", "phi2", "psi")
+
+
+@functools.cache
+def _model_rules() -> dict:
+    """The structure equations of ``model.model_chart()``, keyed by the
+    coframe names used here."""
+    chart = model.model_chart()
+    model_names = ("theta", "theta1", "theta2", "phi1", "phi2", "psi")
+    return {name: chart.d_rule(m) for name, m in zip(COFRAME, model_names)}
+
+
+def _structure_terms(forms: dict, names) -> dict:
+    """Right-hand sides of the model structure equations for ``names``,
+    evaluated on the six 1-forms ``forms`` (keyed by ``COFRAME``)."""
+    w, w1, t2, p1, p2, ps = (forms[name] for name in COFRAME)
+    sub = {"theta": w, "theta1": w1, "theta1c": w1.conj(), "theta2": t2,
+           "theta2c": t2.conj(), "phi1": p1, "phi1c": p1.conj(), "phi2": p2,
+           "phi2c": p2.conj(), "psi": ps}
+    rules = _model_rules()
+    return {name: rules[name].rewrite(sub, w.chart) for name in names}
+
 
 def curvature_from(w: FormExpr, w1: FormExpr, t2: FormExpr,
                    p1: FormExpr, p2: FormExpr, ps: FormExpr) -> dict:
-    """The four curvature 2-forms computed from their definitions."""
-    t2c, p1c, p2c = t2.conj(), p1.conj(), p2.conj()
-    return {
-        "Theta2": t2.d() + t2.wedge(p2 - p2c) - w1.wedge(p1),
-        "Phi1": p1.d() + t2.wedge(p1c) - w1.wedge(ps) - p1.wedge(p2c),
-        "Phi2": p2.d() - t2.wedge(t2c) - w1.wedge(p1c) - w.wedge(ps),
-        "Psi": ps.d() + p1.wedge(p1c) + (p2 + p2c).wedge(ps),
-    }
+    """The four curvature 2-forms: the differential of each form minus the
+    model structure terms evaluated on the six forms."""
+    forms = dict(zip(COFRAME, (w, w1, t2, p1, p2, ps)))
+    terms = _structure_terms(forms, _CURV_OF_GEN)
+    return {curv: forms[name].d() - terms[name] for name, curv in _CURV_OF_GEN.items()}
 
 
 # ---------------------------------------------------------------------------
 # unipotent-family transformation
-
-
-def hat_forms(dc: DgaChart, B: Expr, Lam: Expr) -> dict:
-    """Images of the six coframe components under conjugation by the
-    unipotent isotropy element with the given parameters."""
-    g = dc.gen
-    B, Lam = lift(B), lift(Lam)
-    Bb = conjugate(B)
-    bb2 = B * Bb * HALF
-    w, w1, t2, p1, p2, ps = (g("omega"), g("omega1"), g("theta2"),
-                             g("phi1"), g("phi2"), g("psi"))
-    w1c, t2c, p1c, p2c = w1.conj(), t2.conj(), p1.conj(), p2.conj()
-    return {
-        "omega": w,
-        "omega1": w1 + w.scale(Bb),
-        "theta2": t2 - w1.scale(Bb) - w.scale(Bb * Bb * HALF),
-        "phi1": p1 - w1.scale(Lam + bb2) - w1c.scale(Bb * Bb * HALF)
-                + t2.scale(B) - w.scale(Lam * Bb) + p2c.scale(Bb),
-        "phi2": p2 - w1.scale(B) - w.scale(Lam + bb2),
-        "psi": ps - w1.scale(Lam * B) - w1c.scale(Lam * Bb)
-               + t2.scale(B * B * HALF) - t2c.scale(Bb * Bb * HALF)
-               - w.scale(Lam * Lam) + p1.scale(B) - p1c.scale(Bb)
-               + p2.scale(Lam - bb2) + p2c.scale(Lam + bb2),
-    }
 
 
 def hat_basis_sub(dc: DgaChart, B: Expr, Lam: Expr) -> dict:
@@ -259,24 +257,17 @@ def hat_basis_sub(dc: DgaChart, B: Expr, Lam: Expr) -> dict:
     (the transformation with negated parameters), for coefficient
     extraction in the transformed basis.  Inert covectors map to
     themselves."""
-    inverse = hat_forms(dc, -lift(B), -lift(Lam))
-    sub: dict[str, FormExpr] = {}
-    for name in ("omega", "omega1", "theta2", "phi1", "phi2"):
-        sub[name] = inverse[name]
-        if name != "omega":
-            partner = name + "c"
-            sub[partner] = inverse[name].conj()
-    sub["psi"] = inverse["psi"]
-    for gen in dc.chart.generators:
-        if gen.name not in sub:
-            sub[gen.name] = dc.chart.gen(gen.name)
+    inverse = model.h2_transform(dc.coframe(), -lift(B), -lift(Lam))
+    sub = {gen.name: dc.chart.gen(gen.name) for gen in dc.chart.generators}
+    for name, form in zip(COFRAME, inverse):
+        sub[name] = form
+        if name not in ("omega", "psi"):
+            sub[name + "c"] = form.conj()
     return sub
 
 
 def hatted_curvature(dc: DgaChart, B: Expr, Lam: Expr) -> dict:
-    hf = hat_forms(dc, B, Lam)
-    return curvature_from(hf["omega"], hf["omega1"], hf["theta2"],
-                          hf["phi1"], hf["phi2"], hf["psi"])
+    return curvature_from(*model.h2_transform(dc.coframe(), B, Lam))
 
 
 def _exact(report: Report, name: str, diff, detail_key: str = "residual") -> None:
@@ -398,8 +389,7 @@ def verify_gauge_shifts(dc: DgaChart | None = None) -> Report:
             active[later] = dc.var(later)
         gauge = _gauge_exprs(dc, active)
         tf = tilde_forms(dc, gauge)
-        tcurv = curvature_from(tf["omega"], tf["omega1"], tf["theta2"],
-                               tf["phi1"], tf["phi2"], tf["psi"])
+        tcurv = curvature_from(*(tf[name] for name in COFRAME))
         form = tcurv[curv_of_case[k]].rewrite(tilde_basis_sub(dc, gauge))
         got = form.coefficient(word)
         _exact(report, title, got - expected_fn(dc.var(param)))
@@ -407,8 +397,7 @@ def verify_gauge_shifts(dc: DgaChart | None = None) -> Report:
     # zero shift functions leave every curvature form unchanged
     gauge0 = _gauge_exprs(dc, {})
     tf0 = tilde_forms(dc, gauge0)
-    tcurv0 = curvature_from(tf0["omega"], tf0["omega1"], tf0["theta2"],
-                            tf0["phi1"], tf0["phi2"], tf0["psi"])
+    tcurv0 = curvature_from(*(tf0[name] for name in COFRAME))
     for name in ("Theta2", "Phi1", "Phi2", "Psi"):
         _exact(report, f"identity shift fixes {name}", tcurv0[name] - dc.curvature[name])
     report.timing_s = time.monotonic() - start
@@ -538,17 +527,8 @@ def verify_cartan_criterion() -> Report:
     dc3 = build_chart("expanded")
     B, Lam, A = dc3.var("B"), dc3.var("Lam"), dc3.var("A")
     Ab = conjugate(A)
-    hf = hat_forms(dc3, B, Lam)
-    checked = {
-        "omega": hf["omega"].scale(A * Ab),
-        "omega1": hf["omega1"].scale(A),
-        "theta2": hf["theta2"].scale(A / Ab),
-        "phi1": hf["phi1"].scale(1 / Ab),
-        "phi2": hf["phi2"],
-        "psi": hf["psi"].scale(1 / (A * Ab)),
-    }
-    ccurv = curvature_from(checked["omega"], checked["omega1"], checked["theta2"],
-                           checked["phi1"], checked["phi2"], checked["psi"])
+    hf = model.h2_transform(dc3.coframe(), B, Lam)
+    ccurv = curvature_from(*model.h1_transform(hf, A))
     hcurv = hatted_curvature(dc3, B, Lam)
     scalings = {"Theta2": A / Ab, "Phi1": 1 / Ab, "Phi2": ONE, "Psi": 1 / (A * Ab)}
     for name, factor in scalings.items():

@@ -11,6 +11,10 @@ There is no manifold abstraction: every computation happens in one of a
 handful of concrete charts, and basis changes are explicit substitutions
 (``rewrite``).  Generators without a d-rule are inert; applying ``d`` to a
 form that touches them raises ``MissingRuleError``.
+
+Charts can also be read from declaration files (``load_chart``); their
+form expressions go through ``parse_form``, which is the grammar of
+``parsing`` building forms instead of scalars.
 """
 
 from __future__ import annotations
@@ -20,18 +24,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import (
-    Const,
     Expr,
     ExprError,
-    I,
     ONE,
     ParseError,
-    QC,
-    UndeclaredIdentifierError,
     Variable,
     VariableTable,
     ZERO,
-    Var,
     certify_zero,
     conjugate,
     differentiate,
@@ -494,144 +493,62 @@ def forms_equal(a: FormExpr, b: FormExpr, box=None, trials: int = 16,
 
 
 def parse_form(text: str, chart: Chart) -> FormExpr:
-    """Parse a form expression; scalar grammar plus the wedge operator /\\.
+    """Parse a form expression in the grammar of ``parsing``.
 
-    Precedence: ``+ -`` < ``/\\`` < ``* /`` < ``^``; generator names are
-    degree-1 basis forms, everything else follows the scalar grammar.
+    Generator names are degree-1 basis forms, declared variables are
+    scalars, and ``/\\`` is the wedge product; ``*`` multiplies only when
+    one side is a scalar, and ``/`` and ``^`` apply to scalars only.
     """
-    tokens = _form_tokens(text)
-    parser = _FormParser(tokens, chart)
-    form = parser.parse_sum()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.offset)
-    return form
+    return _FormGrammar(text, chart).parse_all()
 
 
-def _form_tokens(text: str):
-    return parsing.tokenize(text.replace("/\\", " @ "))
+def _scalar_part(form: FormExpr, message: str, offset: int) -> Expr:
+    if form.degree != 0:
+        raise ParseError(message, offset)
+    return form.terms.get((), ZERO)
 
 
-class _FormParser:
-    def __init__(self, tokens, chart: Chart):
-        self.tokens = tokens
+class _FormGrammar(parsing.Parser):
+    """``parsing.Parser`` with builders that make forms on a chart."""
+
+    def __init__(self, text: str, chart: Chart):
+        super().__init__(text, chart.table)
         self.chart = chart
-        self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def constant(self, e: Expr) -> FormExpr:
+        return self.chart.scalar(e)
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def identifier(self, tok) -> FormExpr:
+        if tok.text in self.chart._index:
+            return self.chart.gen(tok.text)
+        return self.chart.scalar(super().identifier(tok))
 
-    def expect(self, op):
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}", tok.offset)
-        return self.advance()
+    def add(self, a: FormExpr, b: FormExpr) -> FormExpr:
+        return a + b
 
-    def parse_sum(self) -> FormExpr:
-        node = self.parse_wedge()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.parse_wedge()
-                node = node + (rhs if tok.text == "+" else rhs.scale(-1))
-            else:
-                return node
+    def sub(self, a: FormExpr, b: FormExpr) -> FormExpr:
+        return a + b.scale(-1)
 
-    def parse_wedge(self) -> FormExpr:
-        node = self.parse_product()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "@":
-                self.advance()
-                rhs = self.parse_product()
-                node = node.wedge(rhs)
-            else:
-                return node
+    def neg(self, a: FormExpr) -> FormExpr:
+        return a.scale(-1)
 
-    def parse_product(self) -> FormExpr:
-        node = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                op = self.advance()
-                rhs = self.parse_unary()
-                if op.text == "*":
-                    node = self._mul(node, rhs, op.offset)
-                else:
-                    if rhs.degree != 0:
-                        raise ParseError("cannot divide by a form", op.offset)
-                    denom = rhs.terms.get((), ZERO)
-                    node = node.scale(ONE / denom)
-            else:
-                return node
-
-    def _mul(self, a: FormExpr, b: FormExpr, offset: int) -> FormExpr:
+    def mul(self, a: FormExpr, b: FormExpr, tok) -> FormExpr:
         if a.degree == 0:
             return b.scale(a.terms.get((), ZERO))
-        if b.degree == 0:
-            return a.scale(b.terms.get((), ZERO))
-        raise ParseError("use /\\ to multiply forms", offset)
+        return a.scale(_scalar_part(b, "use /\\ to multiply forms", tok.offset))
 
-    def parse_unary(self) -> FormExpr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return self.parse_unary().scale(-1)
-        return self.parse_power()
+    def div(self, a: FormExpr, b: FormExpr, tok) -> FormExpr:
+        return a.scale(ONE / _scalar_part(b, "cannot divide by a form", tok.offset))
 
-    def parse_power(self) -> FormExpr:
-        base = self.parse_primary()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            if base.degree != 0:
-                raise ParseError("powers apply to scalars only", tok.offset)
-            off = self.peek().offset
-            exp_form = self.parse_unary()
-            if exp_form.degree != 0:
-                raise ParseError("exponent must be scalar", off)
-            exp = normalize(exp_form.terms.get((), ZERO))
-            if not isinstance(exp, Const) or exp.value.im != 0:
-                raise ParseError("exponent must be a rational constant", off)
-            scalar = base.terms.get((), ZERO)
-            return self.chart.scalar(scalar ** exp.value.re)
-        return base
+    def wedge(self, a: FormExpr, b: FormExpr, tok) -> FormExpr:
+        return a.wedge(b)
 
-    def parse_primary(self) -> FormExpr:
-        tok = self.peek()
-        chart = self.chart
-        if tok.kind == "num":
-            self.advance()
-            return chart.scalar(parsing._number_to_expr(tok.text, tok.offset))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "i":
-                return chart.scalar(I)
-            if tok.text == "sqrt":
-                self.expect("(")
-                inner = self.parse_sum()
-                self.expect(")")
-                if inner.degree != 0:
-                    raise ParseError("sqrt of a form", tok.offset)
-                return chart.scalar(inner.terms.get((), ZERO) ** Fraction(1, 2))
-            if tok.text in chart._index:
-                return chart.gen(tok.text)
-            v = chart.table.get(tok.text)
-            if v is None:
-                raise UndeclaredIdentifierError(tok.text, tok.offset)
-            return chart.scalar(Var(v))
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            inner = self.parse_sum()
-            self.expect(")")
-            return inner
-        raise ParseError("expected a number, identifier or '('", tok.offset)
+    def power(self, base: FormExpr, exp: Fraction, tok) -> FormExpr:
+        scalar = _scalar_part(base, "powers apply to scalars only", tok.offset)
+        return self.chart.scalar(scalar ** exp)
+
+    def rational(self, form: FormExpr, offset: int) -> Fraction:
+        return super().rational(_scalar_part(form, "exponent must be scalar", offset), offset)
 
 
 def load_chart(text: str, check: bool = True) -> Chart:
@@ -640,7 +557,8 @@ def load_chart(text: str, check: bool = True) -> Chart:
     Sections: ``[variables]`` (``name... : real|positive|imaginary|unit`` or
     ``name partner : pair``), ``[generators]`` (same kinds plus ``aux``;
     order fixes the coframe order), ``[d]`` and ``[dscalar]`` ruled as form
-    expressions.  Missing d-rules of conjugate partners are filled in by
+    expressions, where ``0`` declares a closed generator or a constant.
+    Missing d-rules of conjugate partners are filled in by
     conjugation; generators without rules stay inert.
     """
     table = VariableTable()
@@ -662,7 +580,7 @@ def load_chart(text: str, check: bool = True) -> Chart:
             names = names_part.split()
             kind = kind.lower()
             if section == "variables":
-                _declare_variables(table, names, kind)
+                declare_variables(table, names, kind)
             else:
                 gens.extend(_declare_generators(names, kind))
         elif section in ("d", "dscalar"):
@@ -673,13 +591,20 @@ def load_chart(text: str, check: bool = True) -> Chart:
         else:
             raise ChartError(f"content outside a known section: {line!r}")
     chart = Chart(table, gens)
-    d_rules = {name: parse_form(rhs, chart) for name, rhs in d_lines}
-    scalar_rules = {name: parse_form(rhs, chart) for name, rhs in ds_lines}
+
+    def rule(rhs: str, degree: int) -> FormExpr:
+        form = parse_form(rhs, chart)
+        return chart.zero(degree) if form.is_zero else form
+
+    d_rules = {name: rule(rhs, 2) for name, rhs in d_lines}
+    scalar_rules = {name: rule(rhs, 1) for name, rhs in ds_lines}
     chart.install_rules(d_rules, scalar_rules, check=check)
     return chart
 
 
-def _declare_variables(table: VariableTable, names: list[str], kind: str) -> None:
+def declare_variables(table: VariableTable, names: list[str], kind: str) -> None:
+    """Declare ``names`` in ``table`` as variables of one kind: ``pair``
+    (exactly two names), ``real``, ``positive``, ``imaginary`` or ``unit``."""
     if kind == "pair":
         if len(names) != 2:
             raise ChartError("a pair declaration needs exactly two names")

@@ -4,26 +4,28 @@ isotropy subgroups, Maurer-Cartan form and structure equations.
 The model group lives on C^5 and preserves a symmetric bilinear form S
 and a Hermitian form T (plus the real form J = diag(1,1,1,-1,-1) in the
 original coordinates).  The connection matrix is assembled from six
-scalar-valued 1-forms on the model chart; ``verify_structure_equations``
+scalar-valued 1-forms on the model chart, whose generators and structure
+equations are read from ``data/model.chart``; ``verify_structure_equations``
 certifies d(MC) = MC /\\ MC entrywise, and ``verify_adjoint_transforms``
-certifies the closed-form component transformation under both isotropy
-subgroup families.
+certifies the closed-form component transformations ``h2_transform`` and
+``h1_transform`` under both isotropy subgroup families.  Those two
+functions take any six 1-forms, so ``dga`` applies the same formulas.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from .scalars import (
     ONE,
     Var,
-    VariableTable,
     conjugate,
     is_zero_expr,
     lift,
 )
-from .forms import Chart, FormExpr, g_imaginary, g_pair
+from .forms import Chart, FormExpr, load_chart
 from .matrices import FMatrix, SMatrix
 from .report import Report
 
@@ -155,57 +157,22 @@ def group_conditions_hold(c: SMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # model chart and Maurer-Cartan form
 
-_GEN_ORDER = ("theta", "theta1", "theta1c", "theta2", "theta2c",
-              "phi1", "phi1c", "phi2", "phi2c", "psi")
+CHART_PATH = Path(__file__).with_name("data") / "model.chart"
+
+# the six independent connection components, in matrix-pattern order
+COMPONENTS = ("w", "w1", "t2", "p1", "p2", "ps")
 
 
-def model_table() -> VariableTable:
-    table = VariableTable()
-    table.pair("B", "Bb")
-    table.imaginary("Lam")
-    table.pair("A", "Ab")
-    return table
+def model_chart() -> Chart:
+    """Model coframe chart: generators, structure equations and the
+    constant isotropy parameters B, Lam, A, all from ``data/model.chart``."""
+    return load_chart(CHART_PATH.read_text(encoding="utf-8"))
 
 
-def structure_rules(chart: Chart) -> dict[str, FormExpr]:
-    """The six structure equations as d-rules on the model coframe."""
+def coframe(chart: Chart) -> tuple[FormExpr, ...]:
+    """The six model generators, in the order of ``COMPONENTS``."""
     g = chart.gen
-    w = lambda x, y: g(x).wedge(g(y))
-    return {
-        "theta": w("theta1", "theta1c").scale(-1)
-                 - g("theta").wedge(g("phi2") + g("phi2c")),
-        "theta1": w("theta2", "theta1c") - w("theta1", "phi2") - w("theta", "phi1"),
-        "theta2": g("theta2").wedge(g("phi2") - g("phi2c")).scale(-1)
-                  + w("theta1", "phi1"),
-        "phi1": w("theta2", "phi1c").scale(-1) + w("theta1", "psi")
-                + w("phi1", "phi2c"),
-        "phi2": w("theta2", "theta2c") + w("theta1", "phi1c") + w("theta", "psi"),
-        "psi": w("phi1", "phi1c").scale(-1)
-               + g("psi").wedge(g("phi2") + g("phi2c")),
-    }
-
-
-def model_chart(rule_overrides: dict | None = None, check: bool = True) -> Chart:
-    """Model coframe chart with the structure equations installed.
-
-    ``rule_overrides`` replaces named d-rules (used by mutation tests);
-    construction then skips the d-squared validation.
-    """
-    table = model_table()
-    gens = [g_imaginary("theta")]
-    for a, b in [("theta1", "theta1c"), ("theta2", "theta2c"),
-                 ("phi1", "phi1c"), ("phi2", "phi2c")]:
-        gens.extend(g_pair(a, b))
-    gens.append(g_imaginary("psi"))
-    chart = Chart(table, gens)
-    rules = structure_rules(chart)
-    if rule_overrides:
-        rules.update(rule_overrides)
-        check = False
-    zero1 = chart.zero(1)
-    scalar_rules = {name: zero1 for name in ("B", "Bb", "Lam", "A", "Ab")}
-    chart.install_rules(rules, scalar_rules, check=check)
-    return chart
+    return g("theta"), g("theta1"), g("theta2"), g("phi1"), g("phi2"), g("psi")
 
 
 def connection_matrix(chart: Chart, w: FormExpr, w1: FormExpr, t2: FormExpr,
@@ -224,9 +191,7 @@ def connection_matrix(chart: Chart, w: FormExpr, w1: FormExpr, t2: FormExpr,
 
 def maurer_cartan(chart: Chart | None = None) -> FMatrix:
     chart = chart or model_chart()
-    g = chart.gen
-    return connection_matrix(chart, g("theta"), g("theta1"), g("theta2"),
-                             g("phi1"), g("phi2"), g("psi"))
+    return connection_matrix(chart, *coframe(chart))
 
 
 def component_positions() -> dict[str, tuple[int, int]]:
@@ -257,43 +222,36 @@ def verify_structure_equations(chart: Chart | None = None) -> Report:
     return report
 
 
-def h2_transform_formulas(chart: Chart) -> dict[str, FormExpr]:
-    """Closed-form components of the unipotent-conjugated connection."""
-    g = chart.gen
-    B = Var(chart.table["B"])
-    Bb = Var(chart.table["Bb"])
-    Lam = Var(chart.table["Lam"])
+def h2_transform(forms, B, Lam) -> tuple[FormExpr, ...]:
+    """Components of the connection conjugated by the unipotent element
+    H2(B, Lam), from the six components ``forms`` (``COMPONENTS`` order)."""
+    w, w1, t2, p1, p2, ps = forms
+    B, Lam = lift(B), lift(Lam)
+    Bb = conjugate(B)
     bb2 = B * Bb * HALF
-    w, w1, t2, p1, p2, ps = (g("theta"), g("theta1"), g("theta2"),
-                             g("phi1"), g("phi2"), g("psi"))
     w1c, t2c, p1c, p2c = w1.conj(), t2.conj(), p1.conj(), p2.conj()
-    return {
-        "w": w,
-        "w1": w1 + w.scale(Bb),
-        "t2": t2 - w1.scale(Bb) - w.scale(Bb * Bb * HALF),
-        "p1": p1 - w1.scale(Lam + bb2) - w1c.scale(Bb * Bb * HALF)
-              + t2.scale(B) - w.scale(Lam * Bb) + p2c.scale(Bb),
-        "p2": p2 - w1.scale(B) - w.scale(Lam + bb2),
-        "ps": ps - w1.scale(Lam * B) - w1c.scale(Lam * Bb)
-              + t2.scale(B * B * HALF) - t2c.scale(Bb * Bb * HALF)
-              - w.scale(Lam * Lam) + p1.scale(B) - p1c.scale(Bb)
-              + p2.scale(Lam - bb2) + p2c.scale(Lam + bb2),
-    }
+    return (
+        w,
+        w1 + w.scale(Bb),
+        t2 - w1.scale(Bb) - w.scale(Bb * Bb * HALF),
+        p1 - w1.scale(Lam + bb2) - w1c.scale(Bb * Bb * HALF)
+        + t2.scale(B) - w.scale(Lam * Bb) + p2c.scale(Bb),
+        p2 - w1.scale(B) - w.scale(Lam + bb2),
+        ps - w1.scale(Lam * B) - w1c.scale(Lam * Bb)
+        + t2.scale(B * B * HALF) - t2c.scale(Bb * Bb * HALF)
+        - w.scale(Lam * Lam) + p1.scale(B) - p1c.scale(Bb)
+        + p2.scale(Lam - bb2) + p2c.scale(Lam + bb2),
+    )
 
 
-def h1_transform_formulas(chart: Chart) -> dict[str, FormExpr]:
-    """Closed-form components of the diagonally-conjugated connection."""
-    g = chart.gen
-    A = Var(chart.table["A"])
-    Ab = Var(chart.table["Ab"])
-    return {
-        "w": g("theta").scale(A * Ab),
-        "w1": g("theta1").scale(A),
-        "t2": g("theta2").scale(A / Ab),
-        "p1": g("phi1").scale(1 / Ab),
-        "p2": g("phi2"),
-        "ps": g("psi").scale(1 / (A * Ab)),
-    }
+def h1_transform(forms, A) -> tuple[FormExpr, ...]:
+    """Components of the connection conjugated by the diagonal element
+    H1(A), from the six components ``forms`` (``COMPONENTS`` order)."""
+    w, w1, t2, p1, p2, ps = forms
+    A = lift(A)
+    Ab = conjugate(A)
+    return (w.scale(A * Ab), w1.scale(A), t2.scale(A / Ab), p1.scale(1 / Ab),
+            p2, ps.scale(1 / (A * Ab)))
 
 
 def adjoint_components(chart: Chart, h: SMatrix) -> dict[str, FormExpr]:
@@ -303,8 +261,7 @@ def adjoint_components(chart: Chart, h: SMatrix) -> dict[str, FormExpr]:
     hinv = _invert_group_element(h)
     conj = mc.conjugated_by(h, hinv)
     comps = {name: conj.entry(i, j) for name, (i, j) in component_positions().items()}
-    pattern = connection_matrix(chart, comps["w"], comps["w1"], comps["t2"],
-                                comps["p1"], comps["p2"], comps["ps"])
+    pattern = connection_matrix(chart, *(comps[name] for name in COMPONENTS))
     for i in range(1, 6):
         for j in range(1, 6):
             diff = conj.entry(i, j) - pattern.entry(i, j)
@@ -333,21 +290,19 @@ def verify_adjoint_transforms(chart: Chart | None = None,
     B, Lam, A = Var(table["B"]), Var(table["Lam"]), Var(table["A"])
     report = Report("adjoint transformation formulas")
 
-    h2 = subgroup_element("H2", B=B, Lam=Lam)
-    comps2 = adjoint_components(chart, h2)
-    formulas2 = h2_formulas or h2_transform_formulas(chart)
-    for name in ("w", "w1", "t2", "p1", "p2", "ps"):
-        diff = comps2[name] - formulas2[name]
-        ok = diff.is_structurally_zero() or diff.certify_zero()
-        report.add(f"unipotent:{name}", ok, {} if ok else {"residual": repr(diff)})
-
-    h1 = subgroup_element("H1", A=A)
-    comps1 = adjoint_components(chart, h1)
-    formulas1 = h1_formulas or h1_transform_formulas(chart)
-    for name in ("w", "w1", "t2", "p1", "p2", "ps"):
-        diff = comps1[name] - formulas1[name]
-        ok = diff.is_structurally_zero() or diff.certify_zero()
-        report.add(f"diagonal:{name}", ok, {} if ok else {"residual": repr(diff)})
+    forms = coframe(chart)
+    families = (
+        ("unipotent", subgroup_element("H2", B=B, Lam=Lam),
+         h2_formulas or dict(zip(COMPONENTS, h2_transform(forms, B, Lam)))),
+        ("diagonal", subgroup_element("H1", A=A),
+         h1_formulas or dict(zip(COMPONENTS, h1_transform(forms, A)))),
+    )
+    for family, h, formulas in families:
+        comps = adjoint_components(chart, h)
+        for name in COMPONENTS:
+            diff = comps[name] - formulas[name]
+            ok = diff.is_structurally_zero() or diff.certify_zero()
+            report.add(f"{family}:{name}", ok, {} if ok else {"residual": repr(diff)})
 
     report.timing_s = time.monotonic() - start
     return report

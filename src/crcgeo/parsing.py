@@ -1,16 +1,23 @@
-"""Recursive-descent parser for the scalar expression grammar.
+"""Recursive-descent parser for the expression grammar of scalars and forms.
 
-Grammar (precedence low to high): ``+ -`` < ``* /`` < unary minus < ``^``,
-with ``^`` right-associative.  Primaries are rational and decimal literals,
-the imaginary unit ``i``, ``sqrt(x)`` (sugar for ``x^(1/2)``), identifiers
-declared in the supplied variable table, and parenthesized expressions.
-Exponents must fold to rational constants.  Errors carry byte offsets.
+Grammar (precedence low to high): ``+ -`` < ``/\\`` < ``* /`` < unary
+minus < ``^``, with ``^`` right-associative.  Primaries are rational and
+decimal literals, the imaginary unit ``i``, ``sqrt(x)`` (sugar for
+``x^(1/2)``), declared identifiers, and parenthesized expressions.
+Exponents must fold to rational constants.  Errors carry the byte offset
+of the offending token in the text as given.
+
+One grammar serves two readers.  ``parse`` builds raw scalar nodes over a
+variable table, and there the wedge ``/\\`` is an error;
+``forms.parse_form`` subclasses the parser so that the same grammar code
+builds forms on a chart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .scalars import (
     Add,
@@ -28,48 +35,30 @@ from .scalars import (
     normalize,
 )
 
-_OPERATORS = "+-*/^(),@"
+HALF = Fraction(1, 2)
+MINUS_ONE_EXP = Fraction(-1)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "num" | "ident" | "op" | "end"
     text: str
     offset: int
 
 
+# Whitespace, then a number, an identifier, an operator, or any other
+# character, which is an error.
+_TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d*)?|\.\d+)|([^\W\d]\w*)|(/\\|[-+*/^(),])|(\S))")
+_KINDS = (None, "num", "ident", "op")
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            tokens.append(Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in _OPERATORS:
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        k = m.lastindex
+        if k == 4:
+            raise ParseError(f"unexpected character {m.group(4)!r}", m.start(4))
+        tokens.append(Token(_KINDS[k], m.group(k), m.start(k)))
+    tokens.append(Token("end", "", len(text)))
     return tokens
 
 
@@ -82,123 +71,147 @@ def _number_to_expr(text: str, offset: int) -> Expr:
         raise ParseError(f"bad numeric literal {text!r}", offset)
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token], table: VariableTable):
-        self.tokens = tokens
+class Parser:
+    """The grammar over one text.  Grammar methods (``parse_*``) never build
+    a value themselves; they call the builder methods at the end of the
+    class, which make raw scalar nodes here."""
+
+    def __init__(self, text: str, table: VariableTable):
+        self.tokens = tokenize(text)
         self.pos = 0
+        self.tok = self.tokens[0]  # the next token; the last one is "end"
         self.table = table
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
     def expect_op(self, op: str) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "op" or tok.text != op:
             raise ParseError(f"expected {op!r}", tok.offset)
         return self.advance()
 
-    def parse_expression(self) -> Expr:
-        node = self.parse_term()
+    def parse_all(self):
+        node = self.parse_sum()
+        tail = self.tok
+        if tail.kind != "end":
+            raise ParseError(f"unexpected trailing input {tail.text!r}", tail.offset)
+        return node
+
+    def parse_sum(self):
+        node = self.parse_wedge()
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
-                rhs = self.parse_term()
-                if tok.text == "+":
-                    node = Add((node, rhs))
-                else:
-                    node = Add((node, Mul((MINUS_ONE, rhs))))
+                rhs = self.parse_wedge()
+                node = self.add(node, rhs) if tok.text == "+" else self.sub(node, rhs)
             else:
                 return node
 
-    def parse_term(self) -> Expr:
+    def parse_wedge(self):
+        node = self.parse_product()
+        while True:
+            tok = self.tok
+            if tok.kind == "op" and tok.text == "/\\":
+                self.advance()
+                node = self.wedge(node, self.parse_product(), tok)
+            else:
+                return node
+
+    def parse_product(self):
         node = self.parse_unary()
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "op" and tok.text in "*/":
                 self.advance()
                 rhs = self.parse_unary()
-                if tok.text == "*":
-                    node = Mul((node, rhs))
-                else:
-                    node = Mul((node, Pow(rhs, Fraction(-1))))
+                node = self.mul(node, rhs, tok) if tok.text == "*" else self.div(node, rhs, tok)
             else:
                 return node
 
-    def parse_unary(self) -> Expr:
-        tok = self.peek()
+    def parse_unary(self):
+        # also the exponent operand: a leading minus binds to the exponent
+        tok = self.tok
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Mul((MINUS_ONE, self.parse_unary()))
+            return self.neg(self.parse_unary())
         return self.parse_power()
 
-    def parse_power(self) -> Expr:
+    def parse_power(self):
         base = self.parse_primary()
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "op" and tok.text == "^":
             self.advance()
-            exp_offset = self.peek().offset
-            exponent = self.parse_exponent_operand()
-            return Pow(base, self._fold_rational(exponent, exp_offset))
+            offset = self.tok.offset
+            return self.power(base, self.rational(self.parse_unary(), offset), tok)
         return base
 
-    def parse_exponent_operand(self) -> Expr:
-        # right-associative, and a leading minus binds to the exponent
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+    def parse_primary(self):
+        tok = self.tok
+        if tok.kind == "num":
             self.advance()
-            return Mul((MINUS_ONE, self.parse_exponent_operand()))
-        base = self.parse_primary()
-        nxt = self.peek()
-        if nxt.kind == "op" and nxt.text == "^":
+            return self.constant(_number_to_expr(tok.text, tok.offset))
+        if tok.kind == "ident":
             self.advance()
-            off = self.peek().offset
-            inner = self.parse_exponent_operand()
-            return Pow(base, self._fold_rational(inner, off))
-        return base
+            if tok.text == "i":
+                return self.constant(I)
+            if tok.text == "sqrt":
+                self.expect_op("(")
+                inner = self.parse_sum()
+                self.expect_op(")")
+                return self.power(inner, HALF, tok)
+            return self.identifier(tok)
+        if tok.kind == "op" and tok.text == "(":
+            self.advance()
+            inner = self.parse_sum()
+            self.expect_op(")")
+            return inner
+        raise ParseError("expected a number, identifier or '('", tok.offset)
 
-    def _fold_rational(self, e: Expr, offset: int) -> Fraction:
+    # -- builders: raw scalar nodes ---------------------------------------
+
+    def constant(self, e: Expr):
+        return e
+
+    def identifier(self, tok: Token):
+        v = self.table.get(tok.text)
+        if v is None:
+            raise UndeclaredIdentifierError(tok.text, tok.offset)
+        return Var(v)
+
+    def add(self, a, b):
+        return Add((a, b))
+
+    def sub(self, a, b):
+        return Add((a, Mul((MINUS_ONE, b))))
+
+    def neg(self, a):
+        return Mul((MINUS_ONE, a))
+
+    def mul(self, a, b, tok: Token):
+        return Mul((a, b))
+
+    def div(self, a, b, tok: Token):
+        return Mul((a, Pow(b, MINUS_ONE_EXP)))
+
+    def wedge(self, a, b, tok: Token):
+        raise ParseError("the wedge operator '/\\' joins forms, not scalars", tok.offset)
+
+    def power(self, base, exp: Fraction, tok: Token):
+        return Pow(base, exp)
+
+    def rational(self, e: Expr, offset: int) -> Fraction:
+        """Fold an exponent to a rational constant."""
         n = normalize(e)
         if isinstance(n, Const) and n.value.im == 0:
             return n.value.re
         raise ParseError("exponent must be a rational constant", offset)
 
-    def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return _number_to_expr(tok.text, tok.offset)
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "i":
-                return I
-            if tok.text == "sqrt":
-                self.expect_op("(")
-                inner = self.parse_expression()
-                self.expect_op(")")
-                return Pow(inner, Fraction(1, 2))
-            v = self.table.get(tok.text)
-            if v is None:
-                raise UndeclaredIdentifierError(tok.text, tok.offset)
-            return Var(v)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            inner = self.parse_expression()
-            self.expect_op(")")
-            return inner
-        raise ParseError("expected a number, identifier or '('", tok.offset)
-
 
 def parse(text: str, table: VariableTable) -> Expr:
     """Parse an expression string over the declared variables."""
-    parser = _Parser(tokenize(text), table)
-    node = parser.parse_expression()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.offset)
-    return node
+    return Parser(text, table).parse_all()

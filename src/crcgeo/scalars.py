@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -1373,7 +1374,12 @@ def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,
 
 
 def frac_text(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:  # past the interpreter's limit on int-to-text digits
+        raise WorkBudgetError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits "
+            "to print") from None
 
 
 def qc_text(c: QC) -> str:

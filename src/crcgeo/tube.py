@@ -375,17 +375,21 @@ def _ambient_chart(model: TubeModel) -> Chart:
     return chart
 
 
-def _ambient_forms(model: TubeModel, chart: Chart) -> dict:
-    g = chart.gen
+def _coframe_scalars(model: TubeModel) -> tuple:
+    """The scalars the coframe and its inverse are written in:
+    u, a, conj(a), b, bb, lam, rho11, rho12, rho111, S and
+    x = (u*rho11^3)^(-1/2)."""
     table = model.table
     u, a = Var(table["u"]), Var(table["a"])
-    b, bb = Var(table["b"]), Var(table["bb"])
-    lam = Var(table["lam"])
-    ab = conjugate(a)
-    rho11, rho12 = model.d("rho11"), model.d("rho12")
-    rho111 = model.d("rho111")
-    s_fn = model.d("S")
-    x = (u * rho11 ** 3) ** Fraction(-1, 2)
+    rho11 = model.d("rho11")
+    return (u, a, conjugate(a), Var(table["b"]), Var(table["bb"]),
+            Var(table["lam"]), rho11, model.d("rho12"), model.d("rho111"),
+            model.d("S"), (u * rho11 ** 3) ** Fraction(-1, 2))
+
+
+def _ambient_forms(model: TubeModel, chart: Chart) -> dict:
+    g = chart.gen
+    u, a, ab, b, bb, lam, rho11, rho12, rho111, s_fn, x = _coframe_scalars(model)
 
     omega = g("mu").scale(u)
     eta1 = g("dz1").scale(rho11) + g("dz2").scale(rho12)
@@ -415,15 +419,7 @@ def _base_substitution(model: TubeModel, frame: Chart) -> dict:
     """Images of the ambient generators in the adapted coframe, leaving the
     fiber differentials db, dbc, dlam in place."""
     g = frame.gen
-    table = model.table
-    u, a = Var(table["u"]), Var(table["a"])
-    b, bb = Var(table["b"]), Var(table["bb"])
-    lam = Var(table["lam"])
-    ab = conjugate(a)
-    rho11, rho12 = model.d("rho11"), model.d("rho12")
-    rho111 = model.d("rho111")
-    s_fn = model.d("S")
-    x = (u * rho11 ** 3) ** Fraction(-1, 2)
+    u, a, ab, b, bb, lam, rho11, rho12, rho111, s_fn, x = _coframe_scalars(model)
 
     omega, omega1, omega1c = g("omega"), g("omega1"), g("omega1c")
     theta2, theta2c = g("theta2"), g("theta2c")

@@ -1,12 +1,16 @@
 """CLI: dispatch, exit codes, deterministic JSON reports, pass-through of
 module-level reports."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crcgeo import cli, model
 
@@ -53,6 +57,10 @@ def test_tube_analyze_parse_error_exit_code():
 def test_usage_error_exit_code():
     result = run_cli("tube", "analyze")
     assert result.returncode == 2
+    # argparse hands "--at=--" over as an empty list, not as text
+    result = run_cli("expr", "eval", "--expr", "t1", "--at=--")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
 
 
 def test_bad_box_exit_code():
@@ -98,6 +106,17 @@ def test_expr_diff_coefficient_power_over_work_budget_is_inconclusive():
         assert result.stderr.startswith("inconclusive:")
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
+
+
+def test_expr_diff_coefficient_past_print_limit_is_inconclusive():
+    # each factor is within the power budget; their product has more
+    # digits than an int may be printed with
+    result = run_cli("expr", "diff", "--expr", "2^5000*2^5000*2^5000*t1",
+                     "--by", "t1", timeout=15)
+    assert result.returncode == 3
+    assert result.stderr.startswith("inconclusive:")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
 
 
 def test_expr_eval_overflow_is_an_input_error():
@@ -186,3 +205,19 @@ def test_parse_declarations_helper():
     table = cli.parse_declarations("t1:real,u:positive,b~bb,lam:imaginary,a:unit")
     assert table["b"].partner == "bb"
     assert table["a"].reality == "unit_modulus"
+
+
+_GRAMMAR_PIECES = ("t1", "t2", "x", "i", "sqrt(", "0", "1", "2", "9", ".5",
+                   "+", "-", "*", "/", "^", "(", ")", ",", " ", "/\\", "@", "\\")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=14).map("".join),
+       command=st.sampled_from(("eval", "diff", "zero")))
+def test_expr_commands_end_with_a_contract_exit_code(text, command):
+    extra = {"eval": ["--at", "t1=0.3,t2=0.7"], "diff": ["--by", "t1"],
+             "zero": ["--box", "t1=0.1:1,t2=0.1:1", "--trials", "4"]}[command]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["expr", command, f"--expr={text}", *extra])
+    assert code in (0, 1, 2, 3)

@@ -47,6 +47,23 @@ def test_expanded_torsion_words(expanded):
     assert is_zero_expr(torsion.coefficient(("theta2", "omega1c")))
 
 
+def test_opaque_chart_rules_are_the_model_equations():
+    """With zero curvature the chart's d-rules are the model structure
+    equations, read with omega, omega1 for theta, theta1."""
+    rename = {"omega": "theta", "omega1": "theta1", "omega1c": "theta1c"}
+
+    def fingerprint(chart, name, names):
+        rule = chart.d_rule(name)
+        return {tuple(names.get(n, n) for n in rule.word_names(word)): c
+                for word, c in rule.terms.items()}
+
+    flat = dga.build_chart("opaque").chart
+    reference = model.model_chart()
+    for name in dga.CORE_GENS:
+        assert fingerprint(flat, name, rename) == \
+            fingerprint(reference, rename.get(name, name), {}), name
+
+
 def test_opaque_placeholders_can_be_supplied():
     base = dga.build_chart("expanded")
     custom = dga.build_chart("opaque",
@@ -109,9 +126,9 @@ def test_equivariance_trivial_parameters(expanded):
 
 def test_hat_basis_sub_inverts_hat_forms(expanded):
     B, Lam = expanded.var("B"), expanded.var("Lam")
-    hats = dga.hat_forms(expanded, B, Lam)
+    hats = model.h2_transform(expanded.coframe(), B, Lam)
     sub = dga.hat_basis_sub(expanded, B, Lam)
-    for name, image in hats.items():
+    for name, image in zip(dga.COFRAME, hats):
         back = image.rewrite(sub, expanded.chart)
         diff = back - expanded.gen(name)
         assert diff.is_structurally_zero() or diff.certify_zero()
@@ -170,7 +187,7 @@ def matrix_route_phi1(dc, B, Lam):
     matrices alone: the curvature matrix K (the curvature forms in the
     connection pattern) goes to h K h^-1 for the unipotent element h, and
     the original coframe is read off h^-1 MC h.  Shares no basis-change
-    code with ``dga.hat_forms``/``dga.hat_basis_sub``."""
+    code with ``model.h2_transform``/``dga.hat_basis_sub``."""
     chart = dc.chart
     g = chart.gen
     h = model.subgroup_element("H2", B=B, Lam=Lam)

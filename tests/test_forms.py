@@ -20,11 +20,13 @@ from crcgeo.forms import (
     load_chart,
     parse_form,
 )
-from crcgeo.model import model_chart, structure_rules
+from crcgeo.model import model_chart
 from crcgeo.parsing import parse
 from crcgeo.scalars import (
     Const,
+    ParseError,
     QC,
+    UndeclaredIdentifierError,
     Var,
     VariableTable,
     ZERO,
@@ -72,8 +74,9 @@ def test_wedge_graded_commutativity_degree_two(chart):
 
 
 def test_d_of_structure_rule_matches_chart(chart):
-    rules = structure_rules(chart)
-    assert chart.gen("theta").d() == rules["theta"]
+    g = chart.gen
+    expected = w(chart, "theta1", "theta1c").scale(-1) - g("theta").wedge(g("phi2") + g("phi2c"))
+    assert g("theta").d() == expected
 
 
 def test_d_scalar_leibniz(chart):
@@ -269,22 +272,6 @@ MODEL_DECL = (Path(__file__).parent.parent / "src" / "crcgeo" / "data"
               / "model.chart").read_text()
 
 
-def _rule_fingerprint(chart, name):
-    rule = chart.d_rule(name)
-    return {rule.word_names(word): normalize(c) for word, c in rule.terms.items()}
-
-
-def test_load_chart_reproduces_model_rules(chart):
-    loaded = load_chart(MODEL_DECL)
-    for name in ("theta", "theta1", "theta1c", "theta2", "phi1", "phi2", "psi"):
-        left = _rule_fingerprint(loaded, name)
-        right = {
-            chart.d_rule(name).word_names(word): normalize(c)
-            for word, c in chart.d_rule(name).terms.items()
-        }
-        assert left == right
-
-
 def test_load_chart_validates_d_squared():
     bad = MODEL_DECL.replace(
         "theta = - theta1 /\\ theta1c - theta /\\ (phi2 + phi2c)",
@@ -297,3 +284,25 @@ def test_parse_form_wedge_precedence(chart):
     parsed = parse_form("2*theta /\\ psi + theta2 /\\ theta1", chart)
     expected = w(chart, "theta", "psi").scale(2) + w(chart, "theta2", "theta1")
     assert parsed == expected
+
+
+def test_parse_form_error_offsets_are_exact_after_wedges(chart):
+    for text, offset in (("theta /\\ theta1 + zz", 18),
+                         ("theta /\\ theta1 /\\ theta2 + zz", 28),
+                         ("theta/\\theta1+zz", 14)):
+        assert text[offset:offset + 2] == "zz"
+        with pytest.raises(UndeclaredIdentifierError) as err:
+            parse_form(text, chart)
+        assert err.value.offset == offset, text
+
+
+def test_parse_form_rejects_bare_at_sign(chart):
+    with pytest.raises(ParseError) as err:
+        parse_form("theta @ theta1", chart)
+    assert err.value.offset == 6
+
+
+def test_chart_file_zero_rule_declares_constant(chart):
+    assert chart.d_scalar(Var(chart.table["Lam"])).is_zero
+    closed = load_chart("[generators]\nx : real\n[d]\nx = 0\n")
+    assert closed.gen("x").d().is_zero and closed.gen("x").d().degree == 2

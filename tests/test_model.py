@@ -7,6 +7,7 @@ import random
 import pytest
 
 from crcgeo import model
+from crcgeo.forms import load_chart
 from crcgeo.matrices import SMatrix
 from crcgeo.scalars import (
     I,
@@ -226,10 +227,10 @@ def test_structure_equation_runtime_budget(chart):
 
 def test_structure_equations_mutation_detected():
     # perturbing one rule breaks exactly the entries housing that form's d
-    base = model.model_chart()
-    rules = model.structure_rules(base)
-    perturbed = rules["theta"] + base.gen("theta").wedge(base.gen("phi2"))
-    bad_chart = model.model_chart(rule_overrides={"theta": perturbed})
+    text = model.CHART_PATH.read_text()
+    rule = "theta = - theta1 /\\ theta1c - theta /\\ (phi2 + phi2c)"
+    assert rule in text
+    bad_chart = load_chart(text.replace(rule, rule + " + theta /\\ phi2"), check=False)
     report = model.verify_structure_equations(bad_chart)
     assert report.overall == "fail"
     failing = {c.name for c in report.failed_checks()}
@@ -253,8 +254,21 @@ def test_adjoint_identity_parameters(chart):
         assert comps[name] == model.maurer_cartan(chart).entry(i, j)
 
 
+def h2_formulas(chart):
+    """The H2 component formulas on the model coframe, keyed by component."""
+    table = chart.table
+    return dict(zip(model.COMPONENTS, model.h2_transform(
+        model.coframe(chart), Var(table["B"]), Var(table["Lam"]))))
+
+
+def h1_formulas(chart):
+    """The H1 component formulas on the model coframe, keyed by component."""
+    return dict(zip(model.COMPONENTS, model.h1_transform(
+        model.coframe(chart), Var(chart.table["A"]))))
+
+
 def test_adjoint_mutation_of_any_printed_term_detected(chart):
-    formulas = model.h2_transform_formulas(chart)
+    formulas = h2_formulas(chart)
     for name in ("w", "w1", "t2", "p1", "p2", "ps"):
         reference = formulas[name]
         for word in sorted(reference.terms):
@@ -274,7 +288,7 @@ def FormTerm(form, word):
 
 
 def test_adjoint_h1_mutation_detected(chart):
-    formulas = model.h1_transform_formulas(chart)
+    formulas = h1_formulas(chart)
     mutated = dict(formulas)
     mutated["t2"] = formulas["t2"].scale(2)
     report = model.verify_adjoint_transforms(chart, h1_formulas=mutated)
@@ -286,8 +300,8 @@ def test_adjoint_numeric_agreement(chart):
     match the numeric matrix conjugation to 1e-12."""
     rng = random.Random(21)
     mc = model.maurer_cartan(chart)
-    formulas2 = model.h2_transform_formulas(chart)
-    formulas1 = model.h1_transform_formulas(chart)
+    formulas2 = h2_formulas(chart)
+    formulas1 = h1_formulas(chart)
     table = chart.table
     for _ in range(20):
         bval = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))

@@ -101,6 +101,27 @@ def test_unary_minus_binds_below_power(table):
     assert normalize(parse("-t1^2", table)) == normalize(parse("-(t1^2)", table))
 
 
+def test_parse_builds_raw_interned_trees(table):
+    t1, t2 = Var(table["t1"]), Var(table["t2"])
+    minus_one = Const(QC.of(-1))
+    cases = {
+        "t1-t2": Add((t1, Mul((minus_one, t2)))),
+        "t1/t2": Mul((t1, Pow(t2, Fraction(-1)))),
+        "-t1^2": Mul((minus_one, Pow(t1, Fraction(2)))),
+        "2^-1^2*t1": Mul((Pow(Const(QC.of(2)), Fraction(-1)), t1)),
+        "sqrt(t1)": Pow(t1, Fraction(1, 2)),
+    }
+    for text, tree in cases.items():
+        assert parse(text, table) is tree, text
+
+
+def test_parse_rejects_wedge_and_at_sign(table):
+    for text, offset in (("t1 /\\ t2", 3), ("t1 @ t2", 3)):
+        with pytest.raises(ParseError) as err:
+            parse(text, table)
+        assert err.value.offset == offset, text
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 
