@@ -11,7 +11,7 @@ field.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 
 from . import __version__, dga, model, tube
@@ -49,6 +49,8 @@ def parse_box(text: str) -> dict:
         name, rng = piece.split("=", 1)
         lo, hi = rng.split(":", 1)
         lo_f, hi_f = float(lo), float(hi)
+        if not (math.isfinite(lo_f) and math.isfinite(hi_f)):
+            raise ValueError(f"non-finite bound for {name.strip()!r}")
         if not lo_f < hi_f:
             raise ValueError(f"empty interval for {name.strip()!r}")
         box[name.strip()] = (lo_f, hi_f)
@@ -245,9 +247,10 @@ def main(argv=None) -> int:
         for key, value in vars(args).items():
             if value == []:  # argparse drops the value of "--key=--"
                 raise ValueError(f"--{key} needs a value")
-        for key, value in (("trials", None), ("tol", None)):
-            if getattr(args, key, None) is not None and getattr(args, key) <= 0:
-                raise ValueError(f"--{key} must be positive")
+        for key in ("trials", "tol"):
+            x = getattr(args, key, None)
+            if x is not None and not (math.isfinite(x) and x > 0):
+                raise ValueError(f"--{key} must be positive and finite")
         if args.command == "model":
             return _cmd_model_verify(args)
         if args.command == "dga":
@@ -258,9 +261,7 @@ def main(argv=None) -> int:
             if args.tube_command == "paper-example":
                 return _cmd_tube_paper_example(args)
             return _cmd_tube_profile(args)
-        if args.command == "expr":
-            return _cmd_expr(args)
-        parser.error(f"unknown command {args.command}")
+        return _cmd_expr(args)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -273,7 +274,6 @@ def main(argv=None) -> int:
     except (DomainEvalError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -252,32 +252,34 @@ def curvature_from(w: FormExpr, w1: FormExpr, t2: FormExpr,
 # unipotent-family transformation
 
 
-def hat_basis_sub(dc: DgaChart, B: Expr, Lam: Expr) -> dict:
-    """Substitution expressing the original coframe in the transformed one
-    (the transformation with negated parameters), for coefficient
-    extraction in the transformed basis.  Inert covectors map to
-    themselves."""
-    inverse = model.h2_transform(dc.coframe(), -lift(B), -lift(Lam))
+def _basis_sub(dc: DgaChart, images) -> dict:
+    """Substitution sending the coframe (``COFRAME`` order) to six 1-forms
+    and each conjugate generator to the conjugate image; inert covectors
+    map to themselves."""
     sub = {gen.name: dc.chart.gen(gen.name) for gen in dc.chart.generators}
-    for name, form in zip(COFRAME, inverse):
+    for name, form in zip(COFRAME, images):
         sub[name] = form
         if name not in ("omega", "psi"):
             sub[name + "c"] = form.conj()
     return sub
 
 
+def hat_basis_sub(dc: DgaChart, B: Expr, Lam: Expr) -> dict:
+    """Substitution expressing the original coframe in the transformed one
+    (the transformation with negated parameters), for coefficient
+    extraction in the transformed basis."""
+    return _basis_sub(dc, model.h2_transform(dc.coframe(), -lift(B), -lift(Lam)))
+
+
 def hatted_curvature(dc: DgaChart, B: Expr, Lam: Expr) -> dict:
     return curvature_from(*model.h2_transform(dc.coframe(), B, Lam))
 
 
-def _exact(report: Report, name: str, diff, detail_key: str = "residual") -> None:
-    if isinstance(diff, FormExpr):
-        ok = diff.is_structurally_zero() or diff.certify_zero()
-        report.add(name, ok, {} if ok else {detail_key: repr(diff)})
-    else:
-        n = normalize(diff)
-        ok = n == ZERO
-        report.add(name, ok, {} if ok else {detail_key: to_text(n)})
+def _normalized_coefficient(dc: DgaChart, hat: dict, name: str) -> Expr:
+    """Coefficient at omega1^omega1c of the hatted curvature form ``name``,
+    extracted in the transformed basis."""
+    sub = hat_basis_sub(dc, dc.var("B"), dc.var("Lam"))
+    return hat[name].rewrite(sub).coefficient(("omega1", "omega1c"))
 
 
 def verify_equivariance(dc: DgaChart | None = None) -> Report:
@@ -291,16 +293,16 @@ def verify_equivariance(dc: DgaChart | None = None) -> Report:
     theta2c = cv["Theta2"].conj()
     phi1c = cv["Phi1"].conj()
     report = Report("curvature equivariance under the unipotent family")
-    _exact(report, "torsion unchanged", hat["Theta2"] - cv["Theta2"])
-    _exact(report, "second curvature unchanged", hat["Phi2"] - cv["Phi2"])
-    _exact(report, "first curvature mixing",
-           hat["Phi1"] - (cv["Phi1"] + cv["Theta2"].scale(B)
-                          - cv["Phi2"].scale(Bb)))
-    _exact(report, "last curvature mixing",
-           hat["Psi"] - (cv["Psi"] + cv["Theta2"].scale(B * B * HALF)
-                         - theta2c.scale(Bb * Bb * HALF)
-                         + cv["Phi1"].scale(B) - phi1c.scale(Bb)
-                         - cv["Phi2"].scale(B * Bb)))
+    model.check_identity(report, "torsion unchanged", hat["Theta2"] - cv["Theta2"])
+    model.check_identity(report, "second curvature unchanged", hat["Phi2"] - cv["Phi2"])
+    model.check_identity(report, "first curvature mixing",
+                         hat["Phi1"] - (cv["Phi1"] + cv["Theta2"].scale(B)
+                                        - cv["Phi2"].scale(Bb)))
+    model.check_identity(report, "last curvature mixing",
+                         hat["Psi"] - (cv["Psi"] + cv["Theta2"].scale(B * B * HALF)
+                                       - theta2c.scale(Bb * Bb * HALF)
+                                       + cv["Phi1"].scale(B) - phi1c.scale(Bb)
+                                       - cv["Phi2"].scale(B * Bb)))
     report.timing_s = time.monotonic() - start
     return report
 
@@ -312,19 +314,12 @@ def verify_equivariance(dc: DgaChart | None = None) -> Report:
 _GAUGE_ORDER = ("c", "f", "g", "r", "s")
 
 
-def _gauge_exprs(dc: DgaChart, active: dict) -> dict:
-    out = {}
-    for name in _GAUGE_ORDER:
-        out[name] = active.get(name, ZERO)
-    return out
-
-
 def tilde_forms(dc: DgaChart, gauge: dict) -> dict:
     """The re-normalized coframe for given shift functions (inverting the
-    declared ambiguity of the normalization)."""
+    declared ambiguity of the normalization); an absent function is zero."""
     g = dc.gen
-    c, f, gg, r, s = (gauge[k] for k in _GAUGE_ORDER)
-    cb, fb, rb = conjugate(c), conjugate(f), conjugate(r)
+    c, f, gg, r, s = (gauge.get(k, ZERO) for k in _GAUGE_ORDER)
+    cb, rb = conjugate(c), conjugate(r)
     w, w1, w1c = g("omega"), g("omega1"), g("omega1c")
     return {
         "omega": w,
@@ -337,28 +332,10 @@ def tilde_forms(dc: DgaChart, gauge: dict) -> dict:
 
 
 def tilde_basis_sub(dc: DgaChart, gauge: dict) -> dict:
-    """Original coframe in terms of the shifted one (the printed ambiguity
-    formulas read with shifted generators on the right-hand side)."""
-    g = dc.gen
-    c, f, gg, r, s = (gauge[k] for k in _GAUGE_ORDER)
-    cb, fb, rb = conjugate(c), conjugate(f), conjugate(r)
-    w, w1, w1c = g("omega"), g("omega1"), g("omega1c")
-    sub = {
-        "omega": w,
-        "omega1": w1,
-        "omega1c": w1c,
-        "theta2": g("theta2") + w1.scale(c) + w.scale(f),
-        "phi2": g("phi2") - w1.scale(cb) + w1c.scale(c) + w.scale(gg),
-        "phi1": g("phi1") + w1.scale(gg) + w1c.scale(f) + w.scale(r),
-        "psi": g("psi") - w1.scale(rb * HALF) + w1c.scale(r * HALF) + w.scale(s),
-    }
-    sub["theta2c"] = sub["theta2"].conj()
-    sub["phi2c"] = sub["phi2"].conj()
-    sub["phi1c"] = sub["phi1"].conj()
-    for gen in dc.chart.generators:
-        if gen.name not in sub:
-            sub[gen.name] = dc.chart.gen(gen.name)
-    return sub
+    """Original coframe in terms of the shifted one: the shifted coframe
+    for the negated shift functions."""
+    inverse = tilde_forms(dc, {k: -v for k, v in gauge.items()})
+    return _basis_sub(dc, (inverse[name] for name in COFRAME))
 
 
 def verify_gauge_shifts(dc: DgaChart | None = None) -> Report:
@@ -387,19 +364,18 @@ def verify_gauge_shifts(dc: DgaChart | None = None) -> Report:
         # later shift functions stay symbolic; earlier ones are already fixed
         for later in _GAUGE_ORDER[_GAUGE_ORDER.index(param) + 1:]:
             active[later] = dc.var(later)
-        gauge = _gauge_exprs(dc, active)
-        tf = tilde_forms(dc, gauge)
+        tf = tilde_forms(dc, active)
         tcurv = curvature_from(*(tf[name] for name in COFRAME))
-        form = tcurv[curv_of_case[k]].rewrite(tilde_basis_sub(dc, gauge))
+        form = tcurv[curv_of_case[k]].rewrite(tilde_basis_sub(dc, active))
         got = form.coefficient(word)
-        _exact(report, title, got - expected_fn(dc.var(param)))
+        model.check_identity(report, title, got - expected_fn(dc.var(param)))
 
     # zero shift functions leave every curvature form unchanged
-    gauge0 = _gauge_exprs(dc, {})
-    tf0 = tilde_forms(dc, gauge0)
+    tf0 = tilde_forms(dc, {})
     tcurv0 = curvature_from(*(tf0[name] for name in COFRAME))
     for name in ("Theta2", "Phi1", "Phi2", "Psi"):
-        _exact(report, f"identity shift fixes {name}", tcurv0[name] - dc.curvature[name])
+        model.check_identity(report, f"identity shift fixes {name}",
+                             tcurv0[name] - dc.curvature[name])
     report.timing_s = time.monotonic() - start
     return report
 
@@ -411,10 +387,8 @@ def verify_gauge_shifts(dc: DgaChart | None = None) -> Report:
 def necessity_phi1_coefficient(dc: DgaChart) -> Expr:
     """Transformed first-curvature coefficient at the (coframe,conjugate)
     word, extracted in the transformed basis."""
-    B, Lam = dc.var("B"), dc.var("Lam")
-    hat = hatted_curvature(dc, B, Lam)
-    sub = hat_basis_sub(dc, B, Lam)
-    return hat["Phi1"].rewrite(sub).coefficient(("omega1", "omega1c"))
+    return _normalized_coefficient(
+        dc, hatted_curvature(dc, dc.var("B"), dc.var("Lam")), "Phi1")
 
 
 def necessity_phi1_derived(dc: DgaChart) -> Expr:
@@ -441,11 +415,10 @@ def necessity_phi1_transcribed(dc: DgaChart) -> Expr:
         - B * Bb * dc.var("T21c") * Fraction(3, 4))
 
 
-def necessity_psi_coefficient(dc2: DgaChart) -> Expr:
-    B, Lam = dc2.var("B"), dc2.var("Lam")
-    hat = hatted_curvature(dc2, B, Lam)
-    sub = hat_basis_sub(dc2, B, Lam)
-    return hat["Psi"].rewrite(sub).coefficient(("omega1", "omega1c"))
+def necessity_psi_coefficient(dc: DgaChart) -> Expr:
+    """The same extraction for the last curvature form."""
+    return _normalized_coefficient(
+        dc, hatted_curvature(dc, dc.var("B"), dc.var("Lam")), "Psi")
 
 
 def sufficiency_expected(dc: DgaChart) -> dict:
@@ -515,13 +488,13 @@ def verify_cartan_criterion() -> Report:
     hat = hatted_curvature(dcl, B, Lam)
     expected = sufficiency_expected(dcl)
     for name in ("Theta2", "Phi1", "Phi2", "Psi"):
-        _exact(report, f"sufficiency expansion: {name}", hat[name] - expected[name])
+        model.check_identity(report, f"sufficiency expansion: {name}",
+                             hat[name] - expected[name])
 
     # with leading terms zero the two normalized coefficients stay zero
-    sub = hat_basis_sub(dcl, B, Lam)
     for name, label in (("Phi1", "first"), ("Psi", "last")):
-        coeff = hat[name].rewrite(sub).coefficient(("omega1", "omega1c"))
-        _exact(report, f"leading-zero consequence: {label} curvature", coeff)
+        model.check_identity(report, f"leading-zero consequence: {label} curvature",
+                             _normalized_coefficient(dcl, hat, name))
 
     # diagonal-family scaling of the transformed curvature forms
     dc3 = build_chart("expanded")
@@ -532,8 +505,8 @@ def verify_cartan_criterion() -> Report:
     hcurv = hatted_curvature(dc3, B, Lam)
     scalings = {"Theta2": A / Ab, "Phi1": 1 / Ab, "Phi2": ONE, "Psi": 1 / (A * Ab)}
     for name, factor in scalings.items():
-        _exact(report, f"diagonal scaling: {name}",
-               ccurv[name] - hcurv[name].scale(factor))
+        model.check_identity(report, f"diagonal scaling: {name}",
+                             ccurv[name] - hcurv[name].scale(factor))
 
     report.timing_s = time.monotonic() - start
     return report
@@ -551,6 +524,6 @@ def verify_flat_consistency() -> Report:
     # the second curvature is imaginary-valued as a form identity
     dce = build_chart("expanded")
     phi2 = dce.curvature["Phi2"]
-    _exact(report, "second curvature purely imaginary", phi2 + phi2.conj())
+    model.check_identity(report, "second curvature purely imaginary", phi2 + phi2.conj())
     report.timing_s = time.monotonic() - start
     return report

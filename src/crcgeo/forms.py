@@ -7,6 +7,10 @@ homogeneous degree as a map from strictly increasing generator index
 words to scalar coefficients; construction normalizes coefficients and
 prunes zeros, and wedge ordering signs are applied automatically.
 
+Forms decide no zero question themselves: ``certify_zero`` and
+``vanishes`` hand each coefficient to the kernel's ``certify_zero`` and
+``is_identically_zero``.
+
 There is no manifold abstraction: every computation happens in one of a
 handful of concrete charts, and basis changes are explicit substitutions
 (``rewrite``).  Generators without a d-rule are inert; applying ``d`` to a
@@ -442,22 +446,16 @@ class FormExpr:
 
     # -- zero testing ------------------------------------------------------
 
-    def is_structurally_zero(self) -> bool:
-        return not self.terms
-
     def certify_zero(self) -> bool:
         return all(certify_zero(c) for c in self.terms.values())
 
     def vanishes(self, box, trials: int = 16, seed: int = 0,
                  tol: float = 1e-9) -> bool:
-        """Structural certificate first, randomized sampling as fallback."""
-        for k, (word, coeff) in enumerate(self.items()):
-            if certify_zero(coeff):
-                continue
-            if not is_identically_zero(coeff, box, trials=trials,
-                                       seed=seed + 7 * k, tol=tol):
-                return False
-        return True
+        """``is_identically_zero`` on each coefficient, in word order, the
+        k-th with seed ``seed + 7*k``."""
+        return all(is_identically_zero(coeff, box, trials=trials,
+                                       seed=seed + 7 * k, tol=tol)
+                   for k, (_, coeff) in enumerate(self.items()))
 
     def generators_present(self) -> set:
         return {self.chart.generators[i].name for w in self.terms for i in w}
@@ -476,16 +474,6 @@ def transfer_form(form: FormExpr, target: Chart) -> FormExpr:
         c = coeff if sign > 0 else coeff * -1
         terms[new_word] = terms.get(new_word, ZERO) + c
     return FormExpr(target, form.degree, terms)
-
-
-def forms_equal(a: FormExpr, b: FormExpr, box=None, trials: int = 16,
-                seed: int = 0, tol: float = 1e-9) -> bool:
-    diff = a - b
-    if diff.certify_zero():
-        return True
-    if box is None:
-        return False
-    return diff.vanishes(box, trials=trials, seed=seed, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,12 @@ from pathlib import Path
 from .scalars import (
     ONE,
     Var,
+    certify_zero,
     conjugate,
     is_zero_expr,
     lift,
+    normalize,
+    to_text,
 )
 from .forms import Chart, FormExpr, load_chart
 from .matrices import FMatrix, SMatrix
@@ -204,6 +207,17 @@ def component_positions() -> dict[str, tuple[int, int]]:
 # verification suites
 
 
+def check_identity(report: Report, name: str, diff) -> None:
+    """Add the check that ``diff``, a form or a scalar, is certified zero;
+    a failure carries the residual as its one detail."""
+    form = isinstance(diff, FormExpr)
+    if diff.certify_zero() if form else certify_zero(diff):
+        report.add(name, True)
+    else:
+        report.add(name, False,
+                   {"residual": repr(diff) if form else to_text(normalize(diff))})
+
+
 def verify_structure_equations(chart: Chart | None = None) -> Report:
     """d(MC) - MC /\\ MC entrywise; all 25 entries must vanish exactly."""
     start = time.monotonic()
@@ -214,10 +228,7 @@ def verify_structure_equations(chart: Chart | None = None) -> Report:
     report = Report("model structure equations")
     for i in range(5):
         for j in range(5):
-            diff = dmc[i][j] - sq[i][j]
-            ok = diff.is_structurally_zero() or diff.certify_zero()
-            report.add(f"entry({i + 1},{j + 1})", ok,
-                       {} if ok else {"residual": repr(diff)})
+            check_identity(report, f"entry({i + 1},{j + 1})", dmc[i][j] - sq[i][j])
     report.timing_s = time.monotonic() - start
     return report
 
@@ -264,8 +275,7 @@ def adjoint_components(chart: Chart, h: SMatrix) -> dict[str, FormExpr]:
     pattern = connection_matrix(chart, *(comps[name] for name in COMPONENTS))
     for i in range(1, 6):
         for j in range(1, 6):
-            diff = conj.entry(i, j) - pattern.entry(i, j)
-            if not (diff.is_structurally_zero() or diff.certify_zero()):
+            if not (conj.entry(i, j) - pattern.entry(i, j)).certify_zero():
                 raise ValueError(f"conjugated connection broke pattern at ({i},{j})")
     return comps
 
@@ -300,9 +310,7 @@ def verify_adjoint_transforms(chart: Chart | None = None,
     for family, h, formulas in families:
         comps = adjoint_components(chart, h)
         for name in COMPONENTS:
-            diff = comps[name] - formulas[name]
-            ok = diff.is_structurally_zero() or diff.certify_zero()
-            report.add(f"{family}:{name}", ok, {} if ok else {"residual": repr(diff)})
+            check_identity(report, f"{family}:{name}", comps[name] - formulas[name])
 
     report.timing_s = time.monotonic() - start
     return report

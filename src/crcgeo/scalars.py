@@ -14,12 +14,15 @@ attempted; the normal form is canonical on the Laurent-polynomial
 fragment, and everywhere it is deterministic, idempotent and
 evaluation-preserving.
 
-Zero testing is randomized numeric sampling over a caller-supplied box
-(``is_identically_zero``).  ``certify_zero`` is a sound structural fast
-path: it clears all denominators and radical offsets by a monomial that
-is nonvanishing wherever the expression is defined, so a surviving zero
-certifies the identity exactly.  A ``False`` from ``certify_zero`` only
-means "not proven", never "nonzero".
+This module owns every zero decision, along two routes.  The exact one
+is ``certify_zero``: it clears all denominators and radical offsets by a
+monomial that is nonvanishing wherever the expression is defined, so a
+surviving zero certifies the identity; a ``False`` only means "not
+proven", never "nonzero".  The sampled one is ``is_identically_zero``: it
+normalizes, tries the certificate, and only then evaluates at seeded
+points of a caller-supplied box.  A point where the expression has a pole
+or a non-finite value is inadmissible and is redrawn.  Forms, the suites
+and the tube pipeline call these two and decide nothing themselves.
 
 Reality tags drive conjugation: ``real``/``positive_real`` variables are
 fixed, ``imaginary`` ones negate, ``unit_modulus`` ones invert, and
@@ -28,6 +31,7 @@ fixed, ``imaginary`` ones negate, ``unit_modulus`` ones invert, and
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import sys
@@ -1256,9 +1260,12 @@ def evaluate(e: Expr, point: Mapping, check: bool = True) -> complex:
 
 def _eval(e: Expr, point: Mapping[str, complex]) -> complex:
     try:
-        return _eval_tree(e, point)
+        value = _eval_tree(e, point)
     except OverflowError as exc:
         raise DomainEvalError(f"value outside the floating-point range ({exc})") from None
+    if not cmath.isfinite(value):
+        raise DomainEvalError(f"non-finite value {value}")
+    return value
 
 
 def _eval_tree(e: Expr, point: Mapping[str, complex]) -> complex:
@@ -1298,8 +1305,6 @@ Box = Mapping[str, tuple]
 
 def sample_point(variables: Iterable[Variable], box: Box, rng: random.Random) -> dict:
     """Draw one tag-respecting point; unit-modulus intervals are angles."""
-    import cmath
-
     point: dict[str, complex] = {}
     ordered = sorted(variables, key=lambda v: v.name)
     for v in ordered:
@@ -1331,16 +1336,20 @@ def _eval_with_scale(e_norm: Expr, point: Mapping[str, complex]) -> tuple:
         z = _eval(t, point)
         total += z
         scale += abs(z)
+    if not math.isfinite(scale):
+        raise DomainEvalError("non-finite sum of terms")
     return total, scale
 
 
 def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,
                         tol: float = 1e-9) -> bool:
-    """Randomized zero test: True iff |e| < tol*(1+scale) at all sampled points.
+    """Zero test: True if ``certify_zero`` proves the normal form zero, else
+    True iff |e| <= tol*(1+scale) at all sampled points.
 
-    Deterministic for a fixed seed.  Sample points that hit singularities are
-    redrawn; if no admissible point is found the test is inconclusive and
-    raises ``ZeroTestInconclusiveError``.
+    Deterministic for a fixed seed.  Sample points with a pole or a
+    non-finite value are redrawn; if too few admissible points are found
+    the test is inconclusive and raises ``ZeroTestInconclusiveError``.  A
+    NaN ``tol`` accepts no point.
     """
     n = normalize(e)
     if n == ZERO or certify_zero(n):
@@ -1358,7 +1367,7 @@ def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,
         except DomainEvalError:
             continue
         successes += 1
-        if abs(val) > tol * (1.0 + scale):
+        if not abs(val) <= tol * (1.0 + scale):
             return False
     if successes == 0:
         raise ZeroTestInconclusiveError(

@@ -11,8 +11,12 @@ reporting the flatness/connection obstruction carried by the final
 normalized coefficient on the reference section (u=1, a=1, b=0, lam=0).
 
 All heavy identities are verified as exterior-algebra identities after
-the basis rewriting, with structural certification where the radical
-arithmetic allows it and seeded numeric sampling otherwise.
+the basis rewriting.  Every zero question goes through one method,
+``TubeModel.vanishes``, which hands a scalar to the kernel's
+``is_identically_zero`` and a form to ``FormExpr.vanishes`` (certificate
+first, seeded sampling on the model's box otherwise) and turns an
+undecided test into ``INCONCLUSIVE``.  The defining function is read
+once, by ``_rho_over_base``, which refuses variables other than t1, t2.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +38,6 @@ from .scalars import (
     VariableTable,
     ZERO,
     ZeroTestInconclusiveError,
-    certify_zero,
     conjugate,
     differentiate,
     evaluate,
@@ -119,9 +123,16 @@ class TubeModel:
         merged.update(self.box)
         return merged
 
-    def zero_test(self, e: Expr, label: str = "", seed_shift: int = 0) -> bool:
-        return is_identically_zero(e, self.zero_test_box, trials=self.trials,
-                                   seed=self.seed + seed_shift, tol=self.tol)
+    def vanishes(self, x: Expr | FormExpr, seed_shift: int):
+        """The sampled zero verdict on ``zero_test_box`` for a scalar or a
+        form: True, False, or ``INCONCLUSIVE`` when the kernel's zero test
+        cannot decide."""
+        test = x.vanishes if isinstance(x, FormExpr) else partial(is_identically_zero, x)
+        try:
+            return test(self.zero_test_box, trials=self.trials,
+                        seed=self.seed + seed_shift, tol=self.tol)
+        except ZeroTestInconclusiveError:
+            return INCONCLUSIVE
 
     def levi_rank(self, points, tol: float = 1e-10):
         return hessian_rank_report(self.derivs, points, tol)
@@ -162,12 +173,7 @@ def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
     """
     laps = _Laps()
     table = _tube_table()
-    if isinstance(rho, str):
-        rho_expr = parse(rho, _restricted_view(table, ("t1", "t2")))
-        rho_expr = _rebind(rho_expr, table)
-    else:
-        rho_expr = lift(rho)
-        rho_expr = _rebind(rho_expr, table)
+    rho_expr = _rho_over_base(rho)
     try:
         derivs = _derivative_cache(rho_expr, table)
     except DomainEvalError:
@@ -180,40 +186,33 @@ def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
                       trials=trials, seed=seed, tol=tol, derivs=derivs,
                       check_timing_s=laps.laps)
 
-    residual = ma_residual(model.derivs)
-    try:
-        if not model.zero_test(residual, seed_shift=11):
-            raise TubeHypothesisError(
-                "monge_ampere", "rho11*rho22 - rho12^2 does not vanish on the box")
-    except ZeroTestInconclusiveError as exc:
-        raise TubeHypothesisError("monge_ampere", f"inconclusive: {exc}")
+    undecided = "inconclusive: the sampled zero test cannot decide on the box"
+    verdict = model.vanishes(ma_residual(model.derivs), seed_shift=11)
+    if verdict is not True:
+        raise TubeHypothesisError("monge_ampere", undecided if verdict is INCONCLUSIVE
+                                  else "rho11*rho22 - rho12^2 does not vanish on the box")
     laps.lap("monge_ampere")
 
     _check_positivity(model)
     laps.lap("positivity")
 
-    try:
-        s_vanishes = model.zero_test(model.d("S"), seed_shift=23)
-    except ZeroTestInconclusiveError as exc:
-        raise TubeHypothesisError("twonondegenerate", f"inconclusive: {exc}")
-    if s_vanishes:
-        raise TubeHypothesisError(
-            "twonondegenerate", "S = (rho12/rho11)_1 is identically zero")
+    verdict = model.vanishes(model.d("S"), seed_shift=23)
+    if verdict is not False:
+        raise TubeHypothesisError("twonondegenerate", undecided if verdict is INCONCLUSIVE
+                                  else "S = (rho12/rho11)_1 is identically zero")
     laps.lap("twonondegenerate")
     return model
 
 
-def _restricted_view(table: VariableTable, names) -> VariableTable:
-    view = VariableTable()
-    for n in names:
-        view._vars[n] = table[n]
-    return view
-
-
-def _rebind(e: Expr, table: VariableTable) -> Expr:
-    for v in sorted({v.name for v in free_variables(e)}):
-        if v not in table:
-            raise ExprError(f"defining function uses unexpected variable {v}")
+def _rho_over_base(rho) -> Expr:
+    """The defining function as an expression over the real t1, t2: text is
+    parsed over those two, and any other variable is refused."""
+    base = VariableTable()
+    base.real("t1", "t2")
+    e = parse(rho, base) if isinstance(rho, str) else lift(rho)
+    allowed = set(base.variables())
+    for name in sorted(v.name for v in free_variables(e) if v not in allowed):
+        raise ExprError(f"defining function uses unexpected variable {name}")
     return e
 
 
@@ -264,8 +263,7 @@ def ma_profile_solution(g_text: str, box: dict | None = None) -> Expr:
     residual = ma_residual(derivs)
     test_box = {"t1": (0.5, 1.0), "t2": (0.5, 1.0)}
     test_box.update(box or {})
-    if not (certify_zero(residual)
-            or is_identically_zero(residual, test_box, trials=16, seed=3)):
+    if not is_identically_zero(residual, test_box, trials=16, seed=3):
         raise ExprError("profile construction produced a nonzero residual; "
                         "this is a bug in the generator")
     return rho
@@ -309,10 +307,7 @@ def hessian_rank_report(derivs: dict, points, tol: float = 1e-10) -> list:
 def levi_rank_numeric(rho, box: dict, points=None, tol: float = 1e-10,
                       seed: int = 0) -> list:
     """Levi rank report for a raw defining function (no hypothesis gate)."""
-    table = _tube_table()
-    if isinstance(rho, str):
-        rho = parse(rho, _restricted_view(table, ("t1", "t2")))
-    derivs = _derivative_cache(lift(rho), table)
+    derivs = _derivative_cache(_rho_over_base(rho), _tube_table())
     if points is None:
         rng = random.Random(seed)
         points = [(rng.uniform(*box["t1"]), rng.uniform(*box["t2"]))
@@ -444,15 +439,6 @@ def _base_substitution(model: TubeModel, frame: Chart) -> dict:
     return sub
 
 
-def _form_vanishes(model: TubeModel, form: FormExpr, seed_shift: int):
-    """True or False, or ``INCONCLUSIVE`` when the zero test cannot decide."""
-    try:
-        return form.vanishes(model.zero_test_box, trials=model.trials,
-                             seed=model.seed + seed_shift, tol=model.tol)
-    except ZeroTestInconclusiveError:
-        return INCONCLUSIVE
-
-
 def build_coframe(model: TubeModel) -> TubeCoframe:
     """Construct and verify the adapted coframe.
 
@@ -480,7 +466,7 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     for name in ("omega", "omega1", "theta2", "phi2"):
         image = forms[name].rewrite(sub, frame)
         record(f"substitution inverts {name}",
-               _form_vanishes(model, image - frame.gen(name), seed_shift=31))
+               model.vanishes(image - frame.gen(name), seed_shift=31))
 
     lam = Var(model.table["lam"])
     g = frame.gen
@@ -490,7 +476,7 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     first = (domega + g("omega1").wedge(g("omega1c"))
              + g("omega").wedge(g("phi2") + g("phi2c")))
     record("contact form structure identity",
-           _form_vanishes(model, first, seed_shift=37))
+           model.vanishes(first, seed_shift=37))
 
     # second structure identity, solved for the fiber correction form
     domega1 = forms["omega1"].d().rewrite(sub, frame)
@@ -499,7 +485,7 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
                + g("omega").wedge(g("dbc"))
                + g("omega").wedge(g("omega1")).scale(lam * HALF))
     record("coframe structure identity holds modulo the contact form",
-           _form_vanishes(model, residue.reduce_mod(["omega"]), seed_shift=41))
+           model.vanishes(residue.reduce_mod(["omega"]), seed_shift=41))
     sigma = frame.zero(1)
     for gen in frame.generators:
         if gen.name == "omega":
@@ -508,15 +494,14 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
         if coeff != ZERO:
             sigma = sigma - frame.gen(gen.name).scale(coeff)
     record("fiber correction reconstructs the identity",
-           _form_vanishes(model,
-                          residue + g("omega").wedge(sigma), seed_shift=43))
+           model.vanishes(residue + g("omega").wedge(sigma), seed_shift=43))
     stray = sigma.generators_present() & {"db", "dbc", "dlam"}
     record("fiber correction uses only coframe covectors", not stray,
            f"unexpected covectors {sorted(stray)}")
     sigma_at_b0 = sigma.substitute_scalars(
         {model.table["b"]: ZERO, model.table["bb"]: ZERO})
     record("fiber correction vanishes at b=0",
-           _form_vanishes(model, sigma_at_b0, seed_shift=47))
+           model.vanishes(sigma_at_b0, seed_shift=47))
 
     # final substitution: express the fiber differentials through the
     # connection forms (db_conj = phi1 - (lam/2) omega1 - sigma)
@@ -629,14 +614,9 @@ def curvature_coefficients(cf: TubeCoframe) -> CurvatureVerdict:
     tilde0 = tilde.substitute_scalars(gamma0_bindings(table))
     final = tilde0.coefficient(("theta2", "omega1"))
 
-    t_box = {k: v for k, v in model.box.items()}
     zero_test_start = time.monotonic()
-    try:
-        zero = is_identically_zero(final, t_box, trials=model.trials,
-                                   seed=model.seed + 53, tol=model.tol)
-        state = "zero" if zero else "nonzero"
-    except ZeroTestInconclusiveError:
-        state = "inconclusive"
+    verdict = model.vanishes(final, seed_shift=53)
+    state = {True: "zero", False: "nonzero"}.get(verdict, "inconclusive")
     zero_test_s = time.monotonic() - zero_test_start
     return CurvatureVerdict(
         theta2_2bar1=theta2_2bar1,

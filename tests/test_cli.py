@@ -4,6 +4,7 @@ module-level reports."""
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,13 @@ def test_usage_error_exit_code():
 def test_bad_box_exit_code():
     result = run_cli("tube", "analyze", "--rho", "t1^2/t2", "--box", "t1=1:0")
     assert result.returncode == 2
+    # a non-finite bound or tolerance turns every comparison into "zero"
+    for box, tol in (("t1=0.1:inf,t2=0.1:1", "1e-8"), ("t1=0.1:1,t2=0.1:1", "nan"),
+                     ("t1=0.1:1,t2=0.1:1", "inf")):
+        result = run_cli("tube", "analyze", "--rho", "t1^2+t2^2", "--box", box,
+                         "--tol", tol)
+        assert result.returncode == 2, (box, tol)
+        assert result.stderr.startswith("error:")
 
 
 def test_expr_eval_and_diff():
@@ -120,11 +128,13 @@ def test_expr_diff_coefficient_past_print_limit_is_inconclusive():
 
 
 def test_expr_eval_overflow_is_an_input_error():
-    result = run_cli("expr", "eval", "--expr", "2^(1/2)*(10^400)^(1/2)",
-                     "--at", "t1=1")
-    assert result.returncode == 2
-    assert result.stderr.startswith("error:")
-    assert "Traceback" not in result.stderr
+    # the second value overflows to inf without an OverflowError
+    for text, at in (("2^(1/2)*(10^400)^(1/2)", "t1=1"),
+                     ("100*t1^307", "t1=10.005")):
+        result = run_cli("expr", "eval", "--expr", text, "--at", at)
+        assert result.returncode == 2, text
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
 
 
 def test_expr_zero_subcommand():
@@ -137,10 +147,12 @@ def test_expr_zero_subcommand():
 
 
 def test_expr_zero_inconclusive_exit_code():
-    # the box lies entirely inside the singular locus of the expression
-    result = run_cli("expr", "zero", "--expr", "sqrt(t1-2)",
-                     "--box", "t1=0.1:1,t2=0.1:1", "--trials", "4")
-    assert result.returncode == 3
+    # the box lies entirely inside the singular locus of the expression;
+    # 100*t1^307 is inf on its whole box, and a non-finite point is no zero
+    for text, box in (("sqrt(t1-2)", "t1=0.1:1,t2=0.1:1"),
+                      ("100*t1^307", "t1=10:10.01")):
+        result = run_cli("expr", "zero", "--expr", text, "--box", box, "--trials", "4")
+        assert result.returncode == 3, text
 
 
 def test_out_file_option(tmp_path):
@@ -199,6 +211,9 @@ def test_parse_box_helper():
         cli.parse_box("t1=3:1")
     with pytest.raises(ValueError):
         cli.parse_box("")
+    for text in ("t1=0:inf", "t1=-inf:0", "t1=0:1e400"):
+        with pytest.raises(ValueError):
+            cli.parse_box(text)
 
 
 def test_parse_declarations_helper():
@@ -211,13 +226,20 @@ _GRAMMAR_PIECES = ("t1", "t2", "x", "i", "sqrt(", "0", "1", "2", "9", ".5",
                    "+", "-", "*", "/", "^", "(", ")", ",", " ", "/\\", "@", "\\")
 
 
+_NUMBERS = (1e-9, 0.0, -1.0, math.nan, math.inf, -math.inf)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(text=st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=14).map("".join),
-       command=st.sampled_from(("eval", "diff", "zero")))
-def test_expr_commands_end_with_a_contract_exit_code(text, command):
+       command=st.sampled_from(("eval", "diff", "zero")),
+       tol=st.sampled_from(_NUMBERS), bound=st.sampled_from(_NUMBERS))
+def test_expr_commands_end_with_a_contract_exit_code(text, command, tol, bound):
     extra = {"eval": ["--at", "t1=0.3,t2=0.7"], "diff": ["--by", "t1"],
-             "zero": ["--box", "t1=0.1:1,t2=0.1:1", "--trials", "4"]}[command]
+             "zero": ["--box", f"t1={bound}:1,t2=0.1:1", "--trials", "4",
+                      "--tol", str(tol)]}[command]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["expr", command, f"--expr={text}", *extra])
     assert code in (0, 1, 2, 3)
+    if command == "zero" and not (math.isfinite(tol) and math.isfinite(bound)):
+        assert code == 2

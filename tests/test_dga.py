@@ -32,7 +32,7 @@ def test_flat_opaque_chart_has_d_squared_zero():
 def test_expanded_second_curvature_is_imaginary(expanded):
     phi2 = expanded.curvature["Phi2"]
     real_part = phi2 + phi2.conj()
-    assert real_part.is_structurally_zero() or real_part.certify_zero()
+    assert real_part.certify_zero()
 
 
 def test_expanded_curvature_contains_half_torsion_term(expanded):
@@ -121,7 +121,7 @@ def test_equivariance_trivial_parameters(expanded):
     hat = dga.hatted_curvature(expanded, zero, zero)
     for name in ("Theta2", "Phi1", "Phi2", "Psi"):
         diff = hat[name] - expanded.curvature[name]
-        assert diff.is_structurally_zero() or diff.certify_zero()
+        assert diff.certify_zero()
 
 
 def test_hat_basis_sub_inverts_hat_forms(expanded):
@@ -131,7 +131,7 @@ def test_hat_basis_sub_inverts_hat_forms(expanded):
     for name, image in zip(dga.COFRAME, hats):
         back = image.rewrite(sub, expanded.chart)
         diff = back - expanded.gen(name)
-        assert diff.is_structurally_zero() or diff.certify_zero()
+        assert diff.certify_zero()
 
 
 def test_psi_mixing_includes_quadratic_terms(expanded):
@@ -146,13 +146,13 @@ def test_psi_mixing_includes_quadratic_terms(expanded):
                + cv["Phi1"].scale(B) - cv["Phi1"].conj().scale(Bb)
                - cv["Phi2"].scale(B * Bb))
     ok = (hat["Psi"] - correct)
-    assert ok.is_structurally_zero() or ok.certify_zero()
+    assert ok.certify_zero()
     missing_quadratic = correct - cv["Theta2"].scale(B * B / 2)
     bad = hat["Psi"] - missing_quadratic
-    assert not (bad.is_structurally_zero() or bad.certify_zero())
+    assert not bad.certify_zero()
     missing_modulus = correct + cv["Phi2"].scale(B * Bb)
     bad2 = hat["Psi"] - missing_modulus
-    assert not (bad2.is_structurally_zero() or bad2.certify_zero())
+    assert not bad2.certify_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_conjugated_mixing_identity_holds_as_form(expanded):
     identity = hat["Phi1"] - (cv["Phi1"] + cv["Theta2"].scale(B)
                               - cv["Phi2"].scale(Bb))
     flipped = identity.conj()
-    assert flipped.is_structurally_zero() or flipped.certify_zero()
+    assert flipped.certify_zero()
 
 
 def test_expanded_torsion_vanishes_mod_contact_ideal(expanded):

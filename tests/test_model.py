@@ -215,7 +215,7 @@ def test_model_torsion_form_vanishes_identically(chart):
     g = chart.gen
     torsion = (g("theta2").d() + g("theta2").wedge(g("phi2") - g("phi2c"))
                - g("theta1").wedge(g("phi1")))
-    assert torsion.is_structurally_zero()
+    assert torsion.is_zero
     for word in (("theta2", "theta1c"), ("theta1", "theta1c")):
         assert is_zero_expr(torsion.coefficient(word))
 

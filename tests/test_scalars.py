@@ -373,8 +373,7 @@ def test_conjugation_is_involutive_antihomomorphism():
             involution = conjugate(conjugate(e1)) - normalize(e1)
             product_rule = conjugate(e1 * e2) - conjugate(e1) * conjugate(e2)
             sum_rule = conjugate(e1 + e2) - (conjugate(e1) + conjugate(e2))
-            product_ok = certify_zero(product_rule) or is_identically_zero(
-                product_rule, box, trials=4, seed=11)
+            product_ok = is_identically_zero(product_rule, box, trials=4, seed=11)
         except DomainEvalError:
             continue  # tree contains a literal division by zero
         assert is_zero_expr(involution)

@@ -153,6 +153,21 @@ def test_levi_rank_two_for_elliptic_paraboloid():
     assert report[0]["eigenvalues"] == pytest.approx([2.0, 2.0])
 
 
+def test_defining_function_over_foreign_variables_is_refused():
+    # x is not a tube coordinate, and u is a fiber coordinate, not a base one
+    table = VariableTable()
+    x, t1, t2 = (Var(v) for v in table.real("x", "t1", "t2"))
+    u, = (Var(v) for v in table.positive("u"))
+    box = {"t1": (0.5, 1), "t2": (0.5, 1)}
+    for rho, name in ((x ** 2 + t1, "x"), (t1 ** 2 / t2 + u, "u")):
+        for build in (tube.levi_rank_numeric, tube.tube_from_rho):
+            with pytest.raises(scalars.ExprError, match=f"unexpected variable {name}"):
+                build(rho, box)
+    # the same function over t1 and t2 alone is accepted by both
+    assert tube.levi_rank_numeric(t1 ** 2 / t2, box)[0]["rank"] == 1
+    assert tube.tube_from_rho(t1 ** 2 / t2, box).d("rho11") != ZERO
+
+
 def test_levi_rank_matches_eigen_oracle(paper_model):
     # oracle: numpy eigenvalue solve on the directly evaluated Hessian
     import numpy as np
@@ -250,23 +265,21 @@ def test_normalization_shift_kills_coefficient(paper_model, paper_verdict):
                          {bb: Var(bb) - paper_verdict.c},
                          check=False)
     on_section = tube.restrict_to_section(shifted, table)
-    assert certify_zero(on_section) or is_identically_zero(
-        on_section, paper_model.zero_test_box, trials=16, seed=13, tol=1e-8)
+    assert is_identically_zero(on_section, paper_model.zero_test_box, trials=16,
+                               seed=13, tol=1e-8)
 
 
 def test_final_coefficient_matches_printed_value(paper_model, paper_verdict):
     closed = tube.paper_example_final_closed_form(paper_model)
     diff = normalize(paper_verdict.theta2_21_final - closed)
-    assert certify_zero(diff) or is_identically_zero(
-        diff, BOX, trials=32, seed=0, tol=1e-8)
+    assert is_identically_zero(diff, BOX, trials=32, seed=0, tol=1e-8)
 
 
 def test_final_coefficient_matches_direct_route(paper_model, paper_verdict):
     # oracle: the independent scalar-calculus route (no exterior algebra)
     direct = tube.direct_final_coefficient(paper_model)
     diff = normalize(paper_verdict.theta2_21_final - direct)
-    assert certify_zero(diff) or is_identically_zero(
-        diff, BOX, trials=32, seed=1, tol=1e-8)
+    assert is_identically_zero(diff, BOX, trials=32, seed=1, tol=1e-8)
 
 
 def test_paper_example_verdict(paper_verdict):
@@ -282,8 +295,7 @@ def test_homogeneous_example_final_zero(homog_model):
     assert not verdict.cartan_obstruction
     assert verdict.flatness == "necessary_condition_passed"
     direct = tube.direct_final_coefficient(homog_model)
-    assert certify_zero(direct) or is_identically_zero(
-        direct, HOMOG_BOX, trials=16, seed=2, tol=1e-8)
+    assert is_identically_zero(direct, HOMOG_BOX, trials=16, seed=2, tol=1e-8)
 
 
 def test_flatness_probe_branches(paper_verdict):
