@@ -121,10 +121,18 @@ def _cmd_dga_verify(args) -> int:
     return _emit(report, args)
 
 
-def _cmd_tube_analyze(args) -> int:
-    box = parse_box(args.box)
+def _tube_box(text: str | None, default: tuple | None = None) -> dict:
+    """The box of a tube command: ``--box``, or ``default`` for both t1
+    and t2 when there is one and ``--box`` is absent or empty; it must
+    cover t1 and t2."""
+    box = {"t1": default, "t2": default} if default and not text else parse_box(text)
     if "t1" not in box or "t2" not in box:
         raise ValueError("box must cover t1 and t2")
+    return box
+
+
+def _cmd_tube_analyze(args) -> int:
+    box = _tube_box(args.box)
     report = tube.analyze(args.rho, box, trials=args.trials, seed=args.seed,
                           tol=args.tol)
     report.config["tool_version"] = __version__
@@ -133,8 +141,7 @@ def _cmd_tube_analyze(args) -> int:
 
 
 def _cmd_tube_paper_example(args) -> int:
-    box = parse_box(args.box) if args.box else {"t1": (0.02, 0.08),
-                                                "t2": (0.02, 0.08)}
+    box = _tube_box(args.box, (0.02, 0.08))
     report = tube.analyze(tube.paper_example_rho(), box, trials=args.trials,
                           seed=args.seed, tol=args.tol)
     report.config["tool_version"] = __version__
@@ -143,9 +150,8 @@ def _cmd_tube_paper_example(args) -> int:
 
 
 def _cmd_tube_profile(args) -> int:
+    box = _tube_box(args.box, (0.5, 1.0))
     rho = tube.ma_profile_solution(args.g)
-    box = parse_box(args.box) if args.box else {"t1": (0.5, 1.0),
-                                                "t2": (0.5, 1.0)}
     report = tube.analyze(rho, box, trials=args.trials, seed=args.seed,
                           tol=args.tol)
     report.config["tool_version"] = __version__

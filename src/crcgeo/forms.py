@@ -418,7 +418,7 @@ class FormExpr:
         if target is None:
             some = next(iter(sub.values()), None)
             target = some.chart if some is not None else chart
-        out = target.zero(self.degree)
+        acc: dict[tuple, Expr] = {}
         for word, coeff in self.terms.items():
             c = substitute(coeff, scalar_sub) if scalar_sub else coeff
             piece = target.scalar(c)
@@ -435,8 +435,9 @@ class FormExpr:
                     ok = False
                     break
             if ok:
-                out = out + piece
-        return out
+                for w, c in piece.terms.items():
+                    acc[w] = acc.get(w, ZERO) + c
+        return FormExpr(target, self.degree, acc)
 
     def substitute_scalars(self, bindings: Mapping[Variable, Expr],
                            check: bool = True) -> "FormExpr":

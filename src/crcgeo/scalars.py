@@ -35,6 +35,7 @@ import cmath
 import math
 import random
 import sys
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -270,16 +271,14 @@ NumberLike = Union[int, Fraction, QC, "Expr"]
 class Expr:
     """Immutable symbolic expression node, hash-consed.
 
-    Every node is interned in ``_INTERN`` when it is built, so building a
-    node structurally equal to a live one returns that same object and
-    equality is an identity test.  Structural comparison remains as the
-    fallback for nodes that outlive a ``clear_caches()``, which empties the
-    table.  A node carries its hash and, once it has served as a
-    monomial atom, its sort key.
+    Every node is built through the weak intern table ``_INTERN``, so while
+    a node is alive, building a structurally equal one returns that same
+    object.  Equality and hashing are therefore ``object``'s identity
+    tests, which run in C.  A node caches its sort key once it has served
+    as a monomial atom.
     """
 
-    __slots__ = ("_h", "_skey")
-    _fields: tuple = ()
+    __slots__ = ("__weakref__", "_skey")
 
     def __add__(self, other: NumberLike) -> "Expr":
         return Add((self, lift(other)))
@@ -311,24 +310,16 @@ class Expr:
     def __pow__(self, e) -> "Expr":
         return Pow(self, Fraction(e))
 
-    def __hash__(self):
-        return self._h
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self) or other._h != self._h:
-            return False
-        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+# Structure key -> live node.  A key holds the node's children, which are
+# canonical because they are alive, so key equality is structural equality.
+# An entry leaves the table when its node dies, never on ``clear_caches()``.
+_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-_INTERN: dict = {}
-
-
-def _interned(cls, key, h: int):
+def _interned(cls, key):
     """A fresh node of ``cls`` registered under ``key`` (fields unset)."""
     node = object.__new__(cls)
-    node._h = h
     node._skey = None
     _INTERN[key] = node
     return node
@@ -336,13 +327,12 @@ def _interned(cls, key, h: int):
 
 class Const(Expr):
     __slots__ = ("value", "_complex")
-    _fields = ("value",)
 
     def __new__(cls, value: QC):
         key = ("C", value.re, value.im)
         node = _INTERN.get(key)
         if node is None:
-            node = _interned(cls, key, hash(key))
+            node = _interned(cls, key)
             node.value = value
             node._complex = None
         return node
@@ -353,13 +343,12 @@ class Const(Expr):
 
 class Var(Expr):
     __slots__ = ("var",)
-    _fields = ("var",)
 
     def __new__(cls, var: Variable):
         key = ("V", var)
         node = _INTERN.get(key)
         if node is None:
-            node = _interned(cls, key, hash(("V", var.name)))
+            node = _interned(cls, key)
             node.var = var
         return node
 
@@ -369,13 +358,12 @@ class Var(Expr):
 
 class Add(Expr):
     __slots__ = ("terms",)
-    _fields = ("terms",)
 
     def __new__(cls, terms: tuple):
         key = ("A", terms)
         node = _INTERN.get(key)
         if node is None:
-            node = _interned(cls, key, hash(key))
+            node = _interned(cls, key)
             node.terms = terms
         return node
 
@@ -385,13 +373,12 @@ class Add(Expr):
 
 class Mul(Expr):
     __slots__ = ("factors",)
-    _fields = ("factors",)
 
     def __new__(cls, factors: tuple):
         key = ("M", factors)
         node = _INTERN.get(key)
         if node is None:
-            node = _interned(cls, key, hash(key))
+            node = _interned(cls, key)
             node.factors = factors
         return node
 
@@ -401,7 +388,6 @@ class Mul(Expr):
 
 class Pow(Expr):
     __slots__ = ("base", "exp")
-    _fields = ("exp", "base")
 
     def __new__(cls, base: Expr, exp):
         if type(exp) is not Fraction:  # also turns a _KeyExp into a Fraction
@@ -409,7 +395,7 @@ class Pow(Expr):
         key = ("P", base, exp)
         node = _INTERN.get(key)
         if node is None:
-            node = _interned(cls, key, hash(key))
+            node = _interned(cls, key)
             node.base = base
             node.exp = exp
         return node
@@ -463,10 +449,10 @@ _EXPS: dict = {}
 
 
 def clear_caches() -> None:
-    """Empty the memos and the intern tables; nodes and normal forms built
-    before stay valid."""
+    """Empty the memos and the key tables.  Live nodes stay interned, with
+    their cached sort keys and complex values."""
     for memo in (_NF_MEMO, _NORM_MEMO, _CONJ_MEMO, _DIFF_MEMO,
-                 _FREEVARS_MEMO, _QUOT_MEMO, _STEP_MEMO, _INTERN,
+                 _FREEVARS_MEMO, _QUOT_MEMO, _STEP_MEMO,
                  _POWS, _PAIRS, _EXPS):
         memo.clear()
 

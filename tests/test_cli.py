@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,10 +19,11 @@ from crcgeo import cli, model
 GOLDEN = Path(__file__).parent / "golden" / "model_verify.json"
 
 
-def run_cli(*args, timeout=None):
+def run_cli(*args, timeout=None, env=None):
     result = subprocess.run(
         [sys.executable, "-m", "crcgeo.cli", *args],
-        capture_output=True, text=True, timeout=timeout)
+        capture_output=True, text=True, timeout=timeout,
+        env=None if env is None else {**os.environ, **env})
     return result
 
 
@@ -65,8 +67,9 @@ def test_usage_error_exit_code():
 
 
 def test_bad_box_exit_code():
-    result = run_cli("tube", "analyze", "--rho", "t1^2/t2", "--box", "t1=1:0")
-    assert result.returncode == 2
+    for box in ("t1=1:0", ""):
+        result = run_cli("tube", "analyze", "--rho", "t1^2/t2", "--box", box)
+        assert result.returncode == 2, box
     # a non-finite bound or tolerance turns every comparison into "zero"
     for box, tol in (("t1=0.1:inf,t2=0.1:1", "1e-8"), ("t1=0.1:1,t2=0.1:1", "nan"),
                      ("t1=0.1:1,t2=0.1:1", "inf")):
@@ -74,6 +77,14 @@ def test_bad_box_exit_code():
                          "--tol", tol)
         assert result.returncode == 2, (box, tol)
         assert result.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("command", (("analyze", "--rho", "t1^2+t2^2"),
+                                     ("paper-example",), ("profile", "--g", "s^2")))
+def test_tube_box_must_cover_t1_and_t2(command):
+    result = run_cli("tube", *command, "--box", "t1=0.02:0.08", "--trials", "4")
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: box must cover t1 and t2\n"
 
 
 def test_expr_eval_and_diff():
@@ -181,6 +192,18 @@ def test_reports_are_deterministic():
     pa = _strip_timing(json.loads(a.stdout))
     pb = _strip_timing(json.loads(b.stdout))
     assert json.dumps(pa, sort_keys=True) == json.dumps(pb, sort_keys=True)
+
+
+def test_output_does_not_depend_on_the_process():
+    # nodes hash by identity and strings by PYTHONHASHSEED, both of which
+    # change from one interpreter to the next
+    radical = "t2*(1-12*t1*t2)^(-3/4)/(1-(1-12*t1*t2)^(1/2))"
+    for args in (("dga", "verify", "--suite", "cartan"),
+                 ("expr", "diff", "--expr", radical, "--by", "t1")):
+        a, b = (run_cli(*args, "--format", "text", env={"PYTHONHASHSEED": seed})
+                for seed in ("1", "2"))
+        assert a.returncode == b.returncode == 0, args
+        assert a.stdout == b.stdout, args
 
 
 def test_cli_surfaces_module_report_unaltered():

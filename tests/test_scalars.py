@@ -1,5 +1,6 @@
 """Scalar kernel: parsing, normalization, calculus, conjugation, zero tests."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -649,31 +650,37 @@ def test_structurally_equal_constructions_are_one_object():
     assert parse("x*(x+y)^(1/2)", table) is parse("x*(x+y)^(1/2)", table)
 
 
-def test_nodes_built_before_clear_caches_stay_valid():
+def test_live_nodes_stay_interned_across_clear_caches():
     table = VariableTable()
     table.positive("x", "y")
     text = "(x+y)^(1/2)*x - 3*(x^2+y)^(-1) + x*y"
     old = parse(text, table)
     old_text = to_text(old)
+    radicand = parse("x+y", table)
+    assert radicand._skey == (2, "x + y")
     scalars.clear_caches()
-    new = parse(text, table)
-    assert new is not old
-    assert new == old and old == new
-    assert hash(new) == hash(old)
-    assert to_text(new) == old_text
+    assert parse(text, table) is old
+    assert parse("x+y", table) is radicand
+    assert radicand._skey == (2, "x + y")
     assert to_text(old) == old_text
-    assert normalize(old) == normalize(new)
-    assert new != parse("(x+y)^(1/2)*x - 3*(x^2+y)^(-1) + y*x", table)
+    assert parse("(x+y)^(1/2)*x - 3*(x^2+y)^(-1) + y*x", table) is not old
+    for cls in (Const, Var, Add, Mul, Pow):
+        assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
 
 
-def test_clear_caches_empties_intern_table():
+def test_dead_nodes_leave_intern_table():
     table = VariableTable()
-    x = Var(table.real("x")[0])
-    node = Add((x, Const(QC.of(1))))
-    assert scalars._INTERN
+    x = Var(table.real("probe")[0])  # a name no other test builds nodes from
+    one = Const(QC.of(1))
+    key = ("A", (x, one))
+    node = Add((x, one))
+    assert scalars._INTERN[key] is node
     scalars.clear_caches()
-    assert not scalars._INTERN
-    assert Add((x, Const(QC.of(1)))) is not node
+    assert scalars._INTERN[key] is node
+    del node
+    gc.collect()
+    assert key not in scalars._INTERN
+    assert Add((x, one)).terms == (x, one)
 
 
 def test_cached_sort_key_equals_rendered_key():
