@@ -100,12 +100,10 @@ def _emit(report: Report, args) -> int:
 
 
 def _cmd_model_verify(args) -> int:
-    structure = model.verify_structure_equations()
-    adjoint = model.verify_adjoint_transforms()
     report = Report("model verification")
     report.config = {"tool_version": __version__}
-    report.checks = structure.checks + adjoint.checks
-    report.timing_s = (structure.timing_s or 0) + (adjoint.timing_s or 0)
+    report.extend(model.verify_structure_equations())
+    report.extend(model.verify_adjoint_transforms())
     return _emit(report, args)
 
 
@@ -131,32 +129,22 @@ def _tube_box(text: str | None, default: tuple | None = None) -> dict:
     return box
 
 
-def _cmd_tube_analyze(args) -> int:
-    box = _tube_box(args.box)
-    report = tube.analyze(args.rho, box, trials=args.trials, seed=args.seed,
-                          tol=args.tol)
-    report.config["tool_version"] = __version__
-    report.config["rho"] = args.rho
-    return _emit(report, args)
-
-
-def _cmd_tube_paper_example(args) -> int:
-    box = _tube_box(args.box, (0.02, 0.08))
-    report = tube.analyze(tube.paper_example_rho(), box, trials=args.trials,
-                          seed=args.seed, tol=args.tol)
-    report.config["tool_version"] = __version__
-    report.config["rho"] = tube.paper_example_rho()
-    return _emit(report, args)
-
-
-def _cmd_tube_profile(args) -> int:
-    box = _tube_box(args.box, (0.5, 1.0))
-    rho = tube.ma_profile_solution(args.g)
-    report = tube.analyze(rho, box, trials=args.trials, seed=args.seed,
-                          tol=args.tol)
-    report.config["tool_version"] = __version__
-    report.config["g"] = args.g
-    report.config["rho"] = to_text(rho)
+def _cmd_tube(args) -> int:
+    """``tube analyze`` takes rho and a box; ``paper-example`` and
+    ``profile`` (rho = t2*g(t1/t2)) have a default box."""
+    default = {"analyze": None, "paper-example": (0.02, 0.08),
+               "profile": (0.5, 1.0)}[args.tube_command]
+    box = _tube_box(args.box, default)
+    config = {"tool_version": __version__}
+    if args.tube_command == "analyze":
+        rho = args.rho
+    elif args.tube_command == "paper-example":
+        rho = tube.paper_example_rho()
+    else:
+        rho = tube.ma_profile_solution(args.g)
+        config["g"] = args.g
+    report = tube.analyze(rho, box, trials=args.trials, seed=args.seed, tol=args.tol)
+    report.config.update(config, rho=rho if isinstance(rho, str) else to_text(rho))
     return _emit(report, args)
 
 
@@ -262,11 +250,7 @@ def main(argv=None) -> int:
         if args.command == "dga":
             return _cmd_dga_verify(args)
         if args.command == "tube":
-            if args.tube_command == "analyze":
-                return _cmd_tube_analyze(args)
-            if args.tube_command == "paper-example":
-                return _cmd_tube_paper_example(args)
-            return _cmd_tube_profile(args)
+            return _cmd_tube(args)
         return _cmd_expr(args)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

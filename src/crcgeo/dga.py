@@ -22,7 +22,6 @@ scaling relations.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +37,7 @@ from .scalars import (
     normalize,
     to_text,
 )
-from .forms import Chart, FormExpr, g_imaginary, g_pair, g_real
+from .forms import Chart, FormExpr, declare_generators, declare_variables, g_imaginary, g_pair
 from . import model
 from .report import Report
 
@@ -47,18 +46,23 @@ HALF = Fraction(1, 2)
 CORE_GENS = ("omega", "omega1", "omega1c", "theta2", "theta2c",
              "phi1", "phi1c", "phi2", "phi2c", "psi")
 
-# curvature coefficient scalars: (name, conjugate partner) or (name, None)
-# for imaginary ones.  T* are torsion-form coefficients, F2*/F1* belong to
-# the two connection curvatures, P*/Q* are the secondary families, PS* the
-# last curvature row.
-PAIRED_COEFFS = (
-    ("T21", "T21c"), ("T20", "T20c"), ("T10", "T10c"), ("T1b0", "T1b0c"),
-    ("F2_20", "F2_20c"), ("F1_20", "F1_20c"), ("F1_2b0", "F1_2b0c"),
-    ("F1_10", "F1_10c"), ("F1_1b0", "F1_1b0c"),
-    ("P1", "P1c"), ("P2", "P2c"), ("P3", "P3c"),
-    ("Q1", "Q1c"), ("PS20", "PS20c"), ("PS10", "PS10c"),
+# the chart's scalars as (names, kind), in declaration order.  The curvature
+# coefficients (T* torsion-form coefficients, F2*/F1* the two connection
+# curvatures, P*/Q* the secondary families, PS* the last curvature row) and
+# the gauge-shift functions c, f, g, r, s each get a d_ covector of their
+# kind as differential; the isotropy parameters B, Lam, A are constants.
+SCALARS = (
+    *((pair, "pair") for pair in (
+        ("T21", "T21c"), ("T20", "T20c"), ("T10", "T10c"), ("T1b0", "T1b0c"),
+        ("F2_20", "F2_20c"), ("F1_20", "F1_20c"), ("F1_2b0", "F1_2b0c"),
+        ("F1_10", "F1_10c"), ("F1_1b0", "F1_1b0c"),
+        ("P1", "P1c"), ("P2", "P2c"), ("P3", "P3c"),
+        ("Q1", "Q1c"), ("PS20", "PS20c"), ("PS10", "PS10c"))),
+    (("Q3",), "imaginary"),
+    *((pair, "pair") for pair in (("c", "cb"), ("f", "fb"), ("r", "rb"))),
+    (("g", "s"), "real"),
 )
-IMAGINARY_COEFFS = ("Q3",)
+PARAMETERS = ((("B", "Bb"), "pair"), (("Lam",), "imaginary"), (("A", "Ab"), "pair"))
 
 # leading terms and the coefficient families forced to vanish with them
 NECESSITY_STAGE2_ZEROS = frozenset({"T21", "T20", "F2_20", "P1", "P2", "P3"})
@@ -80,32 +84,6 @@ class DgaChart:
     def coframe(self) -> tuple[FormExpr, ...]:
         """The six coframe generators, in the order of ``model.COMPONENTS``."""
         return tuple(self.gen(name) for name in COFRAME)
-
-
-def _declare_scalars(table: VariableTable) -> None:
-    for a, b in PAIRED_COEFFS:
-        table.pair(a, b)
-    table.imaginary(*IMAGINARY_COEFFS)
-    table.pair("c", "cb")
-    table.pair("f", "fb")
-    table.pair("r", "rb")
-    table.real("g", "s")
-    table.pair("B", "Bb")
-    table.imaginary("Lam")
-    table.pair("A", "Ab")
-
-
-def _aux_generators() -> list:
-    gens = []
-    for a, b in PAIRED_COEFFS:
-        gens.extend(g_pair(f"d_{a}", f"d_{b}"))
-    for name in IMAGINARY_COEFFS:
-        gens.append(g_imaginary(f"d_{name}"))
-    for a, b in (("c", "cb"), ("f", "fb"), ("r", "rb")):
-        gens.extend(g_pair(f"d_{a}", f"d_{b}"))
-    gens.append(g_real("d_g"))
-    gens.append(g_real("d_s"))
-    return gens
 
 
 def _expanded_curvature(chart: Chart, zero_coeffs: frozenset) -> dict:
@@ -161,33 +139,31 @@ def _expanded_curvature(chart: Chart, zero_coeffs: frozenset) -> dict:
     return {"Theta2": theta2, "Phi1": phi1, "Phi2": phi2, "Psi": psi}
 
 
-def build_chart(mode: str = "expanded", zero_coeffs=frozenset(),
-                placeholders: dict | None = None) -> DgaChart:
+def build_chart(mode: str = "expanded", zero_coeffs=frozenset()) -> DgaChart:
     """Verification chart with the curvature-solved d-rules installed.
 
     ``expanded`` instantiates the curvature forms over named coefficient
     scalars (optionally with some coefficient families zeroed); ``opaque``
-    uses caller-supplied placeholder 2-forms, all zero by default, in which
-    case every generator passes the d-squared check (flat consistency).
+    uses zero placeholder 2-forms, so every generator passes the d-squared
+    check (flat consistency).
     """
     table = VariableTable()
-    _declare_scalars(table)
     gens = [g_imaginary("omega")]
     for a, b in (("omega1", "omega1c"), ("theta2", "theta2c"),
                  ("phi1", "phi1c"), ("phi2", "phi2c")):
         gens.extend(g_pair(a, b))
     gens.append(g_imaginary("psi"))
-    gens.extend(_aux_generators())
+    for names, kind in SCALARS:
+        declare_variables(table, list(names), kind)
+        gens.extend(declare_generators([f"d_{n}" for n in names], kind))
+    for names, kind in PARAMETERS:
+        declare_variables(table, list(names), kind)
     chart = Chart(table, gens)
 
     if mode == "expanded":
         curv = _expanded_curvature(chart, frozenset(zero_coeffs))
     elif mode == "opaque":
         curv = {name: chart.zero(2) for name in ("Theta2", "Phi1", "Phi2", "Psi")}
-        if placeholders:
-            from .forms import transfer_form
-            for name, form in placeholders.items():
-                curv[name] = form if form.chart is chart else transfer_form(form, chart)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -197,17 +173,8 @@ def build_chart(mode: str = "expanded", zero_coeffs=frozenset(),
         d_rules[name] = d_rules[name] + curv[curv_name]
     placeholder_gens = {name for name, curv_name in _CURV_OF_GEN.items()
                         if not curv[curv_name].is_zero}
-    scalar_rules: dict[str, FormExpr] = {}
-    for a, b in PAIRED_COEFFS:
-        scalar_rules[a] = g(f"d_{a}")
-        scalar_rules[b] = g(f"d_{b}")
-    for name in IMAGINARY_COEFFS:
-        scalar_rules[name] = g(f"d_{name}")
-    for name in ("c", "cb", "f", "fb", "r", "rb", "g", "s"):
-        scalar_rules[name] = g(f"d_{name}")
-    zero1 = chart.zero(1)
-    for name in ("B", "Bb", "Lam", "A", "Ab"):
-        scalar_rules[name] = zero1
+    scalar_rules = {n: g(f"d_{n}") for names, _ in SCALARS for n in names}
+    scalar_rules |= {n: chart.zero(1) for names, _ in PARAMETERS for n in names}
     chart.install_rules(d_rules, scalar_rules, placeholder_gens=placeholder_gens)
     return DgaChart(chart, curv, mode)
 
@@ -284,7 +251,7 @@ def _normalized_coefficient(dc: DgaChart, hat: dict, name: str) -> Expr:
 
 def verify_equivariance(dc: DgaChart | None = None) -> Report:
     """Transformed curvature forms against their closed-form mixing law."""
-    start = time.monotonic()
+    report = Report("curvature equivariance under the unipotent family")
     dc = dc or build_chart("expanded")
     B, Lam = dc.var("B"), dc.var("Lam")
     Bb = conjugate(B)
@@ -292,7 +259,6 @@ def verify_equivariance(dc: DgaChart | None = None) -> Report:
     cv = dc.curvature
     theta2c = cv["Theta2"].conj()
     phi1c = cv["Phi1"].conj()
-    report = Report("curvature equivariance under the unipotent family")
     model.check_identity(report, "torsion unchanged", hat["Theta2"] - cv["Theta2"])
     model.check_identity(report, "second curvature unchanged", hat["Phi2"] - cv["Phi2"])
     model.check_identity(report, "first curvature mixing",
@@ -303,7 +269,6 @@ def verify_equivariance(dc: DgaChart | None = None) -> Report:
                                        - theta2c.scale(Bb * Bb * HALF)
                                        + cv["Phi1"].scale(B) - phi1c.scale(Bb)
                                        - cv["Phi2"].scale(B * Bb)))
-    report.timing_s = time.monotonic() - start
     return report
 
 
@@ -341,9 +306,8 @@ def tilde_basis_sub(dc: DgaChart, gauge: dict) -> dict:
 def verify_gauge_shifts(dc: DgaChart | None = None) -> Report:
     """The five normalization shifts, checked in the fixing order: each
     shift is verified with the previously fixed functions set to zero."""
-    start = time.monotonic()
-    dc = dc or build_chart("expanded")
     report = Report("normalization gauge shifts")
+    dc = dc or build_chart("expanded")
 
     cases = [
         ("torsion (2,1bar) shift", "c", ("theta2", "omega1c"),
@@ -376,7 +340,6 @@ def verify_gauge_shifts(dc: DgaChart | None = None) -> Report:
     for name in ("Theta2", "Phi1", "Phi2", "Psi"):
         model.check_identity(report, f"identity shift fixes {name}",
                              tcurv0[name] - dc.curvature[name])
-    report.timing_s = time.monotonic() - start
     return report
 
 
@@ -457,7 +420,6 @@ def sufficiency_expected(dc: DgaChart) -> dict:
 def verify_cartan_criterion() -> Report:
     """Necessity and sufficiency data for the connection criterion, plus
     the diagonal-family scaling of the curvature forms."""
-    start = time.monotonic()
     report = Report("connection criterion computations")
 
     # necessity stage 1: general curvature coefficients
@@ -507,17 +469,14 @@ def verify_cartan_criterion() -> Report:
     for name, factor in scalings.items():
         model.check_identity(report, f"diagonal scaling: {name}",
                              ccurv[name] - hcurv[name].scale(factor))
-
-    report.timing_s = time.monotonic() - start
     return report
 
 
 def verify_flat_consistency() -> Report:
     """Opaque mode with zero placeholders: d o d vanishes on the whole
     coframe, so the six structure rules are mutually consistent."""
-    start = time.monotonic()
-    dc = build_chart("opaque")
     report = Report("flat-model consistency")
+    dc = build_chart("opaque")
     checked = dc.chart.verify_d_squared()
     for name in CORE_GENS:
         report.add(f"d^2 {name} = 0", name in checked)
@@ -525,5 +484,4 @@ def verify_flat_consistency() -> Report:
     dce = build_chart("expanded")
     phi2 = dce.curvature["Phi2"]
     model.check_identity(report, "second curvature purely imaginary", phi2 + phi2.conj())
-    report.timing_s = time.monotonic() - start
     return report

@@ -135,8 +135,9 @@ class Chart:
     def install_rules(self, d_rules: Mapping[str, "FormExpr"],
                       scalar_rules: Mapping[str, "FormExpr"] | None = None,
                       placeholder_gens: Iterable[str] = (),
-                      autofill_conjugates: bool = True,
                       check: bool = True) -> "Chart":
+        """Install the d-rules and scalar rules once.  A paired generator
+        without a rule gets the conjugate of its partner's."""
         if self._frozen:
             raise ChartError("chart rules already installed")
         for name, rule in d_rules.items():
@@ -152,13 +153,12 @@ class Chart:
                     raise ChartError(f"scalar rule for {vname} must have degree 1")
                 self._scalar_rules[vname] = rule
         self._placeholder_gens = set(placeholder_gens)
-        if autofill_conjugates:
-            for g in self.generators:
-                if (g.kind == GEN_PAIR and g.name not in self._d_rules
-                        and g.partner in self._d_rules):
-                    self._d_rules[g.name] = self._d_rules[g.partner].conj()
-                    if g.partner in self._placeholder_gens:
-                        self._placeholder_gens.add(g.name)
+        for g in self.generators:
+            if (g.kind == GEN_PAIR and g.name not in self._d_rules
+                    and g.partner in self._d_rules):
+                self._d_rules[g.name] = self._d_rules[g.partner].conj()
+                if g.partner in self._placeholder_gens:
+                    self._placeholder_gens.add(g.name)
         self._frozen = True
         if check:
             self.verify_d_squared()
@@ -310,9 +310,6 @@ class FormExpr:
         return (isinstance(other, FormExpr) and self.chart is other.chart
                 and self.degree == other.degree and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((id(self.chart), self.degree, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
     # -- multiplicative structure --------------------------------------------
 
     def wedge(self, other: "FormExpr") -> "FormExpr":
@@ -439,11 +436,9 @@ class FormExpr:
                     acc[w] = acc.get(w, ZERO) + c
         return FormExpr(target, self.degree, acc)
 
-    def substitute_scalars(self, bindings: Mapping[Variable, Expr],
-                           check: bool = True) -> "FormExpr":
+    def substitute_scalars(self, bindings: Mapping[Variable, Expr]) -> "FormExpr":
         return FormExpr(self.chart, self.degree,
-                        {w: substitute(c, bindings, check=check)
-                         for w, c in self.terms.items()})
+                        {w: substitute(c, bindings) for w, c in self.terms.items()})
 
     # -- zero testing ------------------------------------------------------
 
@@ -460,21 +455,6 @@ class FormExpr:
 
     def generators_present(self) -> set:
         return {self.chart.generators[i].name for w in self.terms for i in w}
-
-
-def transfer_form(form: FormExpr, target: Chart) -> FormExpr:
-    """Re-key a form onto another chart by generator name."""
-    terms: dict[tuple, Expr] = {}
-    for word, coeff in form.terms.items():
-        names = form.word_names(word)
-        indices = tuple(target._require_gen(n) for n in names)
-        merged = _merge_word(indices, ())
-        if merged is None:
-            raise ChartError("target chart collapses a word")
-        new_word, sign = merged
-        c = coeff if sign > 0 else coeff * -1
-        terms[new_word] = terms.get(new_word, ZERO) + c
-    return FormExpr(target, form.degree, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +551,7 @@ def load_chart(text: str, check: bool = True) -> Chart:
             if section == "variables":
                 declare_variables(table, names, kind)
             else:
-                gens.extend(_declare_generators(names, kind))
+                gens.extend(declare_generators(names, kind))
         elif section in ("d", "dscalar"):
             if "=" not in line:
                 raise ChartError(f"expected 'name = form' in [{section}]: {line!r}")
@@ -610,7 +590,9 @@ def declare_variables(table: VariableTable, names: list[str], kind: str) -> None
         raise ChartError(f"unknown variable kind {kind!r}")
 
 
-def _declare_generators(names: list[str], kind: str) -> list[Generator]:
+def declare_generators(names: list[str], kind: str) -> list[Generator]:
+    """Generators ``names`` of one kind: ``pair`` (exactly two names),
+    ``real``, ``imaginary`` or ``aux``."""
     if kind == "pair":
         if len(names) != 2:
             raise ChartError("a pair declaration needs exactly two names")

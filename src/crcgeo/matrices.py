@@ -30,10 +30,6 @@ class SMatrix:
     def identity() -> "SMatrix":
         return SMatrix([[1 if i == j else 0 for j in range(N)] for i in range(N)])
 
-    @staticmethod
-    def zero() -> "SMatrix":
-        return SMatrix([[0] * N for _ in range(N)])
-
     def entry(self, i: int, j: int) -> Expr:
         """1-based indexing to match the printed matrices."""
         return self.rows[i - 1][j - 1]
@@ -53,10 +49,6 @@ class SMatrix:
         return SMatrix([[self.rows[i][j] - other.rows[i][j] for j in range(N)]
                         for i in range(N)])
 
-    def scale(self, e) -> "SMatrix":
-        e = lift(e)
-        return SMatrix([[x * e for x in r] for r in self.rows])
-
     def transpose(self) -> "SMatrix":
         return SMatrix([[self.rows[j][i] for j in range(N)] for i in range(N)])
 
@@ -65,12 +57,6 @@ class SMatrix:
 
     def is_zero(self) -> bool:
         return all(is_zero_expr(x) for r in self.rows for x in r)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SMatrix) and (self - other).is_zero()
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def det(self) -> Expr:
         return normalize(_det([list(r) for r in self.rows]))

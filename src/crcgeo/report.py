@@ -4,11 +4,16 @@ A report is a list of named checks, each pass/fail/inconclusive with a
 details mapping.  Aggregation: fail dominates, then inconclusive, then
 pass.  Serialization is deterministic (sorted keys); wall-clock timing is
 carried in a separate field so byte-level comparisons can drop it.
+
+A report is also the only stopwatch: each check is timed from the check
+added before it, or from the creation of the report, so a check's time
+includes the work that led up to it, and the report's time is the sum.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -20,14 +25,12 @@ INCONCLUSIVE = "inconclusive"
 class Check:
     name: str
     status: str
-    details: dict = field(default_factory=dict)
-    timing_s: float | None = None
+    details: dict
+    timing_s: float  # seconds since the check before it in its report
 
     def to_dict(self) -> dict:
-        out = {"name": self.name, "status": self.status, "details": self.details}
-        if self.timing_s is not None:
-            out["timing_s"] = self.timing_s
-        return out
+        return {"name": self.name, "status": self.status, "details": self.details,
+                "timing_s": self.timing_s}
 
 
 @dataclass
@@ -35,16 +38,32 @@ class Report:
     title: str
     checks: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
-    timing_s: float | None = None
+    _lap: float = field(default_factory=time.monotonic, init=False, repr=False,
+                        compare=False)
+
+    def _split(self) -> float:
+        now = time.monotonic()
+        elapsed, self._lap = now - self._lap, now
+        return elapsed
 
     def add(self, name: str, ok, details: dict | None = None) -> Check:
         if isinstance(ok, str):
             status = ok
         else:
             status = PASS if ok else FAIL
-        check = Check(name, status, details or {})
+        check = Check(name, status, details or {}, self._split())
         self.checks.append(check)
         return check
+
+    def extend(self, other: "Report") -> None:
+        """Append another report's checks with their own times; the next
+        check here is timed from now."""
+        self.checks.extend(other.checks)
+        self._split()
+
+    @property
+    def timing_s(self) -> float:
+        return sum(c.timing_s for c in self.checks)
 
     @property
     def overall(self) -> str:
@@ -66,7 +85,7 @@ class Report:
             "checks": checks,
             "overall": self.overall,
         }
-        if include_timing and self.timing_s is not None:
+        if include_timing:
             out["timing_s"] = self.timing_s
         return out
 

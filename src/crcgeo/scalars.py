@@ -1021,7 +1021,10 @@ def is_zero_expr(e: Expr) -> bool:
     return normalize(e) == ZERO
 
 
-def certify_zero(e: Expr, budget: int = 200_000) -> bool:
+_CERTIFY_BUDGET = 200_000  # monomials of the cleared numerator
+
+
+def certify_zero(e: Expr) -> bool:
     """Sound structural zero certificate.
 
     Multiplies by a monomial in the expression's own denominators and
@@ -1045,7 +1048,7 @@ def certify_zero(e: Expr, budget: int = 200_000) -> bool:
     for a, m in clearing.items():
         if _is_sum_atom(a):
             estimate *= max(1, len(_nf(a))) ** min(int(m) + 1, 12)
-        if estimate > budget:
+        if estimate > _CERTIFY_BUDGET:
             return False
     cleared: dict = {}
     for pows, c in nf.items():
@@ -1053,7 +1056,7 @@ def certify_zero(e: Expr, budget: int = 200_000) -> bool:
         for a, m in clearing.items():
             _add_exp(powmap, a, m)
         _nf_add_into(cleared, _fix_monomial(c, powmap))
-        if len(cleared) > budget:
+        if len(cleared) > _CERTIFY_BUDGET:
             return False
     return not cleared
 
@@ -1225,7 +1228,7 @@ def _check_binding(v: Variable, z: complex, point: Mapping[str, complex]) -> Non
             raise RealityViolationError(f"{v.name} and {v.partner} are not conjugate")
 
 
-def evaluate(e: Expr, point: Mapping, check: bool = True) -> complex:
+def evaluate(e: Expr, point: Mapping) -> complex:
     """IEEE double evaluation; fractional powers need positive real bases."""
     by_name: dict[str, complex] = {}
     for k, z in point.items():
@@ -1238,9 +1241,8 @@ def evaluate(e: Expr, point: Mapping, check: bool = True) -> complex:
                 by_name[v.name] = by_name[v.partner].conjugate()
             else:
                 raise DomainEvalError(f"no binding for variable {v.name}")
-    if check:
-        for v in vars_present:
-            _check_binding(v, by_name[v.name], by_name)
+    for v in vars_present:
+        _check_binding(v, by_name[v.name], by_name)
     return _eval(e, by_name)
 
 

@@ -22,7 +22,6 @@ once, by ``_rho_over_base``, which refuses variables other than t1, t2.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
@@ -62,19 +61,6 @@ FIBER_BOX = {"u": (0.6, 1.7), "a": (-3.0, 3.0), "b": (-0.45, 0.45),
 GAMMA0 = {"u": 1, "a": 1, "b": 0, "lam": 0}
 
 
-class _Laps:
-    """Times consecutive checks: each lap runs from the end of the one before."""
-
-    def __init__(self):
-        self.last = time.monotonic()
-        self.laps: dict = {}
-
-    def lap(self, name: str) -> None:
-        now = time.monotonic()
-        self.laps[name] = now - self.last
-        self.last = now
-
-
 class TubeHypothesisError(ExprError):
     def __init__(self, hypothesis: str, message: str):
         super().__init__(f"{hypothesis}: {message}")
@@ -109,10 +95,7 @@ class TubeModel:
     seed: int = 0
     tol: float = 1e-8
     derivs: dict = field(default_factory=dict)
-    check_timing_s: dict = field(default_factory=dict)  # hypothesis -> seconds
-
-    def var(self, name: str) -> Expr:
-        return Var(self.table[name])
+    hypotheses: Report = field(default_factory=lambda: Report("tube hypotheses"))
 
     def d(self, key: str) -> Expr:
         return self.derivs[key]
@@ -168,10 +151,10 @@ def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
     expression over a compatible table).  Raises ``TubeHypothesisError``
     naming the failed hypothesis: the Monge-Ampere equation, positivity of
     rho11, or 2-nondegeneracy (S not identically zero).  Each passed
-    hypothesis is timed in ``check_timing_s``; the first one's time
-    includes parsing and the derivative cache.
+    hypothesis is a check in the model's ``hypotheses`` report; the first
+    one's time includes parsing and the derivative cache.
     """
-    laps = _Laps()
+    hypotheses = Report("tube hypotheses")
     table = _tube_table()
     rho_expr = _rho_over_base(rho)
     try:
@@ -184,23 +167,23 @@ def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
         raise TubeHypothesisError("positivity", "rho11 is identically zero")
     model = TubeModel(table, normalize(rho_expr), dict(box),
                       trials=trials, seed=seed, tol=tol, derivs=derivs,
-                      check_timing_s=laps.laps)
+                      hypotheses=hypotheses)
 
     undecided = "inconclusive: the sampled zero test cannot decide on the box"
     verdict = model.vanishes(ma_residual(model.derivs), seed_shift=11)
     if verdict is not True:
         raise TubeHypothesisError("monge_ampere", undecided if verdict is INCONCLUSIVE
                                   else "rho11*rho22 - rho12^2 does not vanish on the box")
-    laps.lap("monge_ampere")
+    hypotheses.add("hypothesis:monge_ampere", True)
 
     _check_positivity(model)
-    laps.lap("positivity")
+    hypotheses.add("hypothesis:positivity", True)
 
     verdict = model.vanishes(model.d("S"), seed_shift=23)
     if verdict is not False:
         raise TubeHypothesisError("twonondegenerate", undecided if verdict is INCONCLUSIVE
                                   else "S = (rho12/rho11)_1 is identically zero")
-    laps.lap("twonondegenerate")
+    hypotheses.add("hypothesis:twonondegenerate", True)
     return model
 
 
@@ -216,7 +199,8 @@ def _rho_over_base(rho) -> Expr:
     return e
 
 
-def _check_positivity(model: TubeModel, n_points: int = 16) -> None:
+def _check_positivity(model: TubeModel) -> None:
+    n_points = 16
     rng = random.Random(model.seed + 5)
     rho11 = model.d("rho11")
     variables = sorted(free_variables(rho11), key=lambda v: v.name)
@@ -319,10 +303,6 @@ def levi_rank_numeric(rho, box: dict, points=None, tol: float = 1e-10,
 # the adapted coframe
 
 
-T2_GENS = ("omega", "omega1", "omega1c", "theta2", "theta2c",
-           "phi1", "phi1c", "phi2", "phi2c", "dlam")
-
-
 @dataclass
 class TubeCoframe:
     model: TubeModel
@@ -331,8 +311,7 @@ class TubeCoframe:
     forms_ambient: dict       # the six named forms as ambient expressions
     frame_sub: dict           # ambient generator -> frame 1-form
     sigma: FormExpr           # fiber correction 1-form, vanishes at b=0
-    checks: list = field(default_factory=list)
-    check_timing_s: dict = field(default_factory=dict)  # check name -> seconds
+    checks: Report            # the coframe: checks, each timed
 
     def rewrite(self, form: FormExpr) -> FormExpr:
         return form.rewrite(self.frame_sub, self.frame)
@@ -446,19 +425,16 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     structure identities of the coframe, and that the fiber correction
     form extracted from the second identity vanishes at b=0.  An identity
     the zero test cannot decide is recorded as inconclusive, not failed.
-    Each check is timed from the end of the one before it, so its time
-    includes building the forms it verifies.
+    Each check's time includes building the forms it verifies.
     """
-    laps = _Laps()
+    checks = Report("tube coframe")
     ambient = _ambient_chart(model)
     forms = _ambient_forms(model, ambient)
     frame = _frame_chart(model)
     sub = _base_substitution(model, frame)
-    checks: list = []
 
     def record(name: str, ok, detail: str = "") -> None:
-        checks.append((name, ok))
-        laps.lap(name)
+        checks.add(f"coframe:{name}", ok)
         if ok is False:
             raise CoframeVerificationError(name, detail)
 
@@ -509,8 +485,7 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     full_sub["dbc"] = g("phi1") - g("omega1").scale(lam * HALF) - sigma
     full_sub["db"] = full_sub["dbc"].conj()
 
-    return TubeCoframe(model, ambient, frame, forms, full_sub, sigma, checks,
-                       laps.laps)
+    return TubeCoframe(model, ambient, frame, forms, full_sub, sigma, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +501,6 @@ class CurvatureVerdict:
     is_final_zero: str          # "zero" | "nonzero" | "inconclusive"
     cartan_obstruction: bool
     flatness: str               # "not_flat" | "necessary_condition_passed"
-    zero_test_s: float = 0.0    # time spent deciding is_final_zero
 
 
 def gamma0_bindings(table: VariableTable) -> dict:
@@ -614,10 +588,8 @@ def curvature_coefficients(cf: TubeCoframe) -> CurvatureVerdict:
     tilde0 = tilde.substitute_scalars(gamma0_bindings(table))
     final = tilde0.coefficient(("theta2", "omega1"))
 
-    zero_test_start = time.monotonic()
     verdict = model.vanishes(final, seed_shift=53)
     state = {True: "zero", False: "nonzero"}.get(verdict, "inconclusive")
-    zero_test_s = time.monotonic() - zero_test_start
     return CurvatureVerdict(
         theta2_2bar1=theta2_2bar1,
         c=c,
@@ -626,7 +598,6 @@ def curvature_coefficients(cf: TubeCoframe) -> CurvatureVerdict:
         is_final_zero=state,
         cartan_obstruction=(state == "nonzero"),
         flatness="not_flat" if state == "nonzero" else "necessary_condition_passed",
-        zero_test_s=zero_test_s,
     )
 
 
@@ -655,10 +626,11 @@ def flatness_probe(verdict: CurvatureVerdict) -> dict:
 
 
 def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
-            tol: float = 1e-8, levi_points: int = 8) -> Report:
+            tol: float = 1e-8) -> Report:
     """End-to-end tube analysis: hypotheses, Levi rank, coframe identities,
-    curvature coefficients, and the flatness verdict."""
-    start = time.monotonic()
+    curvature coefficients, and the flatness verdict.  Each check is timed
+    from the one before it; the final zero test belongs to the curvature
+    coefficients."""
     report = Report("tube hypersurface analysis")
     report.config = {"trials": trials, "seed": seed, "tol": tol,
                      "box": {k: list(v) for k, v in box.items()}}
@@ -666,33 +638,25 @@ def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
         model = tube_from_rho(rho, box, trials=trials, seed=seed, tol=tol)
     except TubeHypothesisError as exc:
         report.add(f"hypothesis:{exc.hypothesis}", False, {"reason": str(exc)})
-        report.timing_s = time.monotonic() - start
         return report
-    for name in ("monge_ampere", "positivity", "twonondegenerate"):
-        report.add(f"hypothesis:{name}", True).timing_s = model.check_timing_s[name]
+    report.extend(model.hypotheses)
 
-    levi_start = time.monotonic()
     rng = random.Random(seed + 71)
-    pts = [(rng.uniform(*box["t1"]), rng.uniform(*box["t2"]))
-           for _ in range(levi_points)]
+    pts = [(rng.uniform(*box["t1"]), rng.uniform(*box["t2"])) for _ in range(8)]
     levi = model.levi_rank(pts)
     ranks_ok = all(entry["rank"] == 1 for entry in levi)
     report.add("levi rank 1 at sampled points", ranks_ok,
                {"points": len(levi),
                 "max_relative_smallest_eigenvalue":
                     max(e["relative_smallest_eigenvalue"] for e in levi)})
-    report.checks[-1].timing_s = time.monotonic() - levi_start
 
     try:
         cf = build_coframe(model)
     except CoframeVerificationError as exc:
         report.add("coframe construction", False, {"identity": exc.identity})
-        report.timing_s = time.monotonic() - start
         return report
-    for name, ok in cf.checks:
-        report.add(f"coframe:{name}", ok).timing_s = cf.check_timing_s[name]
+    report.extend(cf.checks)
 
-    coeff_start = time.monotonic()
     verdict = curvature_coefficients(cf)
     sample_rng = random.Random(seed + 97)
     samples = []
@@ -712,9 +676,6 @@ def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
         "theta2_21_final": to_text(verdict.theta2_21_final),
         "theta2_21_final_samples": samples,
     })
-    # the final zero test belongs to the verdict, not to the extraction
-    report.checks[-1].timing_s = time.monotonic() - coeff_start - verdict.zero_test_s
-    verdict_start = time.monotonic()
     probe = flatness_probe(verdict)
     status = "pass" if verdict.is_final_zero != "inconclusive" else "inconclusive"
     report.add("flatness verdict", status, {
@@ -723,6 +684,4 @@ def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
         "flatness": verdict.flatness,
         "conclusion": probe["conclusion"],
     })
-    report.checks[-1].timing_s = verdict.zero_test_s + time.monotonic() - verdict_start
-    report.timing_s = time.monotonic() - start
     return report

@@ -64,13 +64,6 @@ def test_opaque_chart_rules_are_the_model_equations():
             fingerprint(reference, rename.get(name, name), {}), name
 
 
-def test_opaque_placeholders_can_be_supplied():
-    base = dga.build_chart("expanded")
-    custom = dga.build_chart("opaque",
-                             placeholders={"Theta2": base.chart.zero(2)})
-    assert custom.curvature["Theta2"].is_zero
-
-
 # ---------------------------------------------------------------------------
 # gauge shifts
 

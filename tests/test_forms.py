@@ -326,6 +326,28 @@ def test_parse_form_rejects_bare_at_sign(chart):
     assert err.value.offset == 6
 
 
+@pytest.mark.parametrize("text, gen, scalar", [
+    ("theta1 / 2", "theta1", lambda B, Bb: Fraction(1, 2)),
+    ("(B*Bb)^2 * theta", "theta", lambda B, Bb: (B * Bb) ** 2),
+    ("2/B*theta1", "theta1", lambda B, Bb: 2 / B),
+])
+def test_parse_form_divides_and_raises_scalars(chart, text, gen, scalar):
+    B, Bb = Var(chart.table["B"]), Var(chart.table["Bb"])
+    assert parse_form(text, chart) == chart.gen(gen).scale(scalar(B, Bb))
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("theta / theta1", "cannot divide by a form", 6),
+    ("theta^2", "powers apply to scalars only", 5),
+    ("B^theta", "exponent must be scalar", 2),
+])
+def test_parse_form_keeps_forms_out_of_division_and_powers(chart, text, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse_form(text, chart)
+    assert message in str(err.value)
+    assert err.value.offset == offset
+
+
 def test_chart_file_zero_rule_declares_constant(chart):
     assert chart.d_scalar(Var(chart.table["Lam"])).is_zero
     closed = load_chart("[generators]\nx : real\n[d]\nx = 0\n")

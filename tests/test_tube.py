@@ -185,10 +185,10 @@ def test_levi_rank_matches_eigen_oracle(paper_model):
 
 
 def test_coframe_checks_all_pass(paper_coframe):
-    assert all(ok for _, ok in paper_coframe.checks)
-    names = [n for n, _ in paper_coframe.checks]
-    assert "contact form structure identity" in names
-    assert "fiber correction vanishes at b=0" in names
+    assert all(c.status == "pass" for c in paper_coframe.checks.checks)
+    names = [c.name for c in paper_coframe.checks.checks]
+    assert "coframe:contact form structure identity" in names
+    assert "coframe:fiber correction vanishes at b=0" in names
 
 
 def test_sigma_has_only_coframe_components(paper_coframe):
