@@ -21,12 +21,11 @@ once, by ``_rho_over_base``, which refuses variables other than t1, t2.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
-
-import numpy as np
 
 from .parsing import parse
 from .scalars import (
@@ -62,16 +61,26 @@ GAMMA0 = {"u": 1, "a": 1, "b": 0, "lam": 0}
 
 
 class TubeHypothesisError(ExprError):
-    def __init__(self, hypothesis: str, message: str):
+    """A failed tube hypothesis.  Raising it records the failure as the
+    last check of ``report``, which holds the hypotheses checked so far."""
+
+    def __init__(self, hypothesis: str, message: str, report: Report):
         super().__init__(f"{hypothesis}: {message}")
         self.hypothesis = hypothesis
+        self.report = report
+        report.add(f"hypothesis:{hypothesis}", False, {"reason": str(self)})
 
 
 class CoframeVerificationError(ExprError):
-    def __init__(self, identity: str, detail: str = ""):
+    """A failed coframe identity; ``report``, when given, holds the coframe
+    checks up to it, the failed one last."""
+
+    def __init__(self, identity: str, detail: str = "",
+                 report: Report | None = None):
         super().__init__(f"coframe identity failed: {identity}" +
                          (f" ({detail})" if detail else ""))
         self.identity = identity
+        self.report = report
 
 
 def _tube_table() -> VariableTable:
@@ -150,9 +159,9 @@ def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
     ``rho`` is an expression string over t1, t2 (or an already-parsed
     expression over a compatible table).  Raises ``TubeHypothesisError``
     naming the failed hypothesis: the Monge-Ampere equation, positivity of
-    rho11, or 2-nondegeneracy (S not identically zero).  Each passed
-    hypothesis is a check in the model's ``hypotheses`` report; the first
-    one's time includes parsing and the derivative cache.
+    rho11, or 2-nondegeneracy (S not identically zero).  Each hypothesis is
+    a check in the model's ``hypotheses`` report, or in the error's when it
+    fails; the first one's time includes parsing and the derivative cache.
     """
     hypotheses = Report("tube hypotheses")
     table = _tube_table()
@@ -164,7 +173,8 @@ def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
         t1 = table["t1"]
         if differentiate(differentiate(rho_expr, t1), t1) != ZERO:
             raise
-        raise TubeHypothesisError("positivity", "rho11 is identically zero")
+        raise TubeHypothesisError("positivity", "rho11 is identically zero",
+                                  hypotheses)
     model = TubeModel(table, normalize(rho_expr), dict(box),
                       trials=trials, seed=seed, tol=tol, derivs=derivs,
                       hypotheses=hypotheses)
@@ -173,7 +183,8 @@ def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
     verdict = model.vanishes(ma_residual(model.derivs), seed_shift=11)
     if verdict is not True:
         raise TubeHypothesisError("monge_ampere", undecided if verdict is INCONCLUSIVE
-                                  else "rho11*rho22 - rho12^2 does not vanish on the box")
+                                  else "rho11*rho22 - rho12^2 does not vanish on the box",
+                                  hypotheses)
     hypotheses.add("hypothesis:monge_ampere", True)
 
     _check_positivity(model)
@@ -182,7 +193,8 @@ def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
     verdict = model.vanishes(model.d("S"), seed_shift=23)
     if verdict is not False:
         raise TubeHypothesisError("twonondegenerate", undecided if verdict is INCONCLUSIVE
-                                  else "S = (rho12/rho11)_1 is identically zero")
+                                  else "S = (rho12/rho11)_1 is identically zero",
+                                  hypotheses)
     hypotheses.add("hypothesis:twonondegenerate", True)
     return model
 
@@ -216,9 +228,11 @@ def _check_positivity(model: TubeModel) -> None:
         found += 1
         if abs(val.imag) > 1e-9 * (1 + abs(val)) or val.real <= 0:
             raise TubeHypothesisError(
-                "positivity", f"rho11 = {val} at {point} is not positive")
+                "positivity", f"rho11 = {val} at {point} is not positive",
+                model.hypotheses)
     if found == 0:
-        raise TubeHypothesisError("positivity", "no admissible sample points")
+        raise TubeHypothesisError("positivity", "no admissible sample points",
+                                  model.hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +271,49 @@ def ma_profile_solution(g_text: str, box: dict | None = None) -> Expr:
 # numeric Levi analysis
 
 
+_EPS = 2.0 ** -53  # LAPACK's relative machine precision for doubles
+
+
+def _symmetric_2x2_eigenvalues(a: float, b: float, c: float) -> tuple:
+    """Ascending eigenvalues of [[a, b], [b, c]] by LAPACK's own route for a
+    2x2 ``dsyevd``: the two deflation tests of ``dsterf``, then ``dlae2`` on
+    sqrt(b*b).  Bit-identical to it while the largest entry has modulus in
+    [2^-405, 2^485] (about [1.5e-122, 1e146]), where LAPACK does not
+    rescale; beyond that the entries are scaled exactly by a power of two,
+    so the result may differ from LAPACK's rescaled one in the last bits."""
+    m = max(abs(a), abs(b), abs(c))
+    if m and not 2.0 ** -405 <= m <= 2.0 ** 485:
+        k = math.frexp(m)[1]
+        lo, hi = _symmetric_2x2_eigenvalues(
+            math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k))
+        return math.ldexp(lo, k), math.ldexp(hi, k)
+    e = b * b
+    if (abs(b) <= math.sqrt(abs(a)) * math.sqrt(abs(c)) * _EPS
+            or e <= _EPS * _EPS * abs(a * c)):
+        return (a, c) if a <= c else (c, a)
+    b = math.sqrt(e)
+    sm, adf, ab = a + c, abs(a - c), abs(b + b)
+    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+    if adf == ab:
+        rt = ab * math.sqrt(2.0)
+    else:
+        big, q = (adf, ab / adf) if adf > ab else (ab, adf / ab)
+        rt = big * math.sqrt(1.0 + q * q)  # q * q: q ** 2 can round apart
+    if sm == 0:
+        return -0.5 * rt, 0.5 * rt
+    rt1 = 0.5 * (sm - rt) if sm < 0 else 0.5 * (sm + rt)
+    rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+    return (rt2, rt1) if rt2 <= rt1 else (rt1, rt2)
+
+
 def hessian_rank_report(derivs: dict, points, tol: float = 1e-10) -> list:
     """Eigenvalues and rank of the defining-function Hessian per point.
 
     The Hessian is the Levi matrix of the tube up to a positive scale, so
-    its rank is the Levi rank.  Rank counts eigenvalues above
-    ``tol * (sum of absolute eigenvalues)``.
+    its rank is the Levi rank.  Its eigenvalues are solved in closed form by
+    ``_symmetric_2x2_eigenvalues``, bit for bit as LAPACK's symmetric
+    eigensolver would for entries of modulus in about [1.5e-122, 1e146].  Rank
+    counts eigenvalues above ``tol * (sum of absolute eigenvalues)``.
     """
     out = []
     for t1v, t2v in points:
@@ -273,15 +324,15 @@ def hessian_rank_report(derivs: dict, points, tol: float = 1e-10) -> list:
             if abs(val.imag) > 1e-9 * (1 + abs(val)):
                 raise DomainEvalError(f"{key} is not real at {point}")
             entries[key] = val.real
-        h = np.array([[entries["rho11"], entries["rho12"]],
-                      [entries["rho12"], entries["rho22"]]])
-        eigs = np.linalg.eigvalsh(h)
-        scale = float(np.sum(np.abs(eigs)))
-        rank = int(np.sum(np.abs(eigs) > tol * scale)) if scale > 0 else 0
-        small = float(min(np.abs(eigs))) / scale if scale > 0 else 0.0
+        eigs = _symmetric_2x2_eigenvalues(
+            entries["rho11"], entries["rho12"], entries["rho22"])
+        sizes = [abs(x) for x in eigs]
+        scale = sum(sizes)
+        rank = sum(x > tol * scale for x in sizes) if scale > 0 else 0
+        small = min(sizes) / scale if scale > 0 else 0.0
         out.append({
             "point": (float(t1v), float(t2v)),
-            "eigenvalues": [float(x) for x in np.sort(eigs)],
+            "eigenvalues": list(eigs),
             "rank": rank,
             "relative_smallest_eigenvalue": small,
         })
@@ -436,7 +487,7 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     def record(name: str, ok, detail: str = "") -> None:
         checks.add(f"coframe:{name}", ok)
         if ok is False:
-            raise CoframeVerificationError(name, detail)
+            raise CoframeVerificationError(name, detail, checks)
 
     # substitution table inverts the coframe definitions
     for name in ("omega", "omega1", "theta2", "phi2"):
@@ -630,14 +681,15 @@ def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
     """End-to-end tube analysis: hypotheses, Levi rank, coframe identities,
     curvature coefficients, and the flatness verdict.  Each check is timed
     from the one before it; the final zero test belongs to the curvature
-    coefficients."""
+    coefficients.  A failed hypothesis or coframe identity ends the report,
+    after the checks made before it."""
     report = Report("tube hypersurface analysis")
     report.config = {"trials": trials, "seed": seed, "tol": tol,
                      "box": {k: list(v) for k, v in box.items()}}
     try:
         model = tube_from_rho(rho, box, trials=trials, seed=seed, tol=tol)
     except TubeHypothesisError as exc:
-        report.add(f"hypothesis:{exc.hypothesis}", False, {"reason": str(exc)})
+        report.extend(exc.report)
         return report
     report.extend(model.hypotheses)
 
@@ -653,6 +705,7 @@ def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
     try:
         cf = build_coframe(model)
     except CoframeVerificationError as exc:
+        report.extend(exc.report)
         report.add("coframe construction", False, {"identity": exc.identity})
         return report
     report.extend(cf.checks)

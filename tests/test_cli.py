@@ -47,7 +47,9 @@ def test_tube_analyze_rejects_degenerate():
     assert result.returncode == 1
     payload = json.loads(result.stdout)
     assert payload["overall"] == "fail"
-    assert payload["checks"][0]["name"] == "hypothesis:twonondegenerate"
+    assert [c["name"] for c in payload["checks"]] == [
+        "hypothesis:monge_ampere", "hypothesis:positivity",
+        "hypothesis:twonondegenerate"]
 
 
 def test_tube_analyze_parse_error_exit_code():
@@ -55,6 +57,22 @@ def test_tube_analyze_parse_error_exit_code():
                      "--box", "t1=0.1:1,t2=0.1:1")
     assert result.returncode == 2
     assert "offset" in result.stderr
+
+
+def test_cli_imports_only_the_standard_library():
+    # crcgeo has no runtime dependency: every module that importing the
+    # CLI loads in a fresh interpreter is crcgeo's own or the stdlib's
+    probe = ("import sys; before = set(sys.modules); import crcgeo.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.split()
+    assert "crcgeo.cli" in loaded
+    allowed = sys.stdlib_module_names | {"crcgeo"}
+    assert [name for name in loaded if name.partition(".")[0] not in allowed] == []
 
 
 def test_usage_error_exit_code():

@@ -2,6 +2,8 @@
 torsion coefficients, and the flatness verdict."""
 
 import json
+import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,14 +172,64 @@ def test_defining_function_over_foreign_variables_is_refused():
 
 def test_levi_rank_matches_eigen_oracle(paper_model):
     # oracle: numpy eigenvalue solve on the directly evaluated Hessian
-    import numpy as np
+    np = pytest.importorskip("numpy")
     point = (0.04, 0.06)
     entries = [evaluate(paper_model.d(k), {"t1": point[0], "t2": point[1]}).real
                for k in ("rho11", "rho12", "rho22")]
     h = np.array([[entries[0], entries[1]], [entries[1], entries[2]]])
-    eigs = sorted(abs(np.linalg.eigvalsh(h)))
     report = paper_model.levi_rank([point])
-    assert report[0]["eigenvalues"][1] == pytest.approx(max(eigs))
+    assert report[0]["eigenvalues"] == [float(x) for x in np.linalg.eigvalsh(h)]
+
+
+def _hessian_cases(rng, n, exponents=(-122, 146)):
+    """Seeded symmetric 2x2 matrices (a, b, c) with entries of modulus about
+    10^e, e drawn from ``exponents``: general, mixed magnitudes, near rank 1
+    (also perturbed by 1e-12), diagonal, |a| = |c|, trace zero, negative
+    definite, and b*b subnormal beside a zero."""
+    cases = []
+    for _ in range(n):
+        s, t, r = (10.0 ** rng.uniform(*exponents) for _ in range(3))
+        u, v, w = (rng.uniform(-1, 1) for _ in range(3))
+        a = s * rng.choice((-1, 1)) * rng.uniform(0.5, 1)
+        b = s * v
+        near = b * (b / a)
+        x, y = rng.uniform(0.5, 1), rng.uniform(0.5, 1)
+        cases += [
+            (s * u, b, s * w), (s * u, t * v, r * w),
+            (a, b, near), (a, b, near * (1 + 1e-12)), (a, b, near * (1 - 1e-12)),
+            (s * u, 0.0, s * w),
+            (s * u, b, s * u), (s * u, b, -s * u),
+            (-s * x, 0.99 * s * v * (x * y) ** 0.5, -s * y),
+            (s * u, 10.0 ** rng.uniform(-162, -154) * v, 0.0),
+        ]
+    return cases
+
+
+def test_closed_form_hessian_eigenvalues_equal_lapack_bit_for_bit():
+    # oracle: LAPACK's symmetric eigensolver through numpy, compared with ==
+    # wherever LAPACK does not rescale the matrix
+    np = pytest.importorskip("numpy")
+    cases = [m for m in _hessian_cases(random.Random(20261018), 11_000)
+             if 2.0 ** -405 <= max(map(abs, m)) <= 2.0 ** 485]
+    assert len(cases) >= 100_000
+    expected = np.linalg.eigvalsh(np.array([[[a, b], [b, c]] for a, b, c in cases]))
+    mismatched = [(m, got, want) for m, want in zip(cases, map(tuple, expected.tolist()))
+                  if (got := tube._symmetric_2x2_eigenvalues(*m)) != want]
+    assert mismatched == []
+
+
+def test_closed_form_hessian_eigenvalues_at_extreme_magnitudes():
+    # outside [2^-405, 2^485] the entries are scaled by a power of two where
+    # LAPACK rescales otherwise: finite, sorted and equal up to rounding
+    np = pytest.importorskip("numpy")
+    rng = random.Random(5)
+    for exponents in ((299, 300), (-301, -300)):
+        for m in _hessian_cases(rng, 100, exponents):
+            got = tube._symmetric_2x2_eigenvalues(*m)
+            assert all(math.isfinite(x) for x in got) and got[0] <= got[1]
+            want = np.linalg.eigvalsh(np.array([[m[0], m[1]], [m[1], m[2]]]))
+            size = max(abs(x) for x in m)
+            assert got == pytest.approx(want.tolist(), rel=1e-12, abs=1e-12 * size)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +386,30 @@ def test_torsion_conjugation_consistency(paper_model, paper_coframe):
 def test_analyze_report_for_rejected_input():
     report = tube.analyze("t1^2/2", {"t1": (0.1, 1), "t2": (0.1, 1)})
     assert report.overall == "fail"
-    assert report.checks[0].name == "hypothesis:twonondegenerate"
+    # the hypotheses that passed before the failed one stay in the report
+    assert [(c.name, c.status) for c in report.checks] == [
+        ("hypothesis:monge_ampere", "pass"), ("hypothesis:positivity", "pass"),
+        ("hypothesis:twonondegenerate", "fail")]
+
+
+def test_analyze_report_keeps_checks_before_a_failed_coframe_identity(monkeypatch):
+    vanishes = tube.TubeModel.vanishes
+
+    def contact_identity_fails(self, x, seed_shift):
+        # seed shift 37 belongs to the contact form structure identity
+        return False if seed_shift == 37 else vanishes(self, x, seed_shift)
+
+    monkeypatch.setattr(tube.TubeModel, "vanishes", contact_identity_fails)
+    report = tube.analyze("t1^2/t2", HOMOG_BOX, trials=16)
+    assert report.overall == "fail"
+    assert [c.name for c in report.checks] == [
+        "hypothesis:monge_ampere", "hypothesis:positivity",
+        "hypothesis:twonondegenerate", "levi rank 1 at sampled points",
+        *(f"coframe:substitution inverts {name}"
+          for name in ("omega", "omega1", "theta2", "phi2")),
+        "coframe:contact form structure identity", "coframe construction"]
+    assert [c.status for c in report.checks[-2:]] == ["fail", "fail"]
+    assert report.checks[-1].details == {"identity": "contact form structure identity"}
 
 
 def test_analyze_report_homogeneous():
