@@ -20,9 +20,11 @@ monomial that is nonvanishing wherever the expression is defined, so a
 surviving zero certifies the identity; a ``False`` only means "not
 proven", never "nonzero".  The sampled one is ``is_identically_zero``: it
 normalizes, tries the certificate, and only then evaluates at seeded
-points of a caller-supplied box.  A point where the expression has a pole
-or a non-finite value is inadmissible and is redrawn.  Forms, the suites
-and the tube pipeline call these two and decide nothing themselves.
+points of a caller-supplied box, each distinct node once per point.  A
+point where the expression has a pole or a non-finite value is
+inadmissible and is redrawn.  Certificate verdicts are memoized per node
+like the kernel's other results.  Forms, the suites and the tube pipeline
+call these two and decide nothing themselves.
 
 Reality tags drive conjugation: ``real``/``positive_real`` variables are
 fixed, ``imaginary`` ones negate, ``unit_modulus`` ones invert, and
@@ -441,6 +443,7 @@ _NORM_MEMO: dict = {}
 _CONJ_MEMO: dict = {}
 _DIFF_MEMO: dict = {}
 _FREEVARS_MEMO: dict = {}
+_CERT_MEMO: dict = {}
 _QUOT_MEMO: dict = {}
 _STEP_MEMO: dict = {}
 _POWS: dict = {}
@@ -452,7 +455,7 @@ def clear_caches() -> None:
     """Empty the memos and the key tables.  Live nodes stay interned, with
     their cached sort keys and complex values."""
     for memo in (_NF_MEMO, _NORM_MEMO, _CONJ_MEMO, _DIFF_MEMO,
-                 _FREEVARS_MEMO, _QUOT_MEMO, _STEP_MEMO,
+                 _FREEVARS_MEMO, _CERT_MEMO, _QUOT_MEMO, _STEP_MEMO,
                  _POWS, _PAIRS, _EXPS):
         memo.clear()
 
@@ -1031,8 +1034,17 @@ def certify_zero(e: Expr) -> bool:
     radical bases (all nonvanishing wherever the expression is defined) and
     checks that the cleared normal form collapses to zero.  ``True`` proves
     the identity on the expression's domain; ``False`` is inconclusive
-    (including when the estimated clearing work exceeds the budget).
+    (including when the estimated clearing work exceeds the budget).  The
+    verdict depends on the node alone, so ``_CERT_MEMO`` keeps it until
+    ``clear_caches()``.
     """
+    verdict = _CERT_MEMO.get(e)
+    if verdict is None:
+        verdict = _CERT_MEMO[e] = _clears_to_zero(e)
+    return verdict
+
+
+def _clears_to_zero(e: Expr) -> bool:
     nf = _nf(e)
     if not nf:
         return True
@@ -1068,24 +1080,30 @@ def certify_zero(e: Expr) -> bool:
 def free_variables(e: Expr) -> frozenset:
     cached = _FREEVARS_MEMO.get(e)
     if cached is None:
-        out: set = set()
-        _collect_vars(e, out)
-        cached = frozenset(out)
-        _FREEVARS_MEMO[e] = cached
+        cached = _FREEVARS_MEMO[e] = _collect_vars(e)
     return cached
 
 
-def _collect_vars(e: Expr, out: set) -> None:
-    if isinstance(e, Var):
-        out.add(e.var)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect_vars(t, out)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _collect_vars(f, out)
-    elif isinstance(e, Pow):
-        _collect_vars(e.base, out)
+def _collect_vars(e: Expr) -> frozenset:
+    """The variables of ``e``, visiting each distinct node once (a shared
+    DAG can have exponentially many paths)."""
+    out: set = set()
+    seen: set = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if isinstance(node, Var):
+            out.add(node.var)
+        elif isinstance(node, Add):
+            stack.extend(node.terms)
+        elif isinstance(node, Mul):
+            stack.extend(node.factors)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1243,12 +1261,12 @@ def evaluate(e: Expr, point: Mapping) -> complex:
                 raise DomainEvalError(f"no binding for variable {v.name}")
     for v in vars_present:
         _check_binding(v, by_name[v.name], by_name)
-    return _eval(e, by_name)
+    return _eval(e, by_name, {})
 
 
-def _eval(e: Expr, point: Mapping[str, complex]) -> complex:
+def _eval(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
     try:
-        value = _eval_tree(e, point)
+        value = _eval_tree(e, point, memo)
     except OverflowError as exc:
         raise DomainEvalError(f"value outside the floating-point range ({exc})") from None
     if not cmath.isfinite(value):
@@ -1256,33 +1274,44 @@ def _eval(e: Expr, point: Mapping[str, complex]) -> complex:
     return value
 
 
-def _eval_tree(e: Expr, point: Mapping[str, complex]) -> complex:
-    if isinstance(e, Const):
+def _eval_tree(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
+    """Value of ``e`` at ``point``, each distinct sum, product and power
+    computed once: ``memo`` maps those nodes to their values at this point.
+    Children are visited left to right, depth first, so the first failure
+    is the one a walk of the whole tree meets first."""
+    value = memo.get(e)
+    if value is not None:
+        return value
+    cls = type(e)
+    if cls is Const:
         value = e._complex
         if value is None:
             value = e._complex = e.value.to_complex()
         return value
-    if isinstance(e, Var):
+    if cls is Var:
         return point[e.var.name]
-    if isinstance(e, Add):
-        return sum(_eval_tree(t, point) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0 + 0.0j
-        for f in e.factors:
-            out *= _eval_tree(f, point)
-        return out
-    if isinstance(e, Pow):
-        base = _eval_tree(e.base, point)
+    if cls is Pow:
+        base = _eval_tree(e.base, point, memo)
         if e.exp.denominator == 1:
             k = int(e.exp)
             if k < 0 and base == 0:
                 raise DomainEvalError("division by zero")
-            return base ** k
-        if abs(base.imag) > 1e-10 * (1.0 + abs(base)) or base.real <= 0:
+            value = base ** k
+        elif abs(base.imag) > 1e-10 * (1.0 + abs(base)) or base.real <= 0:
             raise DomainEvalError(
                 f"fractional power needs a positive real base, got {base}")
-        return complex(base.real ** float(e.exp))
-    raise TypeError(f"not an expression: {e!r}")
+        else:
+            value = complex(base.real ** float(e.exp))
+    elif cls is Mul:
+        value = 1.0 + 0.0j
+        for f in e.factors:
+            value *= _eval_tree(f, point, memo)
+    elif cls is Add:
+        value = sum([_eval_tree(t, point, memo) for t in e.terms])
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    memo[e] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -1318,10 +1347,11 @@ def sample_point(variables: Iterable[Variable], box: Box, rng: random.Random) ->
 
 def _eval_with_scale(e_norm: Expr, point: Mapping[str, complex]) -> tuple:
     terms = e_norm.terms if isinstance(e_norm, Add) else (e_norm,)
+    memo: dict = {}  # shared by the terms: their atoms recur
     total = 0.0 + 0.0j
     scale = 0.0
     for t in terms:
-        z = _eval(t, point)
+        z = _eval(t, point, memo)
         total += z
         scale += abs(z)
     if not math.isfinite(scale):
@@ -1334,6 +1364,8 @@ def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,
     """Zero test: True if ``certify_zero`` proves the normal form zero, else
     True iff |e| <= tol*(1+scale) at all sampled points.
 
+    The certificate is memoized per node; the sampling runs on every call
+    and evaluates each distinct node of the normal form once per point.
     Deterministic for a fixed seed.  Sample points with a pole or a
     non-finite value are redrawn; if too few admissible points are found
     the test is inconclusive and raises ``ZeroTestInconclusiveError``.  A

@@ -1,7 +1,11 @@
 """Scalar kernel: parsing, normalization, calculus, conjugation, zero tests."""
 
+import cmath
+import collections
 import gc
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -707,6 +711,108 @@ def test_const_evaluates_to_its_cached_complex():
     assert third._complex == complex(float(Fraction(1, 3)), float(Fraction(-2, 7)))
     assert value == third._complex * 0.25 + third._complex
     assert evaluate(third, {}) is third._complex
+
+
+def _reference_eval_tree(e, point):
+    """The plain tree walk: every path evaluated again, no memo."""
+    if isinstance(e, Const):
+        return e.value.to_complex()
+    if isinstance(e, Var):
+        return point[e.var.name]
+    if isinstance(e, Add):
+        return sum(_reference_eval_tree(t, point) for t in e.terms)
+    if isinstance(e, Mul):
+        out = 1.0 + 0.0j
+        for f in e.factors:
+            out *= _reference_eval_tree(f, point)
+        return out
+    base = _reference_eval_tree(e.base, point)
+    if e.exp.denominator == 1:
+        k = int(e.exp)
+        if k < 0 and base == 0:
+            raise DomainEvalError("division by zero")
+        return base ** k
+    if abs(base.imag) > 1e-10 * (1.0 + abs(base)) or base.real <= 0:
+        raise DomainEvalError(f"fractional power needs a positive real base, got {base}")
+    return complex(base.real ** float(e.exp))
+
+
+def _reference_eval(e, point):
+    try:
+        value = _reference_eval_tree(e, point)
+    except OverflowError as exc:
+        raise DomainEvalError(f"value outside the floating-point range ({exc})") from None
+    if not cmath.isfinite(value):
+        raise DomainEvalError(f"non-finite value {value}")
+    return value
+
+
+def _reference_eval_with_scale(n, point):
+    terms = n.terms if isinstance(n, Add) else (n,)
+    total, scale = 0.0 + 0.0j, 0.0
+    for t in terms:
+        z = _reference_eval(t, point)
+        total += z
+        scale += abs(z)
+    if not math.isfinite(scale):
+        raise DomainEvalError("non-finite sum of terms")
+    return total, scale
+
+
+def _outcome(fn, *args):
+    """The result's floats as hex text, or the error's type and message."""
+    try:
+        result = fn(*args)
+    except DomainEvalError as exc:
+        return type(exc), str(exc)
+    parts = result if isinstance(result, tuple) else (result,)
+    return tuple((z.real.hex(), z.imag.hex()) for z in parts)
+
+
+def test_memoized_evaluation_matches_the_tree_walk_bit_for_bit():
+    # the memo must not change one float operation or which error comes
+    # first; the points include zeros and negatives, so poles, complex and
+    # negative radical bases, overflows and infinities all occur
+    table = VariableTable()
+    variables = table.real("x", "y", "z")
+    x, y = Var(variables[0]), Var(variables[1])
+    half = Fraction(1, 2)
+    trees = [Pow(x, half), Pow(x - y, -1), Pow(x * y, 3) + x, x * x * x * x,
+             Pow(Pow(x, -1) + y, half) * Pow(x, -1)]
+    rng = random.Random(1212)
+    trees += [_random_tree(rng, variables, rng.randint(1, 5)) for _ in range(2000)]
+    messages = collections.Counter()
+    for tree in trees:
+        n = normalize(tree)
+        for _ in range(2):
+            point = {v.name: complex(rng.choice([0.0, -1.0, 1e200, rng.uniform(-1.6, 1.6),
+                                                 rng.uniform(0.6, 1.6),
+                                                 rng.uniform(0.6, 1.6)]))
+                     for v in variables}
+            got = _outcome(evaluate, tree, point)
+            assert got == _outcome(_reference_eval, tree, point)
+            scaled = _outcome(scalars._eval_with_scale, n, point)
+            assert scaled == _outcome(_reference_eval_with_scale, n, point)
+            for outcome in (got, scaled):
+                messages[outcome[1].split(" ")[0] if outcome[0] is DomainEvalError
+                         else "finite"] += 1
+    assert messages["finite"] > 4000
+    for first_word in ("division", "fractional", "value", "non-finite"):
+        assert messages[first_word] > 20, messages
+
+
+def test_shared_dag_visits_each_node_once():
+    # e <- e*e + e doubles the paths at every level: 2^40 of them, 81 nodes
+    table = VariableTable()
+    t1 = Var(table.real("t1")[0])
+    e, expected = t1, 1e-6
+    for _ in range(40):
+        e, expected = e * e + e, expected * expected + expected
+    start = time.perf_counter()
+    assert free_variables(e) == frozenset({t1.var})
+    value = evaluate(e, {"t1": 1e-6})
+    assert time.perf_counter() - start < 1.0
+    assert value == expected
 
 
 # ---------------------------------------------------------------------------

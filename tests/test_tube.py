@@ -469,3 +469,26 @@ def test_paper_example_report_is_byte_identical_to_golden(seed):
     report = tube.analyze(tube.paper_example_rho(), BOX, seed=seed)
     golden = (GOLDEN / f"paper_example_seed{seed}.json").read_text()
     assert report.to_json(include_timing=False) == golden
+
+
+def test_warm_analysis_reuses_zero_certificates(monkeypatch):
+    # a certificate depends on the node alone: after one analysis, another
+    # with a new seed and box samples again but clears no denominator again
+    scalars.clear_caches()
+    clears = []
+    clears_to_zero = scalars._clears_to_zero
+
+    def counting(e):
+        clears.append(e)
+        return clears_to_zero(e)
+
+    monkeypatch.setattr(scalars, "_clears_to_zero", counting)
+    tube.analyze(tube.paper_example_rho(), {"t1": (0.03, 0.07), "t2": (0.025, 0.06)}, seed=3)
+    assert clears and len(set(clears)) == len(clears) == len(scalars._CERT_MEMO)
+    cold = len(clears)
+    report = tube.analyze(tube.paper_example_rho(), BOX, seed=7)
+    assert len(clears) == cold
+    golden = (GOLDEN / "paper_example_seed7.json").read_text()
+    assert report.to_json(include_timing=False) == golden
+    scalars.clear_caches()
+    assert not scalars._CERT_MEMO
