@@ -1,14 +1,15 @@
 """Abstract verification chart for the curvature normalization machinery.
 
 The chart carries the canonical coframe (contact form, two complex coframe
-pairs, two connection-form pairs, one imaginary connection scalar) with
-d-rules that solve the curvature definitions for the differentials: each
-rule is the model structure equation (``model.model_chart()``, read with
-omega, omega1 for theta, theta1) plus a curvature 2-form, and
-``curvature_from`` is the differential minus the same structure terms.
-The four curvature 2-forms appear either as zero placeholders ("opaque"
-flat mode) or expanded over named coefficient scalars with the reality
-constraints wired in ("expanded" mode).  The isotropy transformations are
+pairs, two connection-form pairs, one imaginary connection scalar): its
+ten generators are those of ``data/model.chart``, loaded once by
+``coframe_chart``.  Its d-rules solve the curvature definitions for the
+differentials: each rule is the model structure equation
+(``structure_terms``) plus a curvature 2-form, and ``curvature_from`` is
+the differential minus the same structure terms.  The four curvature
+2-forms are expanded over named coefficient scalars with the reality
+constraints wired in; zeroing every coefficient (``CURVATURE_COEFFS``)
+gives the flat chart.  The isotropy transformations are
 ``model.h2_transform`` and ``model.h1_transform``, the formulas the model
 suite certifies against matrix conjugation.
 
@@ -37,21 +38,19 @@ from .scalars import (
     normalize,
     to_text,
 )
-from .forms import Chart, FormExpr, declare_generators, declare_variables, g_imaginary, g_pair
+from .forms import Chart, FormExpr, declare_generators, declare_variables
 from . import model
+from .model import COFRAME
 from .report import Report
 
 HALF = Fraction(1, 2)
-
-CORE_GENS = ("omega", "omega1", "omega1c", "theta2", "theta2c",
-             "phi1", "phi1c", "phi2", "phi2c", "psi")
 
 # the chart's scalars as (names, kind), in declaration order.  The curvature
 # coefficients (T* torsion-form coefficients, F2*/F1* the two connection
 # curvatures, P*/Q* the secondary families, PS* the last curvature row) and
 # the gauge-shift functions c, f, g, r, s each get a d_ covector of their
 # kind as differential; the isotropy parameters B, Lam, A are constants.
-SCALARS = (
+CURVATURE_SCALARS = (
     *((pair, "pair") for pair in (
         ("T21", "T21c"), ("T20", "T20c"), ("T10", "T10c"), ("T1b0", "T1b0c"),
         ("F2_20", "F2_20c"), ("F1_20", "F1_20c"), ("F1_2b0", "F1_2b0c"),
@@ -59,10 +58,16 @@ SCALARS = (
         ("P1", "P1c"), ("P2", "P2c"), ("P3", "P3c"),
         ("Q1", "Q1c"), ("PS20", "PS20c"), ("PS10", "PS10c"))),
     (("Q3",), "imaginary"),
+)
+SCALARS = (
+    *CURVATURE_SCALARS,
     *((pair, "pair") for pair in (("c", "cb"), ("f", "fb"), ("r", "rb"))),
     (("g", "s"), "real"),
 )
 PARAMETERS = ((("B", "Bb"), "pair"), (("Lam",), "imaginary"), (("A", "Ab"), "pair"))
+
+# every curvature coefficient: zeroing them all gives the flat chart
+CURVATURE_COEFFS = frozenset(n for names, _ in CURVATURE_SCALARS for n in names)
 
 # leading terms and the coefficient families forced to vanish with them
 NECESSITY_STAGE2_ZEROS = frozenset({"T21", "T20", "F2_20", "P1", "P2", "P3"})
@@ -73,7 +78,6 @@ LEADING_ZEROS = NECESSITY_STAGE2_ZEROS | {"F1_20", "Q1", "Q3"}
 class DgaChart:
     chart: Chart
     curvature: dict  # name -> FormExpr, keys Theta2/Phi1/Phi2/Psi
-    mode: str
 
     def gen(self, name: str) -> FormExpr:
         return self.chart.gen(name)
@@ -83,7 +87,7 @@ class DgaChart:
 
     def coframe(self) -> tuple[FormExpr, ...]:
         """The six coframe generators, in the order of ``model.COMPONENTS``."""
-        return tuple(self.gen(name) for name in COFRAME)
+        return model.coframe(self.chart)
 
 
 def _expanded_curvature(chart: Chart, zero_coeffs: frozenset) -> dict:
@@ -139,36 +143,26 @@ def _expanded_curvature(chart: Chart, zero_coeffs: frozenset) -> dict:
     return {"Theta2": theta2, "Phi1": phi1, "Phi2": phi2, "Psi": psi}
 
 
-def build_chart(mode: str = "expanded", zero_coeffs=frozenset()) -> DgaChart:
+def build_chart(zero_coeffs=frozenset()) -> DgaChart:
     """Verification chart with the curvature-solved d-rules installed.
 
-    ``expanded`` instantiates the curvature forms over named coefficient
-    scalars (optionally with some coefficient families zeroed); ``opaque``
-    uses zero placeholder 2-forms, so every generator passes the d-squared
-    check (flat consistency).
+    The curvature forms are expanded over named coefficient scalars, the
+    families in ``zero_coeffs`` zeroed.  A nonzero one exempts its generator
+    from the d-squared check; with ``CURVATURE_COEFFS`` zeroed every
+    generator passes it (flat consistency).
     """
     table = VariableTable()
-    gens = [g_imaginary("omega")]
-    for a, b in (("omega1", "omega1c"), ("theta2", "theta2c"),
-                 ("phi1", "phi1c"), ("phi2", "phi2c")):
-        gens.extend(g_pair(a, b))
-    gens.append(g_imaginary("psi"))
+    gens = list(coframe_chart().generators)
     for names, kind in SCALARS:
         declare_variables(table, list(names), kind)
         gens.extend(declare_generators([f"d_{n}" for n in names], kind))
     for names, kind in PARAMETERS:
         declare_variables(table, list(names), kind)
     chart = Chart(table, gens)
-
-    if mode == "expanded":
-        curv = _expanded_curvature(chart, frozenset(zero_coeffs))
-    elif mode == "opaque":
-        curv = {name: chart.zero(2) for name in ("Theta2", "Phi1", "Phi2", "Psi")}
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    curv = _expanded_curvature(chart, frozenset(zero_coeffs))
 
     g = chart.gen
-    d_rules = _structure_terms({name: g(name) for name in COFRAME}, COFRAME)
+    d_rules = structure_terms({name: g(name) for name in COFRAME}, COFRAME)
     for name, curv_name in _CURV_OF_GEN.items():
         d_rules[name] = d_rules[name] + curv[curv_name]
     placeholder_gens = {name for name, curv_name in _CURV_OF_GEN.items()
@@ -176,34 +170,36 @@ def build_chart(mode: str = "expanded", zero_coeffs=frozenset()) -> DgaChart:
     scalar_rules = {n: g(f"d_{n}") for names, _ in SCALARS for n in names}
     scalar_rules |= {n: chart.zero(1) for names, _ in PARAMETERS for n in names}
     chart.install_rules(d_rules, scalar_rules, placeholder_gens=placeholder_gens)
-    return DgaChart(chart, curv, mode)
+    return DgaChart(chart, curv)
 
 
 _CURV_OF_GEN = {"theta2": "Theta2", "phi1": "Phi1", "phi2": "Phi2", "psi": "Psi"}
 
-# the coframe in model.COMPONENTS order; the model chart names the first
-# two theta and theta1
-COFRAME = ("omega", "omega1", "theta2", "phi1", "phi2", "psi")
-
 
 @functools.cache
-def _model_rules() -> dict:
-    """The structure equations of ``model.model_chart()``, keyed by the
-    coframe names used here."""
-    chart = model.model_chart()
-    model_names = ("theta", "theta1", "theta2", "phi1", "phi2", "psi")
-    return {name: chart.d_rule(m) for name, m in zip(COFRAME, model_names)}
+def coframe_chart() -> Chart:
+    """``model.model_chart()``, loaded once: its generators begin the charts
+    here and in ``tube``, its d-rules are the structure equations."""
+    return model.model_chart()
 
 
-def _structure_terms(forms: dict, names) -> dict:
+def _with_conjugates(forms: dict) -> dict:
+    """``forms``, keyed by coframe generator names, plus the conjugate of
+    each under its pair partner's name."""
+    out = dict(forms)
+    for gen in coframe_chart().generators:
+        if gen.partner in forms:
+            out[gen.name] = forms[gen.partner].conj()
+    return out
+
+
+def structure_terms(forms: dict, names) -> dict:
     """Right-hand sides of the model structure equations for ``names``,
-    evaluated on the six 1-forms ``forms`` (keyed by ``COFRAME``)."""
-    w, w1, t2, p1, p2, ps = (forms[name] for name in COFRAME)
-    sub = {"theta": w, "theta1": w1, "theta1c": w1.conj(), "theta2": t2,
-           "theta2c": t2.conj(), "phi1": p1, "phi1c": p1.conj(), "phi2": p2,
-           "phi2c": p2.conj(), "psi": ps}
-    rules = _model_rules()
-    return {name: rules[name].rewrite(sub, w.chart) for name in names}
+    evaluated on the six 1-forms ``forms`` (keyed by ``COFRAME``): each
+    generator of the model chart becomes its form, a pair partner the
+    conjugate."""
+    sub, target = _with_conjugates(forms), forms[COFRAME[0]].chart
+    return {name: coframe_chart().d_rule(name).rewrite(sub, target) for name in names}
 
 
 def curvature_from(w: FormExpr, w1: FormExpr, t2: FormExpr,
@@ -211,7 +207,7 @@ def curvature_from(w: FormExpr, w1: FormExpr, t2: FormExpr,
     """The four curvature 2-forms: the differential of each form minus the
     model structure terms evaluated on the six forms."""
     forms = dict(zip(COFRAME, (w, w1, t2, p1, p2, ps)))
-    terms = _structure_terms(forms, _CURV_OF_GEN)
+    terms = structure_terms(forms, _CURV_OF_GEN)
     return {curv: forms[name].d() - terms[name] for name, curv in _CURV_OF_GEN.items()}
 
 
@@ -224,10 +220,7 @@ def _basis_sub(dc: DgaChart, images) -> dict:
     and each conjugate generator to the conjugate image; inert covectors
     map to themselves."""
     sub = {gen.name: dc.chart.gen(gen.name) for gen in dc.chart.generators}
-    for name, form in zip(COFRAME, images):
-        sub[name] = form
-        if name not in ("omega", "psi"):
-            sub[name + "c"] = form.conj()
+    sub.update(_with_conjugates(dict(zip(COFRAME, images))))
     return sub
 
 
@@ -252,7 +245,7 @@ def _normalized_coefficient(dc: DgaChart, hat: dict, name: str) -> Expr:
 def verify_equivariance(dc: DgaChart | None = None) -> Report:
     """Transformed curvature forms against their closed-form mixing law."""
     report = Report("curvature equivariance under the unipotent family")
-    dc = dc or build_chart("expanded")
+    dc = dc or build_chart()
     B, Lam = dc.var("B"), dc.var("Lam")
     Bb = conjugate(B)
     hat = hatted_curvature(dc, B, Lam)
@@ -307,7 +300,7 @@ def verify_gauge_shifts(dc: DgaChart | None = None) -> Report:
     """The five normalization shifts, checked in the fixing order: each
     shift is verified with the previously fixed functions set to zero."""
     report = Report("normalization gauge shifts")
-    dc = dc or build_chart("expanded")
+    dc = dc or build_chart()
 
     cases = [
         ("torsion (2,1bar) shift", "c", ("theta2", "omega1c"),
@@ -423,7 +416,7 @@ def verify_cartan_criterion() -> Report:
     report = Report("connection criterion computations")
 
     # necessity stage 1: general curvature coefficients
-    dc = build_chart("expanded")
+    dc = build_chart()
     got = necessity_phi1_coefficient(dc)
     derived = necessity_phi1_derived(dc)
     transcribed = necessity_phi1_transcribed(dc)
@@ -434,7 +427,7 @@ def verify_cartan_criterion() -> Report:
         is_zero_expr(got - transcribed)
 
     # necessity stage 2: leading torsion and second-curvature terms zeroed
-    dc2 = build_chart("expanded", zero_coeffs=NECESSITY_STAGE2_ZEROS)
+    dc2 = build_chart(NECESSITY_STAGE2_ZEROS)
     got_psi = necessity_psi_coefficient(dc2)
     B = dc2.var("B")
     Bb = conjugate(B)
@@ -445,7 +438,7 @@ def verify_cartan_criterion() -> Report:
                {"value": to_text(got_psi)})
 
     # sufficiency: all leading terms zero, full transformed expansions
-    dcl = build_chart("expanded", zero_coeffs=LEADING_ZEROS)
+    dcl = build_chart(LEADING_ZEROS)
     B, Lam = dcl.var("B"), dcl.var("Lam")
     hat = hatted_curvature(dcl, B, Lam)
     expected = sufficiency_expected(dcl)
@@ -459,12 +452,11 @@ def verify_cartan_criterion() -> Report:
                              _normalized_coefficient(dcl, hat, name))
 
     # diagonal-family scaling of the transformed curvature forms
-    dc3 = build_chart("expanded")
-    B, Lam, A = dc3.var("B"), dc3.var("Lam"), dc3.var("A")
+    B, Lam, A = dc.var("B"), dc.var("Lam"), dc.var("A")
     Ab = conjugate(A)
-    hf = model.h2_transform(dc3.coframe(), B, Lam)
+    hf = model.h2_transform(dc.coframe(), B, Lam)
     ccurv = curvature_from(*model.h1_transform(hf, A))
-    hcurv = hatted_curvature(dc3, B, Lam)
+    hcurv = hatted_curvature(dc, B, Lam)
     scalings = {"Theta2": A / Ab, "Phi1": 1 / Ab, "Phi2": ONE, "Psi": 1 / (A * Ab)}
     for name, factor in scalings.items():
         model.check_identity(report, f"diagonal scaling: {name}",
@@ -473,15 +465,15 @@ def verify_cartan_criterion() -> Report:
 
 
 def verify_flat_consistency() -> Report:
-    """Opaque mode with zero placeholders: d o d vanishes on the whole
+    """Every curvature coefficient zeroed: d o d vanishes on the whole
     coframe, so the six structure rules are mutually consistent."""
     report = Report("flat-model consistency")
-    dc = build_chart("opaque")
+    dc = build_chart(CURVATURE_COEFFS)
     checked = dc.chart.verify_d_squared()
-    for name in CORE_GENS:
-        report.add(f"d^2 {name} = 0", name in checked)
+    for gen in coframe_chart().generators:
+        report.add(f"d^2 {gen.name} = 0", gen.name in checked)
     # the second curvature is imaginary-valued as a form identity
-    dce = build_chart("expanded")
+    dce = build_chart()
     phi2 = dce.curvature["Phi2"]
     model.check_identity(report, "second curvature purely imaginary", phi2 + phi2.conj())
     return report

@@ -407,18 +407,17 @@ class FormExpr:
         coeff = self.terms.get(word, ZERO)
         return coeff if sign > 0 else normalize(coeff * -1)
 
-    def rewrite(self, sub: Mapping[str, "FormExpr"], target: Chart | None = None,
-                scalar_sub: Mapping[Variable, Expr] | None = None) -> "FormExpr":
+    def rewrite(self, sub: Mapping[str, "FormExpr"],
+                target: Chart | None = None) -> "FormExpr":
         """Homomorphic basis change: replace each generator by a degree-1
-        form on the target chart, optionally substituting scalars."""
+        form on the target chart."""
         chart = self.chart
         if target is None:
             some = next(iter(sub.values()), None)
             target = some.chart if some is not None else chart
         acc: dict[tuple, Expr] = {}
         for word, coeff in self.terms.items():
-            c = substitute(coeff, scalar_sub) if scalar_sub else coeff
-            piece = target.scalar(c)
+            piece = target.scalar(coeff)
             ok = True
             for idx in word:
                 name = chart.generators[idx].name

@@ -20,6 +20,7 @@ from pathlib import Path
 from .scalars import (
     ONE,
     Var,
+    ZERO,
     certify_zero,
     conjugate,
     is_zero_expr,
@@ -68,6 +69,20 @@ def bilinear_matrices() -> tuple[SMatrix, SMatrix, SMatrix]:
 # Lie algebra elements
 
 
+def _pattern(w, w1, t2, p1, p2, ps, conj, zero) -> list:
+    """The 5x5 Lie-algebra pattern of six components (``COMPONENTS``
+    order), scalars or 1-forms: ``conj`` conjugates one component and
+    ``zero`` fills the empty entries."""
+    w1c, t2c, p1c, p2c = conj(w1), conj(t2), conj(p1), conj(p2)
+    return [
+        [p2, t2, w1, w, zero],
+        [t2c, p2c, w1c, zero, -w],
+        [p1c, p1, zero, -w1c, -w1],
+        [ps, zero, -p1, -p2c, -t2],
+        [zero, -ps, -p1c, -t2c, -p2],
+    ]
+
+
 def algebra_element(alpha, beta, gamma, sigma, delta, rho_alg) -> SMatrix:
     """Generic Lie algebra element; delta and rho_alg must be imaginary."""
     alpha, beta, gamma, sigma = map(lift, (alpha, beta, gamma, sigma))
@@ -76,14 +91,8 @@ def algebra_element(alpha, beta, gamma, sigma, delta, rho_alg) -> SMatrix:
         if not is_zero_expr(conjugate(x) + x):
             from .scalars import RealityViolationError
             raise RealityViolationError(f"{name} must be imaginary-valued")
-    ab, bb, gb, sb = map(conjugate, (alpha, beta, gamma, sigma))
-    return SMatrix([
-        [alpha, beta, gamma, delta, 0],
-        [bb, ab, gb, 0, -delta],
-        [sigma, sb, 0, -gb, -gamma],
-        [rho_alg, 0, -sb, -ab, -beta],
-        [0, -rho_alg, -sigma, -bb, -alpha],
-    ])
+    return SMatrix(_pattern(delta, gamma, beta, conjugate(sigma), alpha, rho_alg,
+                            conjugate, ZERO))
 
 
 def algebra_params(m: SMatrix) -> dict:
@@ -161,8 +170,10 @@ def group_conditions_hold(c: SMatrix) -> bool:
 
 CHART_PATH = Path(__file__).with_name("data") / "model.chart"
 
-# the six independent connection components, in matrix-pattern order
+# the six independent connection components, in matrix-pattern order,
+# and the chart generators that are the model's values of them
 COMPONENTS = ("w", "w1", "t2", "p1", "p2", "ps")
+COFRAME = ("omega", "omega1", "theta2", "phi1", "phi2", "psi")
 
 
 def model_chart() -> Chart:
@@ -172,23 +183,14 @@ def model_chart() -> Chart:
 
 
 def coframe(chart: Chart) -> tuple[FormExpr, ...]:
-    """The six model generators, in the order of ``COMPONENTS``."""
-    g = chart.gen
-    return g("theta"), g("theta1"), g("theta2"), g("phi1"), g("phi2"), g("psi")
+    """The six coframe generators of ``chart``, in the order of ``COMPONENTS``."""
+    return tuple(chart.gen(name) for name in COFRAME)
 
 
 def connection_matrix(chart: Chart, w: FormExpr, w1: FormExpr, t2: FormExpr,
                       p1: FormExpr, p2: FormExpr, ps: FormExpr) -> FMatrix:
     """Arrange six 1-forms in the Lie-algebra-valued matrix pattern."""
-    z = chart.zero(1)
-    w1c, t2c, p1c, p2c = w1.conj(), t2.conj(), p1.conj(), p2.conj()
-    return FMatrix(chart, [
-        [p2, t2, w1, w, z],
-        [t2c, p2c, w1c, z, -w],
-        [p1c, p1, z, -w1c, -w1],
-        [ps, z, -p1, -p2c, -t2],
-        [z, -ps, -p1c, -t2c, -p2],
-    ])
+    return FMatrix(chart, _pattern(w, w1, t2, p1, p2, ps, FormExpr.conj, chart.zero(1)))
 
 
 def maurer_cartan(chart: Chart | None = None) -> FMatrix:

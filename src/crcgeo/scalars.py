@@ -711,12 +711,10 @@ def _nf_pow(nf: Mapping, e: Fraction) -> dict:
             return _fix_monomial(c.pow_int(k), powmap)
         # fractional power of a monomial: split off factors that keep
         # value-or-error semantics, bundle the rest into an opaque base
-        out = _const_pow(c, e) if not c.is_one else {(): QC_ONE}
-        if not c.is_one and not (c.is_real and c.re > 0):
-            out = {(): QC_ONE}
-            residual_coeff = c
+        if c.is_real and c.re > 0 and not c.is_one:
+            out, residual_coeff = _const_pow(c, e), QC_ONE
         else:
-            residual_coeff = QC_ONE
+            out, residual_coeff = {(): QC_ONE}, c
         residual: dict = {}
         split: dict = {}
         for atom, ex in pows:
@@ -787,8 +785,6 @@ def _extract_content(nf: Mapping, fractional: bool):
 
 
 def _positive_rational_content(coeffs: Sequence[QC]) -> QC:
-    import math as _math
-
     nums: list[int] = []
     dens: list[int] = []
     for c in coeffs:
@@ -798,13 +794,7 @@ def _positive_rational_content(coeffs: Sequence[QC]) -> QC:
                 dens.append(part.denominator)
     if not nums:
         return QC_ONE
-    g = 0
-    for n in nums:
-        g = _math.gcd(g, n)
-    l = 1
-    for d in dens:
-        l = l * d // _math.gcd(l, d)
-    return QC.of(Fraction(g, l))
+    return QC.of(Fraction(math.gcd(*nums), math.lcm(*dens)))
 
 
 def _leading_item(nf: Mapping):
@@ -1143,30 +1133,47 @@ def conjugate(e: Expr) -> Expr:
     """Antilinear involution determined by the reality tags."""
     cached = _CONJ_MEMO.get(e)
     if cached is None:
-        cached = normalize(_conj(e))
+        cached = normalize(_map_leaves(e, _conj_leaf))
         _CONJ_MEMO[e] = cached
     return cached
 
 
-def _conj(e: Expr) -> Expr:
+def _conj_leaf(e: Expr) -> Expr:
     if isinstance(e, Const):
         return Const(e.value.conjugate())
-    if isinstance(e, Var):
-        r = e.var.reality
-        if r in (REAL, POSITIVE_REAL):
-            return e
-        if r == IMAGINARY:
-            return Mul((MINUS_ONE, e))
-        if r == UNIT_MODULUS:
-            return Pow(e, Fraction(-1))
-        return Var(Variable(e.var.partner, COMPLEX_PAIRED, e.var.name))
-    if isinstance(e, Add):
-        return Add(tuple(_conj(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(tuple(_conj(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(_conj(e.base), e.exp)
-    raise TypeError(f"not an expression: {e!r}")
+    r = e.var.reality
+    if r in (REAL, POSITIVE_REAL):
+        return e
+    if r == IMAGINARY:
+        return Mul((MINUS_ONE, e))
+    if r == UNIT_MODULUS:
+        return Pow(e, Fraction(-1))
+    return Var(Variable(e.var.partner, COMPLEX_PAIRED, e.var.name))
+
+
+def _map_leaves(e: Expr, leaf) -> Expr:
+    """``e`` with each ``Const`` and ``Var`` replaced by ``leaf(node)``,
+    rebuilding each distinct node once (a shared DAG can have exponentially
+    many paths); hash-consing makes it the node a tree rebuild gives."""
+    memo: dict = {}
+
+    def walk(node: Expr) -> Expr:
+        out = memo.get(node)
+        if out is None:
+            if isinstance(node, (Const, Var)):
+                out = leaf(node)
+            elif isinstance(node, Add):
+                out = Add(tuple(walk(t) for t in node.terms))
+            elif isinstance(node, Mul):
+                out = Mul(tuple(walk(f) for f in node.factors))
+            elif isinstance(node, Pow):
+                out = Pow(walk(node.base), node.exp)
+            else:
+                raise TypeError(f"not an expression: {node!r}")
+            memo[node] = out
+        return out
+
+    return walk(e)
 
 
 def substitute(e: Expr, bindings: Mapping[Variable, Expr], check: bool = True) -> Expr:
@@ -1182,7 +1189,8 @@ def substitute(e: Expr, bindings: Mapping[Variable, Expr], check: bool = True) -
     if check:
         for v, s in full.items():
             _check_substitution_reality(v, s, full)
-    return normalize(_subst(e, full))
+    return normalize(_map_leaves(
+        e, lambda leaf: leaf if isinstance(leaf, Const) else full.get(leaf.var, leaf)))
 
 
 def _check_substitution_reality(v: Variable, s: Expr, full: Mapping) -> None:
@@ -1204,20 +1212,6 @@ def _check_substitution_reality(v: Variable, s: Expr, full: Mapping) -> None:
         if ps is not None and not is_zero_expr(conjugate(s) - ps):
             raise RealityViolationError(
                 f"substitutions for {v.name} and {v.partner} are not conjugate")
-
-
-def _subst(e: Expr, bindings: Mapping[Variable, Expr]) -> Expr:
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return bindings.get(e.var, e)
-    if isinstance(e, Add):
-        return Add(tuple(_subst(t, bindings) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(tuple(_subst(f, bindings) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(_subst(e.base, bindings), e.exp)
-    raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------

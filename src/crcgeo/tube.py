@@ -10,9 +10,11 @@ computes the torsion coefficients through the first normalization,
 reporting the flatness/connection obstruction carried by the final
 normalized coefficient on the reference section (u=1, a=1, b=0, lam=0).
 
-All heavy identities are verified as exterior-algebra identities after
-the basis rewriting.  Every zero question goes through one method,
-``TubeModel.vanishes``, which hands a scalar to the kernel's
+The frame chart's coframe and structure equations are those of
+``data/model.chart``: the two coframe identities and the torsion form are
+each a differential minus ``dga.structure_terms``.  All heavy identities
+are verified as exterior-algebra identities after the basis rewriting.
+Every zero question goes through one method, ``TubeModel.vanishes``, which hands a scalar to the kernel's
 ``is_identically_zero`` and a form to ``FormExpr.vanishes`` (certificate
 first, seeded sampling on the model's box otherwise) and turns an
 undecided test into ``INCONCLUSIVE``.  The defining function is read
@@ -48,6 +50,7 @@ from .scalars import (
     to_text,
 )
 from .forms import Chart, FormExpr, g_imaginary, g_pair, g_real
+from .dga import COFRAME, coframe_chart, structure_terms
 from .report import INCONCLUSIVE, Report
 
 HALF = Fraction(1, 2)
@@ -431,13 +434,18 @@ def _ambient_forms(model: TubeModel, chart: Chart) -> dict:
 
 
 def _frame_chart(model: TubeModel) -> Chart:
-    gens = [g_imaginary("omega")]
-    for pair in (("omega1", "omega1c"), ("theta2", "theta2c"),
-                 ("phi1", "phi1c"), ("phi2", "phi2c")):
-        gens.extend(g_pair(*pair))
-    gens.append(g_imaginary("dlam"))
-    gens.extend(g_pair("db", "dbc"))
-    return Chart(model.table, gens)
+    """The model chart's generators (psi inert) and dlam, db, dbc."""
+    return Chart(model.table, [*coframe_chart().generators,
+                               g_imaginary("dlam"), *g_pair("db", "dbc")])
+
+
+def _minus_structure_terms(frame: Chart, name: str, dform: FormExpr,
+                           phi1: FormExpr) -> FormExpr:
+    """``dform``, the frame's d(``name``), minus the structure terms of
+    ``name`` on the frame's coframe with ``phi1`` as first connection form."""
+    forms = {n: frame.gen(n) for n in COFRAME}
+    forms["phi1"] = phi1
+    return dform - structure_terms(forms, (name,))[name]
 
 
 def _base_substitution(model: TubeModel, frame: Chart) -> dict:
@@ -498,19 +506,17 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     lam = Var(model.table["lam"])
     g = frame.gen
 
-    # first structure identity: d(omega) + omega1^omega1c + omega^phi = 0
-    domega = forms["omega"].d().rewrite(sub, frame)
-    first = (domega + g("omega1").wedge(g("omega1c"))
-             + g("omega").wedge(g("phi2") + g("phi2c")))
+    # the model structure equations of omega and omega1, with the fiber
+    # differential dbc + (lam/2) omega1 for phi1
+    phi1 = g("dbc") + g("omega1").scale(lam * HALF)
+    first = _minus_structure_terms(
+        frame, "omega", forms["omega"].d().rewrite(sub, frame), phi1)
     record("contact form structure identity",
            model.vanishes(first, seed_shift=37))
 
     # second structure identity, solved for the fiber correction form
-    domega1 = forms["omega1"].d().rewrite(sub, frame)
-    residue = (domega1 - g("theta2").wedge(g("omega1c"))
-               + g("omega1").wedge(g("phi2"))
-               + g("omega").wedge(g("dbc"))
-               + g("omega").wedge(g("omega1")).scale(lam * HALF))
+    residue = _minus_structure_terms(
+        frame, "omega1", forms["omega1"].d().rewrite(sub, frame), phi1)
     record("coframe structure identity holds modulo the contact form",
            model.vanishes(residue.reduce_mod(["omega"]), seed_shift=41))
     sigma = frame.zero(1)
@@ -564,11 +570,11 @@ def restrict_to_section(e: Expr, table: VariableTable) -> Expr:
 
 
 def torsion_form(cf: TubeCoframe) -> FormExpr:
-    """The torsion 2-form of the adapted coframe, in coframe coordinates."""
-    g = cf.gen
-    dtheta2 = cf.rewrite(cf.forms_ambient["theta2"].d())
-    return (dtheta2 + g("theta2").wedge(g("phi2") - g("phi2c"))
-            - g("omega1").wedge(g("phi1")))
+    """The torsion 2-form of the adapted coframe, in coframe coordinates:
+    d(theta2) minus its model structure terms."""
+    return _minus_structure_terms(cf.frame, "theta2",
+                                  cf.rewrite(cf.forms_ambient["theta2"].d()),
+                                  cf.gen("phi1"))
 
 
 def expected_theta2_2bar1(model: TubeModel) -> Expr:

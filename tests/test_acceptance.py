@@ -100,7 +100,7 @@ def test_acceptance_2_adjoint_suite():
 
 
 def test_acceptance_3_equivariance_suite():
-    dc = dga.build_chart("expanded")
+    dc = dga.build_chart()
     report = dga.verify_equivariance(dc)
     exact_ok = report.overall == "pass"
 
@@ -130,7 +130,7 @@ def test_acceptance_4_cartan_criterion_suite():
     report = dga.verify_cartan_criterion()
     machinery_ok = report.overall == "pass"
 
-    dc = dga.build_chart("expanded")
+    dc = dga.build_chart()
     Lam = dc.var("Lam")
     got = dga.necessity_phi1_coefficient(dc)
     derived_ok = is_zero_expr(got - dga.necessity_phi1_derived(dc))
@@ -138,7 +138,7 @@ def test_acceptance_4_cartan_criterion_suite():
     transcribed_ok = (normalize(got - dga.necessity_phi1_transcribed(dc))
                       == normalize(Lam * dc.var("T21c")))
 
-    dc2 = dga.build_chart("expanded", zero_coeffs=dga.NECESSITY_STAGE2_ZEROS)
+    dc2 = dga.build_chart(dga.NECESSITY_STAGE2_ZEROS)
     psi_got = dga.necessity_psi_coefficient(dc2)
     B = dc2.var("B")
     psi_ok = is_zero_expr(psi_got - normalize(

@@ -240,6 +240,14 @@ def test_golden_model_verify():
     assert payload == golden
 
 
+@pytest.mark.parametrize("suite", ["shifts", "equivariance", "cartan", "flat"])
+def test_golden_dga_verify(suite):
+    result = run_cli("dga", "verify", "--suite", suite)
+    payload = _strip_timing(json.loads(result.stdout))
+    golden = json.loads((GOLDEN.parent / f"dga_{suite}.json").read_text())
+    assert payload == golden
+
+
 def test_text_format():
     result = run_cli("model", "verify", "--format", "text")
     assert result.returncode == 0

@@ -3,7 +3,7 @@ criterion, diagonal scaling, flat consistency."""
 
 import pytest
 
-from crcgeo import dga, model
+from crcgeo import dga, model, tube
 from crcgeo.scalars import (
     Var,
     conjugate,
@@ -15,7 +15,7 @@ from crcgeo.scalars import (
 
 @pytest.fixture(scope="module")
 def expanded():
-    return dga.build_chart("expanded")
+    return dga.build_chart()
 
 
 # ---------------------------------------------------------------------------
@@ -49,19 +49,23 @@ def test_expanded_torsion_words(expanded):
 
 def test_opaque_chart_rules_are_the_model_equations():
     """With zero curvature the chart's d-rules are the model structure
-    equations, read with omega, omega1 for theta, theta1."""
-    rename = {"omega": "theta", "omega1": "theta1", "omega1c": "theta1c"}
-
-    def fingerprint(chart, name, names):
+    equations."""
+    def fingerprint(chart, name):
         rule = chart.d_rule(name)
-        return {tuple(names.get(n, n) for n in rule.word_names(word)): c
-                for word, c in rule.terms.items()}
+        return {rule.word_names(word): c for word, c in rule.terms.items()}
 
-    flat = dga.build_chart("opaque").chart
+    flat = dga.build_chart(dga.CURVATURE_COEFFS).chart
     reference = model.model_chart()
-    for name in dga.CORE_GENS:
-        assert fingerprint(flat, name, rename) == \
-            fingerprint(reference, rename.get(name, name), {}), name
+    for gen in reference.generators:
+        assert fingerprint(flat, gen.name) == fingerprint(reference, gen.name), gen.name
+
+
+def test_dga_and_tube_charts_begin_with_the_model_chart_generators():
+    model_gens = model.model_chart().generators
+    assert len(model_gens) == 10
+    assert dga.build_chart().chart.generators[:10] == model_gens
+    homog = tube.tube_from_rho("t1^2/t2", {"t1": (0.5, 1.0), "t2": (0.5, 1.0)})
+    assert tube._frame_chart(homog).generators[:10] == model_gens
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +216,7 @@ def test_matrix_route_pins_transcription_to_conjugate_parameter(expanded):
 
 
 def test_necessity_psi_value():
-    dc2 = dga.build_chart("expanded", zero_coeffs=dga.NECESSITY_STAGE2_ZEROS)
+    dc2 = dga.build_chart(dga.NECESSITY_STAGE2_ZEROS)
     got = dga.necessity_psi_coefficient(dc2)
     B = dc2.var("B")
     Bb = conjugate(B)
@@ -221,7 +225,7 @@ def test_necessity_psi_value():
 
 
 def test_leading_zero_makes_coefficients_vanish():
-    dcl = dga.build_chart("expanded", zero_coeffs=dga.LEADING_ZEROS)
+    dcl = dga.build_chart(dga.LEADING_ZEROS)
     B, Lam = dcl.var("B"), dcl.var("Lam")
     hat = dga.hatted_curvature(dcl, B, Lam)
     sub = dga.hat_basis_sub(dcl, B, Lam)

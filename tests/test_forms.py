@@ -48,22 +48,22 @@ def w(chart, x, y):
 
 
 def test_wedge_repeated_generator_vanishes(chart):
-    assert chart.gen("theta1").wedge(chart.gen("theta1")).is_zero
+    assert chart.gen("omega1").wedge(chart.gen("omega1")).is_zero
 
 
 def test_wedge_degree_one_anticommutes(chart):
-    assert w(chart, "theta1", "theta1c") == w(chart, "theta1c", "theta1").scale(-1)
+    assert w(chart, "omega1", "omega1c") == w(chart, "omega1c", "omega1").scale(-1)
 
 
 def test_wedge_bilinear_expansion(chart):
     c = Var(chart.table["B"])
-    lhs = (chart.gen("theta2") + chart.gen("theta1").scale(c)).wedge(chart.gen("theta1c"))
-    rhs = w(chart, "theta2", "theta1c") + w(chart, "theta1", "theta1c").scale(c)
+    lhs = (chart.gen("theta2") + chart.gen("omega1").scale(c)).wedge(chart.gen("omega1c"))
+    rhs = w(chart, "theta2", "omega1c") + w(chart, "omega1", "omega1c").scale(c)
     assert lhs == rhs
 
 
 def test_wedge_graded_commutativity_degree_two(chart):
-    a = w(chart, "theta", "theta1")
+    a = w(chart, "omega", "omega1")
     b = w(chart, "theta2", "phi1")
     assert a.wedge(b) == b.wedge(a)  # (-1)^{2*2} = +1
 
@@ -74,19 +74,19 @@ def test_wedge_graded_commutativity_degree_two(chart):
 
 def test_d_of_structure_rule_matches_chart(chart):
     g = chart.gen
-    expected = w(chart, "theta1", "theta1c").scale(-1) - g("theta").wedge(g("phi2") + g("phi2c"))
-    assert g("theta").d() == expected
+    expected = w(chart, "omega1", "omega1c").scale(-1) - g("omega").wedge(g("phi2") + g("phi2c"))
+    assert g("omega").d() == expected
 
 
 def test_d_scalar_leibniz(chart):
     # d(f w) = df ^ w + f dw with a scalar parameter of zero differential
     f = Var(chart.table["B"])
-    form = chart.gen("theta").scale(f)
-    assert form.d() == chart.gen("theta").d().scale(f)
+    form = chart.gen("omega").scale(f)
+    assert form.d() == chart.gen("omega").d().scale(f)
 
 
 def test_d_squared_zero_on_model_chart(chart):
-    for name in ("theta", "theta1", "theta2", "phi1", "phi2", "psi"):
+    for name in ("omega", "omega1", "theta2", "phi1", "phi2", "psi"):
         dd = chart.gen(name).d().d()
         assert dd.certify_zero()
 
@@ -158,38 +158,38 @@ def test_leibniz_identity_on_random_pairs(chart):
 
 
 def test_coefficient_sign_convention(chart):
-    form = w(chart, "theta2", "theta1c").scale(5) - w(chart, "theta1c", "theta2").scale(5)
-    assert normalize(form.coefficient(("theta2", "theta1c"))) == normalize(parse("10", chart.table))
+    form = w(chart, "theta2", "omega1c").scale(5) - w(chart, "omega1c", "theta2").scale(5)
+    assert normalize(form.coefficient(("theta2", "omega1c"))) == normalize(parse("10", chart.table))
 
 
 def test_coefficient_requires_matching_degree(chart):
     with pytest.raises(ChartError):
-        w(chart, "theta", "theta1").coefficient(("theta",))
+        w(chart, "omega", "omega1").coefficient(("omega",))
 
 
 def test_reduce_mod_drops_ideal_terms(chart):
-    form = w(chart, "theta", "psi") + w(chart, "theta2", "theta1")
-    assert form.reduce_mod(["theta"]) == w(chart, "theta2", "theta1")
+    form = w(chart, "omega", "psi") + w(chart, "theta2", "omega1")
+    assert form.reduce_mod(["omega"]) == w(chart, "theta2", "omega1")
     names = [g.name for g in chart.generators]
     assert form.reduce_mod(names).is_zero
 
 
 def test_reduce_mod_splits_ideal_complement(chart):
-    form = w(chart, "theta", "psi") + w(chart, "theta2", "theta1c").scale(3)
-    reduced = form.reduce_mod(["theta"])
+    form = w(chart, "omega", "psi") + w(chart, "theta2", "omega1c").scale(3)
+    reduced = form.reduce_mod(["omega"])
     ideal_part = form - reduced
     assert (reduced + ideal_part) == form
-    assert all("theta" in ideal_part.word_names(word) for word in ideal_part.terms)
+    assert all("omega" in ideal_part.word_names(word) for word in ideal_part.terms)
 
 
 def test_conjugate_form_basics(chart):
-    assert chart.gen("theta").conj() == chart.gen("theta").scale(-1)
+    assert chart.gen("omega").conj() == chart.gen("omega").scale(-1)
     assert chart.gen("theta2").conj() == chart.gen("theta2c")
     assert chart.gen("psi").conj() == chart.gen("psi").scale(-1)
 
 
 def test_conjugate_form_is_involution(chart):
-    form = w(chart, "theta2", "phi1").scale(Var(chart.table["B"])) + w(chart, "theta", "psi")
+    form = w(chart, "theta2", "phi1").scale(Var(chart.table["B"])) + w(chart, "omega", "psi")
     assert form.conj().conj() == form
 
 
@@ -240,7 +240,7 @@ def test_vanishes_certifies_each_coefficient_once(monkeypatch):
 
 
 def test_rewrite_identity_substitution(chart):
-    form = w(chart, "theta2", "theta1c") + w(chart, "theta", "psi").scale(2)
+    form = w(chart, "theta2", "omega1c") + w(chart, "omega", "psi").scale(2)
     sub = {g.name: chart.gen(g.name) for g in chart.generators}
     assert form.rewrite(sub, chart) == form
 
@@ -248,10 +248,10 @@ def test_rewrite_identity_substitution(chart):
 def test_rewrite_round_trip_invertible(chart):
     B = Var(chart.table["B"])
     sub = {g.name: chart.gen(g.name) for g in chart.generators}
-    sub["theta1"] = chart.gen("theta1") + chart.gen("theta").scale(B)
+    sub["omega1"] = chart.gen("omega1") + chart.gen("omega").scale(B)
     inverse = dict(sub)
-    inverse["theta1"] = chart.gen("theta1") - chart.gen("theta").scale(B)
-    form = w(chart, "theta1", "phi2") + w(chart, "theta", "theta1c")
+    inverse["omega1"] = chart.gen("omega1") - chart.gen("omega").scale(B)
+    form = w(chart, "omega1", "phi2") + w(chart, "omega", "omega1c")
     assert form.rewrite(sub, chart).rewrite(inverse, chart) == form
 
 
@@ -283,9 +283,9 @@ def test_rewrite_composition_matches_sequential():
 
 
 def test_rewrite_requires_complete_substitution(chart):
-    form = w(chart, "theta", "theta1")
+    form = w(chart, "omega", "omega1")
     with pytest.raises(ChartError):
-        form.rewrite({"theta": chart.gen("theta")}, chart)
+        form.rewrite({"omega": chart.gen("omega")}, chart)
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +298,22 @@ MODEL_DECL = (Path(__file__).parent.parent / "src" / "crcgeo" / "data"
 
 def test_load_chart_validates_d_squared():
     bad = MODEL_DECL.replace(
-        "theta = - theta1 /\\ theta1c - theta /\\ (phi2 + phi2c)",
-        "theta = - theta1 /\\ theta1c")
+        "omega = - omega1 /\\ omega1c - omega /\\ (phi2 + phi2c)",
+        "omega = - omega1 /\\ omega1c")
     with pytest.raises(ChartError):
         load_chart(bad)
 
 
 def test_parse_form_wedge_precedence(chart):
-    parsed = parse_form("2*theta /\\ psi + theta2 /\\ theta1", chart)
-    expected = w(chart, "theta", "psi").scale(2) + w(chart, "theta2", "theta1")
+    parsed = parse_form("2*omega /\\ psi + theta2 /\\ omega1", chart)
+    expected = w(chart, "omega", "psi").scale(2) + w(chart, "theta2", "omega1")
     assert parsed == expected
 
 
 def test_parse_form_error_offsets_are_exact_after_wedges(chart):
-    for text, offset in (("theta /\\ theta1 + zz", 18),
-                         ("theta /\\ theta1 /\\ theta2 + zz", 28),
-                         ("theta/\\theta1+zz", 14)):
+    for text, offset in (("omega /\\ omega1 + zz", 18),
+                         ("omega /\\ omega1 /\\ theta2 + zz", 28),
+                         ("omega/\\omega1+zz", 14)):
         assert text[offset:offset + 2] == "zz"
         with pytest.raises(UndeclaredIdentifierError) as err:
             parse_form(text, chart)
@@ -322,8 +322,16 @@ def test_parse_form_error_offsets_are_exact_after_wedges(chart):
 
 def test_parse_form_rejects_bare_at_sign(chart):
     with pytest.raises(ParseError) as err:
-        parse_form("theta @ theta1", chart)
+        parse_form("omega @ omega1", chart)
     assert err.value.offset == 6
+
+
+@pytest.fixture(scope="module")
+def grammar_chart():
+    """A chart of its own for the grammar cases below, whose generator
+    names are part of the test ids."""
+    return load_chart("[variables]\nB Bb : pair\n"
+                      "[generators]\ntheta : imaginary\ntheta1 theta1c : pair\n")
 
 
 @pytest.mark.parametrize("text, gen, scalar", [
@@ -331,7 +339,8 @@ def test_parse_form_rejects_bare_at_sign(chart):
     ("(B*Bb)^2 * theta", "theta", lambda B, Bb: (B * Bb) ** 2),
     ("2/B*theta1", "theta1", lambda B, Bb: 2 / B),
 ])
-def test_parse_form_divides_and_raises_scalars(chart, text, gen, scalar):
+def test_parse_form_divides_and_raises_scalars(grammar_chart, text, gen, scalar):
+    chart = grammar_chart
     B, Bb = Var(chart.table["B"]), Var(chart.table["Bb"])
     assert parse_form(text, chart) == chart.gen(gen).scale(scalar(B, Bb))
 
@@ -341,9 +350,10 @@ def test_parse_form_divides_and_raises_scalars(chart, text, gen, scalar):
     ("theta^2", "powers apply to scalars only", 5),
     ("B^theta", "exponent must be scalar", 2),
 ])
-def test_parse_form_keeps_forms_out_of_division_and_powers(chart, text, message, offset):
+def test_parse_form_keeps_forms_out_of_division_and_powers(grammar_chart, text, message,
+                                                           offset):
     with pytest.raises(ParseError) as err:
-        parse_form(text, chart)
+        parse_form(text, grammar_chart)
     assert message in str(err.value)
     assert err.value.offset == offset
 

@@ -214,9 +214,9 @@ def test_model_torsion_form_vanishes_identically(chart):
     exactly zero: the model is flat."""
     g = chart.gen
     torsion = (g("theta2").d() + g("theta2").wedge(g("phi2") - g("phi2c"))
-               - g("theta1").wedge(g("phi1")))
+               - g("omega1").wedge(g("phi1")))
     assert torsion.is_zero
-    for word in (("theta2", "theta1c"), ("theta1", "theta1c")):
+    for word in (("theta2", "omega1c"), ("omega1", "omega1c")):
         assert is_zero_expr(torsion.coefficient(word))
 
 
@@ -228,9 +228,9 @@ def test_structure_equation_runtime_budget(chart):
 def test_structure_equations_mutation_detected():
     # perturbing one rule breaks exactly the entries housing that form's d
     text = model.CHART_PATH.read_text()
-    rule = "theta = - theta1 /\\ theta1c - theta /\\ (phi2 + phi2c)"
+    rule = "omega = - omega1 /\\ omega1c - omega /\\ (phi2 + phi2c)"
     assert rule in text
-    bad_chart = load_chart(text.replace(rule, rule + " + theta /\\ phi2"), check=False)
+    bad_chart = load_chart(text.replace(rule, rule + " + omega /\\ phi2"), check=False)
     report = model.verify_structure_equations(bad_chart)
     assert report.overall == "fail"
     failing = {c.name for c in report.failed_checks()}

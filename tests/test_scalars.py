@@ -815,6 +815,22 @@ def test_shared_dag_visits_each_node_once():
     assert value == expected
 
 
+def test_substitute_and_conjugate_rebuild_each_shared_node_once():
+    # e <- e + e doubles the paths at every level: 2^40 of them, 41 nodes
+    table = VariableTable()
+    t1, t2 = (Var(v) for v in table.real("t1", "t2"))
+    z, zb = (Var(v) for v in table.pair("z", "zb"))
+    e, w = t1, z
+    for _ in range(40):
+        e, w = e + e, w + w
+    start = time.perf_counter()
+    substituted = substitute(e, {t1.var: t2})
+    conjugated = conjugate(w)
+    assert time.perf_counter() - start < 1.0
+    assert substituted == normalize(2 ** 40 * t2)
+    assert conjugated == normalize(2 ** 40 * zb)
+
+
 # ---------------------------------------------------------------------------
 # exponent and coefficient representation
 
