@@ -36,6 +36,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+# the most sample points one zero test may take: 10 000 trials already make
+# a cold paper analysis take seconds, and time grows linearly with them
+MAX_TRIALS = 10_000
+
 
 def parse_box(text: str) -> dict:
     """Parse 't1=0.02:0.08,t2=0.02:0.08' into interval pairs."""
@@ -245,6 +249,8 @@ def main(argv=None) -> int:
             x = getattr(args, key, None)
             if x is not None and not (math.isfinite(x) and x > 0):
                 raise ValueError(f"--{key} must be positive and finite")
+        if getattr(args, "trials", 0) > MAX_TRIALS:
+            raise ValueError(f"--trials must be at most {MAX_TRIALS}")
         if args.command == "model":
             return _cmd_model_verify(args)
         if args.command == "dga":

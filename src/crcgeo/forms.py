@@ -14,7 +14,10 @@ Forms decide no zero question themselves: ``certify_zero`` and
 There is no manifold abstraction: every computation happens in one of a
 handful of concrete charts, and basis changes are explicit substitutions
 (``rewrite``).  Generators without a d-rule are inert; applying ``d`` to a
-form that touches them raises ``MissingRuleError``.
+form that touches them raises ``MissingRuleError``.  ``verify_d_squared``
+certifies d(d g) = 0 for each generator whose rule touches only ruled
+generators, and ``install_rules`` raises on the first that fails unless
+told not to check.
 
 Charts can also be read from declaration files (``load_chart``); their
 form expressions go through ``parse_form``, which is the grammar of
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .scalars import (
     Expr,
@@ -50,7 +53,6 @@ from . import parsing
 GEN_REAL = "real"        # self-conjugate, conj(g) = g
 GEN_IMAGINARY = "imaginary"  # self-conjugate, conj(g) = -g
 GEN_PAIR = "pair"
-GEN_AUX = "aux"          # exempt from conjugation
 
 
 class ChartError(ExprError):
@@ -61,10 +63,6 @@ class MissingRuleError(ChartError):
     def __init__(self, kind: str, name: str):
         super().__init__(f"no {kind} rule installed for '{name}'")
         self.name = name
-
-
-class AuxiliaryGeneratorError(ChartError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -84,10 +82,6 @@ def g_imaginary(name: str) -> Generator:
 
 def g_pair(name: str, partner: str) -> tuple[Generator, Generator]:
     return Generator(name, GEN_PAIR, partner), Generator(partner, GEN_PAIR, name)
-
-
-def g_aux(name: str) -> Generator:
-    return Generator(name, GEN_AUX)
 
 
 def _merge_word(w1: tuple, w2: tuple):
@@ -118,26 +112,22 @@ class Chart:
             raise ChartError("duplicate generator names")
         for g in self.generators:
             if g.kind == GEN_PAIR:
-                p = self._by_name(g.partner)
+                idx = self._index.get(g.partner)
+                p = None if idx is None else self.generators[idx]
                 if p is None or p.kind != GEN_PAIR or p.partner != g.name:
                     raise ChartError(f"generator {g.name} lacks its conjugate partner")
         self._d_rules: dict[str, FormExpr] = {}
         self._scalar_rules: dict[str, FormExpr] = {}
-        self._placeholder_gens: set[str] = set()
         self._frozen = False
-
-    def _by_name(self, name: str | None):
-        return None if name is None else next(
-            (g for g in self.generators if g.name == name), None)
 
     # -- construction ------------------------------------------------------
 
     def install_rules(self, d_rules: Mapping[str, "FormExpr"],
                       scalar_rules: Mapping[str, "FormExpr"] | None = None,
-                      placeholder_gens: Iterable[str] = (),
                       check: bool = True) -> "Chart":
         """Install the d-rules and scalar rules once.  A paired generator
-        without a rule gets the conjugate of its partner's."""
+        without a rule gets the conjugate of its partner's.  With ``check``
+        a generator whose d(d g) is not certified zero raises."""
         if self._frozen:
             raise ChartError("chart rules already installed")
         for name, rule in d_rules.items():
@@ -152,16 +142,15 @@ class Chart:
                 if rule.degree != 1:
                     raise ChartError(f"scalar rule for {vname} must have degree 1")
                 self._scalar_rules[vname] = rule
-        self._placeholder_gens = set(placeholder_gens)
         for g in self.generators:
             if (g.kind == GEN_PAIR and g.name not in self._d_rules
                     and g.partner in self._d_rules):
                 self._d_rules[g.name] = self._d_rules[g.partner].conj()
-                if g.partner in self._placeholder_gens:
-                    self._placeholder_gens.add(g.name)
         self._frozen = True
         if check:
-            self.verify_d_squared()
+            bad = next((n for n, ok in self.verify_d_squared().items() if not ok), None)
+            if bad is not None:
+                raise ChartError(f"d(d {bad}) != 0 at chart construction")
         return self
 
     def _require_gen(self, name: str) -> int:
@@ -215,27 +204,13 @@ class Chart:
 
     # -- validation --------------------------------------------------------
 
-    def verify_d_squared(self) -> list[str]:
-        """Check d(d g) = 0 for every generator whose rule chain is
-        placeholder-free; returns the list of generator names checked."""
-        checked = []
-        for g in self.generators:
-            if g.name not in self._d_rules or g.name in self._placeholder_gens:
-                continue
-            rule = self._d_rules[g.name]
-            ok = True
-            for word in rule.terms:
-                for idx in word:
-                    dep = self.generators[idx].name
-                    if dep not in self._d_rules or dep in self._placeholder_gens:
-                        ok = False
-            if not ok:
-                continue
-            dd = rule.d()
-            if not dd.certify_zero():
-                raise ChartError(f"d(d {g.name}) != 0 at chart construction")
-            checked.append(g.name)
-        return checked
+    def verify_d_squared(self) -> dict[str, bool]:
+        """``{name: d(d g) certified zero}``, in generator order, for each
+        generator g whose d-rule touches only generators with d-rules."""
+        return {g.name: self._d_rules[g.name].d().certify_zero()
+                for g in self.generators
+                if g.name in self._d_rules
+                and self._d_rules[g.name].generators_present() <= self._d_rules.keys()}
 
 
 class FormExpr:
@@ -369,9 +344,6 @@ class FormExpr:
             new_indices = []
             for idx in word:
                 g = chart.generators[idx]
-                if g.kind == GEN_AUX:
-                    raise AuxiliaryGeneratorError(
-                        f"cannot conjugate a form containing auxiliary generator {g.name}")
                 if g.kind == GEN_PAIR:
                     new_indices.append(chart._index[g.partner])
                 elif g.kind == GEN_REAL:
@@ -523,9 +495,10 @@ def load_chart(text: str, check: bool = True) -> Chart:
     """Build a chart from a declarative description.
 
     Sections: ``[variables]`` (``name... : real|positive|imaginary|unit`` or
-    ``name partner : pair``), ``[generators]`` (same kinds plus ``aux``;
-    order fixes the coframe order), ``[d]`` and ``[dscalar]`` ruled as form
-    expressions, where ``0`` declares a closed generator or a constant.
+    ``name partner : pair``), ``[generators]`` (``real``, ``imaginary`` or
+    ``pair``; order fixes the coframe order), ``[d]`` and ``[dscalar]``
+    ruled as form expressions, where ``0`` declares a closed generator or
+    a constant.
     Missing d-rules of conjugate partners are filled in by
     conjugation; generators without rules stay inert.
     """
@@ -591,7 +564,7 @@ def declare_variables(table: VariableTable, names: list[str], kind: str) -> None
 
 def declare_generators(names: list[str], kind: str) -> list[Generator]:
     """Generators ``names`` of one kind: ``pair`` (exactly two names),
-    ``real``, ``imaginary`` or ``aux``."""
+    ``real`` or ``imaginary``."""
     if kind == "pair":
         if len(names) != 2:
             raise ChartError("a pair declaration needs exactly two names")
@@ -600,6 +573,4 @@ def declare_generators(names: list[str], kind: str) -> list[Generator]:
         return [g_real(n) for n in names]
     if kind == "imaginary":
         return [g_imaginary(n) for n in names]
-    if kind == "aux":
-        return [g_aux(n) for n in names]
     raise ChartError(f"unknown generator kind {kind!r}")

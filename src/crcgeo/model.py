@@ -5,7 +5,8 @@ The model group lives on C^5 and preserves a symmetric bilinear form S
 and a Hermitian form T (plus the real form J = diag(1,1,1,-1,-1) in the
 original coordinates).  The connection matrix is assembled from six
 scalar-valued 1-forms on the model chart, whose generators and structure
-equations are read from ``data/model.chart``; ``verify_structure_equations``
+equations ``model_chart`` reads from ``data/model.chart`` once per process
+(``dga`` and ``tube`` take them from it too).  ``verify_structure_equations``
 certifies d(MC) = MC /\\ MC entrywise, and ``verify_adjoint_transforms``
 certifies the closed-form component transformations ``h2_transform`` and
 ``h1_transform`` under both isotropy subgroup families.  Those two
@@ -14,6 +15,7 @@ functions take any six 1-forms, so ``dga`` applies the same formulas.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,9 +178,11 @@ COMPONENTS = ("w", "w1", "t2", "p1", "p2", "ps")
 COFRAME = ("omega", "omega1", "theta2", "phi1", "phi2", "psi")
 
 
+@functools.cache
 def model_chart() -> Chart:
     """Model coframe chart: generators, structure equations and the
-    constant isotropy parameters B, Lam, A, all from ``data/model.chart``."""
+    constant isotropy parameters B, Lam, A, all from ``data/model.chart``,
+    loaded and d-squared-checked once per process."""
     return load_chart(CHART_PATH.read_text(encoding="utf-8"))
 
 

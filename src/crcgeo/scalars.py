@@ -1176,8 +1176,9 @@ def _map_leaves(e: Expr, leaf) -> Expr:
     return walk(e)
 
 
-def substitute(e: Expr, bindings: Mapping[Variable, Expr], check: bool = True) -> Expr:
-    """Simultaneous substitution; conjugate partners follow automatically."""
+def substitute(e: Expr, bindings: Mapping[Variable, Expr]) -> Expr:
+    """Simultaneous substitution; conjugate partners follow automatically,
+    and every binding must respect its variable's reality tag."""
     full: dict[Variable, Expr] = {}
     for v, s in bindings.items():
         full[v] = lift(s)
@@ -1186,9 +1187,8 @@ def substitute(e: Expr, bindings: Mapping[Variable, Expr], check: bool = True) -
             partner = Variable(v.partner, COMPLEX_PAIRED, v.name)
             if partner not in full:
                 full[partner] = conjugate(s)
-    if check:
-        for v, s in full.items():
-            _check_substitution_reality(v, s, full)
+    for v, s in full.items():
+        _check_substitution_reality(v, s, full)
     return normalize(_map_leaves(
         e, lambda leaf: leaf if isinstance(leaf, Const) else full.get(leaf.var, leaf)))
 

@@ -11,8 +11,8 @@ reporting the flatness/connection obstruction carried by the final
 normalized coefficient on the reference section (u=1, a=1, b=0, lam=0).
 
 The frame chart's coframe and structure equations are those of
-``data/model.chart``: the two coframe identities and the torsion form are
-each a differential minus ``dga.structure_terms``.  All heavy identities
+``model.model_chart()``: the two coframe identities and the torsion form
+are each a differential minus ``dga.structure_terms``.  All heavy identities
 are verified as exterior-algebra identities after the basis rewriting.
 Every zero question goes through one method, ``TubeModel.vanishes``, which hands a scalar to the kernel's
 ``is_identically_zero`` and a form to ``FormExpr.vanishes`` (certificate
@@ -50,7 +50,8 @@ from .scalars import (
     to_text,
 )
 from .forms import Chart, FormExpr, g_imaginary, g_pair, g_real
-from .dga import COFRAME, coframe_chart, structure_terms
+from .dga import COFRAME, structure_terms
+from .model import model_chart
 from .report import INCONCLUSIVE, Report
 
 HALF = Fraction(1, 2)
@@ -435,7 +436,7 @@ def _ambient_forms(model: TubeModel, chart: Chart) -> dict:
 
 def _frame_chart(model: TubeModel) -> Chart:
     """The model chart's generators (psi inert) and dlam, db, dbc."""
-    return Chart(model.table, [*coframe_chart().generators,
+    return Chart(model.table, [*model_chart().generators,
                                g_imaginary("dlam"), *g_pair("db", "dbc")])
 
 
@@ -549,15 +550,38 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
 # curvature coefficients
 
 
+# what each zero-test state of the final coefficient says: (Cartan
+# obstruction, flatness, flat, conclusion).  A nonzero value obstructs both
+# flatness and the connection property; zero only passes a necessary
+# condition (other curvature components are not computed here); an
+# undecided test claims nothing.
+_READINGS = {
+    "nonzero": (True, "not_flat", False,
+                "not flat; not locally equivalent to the model; "
+                "the parallelism is not a Cartan connection"),
+    "zero": (False, "necessary_condition_passed", None,
+             "necessary condition passed; flatness NOT concluded "
+             "(remaining curvature components not computed)"),
+    "inconclusive": (None, "inconclusive", None,
+                     "inconclusive zero test; no claim made"),
+}
+
+
 @dataclass
 class CurvatureVerdict:
     theta2_2bar1: Expr
     c: Expr
     theta2_21_gamma0: Expr
     theta2_21_final: Expr
-    is_final_zero: str          # "zero" | "nonzero" | "inconclusive"
-    cartan_obstruction: bool
-    flatness: str               # "not_flat" | "necessary_condition_passed"
+    is_final_zero: str          # a key of _READINGS
+
+    @property
+    def cartan_obstruction(self) -> bool | None:
+        return _READINGS[self.is_final_zero][0]
+
+    @property
+    def flatness(self) -> str:
+        return _READINGS[self.is_final_zero][1]
 
 
 def gamma0_bindings(table: VariableTable) -> dict:
@@ -646,36 +670,19 @@ def curvature_coefficients(cf: TubeCoframe) -> CurvatureVerdict:
     final = tilde0.coefficient(("theta2", "omega1"))
 
     verdict = model.vanishes(final, seed_shift=53)
-    state = {True: "zero", False: "nonzero"}.get(verdict, "inconclusive")
     return CurvatureVerdict(
         theta2_2bar1=theta2_2bar1,
         c=c,
         theta2_21_gamma0=theta2_21_gamma0,
         theta2_21_final=normalize(final),
-        is_final_zero=state,
-        cartan_obstruction=(state == "nonzero"),
-        flatness="not_flat" if state == "nonzero" else "necessary_condition_passed",
+        is_final_zero={True: "zero", False: "nonzero"}.get(verdict, "inconclusive"),
     )
 
 
 def flatness_probe(verdict: CurvatureVerdict) -> dict:
-    """Interpret the final coefficient. A nonzero value obstructs both
-    flatness and the connection property; zero only passes a necessary
-    condition (other curvature components are not computed here)."""
-    if verdict.is_final_zero == "nonzero":
-        return {
-            "flat": False,
-            "conclusion": "not flat; not locally equivalent to the model; "
-                          "the parallelism is not a Cartan connection",
-        }
-    if verdict.is_final_zero == "zero":
-        return {
-            "flat": None,
-            "conclusion": "necessary condition passed; flatness NOT concluded "
-                          "(remaining curvature components not computed)",
-        }
-    return {"flat": None,
-            "conclusion": "inconclusive zero test; no claim made"}
+    """Interpret the final coefficient (see ``_READINGS``)."""
+    _, _, flat, conclusion = _READINGS[verdict.is_final_zero]
+    return {"flat": flat, "conclusion": conclusion}
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,32 @@
+"""The benchmark tracer's targets exist: every (module, attribute path) in
+``bench/tracer.py``'s ``TARGETS`` resolves on the package, so renaming or
+deleting a traced function fails here instead of in a traced bench run."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _targets():
+    """``TARGETS`` read from the tracer's source, a literal tuple."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+@pytest.mark.parametrize("prefix, module_name, path", _targets())
+def test_tracer_target_resolves(prefix, module_name, path):
+    owner = importlib.import_module(module_name)
+    if "." in path:
+        cls_name, attr = path.split(".")
+        owner = getattr(owner, cls_name)
+        # the tracer patches methods in the class's own namespace
+        assert attr in vars(owner), prefix
+        assert callable(vars(owner)[attr]), prefix
+    else:
+        assert callable(getattr(owner, path)), prefix

@@ -97,6 +97,18 @@ def test_bad_box_exit_code():
         assert result.stderr.startswith("error:")
 
 
+def test_trials_over_budget_exit_code():
+    # a billion sample points would run for hours; refused before any work
+    for command in (("expr", "zero", "--expr", "sqrt(t1^2)-t1", "--box", "t1=0.1:1"),
+                    ("tube", "paper-example")):
+        result = run_cli(*command, "--trials", "1000000000", timeout=15)
+        assert result.returncode == 2, command
+        assert result.stderr == f"error: --trials must be at most {cli.MAX_TRIALS}\n"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["expr", "zero", "--expr", "sqrt(t1^2)-t1", "--box", "t1=0.1:1",
+                         "--trials", str(cli.MAX_TRIALS)]) == 0
+
+
 @pytest.mark.parametrize("command", (("analyze", "--rho", "t1^2+t2^2"),
                                      ("paper-example",), ("profile", "--g", "s^2")))
 def test_tube_box_must_cover_t1_and_t2(command):

@@ -7,12 +7,10 @@ from pathlib import Path
 import pytest
 
 from crcgeo.forms import (
-    AuxiliaryGeneratorError,
     Chart,
     ChartError,
     FormExpr,
     MissingRuleError,
-    g_aux,
     g_imaginary,
     g_pair,
     g_real,
@@ -201,13 +199,6 @@ def test_conjugate_commutes_with_d(chart):
         form = chart.basis_word(word).scale(rng.randint(1, 4))
         diff = form.d().conj() - form.conj().d()
         assert diff.certify_zero()
-
-
-def test_conjugate_rejects_auxiliary_generator():
-    table = VariableTable()
-    chart = Chart(table, [g_real("x"), g_aux("s")])
-    with pytest.raises(AuxiliaryGeneratorError):
-        chart.gen("s").conj()
 
 
 def test_vanishes_certifies_each_coefficient_once(monkeypatch):

@@ -2,12 +2,14 @@
 equations, adjoint transformation formulas, orbit membership."""
 
 import cmath
+import contextlib
+import io
 import random
 
 import pytest
 
-from crcgeo import model
-from crcgeo.forms import load_chart
+from crcgeo import cli, dga, model
+from crcgeo.forms import ChartError, load_chart
 from crcgeo.matrices import SMatrix
 from crcgeo.scalars import (
     I,
@@ -225,16 +227,57 @@ def test_structure_equation_runtime_budget(chart):
     assert report.timing_s < 5.0
 
 
-def test_structure_equations_mutation_detected():
-    # perturbing one rule breaks exactly the entries housing that form's d
+def _corrupted_chart_text():
+    """The model chart file with ``+ omega /\\ phi2`` added to d(omega)."""
     text = model.CHART_PATH.read_text()
     rule = "omega = - omega1 /\\ omega1c - omega /\\ (phi2 + phi2c)"
     assert rule in text
-    bad_chart = load_chart(text.replace(rule, rule + " + omega /\\ phi2"), check=False)
+    return text.replace(rule, rule + " + omega /\\ phi2")
+
+
+def test_structure_equations_mutation_detected():
+    # perturbing one rule breaks exactly the entries housing that form's d
+    bad_chart = load_chart(_corrupted_chart_text(), check=False)
     report = model.verify_structure_equations(bad_chart)
     assert report.overall == "fail"
     failing = {c.name for c in report.failed_checks()}
     assert failing == {"entry(1,4)", "entry(2,5)"}
+
+
+def test_verify_d_squared_names_each_generator_the_mutation_breaks():
+    # d(omega) and every rule that uses omega lose d o d = 0
+    certified = load_chart(_corrupted_chart_text(), check=False).verify_d_squared()
+    broken = {"omega", "omega1", "omega1c", "phi2", "phi2c"}
+    assert list(certified) == [g.name for g in model.model_chart().generators]
+    assert {name for name, ok in certified.items() if not ok} == broken
+    with pytest.raises(ChartError, match=r"d\(d omega\) != 0"):
+        load_chart(_corrupted_chart_text())
+
+
+def test_flat_suite_reports_a_broken_structure_equation_as_failed_checks(monkeypatch):
+    # the flat dga chart takes its rules from the model chart, so a corrupted
+    # model chart fails the suite's d^2 checks instead of raising
+    bad = load_chart(_corrupted_chart_text(), check=False)
+    monkeypatch.setattr(model, "model_chart", lambda: bad)
+    report = dga.verify_flat_consistency()
+    assert {c.name for c in report.failed_checks()} == {
+        f"d^2 {name} = 0" for name in ("omega", "omega1", "omega1c", "phi2", "phi2c")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["dga", "verify", "--suite", "flat"]) == 1
+
+
+def test_model_suites_load_the_chart_once(monkeypatch):
+    loads = []
+
+    def counting_load(text, check=True):
+        loads.append(check)
+        return load_chart(text, check)
+
+    monkeypatch.setattr(model, "load_chart", counting_load)
+    model.model_chart.cache_clear()
+    assert model.verify_structure_equations().overall == "pass"
+    assert model.verify_adjoint_transforms().overall == "pass"
+    assert loads == [True]
 
 
 # ---------------------------------------------------------------------------

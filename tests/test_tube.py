@@ -313,9 +313,7 @@ def test_normalization_shift_kills_coefficient(paper_model, paper_verdict):
     the re-extracted coefficient to zero on the section."""
     table = paper_model.table
     b, bb = table["b"], table["bb"]
-    shifted = substitute(paper_verdict.theta2_2bar1,
-                         {bb: Var(bb) - paper_verdict.c},
-                         check=False)
+    shifted = substitute(paper_verdict.theta2_2bar1, {bb: Var(bb) - paper_verdict.c})
     on_section = tube.restrict_to_section(shifted, table)
     assert is_identically_zero(on_section, paper_model.zero_test_box, trials=16,
                                seed=13, tol=1e-8)
@@ -354,14 +352,17 @@ def test_flatness_probe_branches(paper_verdict):
     probe = tube.flatness_probe(paper_verdict)
     assert probe["flat"] is False
     assert "not a Cartan connection" in probe["conclusion"]
-    passed = tube.CurvatureVerdict(ZERO, ZERO, ZERO, ZERO, "zero", False,
-                                   "necessary_condition_passed")
+    passed = tube.CurvatureVerdict(ZERO, ZERO, ZERO, ZERO, "zero")
     probe2 = tube.flatness_probe(passed)
     assert probe2["flat"] is None and "NOT concluded" in probe2["conclusion"]
-    unknown = tube.CurvatureVerdict(ZERO, ZERO, ZERO, ZERO, "inconclusive",
-                                    False, "necessary_condition_passed")
+    assert passed.flatness == "necessary_condition_passed"
+    assert passed.cartan_obstruction is False
+    # an undecided final zero test claims nothing, in any field
+    unknown = tube.CurvatureVerdict(ZERO, ZERO, ZERO, ZERO, "inconclusive")
     probe3 = tube.flatness_probe(unknown)
-    assert "no claim" in probe3["conclusion"]
+    assert probe3["flat"] is None and "no claim" in probe3["conclusion"]
+    assert unknown.flatness == "inconclusive"
+    assert unknown.cartan_obstruction is None
 
 
 def test_torsion_conjugation_consistency(paper_model, paper_coframe):
