@@ -27,6 +27,7 @@ from .scalars import (
     ZeroTestInconclusiveError,
     differentiate,
     evaluate,
+    free_variables,
     is_identically_zero,
     to_text,
 )
@@ -164,10 +165,19 @@ def _cmd_expr(args) -> int:
                    {"at": {k: str(v) for k, v in point.items()},
                     "value": f"{value.real!r}{value.imag:+}j"})
     elif args.expr_command == "diff":
-        d = differentiate(expr, table[args.by])
+        var = table.get(args.by)
+        if var is None:
+            raise ValueError(f"--by {args.by!r} is not a declared variable")
+        d = differentiate(expr, var)
         report.add("differentiate", True, {"by": args.by, "result": to_text(d)})
     else:  # zero
         box = parse_box(args.box)
+        # a paired variable is covered by its partner's interval, as in
+        # ``sample_point``
+        missing = sorted(v.name for v in free_variables(expr)
+                         if v.name not in box and v.partner not in box)
+        if missing:
+            raise ValueError(f"box must cover {', '.join(missing)}")
         try:
             verdict = is_identically_zero(expr, box, trials=args.trials,
                                           seed=args.seed, tol=args.tol)

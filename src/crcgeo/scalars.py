@@ -20,11 +20,12 @@ monomial that is nonvanishing wherever the expression is defined, so a
 surviving zero certifies the identity; a ``False`` only means "not
 proven", never "nonzero".  The sampled one is ``is_identically_zero``: it
 normalizes, tries the certificate, and only then evaluates at seeded
-points of a caller-supplied box, each distinct node once per point.  A
-point where the expression has a pole or a non-finite value is
-inadmissible and is redrawn.  Certificate verdicts are memoized per node
-like the kernel's other results.  Forms, the suites and the tube pipeline
-call these two and decide nothing themselves.
+points of a caller-supplied box, a batch of points at a time and each
+distinct node once per batch.  A point where the expression has a pole
+or a non-finite value is inadmissible and is redrawn.  Certificate
+verdicts are memoized per node like the kernel's other results.  Forms,
+the suites and the tube pipeline call these two and decide nothing
+themselves.
 
 Reality tags drive conjugation: ``real``/``positive_real`` variables are
 fixed, ``imaginary`` ones negate, ``unit_modulus`` ones invert, and
@@ -40,6 +41,8 @@ import sys
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import filterfalse, repeat
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 REAL = "real"
@@ -317,6 +320,12 @@ class Expr:
 # canonical because they are alive, so key equality is structural equality.
 # An entry leaves the table when its node dies, never on ``clear_caches()``.
 _INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Lookups read the table's own dict of weak references and call the one
+# found, both in C (``WeakValueDictionary.get`` is Python code).  Calling
+# ``_NO_REF`` returns None, as a dead reference does; either way the new
+# node's ``_INTERN[key] = node`` replaces the entry.
+_INTERN_REFS: dict = _INTERN.data
+_NO_REF = type(None)
 
 
 def _interned(cls, key):
@@ -332,7 +341,7 @@ class Const(Expr):
 
     def __new__(cls, value: QC):
         key = ("C", value.re, value.im)
-        node = _INTERN.get(key)
+        node = _INTERN_REFS.get(key, _NO_REF)()
         if node is None:
             node = _interned(cls, key)
             node.value = value
@@ -348,7 +357,7 @@ class Var(Expr):
 
     def __new__(cls, var: Variable):
         key = ("V", var)
-        node = _INTERN.get(key)
+        node = _INTERN_REFS.get(key, _NO_REF)()
         if node is None:
             node = _interned(cls, key)
             node.var = var
@@ -363,7 +372,7 @@ class Add(Expr):
 
     def __new__(cls, terms: tuple):
         key = ("A", terms)
-        node = _INTERN.get(key)
+        node = _INTERN_REFS.get(key, _NO_REF)()
         if node is None:
             node = _interned(cls, key)
             node.terms = terms
@@ -378,7 +387,7 @@ class Mul(Expr):
 
     def __new__(cls, factors: tuple):
         key = ("M", factors)
-        node = _INTERN.get(key)
+        node = _INTERN_REFS.get(key, _NO_REF)()
         if node is None:
             node = _interned(cls, key)
             node.factors = factors
@@ -395,7 +404,7 @@ class Pow(Expr):
         if type(exp) is not Fraction:  # also turns a _KeyExp into a Fraction
             exp = Fraction(exp)
         key = ("P", base, exp)
-        node = _INTERN.get(key)
+        node = _INTERN_REFS.get(key, _NO_REF)()
         if node is None:
             node = _interned(cls, key)
             node.base = base
@@ -1255,12 +1264,8 @@ def evaluate(e: Expr, point: Mapping) -> complex:
                 raise DomainEvalError(f"no binding for variable {v.name}")
     for v in vars_present:
         _check_binding(v, by_name[v.name], by_name)
-    return _eval(e, by_name, {})
-
-
-def _eval(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
     try:
-        value = _eval_tree(e, point, memo)
+        value = _eval_tree(e, by_name, {})
     except OverflowError as exc:
         raise DomainEvalError(f"value outside the floating-point range ({exc})") from None
     if not cmath.isfinite(value):
@@ -1291,11 +1296,8 @@ def _eval_tree(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
             if k < 0 and base == 0:
                 raise DomainEvalError("division by zero")
             value = base ** k
-        elif abs(base.imag) > 1e-10 * (1.0 + abs(base)) or base.real <= 0:
-            raise DomainEvalError(
-                f"fractional power needs a positive real base, got {base}")
         else:
-            value = complex(base.real ** float(e.exp))
+            value = _real_powers((base,), float(e.exp))[0]
     elif cls is Mul:
         value = 1.0 + 0.0j
         for f in e.factors:
@@ -1306,6 +1308,55 @@ def _eval_tree(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
         raise TypeError(f"not an expression: {e!r}")
     memo[e] = value
     return value
+
+
+def _real_powers(bases: Sequence[complex], exp: float) -> list:
+    """``base ** exp`` of each base for a non-integral ``exp``: the principal
+    branch, defined only on positive real bases."""
+    for base in bases:
+        if abs(base.imag) > 1e-10 * (1.0 + abs(base)) or base.real <= 0:
+            raise DomainEvalError(
+                f"fractional power needs a positive real base, got {base}")
+    return [complex(base.real ** exp) for base in bases]
+
+
+def _eval_columns(e: Expr, columns: Mapping[str, list], n: int, memo: dict) -> list:
+    """Values of the normal-form node ``e`` at a batch of ``n`` points, one
+    list entry per point; ``columns`` maps each variable name to its values.
+    Each distinct sum, product and power is computed once per batch
+    (``memo``), doing at each point exactly the float operations of
+    ``_eval_tree``.  A domain error at any point fails the whole batch."""
+    values = memo.get(e)
+    if values is not None:
+        return values
+    cls = type(e)
+    if cls is Const:
+        value = e._complex
+        if value is None:
+            value = e._complex = e.value.to_complex()
+        return [value] * n
+    if cls is Var:
+        return columns[e.var.name]
+    if cls is Pow:
+        base = _eval_columns(e.base, columns, n, memo)
+        if e.exp.denominator == 1:
+            k = int(e.exp)
+            if k < 0 and 0 in base:
+                raise DomainEvalError("division by zero")
+            values = list(map(pow, base, repeat(k)))
+        else:
+            values = _real_powers(base, float(e.exp))
+    elif cls is Mul:
+        values = [1.0 + 0.0j] * n
+        for f in e.factors:
+            values = list(map(mul, values, _eval_columns(f, columns, n, memo)))
+    elif cls is Add:
+        values = list(map(sum, zip(*[_eval_columns(t, columns, n, memo)
+                                     for t in e.terms])))
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    memo[e] = values
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -1339,18 +1390,49 @@ def sample_point(variables: Iterable[Variable], box: Box, rng: random.Random) ->
     return point
 
 
-def _eval_with_scale(e_norm: Expr, point: Mapping[str, complex]) -> tuple:
+def _eval_with_scale(e_norm: Expr, points: Sequence[Mapping[str, complex]]) -> list:
+    """``(total, scale)`` of the normal form at each point: the sum of its
+    terms' values and the sum of their moduli.  A domain error, an
+    overflow, or a non-finite term or scale at any point fails the whole
+    batch with ``DomainEvalError``."""
+    n = len(points)
+    columns = {name: [p[name] for p in points] for name in points[0]}
     terms = e_norm.terms if isinstance(e_norm, Add) else (e_norm,)
     memo: dict = {}  # shared by the terms: their atoms recur
-    total = 0.0 + 0.0j
-    scale = 0.0
+    totals = [0.0 + 0.0j] * n
+    scales = [0.0] * n
     for t in terms:
-        z = _eval(t, point, memo)
-        total += z
-        scale += abs(z)
-    if not math.isfinite(scale):
+        try:
+            values = _eval_columns(t, columns, n, memo)
+        except OverflowError as exc:
+            raise DomainEvalError(f"value outside the floating-point range ({exc})") from None
+        bad = next(filterfalse(cmath.isfinite, values), None)
+        if bad is not None:
+            raise DomainEvalError(f"non-finite value {bad}")
+        totals = list(map(add, totals, values))
+        scales = list(map(add, scales, map(abs, values)))
+    if not all(map(math.isfinite, scales)):
         raise DomainEvalError("non-finite sum of terms")
-    return total, scale
+    return list(zip(totals, scales))
+
+
+def _scores(e_norm: Expr, points: list) -> Iterable:
+    """``(total, scale)`` at each point in draw order, or None where the
+    point is inadmissible.  The points are evaluated as one batch; if that
+    fails, one at a time and lazily, so an error that is no domain error
+    (a ``ZeroDivisionError`` from a negative power whose base underflowed
+    to 0) surfaces where a point-by-point test would meet it."""
+    try:
+        return _eval_with_scale(e_norm, points)
+    except (DomainEvalError, ZeroDivisionError):
+        return map(_score_one, repeat(e_norm), points)
+
+
+def _score_one(e_norm: Expr, point: Mapping[str, complex]):
+    try:
+        return _eval_with_scale(e_norm, [point])[0]
+    except DomainEvalError:
+        return None
 
 
 def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,
@@ -1358,8 +1440,10 @@ def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,
     """Zero test: True if ``certify_zero`` proves the normal form zero, else
     True iff |e| <= tol*(1+scale) at all sampled points.
 
-    The certificate is memoized per node; the sampling runs on every call
-    and evaluates each distinct node of the normal form once per point.
+    The certificate is memoized per node; the sampling runs on every call.
+    It draws the points it still needs as one batch and evaluates each
+    distinct node of the normal form once per batch, then reads the points
+    in draw order, so the verdict is the one a point-by-point test gives.
     Deterministic for a fixed seed.  Sample points with a pole or a
     non-finite value are redrawn; if too few admissible points are found
     the test is inconclusive and raises ``ZeroTestInconclusiveError``.  A
@@ -1374,15 +1458,17 @@ def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,
     attempts = 0
     max_attempts = max(trials * 8, 64)
     while successes < trials and attempts < max_attempts:
-        attempts += 1
-        point = sample_point(variables, box, rng)
-        try:
-            val, scale = _eval_with_scale(n, point)
-        except DomainEvalError:
-            continue
-        successes += 1
-        if not abs(val) <= tol * (1.0 + scale):
-            return False
+        # each point adds at most one success, so the whole batch is needed
+        points = [sample_point(variables, box, rng)
+                  for _ in range(min(trials - successes, max_attempts - attempts))]
+        attempts += len(points)
+        for scored in _scores(n, points):
+            if scored is None:
+                continue
+            successes += 1
+            val, scale = scored
+            if not abs(val) <= tol * (1.0 + scale):
+                return False
     if successes == 0:
         raise ZeroTestInconclusiveError(
             "all sampled points hit singularities; zero test inconclusive")

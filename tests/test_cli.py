@@ -196,6 +196,26 @@ def test_expr_zero_inconclusive_exit_code():
         assert result.returncode == 3, text
 
 
+def test_expr_diff_by_an_undeclared_name_is_an_input_error():
+    result = run_cli("expr", "diff", "--expr", "t1", "--by", "t3")
+    assert result.returncode == 2
+    assert result.stderr == "error: --by 't3' is not a declared variable\n"
+
+
+def test_expr_zero_box_must_cover_the_expression_variables():
+    result = run_cli("expr", "zero", "--expr", "t1-t2", "--box", "t1=0.1:1")
+    assert result.returncode == 2
+    assert result.stderr == "error: box must cover t2\n"
+    # a paired variable is covered by its partner's interval
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["expr", "zero", "--expr", "b*bb-t1", "--vars", "t1:real,b~bb",
+                         "--box", "t1=0.1:1,bb=0.1:1"]) == 0
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(["expr", "zero", "--expr", "b*bb-t1", "--vars", "t1:real,b~bb",
+                         "--box", "b=0.1:1"]) == 2
+    assert err.getvalue() == "error: box must cover t1\n"
+
+
 def test_out_file_option(tmp_path):
     out = tmp_path / "report.json"
     result = run_cli("expr", "diff", "--expr", "t1^2", "--by", "t1",
@@ -290,18 +310,27 @@ _GRAMMAR_PIECES = ("t1", "t2", "x", "i", "sqrt(", "0", "1", "2", "9", ".5",
 
 _NUMBERS = (1e-9, 0.0, -1.0, math.nan, math.inf, -math.inf)
 
+_WELL_FORMED = ("t1-t2", "t1*t2^2", "1/t2", "sqrt(t1*t2)+1", "t1^2")
+
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(text=st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=14).map("".join),
+@given(text=st.one_of(st.sampled_from(_WELL_FORMED),
+                      st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=14).map("".join)),
        command=st.sampled_from(("eval", "diff", "zero")),
-       tol=st.sampled_from(_NUMBERS), bound=st.sampled_from(_NUMBERS))
-def test_expr_commands_end_with_a_contract_exit_code(text, command, tol, bound):
-    extra = {"eval": ["--at", "t1=0.3,t2=0.7"], "diff": ["--by", "t1"],
-             "zero": ["--box", f"t1={bound}:1,t2=0.1:1", "--trials", "4",
-                      "--tol", str(tol)]}[command]
+       tol=st.sampled_from(_NUMBERS), bound=st.sampled_from(_NUMBERS),
+       by=st.sampled_from(("t1", "t2", "t3")), box_t2=st.booleans())
+def test_expr_commands_end_with_a_contract_exit_code(text, command, tol, bound, by, box_t2):
+    box = f"t1={bound}:1" + (",t2=0.1:1" if box_t2 else "")
+    extra = {"eval": ["--at", "t1=0.3,t2=0.7"], "diff": ["--by", by],
+             "zero": ["--box", box, "--trials", "4", "--tol", str(tol)]}[command]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["expr", command, f"--expr={text}", *extra])
     assert code in (0, 1, 2, 3)
     if command == "zero" and not (math.isfinite(tol) and math.isfinite(bound)):
+        assert code == 2
+    # t3 is undeclared; text holding t2 either fails to parse or has t2 free
+    if command == "diff" and by == "t3":
+        assert code == 2
+    if command == "zero" and not box_t2 and "t2" in text:
         assert code == 2

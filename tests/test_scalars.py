@@ -759,20 +759,29 @@ def _reference_eval_with_scale(n, point):
     return total, scale
 
 
+def _hex(parts):
+    return tuple((z.real.hex(), z.imag.hex()) for z in parts)
+
+
 def _outcome(fn, *args):
     """The result's floats as hex text, or the error's type and message."""
     try:
         result = fn(*args)
     except DomainEvalError as exc:
         return type(exc), str(exc)
-    parts = result if isinstance(result, tuple) else (result,)
-    return tuple((z.real.hex(), z.imag.hex()) for z in parts)
+    return _hex(result if isinstance(result, tuple) else (result,))
+
+
+def _scaled_one(n, point):
+    (scored,) = scalars._eval_with_scale(n, [point])
+    return scored
 
 
 def test_memoized_evaluation_matches_the_tree_walk_bit_for_bit():
-    # the memo must not change one float operation or which error comes
-    # first; the points include zeros and negatives, so poles, complex and
-    # negative radical bases, overflows and infinities all occur
+    # neither the memo nor the batch may change one float operation or
+    # which error comes first; the points include zeros and negatives, so
+    # poles, complex and negative radical bases, overflows and infinities
+    # all occur
     table = VariableTable()
     variables = table.real("x", "y", "z")
     x, y = Var(variables[0]), Var(variables[1])
@@ -782,23 +791,113 @@ def test_memoized_evaluation_matches_the_tree_walk_bit_for_bit():
     rng = random.Random(1212)
     trees += [_random_tree(rng, variables, rng.randint(1, 5)) for _ in range(2000)]
     messages = collections.Counter()
+    batches = collections.Counter()
     for tree in trees:
         n = normalize(tree)
+        points = []
         for _ in range(2):
             point = {v.name: complex(rng.choice([0.0, -1.0, 1e200, rng.uniform(-1.6, 1.6),
                                                  rng.uniform(0.6, 1.6),
                                                  rng.uniform(0.6, 1.6)]))
                      for v in variables}
+            points.append(point)
             got = _outcome(evaluate, tree, point)
             assert got == _outcome(_reference_eval, tree, point)
-            scaled = _outcome(scalars._eval_with_scale, n, point)
+            scaled = _outcome(_scaled_one, n, point)
             assert scaled == _outcome(_reference_eval_with_scale, n, point)
             for outcome in (got, scaled):
                 messages[outcome[1].split(" ")[0] if outcome[0] is DomainEvalError
                          else "finite"] += 1
+        points += [{v.name: complex(rng.uniform(0.6, 1.6)) for v in variables}
+                   for _ in range(4)]
+        expected = [_outcome(_reference_eval_with_scale, n, p) for p in points]
+        admissible = [p for p, want in zip(points, expected) if want[0] is not DomainEvalError]
+        # the whole batch: one failure fails it, else every point as alone
+        try:
+            whole = tuple(map(_hex, scalars._eval_with_scale(n, points)))
+        except DomainEvalError:
+            whole = None
+        assert whole == (tuple(expected) if len(admissible) == len(points) else None)
+        if admissible:
+            want = tuple(w for w in expected if w[0] is not DomainEvalError)
+            assert tuple(map(_hex, scalars._eval_with_scale(n, admissible))) == want
+        # scored in draw order, the inadmissible points as None
+        scored = [None if s is None else _hex(s) for s in scalars._scores(n, points)]
+        assert scored == [None if w[0] is DomainEvalError else w for w in expected]
+        batches["whole" if len(admissible) == len(points) else "fallback"] += 1
     assert messages["finite"] > 4000
     for first_word in ("division", "fractional", "value", "non-finite"):
         assert messages[first_word] > 20, messages
+    assert batches["whole"] > 1000 and batches["fallback"] > 300, batches
+
+
+def _reference_is_identically_zero(e, box, trials, seed, tol):
+    """The point-by-point sampler: draw a point, judge it, draw the next."""
+    n = normalize(e)
+    if n == ZERO or certify_zero(n):
+        return True
+    variables = sorted(free_variables(n), key=lambda v: v.name)
+    rng = random.Random(seed)
+    successes = attempts = 0
+    max_attempts = max(trials * 8, 64)
+    while successes < trials and attempts < max_attempts:
+        attempts += 1
+        point = scalars.sample_point(variables, box, rng)
+        try:
+            val, scale = _reference_eval_with_scale(n, point)
+        except DomainEvalError:
+            continue
+        successes += 1
+        if not abs(val) <= tol * (1.0 + scale):
+            return False
+    if successes == 0:
+        raise ZeroTestInconclusiveError(
+            "all sampled points hit singularities; zero test inconclusive")
+    if successes < trials:
+        raise ZeroTestInconclusiveError(
+            f"only {successes}/{trials} sample points were admissible")
+    return True
+
+
+def _verdict(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_batched_zero_test_matches_the_point_by_point_sampler():
+    table = VariableTable()
+    variables = table.real("x", "y", "z")
+    x, y, z = (Var(v) for v in variables)
+    half = Fraction(1, 2)
+    # sampled identities on x, y > -1 that certify_zero cannot prove, one
+    # of them defined only where x > 0 or y > 0, so that a redraw decides
+    # whether a point with x < -1 or y < -1 refutes it, and a negative
+    # power whose base underflows to 0 (raising ZeroDivisionError) at a
+    # quarter of the last box's points and overflows at others
+    identity = Pow(x * x + 2 * x + 1, half) - (x + 1)
+    trees = [identity, Pow((x + y) * (x + y), half) - x - y, identity * Pow(x, half),
+             identity * Pow(y, half), identity * Pow(x - y, -1), Pow(x, -100) + y]
+    cases = [(tree, seed) for tree in trees for seed in range(20)]
+    rng = random.Random(1515)
+    cases += [(_random_tree(rng, variables, rng.randint(1, 4)), seed) for seed in range(300)]
+    boxes = [{"x": (0.6, 1.6), "y": (0.6, 1.6), "z": (0.6, 1.6)},
+             {"x": (-0.5, 1.0), "y": (0.6, 1.6), "z": (-1.6, 1.6)},
+             {"x": (-1.6, 1.6), "y": (-1.6, 1.6), "z": (-1.6, 1.6)},
+             {"x": (1e-4, 2e-3), "y": (0.6, 1.6), "z": (0.6, 1.6)}]
+    verdicts = collections.Counter()
+    for tree, seed in cases:
+        for box in boxes:
+            for trials in (1, 4, 16):
+                for tol in (1e-9, math.nan):
+                    args = (tree, box, trials, seed, tol)
+                    got = _verdict(is_identically_zero, *args)
+                    assert got == _verdict(_reference_is_identically_zero, *args), args
+                    verdicts[got if isinstance(got, bool) else got[0].__name__] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 5000, verdicts
+    assert verdicts["ZeroTestInconclusiveError"] > 300, verdicts
+    assert verdicts["ZeroDivisionError"] > 0, verdicts
 
 
 def test_shared_dag_visits_each_node_once():
