@@ -1297,7 +1297,7 @@ def _eval_tree(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
                 raise DomainEvalError("division by zero")
             value = base ** k
         else:
-            value = _real_powers((base,), float(e.exp))[0]
+            value = _real_power(base, float(e.exp))
     elif cls is Mul:
         value = 1.0 + 0.0j
         for f in e.factors:
@@ -1310,14 +1310,13 @@ def _eval_tree(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
     return value
 
 
-def _real_powers(bases: Sequence[complex], exp: float) -> list:
-    """``base ** exp`` of each base for a non-integral ``exp``: the principal
-    branch, defined only on positive real bases."""
-    for base in bases:
-        if abs(base.imag) > 1e-10 * (1.0 + abs(base)) or base.real <= 0:
-            raise DomainEvalError(
-                f"fractional power needs a positive real base, got {base}")
-    return [complex(base.real ** exp) for base in bases]
+def _real_power(base: complex, exp: float) -> complex:
+    """``base ** exp`` for a non-integral ``exp``: the principal branch,
+    defined only on positive real bases."""
+    if abs(base.imag) > 1e-10 * (1.0 + abs(base)) or base.real <= 0:
+        raise DomainEvalError(
+            f"fractional power needs a positive real base, got {base}")
+    return complex(base.real ** exp)
 
 
 def _eval_columns(e: Expr, columns: Mapping[str, list], n: int, memo: dict) -> list:
@@ -1345,7 +1344,7 @@ def _eval_columns(e: Expr, columns: Mapping[str, list], n: int, memo: dict) -> l
                 raise DomainEvalError("division by zero")
             values = list(map(pow, base, repeat(k)))
         else:
-            values = _real_powers(base, float(e.exp))
+            values = list(map(_real_power, base, repeat(float(e.exp))))
     elif cls is Mul:
         values = [1.0 + 0.0j] * n
         for f in e.factors:
