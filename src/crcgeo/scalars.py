@@ -19,13 +19,15 @@ is ``certify_zero``: it clears all denominators and radical offsets by a
 monomial that is nonvanishing wherever the expression is defined, so a
 surviving zero certifies the identity; a ``False`` only means "not
 proven", never "nonzero".  The sampled one is ``is_identically_zero``: it
-normalizes, tries the certificate, and only then evaluates at seeded
-points of a caller-supplied box, a batch of points at a time and each
-distinct node once per batch.  A point where the expression has a pole
-or a non-finite value is inadmissible and is redrawn.  Certificate
-verdicts are memoized per node like the kernel's other results.  Forms,
-the suites and the tube pipeline call these two and decide nothing
-themselves.
+normalizes, tries the certificate, and only then reads values at seeded
+points of a caller-supplied box from ``sample_values``, the one sampler,
+which also serves the tube's positivity check.  It evaluates a batch of
+points at a time, each distinct node once per batch, with the evaluator
+``evaluate`` uses for a one-point batch.  A point where the expression
+has a pole or a non-finite value is inadmissible and is redrawn.
+Certificate verdicts are memoized per node like the kernel's other
+results.  Forms, the suites and the tube pipeline call these two and
+decide nothing themselves.
 
 Reality tags drive conjugation: ``real``/``positive_real`` variables are
 fixed, ``imaginary`` ones negate, ``unit_modulus`` ones invert, and
@@ -1250,7 +1252,8 @@ def _check_binding(v: Variable, z: complex, point: Mapping[str, complex]) -> Non
 
 
 def evaluate(e: Expr, point: Mapping) -> complex:
-    """IEEE double evaluation; fractional powers need positive real bases."""
+    """IEEE double evaluation; fractional powers need positive real bases.
+    The point is a one-point batch of ``_eval_columns``."""
     by_name: dict[str, complex] = {}
     for k, z in point.items():
         name = k.name if isinstance(k, Variable) else k
@@ -1264,49 +1267,9 @@ def evaluate(e: Expr, point: Mapping) -> complex:
                 raise DomainEvalError(f"no binding for variable {v.name}")
     for v in vars_present:
         _check_binding(v, by_name[v.name], by_name)
-    try:
-        value = _eval_tree(e, by_name, {})
-    except OverflowError as exc:
-        raise DomainEvalError(f"value outside the floating-point range ({exc})") from None
+    (value,) = _eval_batch(e, {name: [z] for name, z in by_name.items()}, 1, {})
     if not cmath.isfinite(value):
         raise DomainEvalError(f"non-finite value {value}")
-    return value
-
-
-def _eval_tree(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
-    """Value of ``e`` at ``point``, each distinct sum, product and power
-    computed once: ``memo`` maps those nodes to their values at this point.
-    Children are visited left to right, depth first, so the first failure
-    is the one a walk of the whole tree meets first."""
-    value = memo.get(e)
-    if value is not None:
-        return value
-    cls = type(e)
-    if cls is Const:
-        value = e._complex
-        if value is None:
-            value = e._complex = e.value.to_complex()
-        return value
-    if cls is Var:
-        return point[e.var.name]
-    if cls is Pow:
-        base = _eval_tree(e.base, point, memo)
-        if e.exp.denominator == 1:
-            k = int(e.exp)
-            if k < 0 and base == 0:
-                raise DomainEvalError("division by zero")
-            value = base ** k
-        else:
-            value = _real_power(base, float(e.exp))
-    elif cls is Mul:
-        value = 1.0 + 0.0j
-        for f in e.factors:
-            value *= _eval_tree(f, point, memo)
-    elif cls is Add:
-        value = sum([_eval_tree(t, point, memo) for t in e.terms])
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    memo[e] = value
     return value
 
 
@@ -1319,12 +1282,25 @@ def _real_power(base: complex, exp: float) -> complex:
     return complex(base.real ** exp)
 
 
+def _eval_batch(e: Expr, columns: Mapping[str, list], n: int, memo: dict) -> list:
+    """``_eval_columns`` with a value outside the float range as a
+    ``DomainEvalError``: an overflow, or a negative power whose base
+    underflowed to 0."""
+    try:
+        return _eval_columns(e, columns, n, memo)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainEvalError(f"value outside the floating-point range ({exc})") from None
+
+
 def _eval_columns(e: Expr, columns: Mapping[str, list], n: int, memo: dict) -> list:
-    """Values of the normal-form node ``e`` at a batch of ``n`` points, one
-    list entry per point; ``columns`` maps each variable name to its values.
-    Each distinct sum, product and power is computed once per batch
-    (``memo``), doing at each point exactly the float operations of
-    ``_eval_tree``.  A domain error at any point fails the whole batch."""
+    """Values of ``e`` at a batch of ``n`` points, one list entry per point;
+    ``columns`` maps each variable name to its values.  Each distinct sum,
+    product and power is computed once per batch (``memo``), with the same
+    float operations at every point: a sum adds its terms to int 0, a
+    product multiplies ``1.0+0.0j`` by its factors, left to right.
+    Children are visited left to right, depth first, so the first failure
+    is the one a walk of the whole tree meets first; a domain error at any
+    point fails the whole batch."""
     values = memo.get(e)
     if values is not None:
         return values
@@ -1364,11 +1340,11 @@ def _eval_columns(e: Expr, columns: Mapping[str, list], n: int, memo: dict) -> l
 Box = Mapping[str, tuple]
 
 
-def sample_point(variables: Iterable[Variable], box: Box, rng: random.Random) -> dict:
-    """Draw one tag-respecting point; unit-modulus intervals are angles."""
+def sample_point(variables: Sequence[Variable], box: Box, rng: random.Random) -> dict:
+    """Draw one tag-respecting point; unit-modulus intervals are angles.
+    ``variables`` come in name order, the order of the draws."""
     point: dict[str, complex] = {}
-    ordered = sorted(variables, key=lambda v: v.name)
-    for v in ordered:
+    for v in variables:
         if v.name in point:
             continue
         if v.reality == COMPLEX_PAIRED and v.partner in point:
@@ -1390,40 +1366,34 @@ def sample_point(variables: Iterable[Variable], box: Box, rng: random.Random) ->
 
 
 def _eval_with_scale(e_norm: Expr, points: Sequence[Mapping[str, complex]]) -> list:
-    """``(total, scale)`` of the normal form at each point: the sum of its
-    terms' values and the sum of their moduli.  A domain error, an
-    overflow, or a non-finite term or scale at any point fails the whole
-    batch with ``DomainEvalError``."""
+    """``(value, scale)`` of the normal form at each point: its value, as
+    ``evaluate`` gives it, and the sum of its terms' moduli.  A domain
+    error, an overflow, or a non-finite term or scale at any point fails
+    the whole batch with ``DomainEvalError``."""
     n = len(points)
     columns = {name: [p[name] for p in points] for name in points[0]}
     terms = e_norm.terms if isinstance(e_norm, Add) else (e_norm,)
     memo: dict = {}  # shared by the terms: their atoms recur
-    totals = [0.0 + 0.0j] * n
     scales = [0.0] * n
     for t in terms:
-        try:
-            values = _eval_columns(t, columns, n, memo)
-        except OverflowError as exc:
-            raise DomainEvalError(f"value outside the floating-point range ({exc})") from None
+        values = _eval_batch(t, columns, n, memo)
         bad = next(filterfalse(cmath.isfinite, values), None)
         if bad is not None:
             raise DomainEvalError(f"non-finite value {bad}")
-        totals = list(map(add, totals, values))
         scales = list(map(add, scales, map(abs, values)))
     if not all(map(math.isfinite, scales)):
         raise DomainEvalError("non-finite sum of terms")
-    return list(zip(totals, scales))
+    # from the terms in the memo; finite, as the scale is
+    return list(zip(_eval_columns(e_norm, columns, n, memo), scales))
 
 
 def _scores(e_norm: Expr, points: list) -> Iterable:
-    """``(total, scale)`` at each point in draw order, or None where the
+    """``(value, scale)`` at each point in draw order, or None where the
     point is inadmissible.  The points are evaluated as one batch; if that
-    fails, one at a time and lazily, so an error that is no domain error
-    (a ``ZeroDivisionError`` from a negative power whose base underflowed
-    to 0) surfaces where a point-by-point test would meet it."""
+    fails, one at a time as they are read."""
     try:
         return _eval_with_scale(e_norm, points)
-    except (DomainEvalError, ZeroDivisionError):
+    except DomainEvalError:
         return map(_score_one, repeat(e_norm), points)
 
 
@@ -1434,40 +1404,49 @@ def _score_one(e_norm: Expr, point: Mapping[str, complex]):
         return None
 
 
+def sample_values(e_norm: Expr, box: Box, count: int, seed: int) -> Iterable:
+    """``(point, value, scale)`` at up to ``count`` admissible points of
+    ``box``, in draw order (see ``_eval_with_scale``): the sampler of the
+    zero test and of the tube's positivity check.
+
+    ``random.Random(seed)`` draws at most ``max(count*8, 64)`` points,
+    each batch the number still needed, and each batch is evaluated in one
+    pass over ``e_norm``.  A point with a pole or a non-finite value is
+    inadmissible and skipped.  Deterministic for a fixed seed.
+    """
+    variables = sorted(free_variables(e_norm), key=lambda v: v.name)
+    rng = random.Random(seed)
+    found = attempts = 0
+    max_attempts = max(count * 8, 64)
+    while found < count and attempts < max_attempts:
+        # each point yields at most once, so the whole batch is needed
+        points = [sample_point(variables, box, rng)
+                  for _ in range(min(count - found, max_attempts - attempts))]
+        attempts += len(points)
+        for point, scored in zip(points, _scores(e_norm, points)):
+            if scored is not None:
+                found += 1
+                yield point, *scored
+
+
 def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,
                         tol: float = 1e-9) -> bool:
     """Zero test: True if ``certify_zero`` proves the normal form zero, else
-    True iff |e| <= tol*(1+scale) at all sampled points.
+    True iff |e| <= tol*(1+scale) at ``trials`` points of ``sample_values``.
 
     The certificate is memoized per node; the sampling runs on every call.
-    It draws the points it still needs as one batch and evaluates each
-    distinct node of the normal form once per batch, then reads the points
-    in draw order, so the verdict is the one a point-by-point test gives.
-    Deterministic for a fixed seed.  Sample points with a pole or a
-    non-finite value are redrawn; if too few admissible points are found
+    Deterministic for a fixed seed.  If too few admissible points are found
     the test is inconclusive and raises ``ZeroTestInconclusiveError``.  A
     NaN ``tol`` accepts no point.
     """
     n = normalize(e)
     if n == ZERO or certify_zero(n):
         return True
-    variables = sorted(free_variables(n), key=lambda v: v.name)
-    rng = random.Random(seed)
     successes = 0
-    attempts = 0
-    max_attempts = max(trials * 8, 64)
-    while successes < trials and attempts < max_attempts:
-        # each point adds at most one success, so the whole batch is needed
-        points = [sample_point(variables, box, rng)
-                  for _ in range(min(trials - successes, max_attempts - attempts))]
-        attempts += len(points)
-        for scored in _scores(n, points):
-            if scored is None:
-                continue
-            successes += 1
-            val, scale = scored
-            if not abs(val) <= tol * (1.0 + scale):
-                return False
+    for _, val, scale in sample_values(n, box, trials, seed):
+        if not abs(val) <= tol * (1.0 + scale):
+            return False
+        successes += 1
     if successes == 0:
         raise ZeroTestInconclusiveError(
             "all sampled points hit singularities; zero test inconclusive")

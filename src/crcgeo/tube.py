@@ -17,8 +17,10 @@ are verified as exterior-algebra identities after the basis rewriting.
 Every zero question goes through one method, ``TubeModel.vanishes``, which hands a scalar to the kernel's
 ``is_identically_zero`` and a form to ``FormExpr.vanishes`` (certificate
 first, seeded sampling on the model's box otherwise) and turns an
-undecided test into ``INCONCLUSIVE``.  The defining function is read
-once, by ``_rho_over_base``, which refuses variables other than t1, t2.
+undecided test into ``INCONCLUSIVE``.  rho11 > 0 is checked at the points
+the kernel's sampler ``sample_values`` draws, the sampler of the zero test.
+The defining function is read once, by ``_rho_over_base``, which refuses
+variables other than t1, t2.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .scalars import (
     is_identically_zero,
     lift,
     normalize,
-    sample_point,
+    sample_values,
     substitute,
     to_text,
 )
@@ -216,19 +218,10 @@ def _rho_over_base(rho) -> Expr:
 
 
 def _check_positivity(model: TubeModel) -> None:
-    n_points = 16
-    rng = random.Random(model.seed + 5)
-    rho11 = model.d("rho11")
-    variables = sorted(free_variables(rho11), key=lambda v: v.name)
+    """rho11 > 0 at the 16 points ``sample_values`` draws on the box."""
     found = 0
-    for _ in range(8 * n_points):
-        if found >= n_points:
-            break
-        point = sample_point(variables, model.zero_test_box, rng)
-        try:
-            val = evaluate(rho11, point)
-        except DomainEvalError:
-            continue
+    for point, val, _ in sample_values(model.d("rho11"), model.zero_test_box,
+                                       16, model.seed + 5):
         found += 1
         if abs(val.imag) > 1e-9 * (1 + abs(val)) or val.real <= 0:
             raise TubeHypothesisError(
@@ -341,17 +334,6 @@ def hessian_rank_report(derivs: dict, points, tol: float = 1e-10) -> list:
             "relative_smallest_eigenvalue": small,
         })
     return out
-
-
-def levi_rank_numeric(rho, box: dict, points=None, tol: float = 1e-10,
-                      seed: int = 0) -> list:
-    """Levi rank report for a raw defining function (no hypothesis gate)."""
-    derivs = _derivative_cache(_rho_over_base(rho), _tube_table())
-    if points is None:
-        rng = random.Random(seed)
-        points = [(rng.uniform(*box["t1"]), rng.uniform(*box["t2"]))
-                  for _ in range(8)]
-    return hessian_rank_report(derivs, points, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -169,13 +169,14 @@ def test_expr_diff_coefficient_past_print_limit_is_inconclusive():
 
 
 def test_expr_eval_overflow_is_an_input_error():
-    # the second value overflows to inf without an OverflowError
+    # the second value overflows to inf without an OverflowError; in the
+    # third, t1^2 underflows to 0
     for text, at in (("2^(1/2)*(10^400)^(1/2)", "t1=1"),
-                     ("100*t1^307", "t1=10.005")):
+                     ("100*t1^307", "t1=10.005"), ("t1^(-2)", "t1=1e-200")):
         result = run_cli("expr", "eval", "--expr", text, "--at", at)
         assert result.returncode == 2, text
         assert result.stderr.startswith("error:")
-        assert "Traceback" not in result.stderr
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
 
 def test_expr_zero_subcommand():
@@ -189,11 +190,14 @@ def test_expr_zero_subcommand():
 
 def test_expr_zero_inconclusive_exit_code():
     # the box lies entirely inside the singular locus of the expression;
-    # 100*t1^307 is inf on its whole box, and a non-finite point is no zero
+    # 100*t1^307 is inf on its whole box, and a non-finite point is no
+    # zero, nor is one where t1^2 underflows to 0 under a negative power
     for text, box in (("sqrt(t1-2)", "t1=0.1:1,t2=0.1:1"),
-                      ("100*t1^307", "t1=10:10.01")):
+                      ("100*t1^307", "t1=10:10.01"),
+                      ("t1^(-2)+t2", "t1=1e-200:2e-200,t2=0:1")):
         result = run_cli("expr", "zero", "--expr", text, "--box", box, "--trials", "4")
         assert result.returncode == 3, text
+        assert result.stderr == ""
 
 
 def test_expr_diff_by_an_undeclared_name_is_an_input_error():
@@ -310,7 +314,7 @@ _GRAMMAR_PIECES = ("t1", "t2", "x", "i", "sqrt(", "0", "1", "2", "9", ".5",
 
 _NUMBERS = (1e-9, 0.0, -1.0, math.nan, math.inf, -math.inf)
 
-_WELL_FORMED = ("t1-t2", "t1*t2^2", "1/t2", "sqrt(t1*t2)+1", "t1^2")
+_WELL_FORMED = ("t1-t2", "t1*t2^2", "1/t2", "sqrt(t1*t2)+1", "t1^2", "t1^(-2)")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -318,10 +322,12 @@ _WELL_FORMED = ("t1-t2", "t1*t2^2", "1/t2", "sqrt(t1*t2)+1", "t1^2")
                       st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=14).map("".join)),
        command=st.sampled_from(("eval", "diff", "zero")),
        tol=st.sampled_from(_NUMBERS), bound=st.sampled_from(_NUMBERS),
-       by=st.sampled_from(("t1", "t2", "t3")), box_t2=st.booleans())
-def test_expr_commands_end_with_a_contract_exit_code(text, command, tol, bound, by, box_t2):
+       by=st.sampled_from(("t1", "t2", "t3")), box_t2=st.booleans(),
+       at=st.sampled_from(("0.3", "1e-200", "1e200")))
+def test_expr_commands_end_with_a_contract_exit_code(text, command, tol, bound, by, box_t2,
+                                                     at):
     box = f"t1={bound}:1" + (",t2=0.1:1" if box_t2 else "")
-    extra = {"eval": ["--at", "t1=0.3,t2=0.7"], "diff": ["--by", by],
+    extra = {"eval": ["--at", f"t1={at},t2=0.7"], "diff": ["--by", by],
              "zero": ["--box", box, "--trials", "4", "--tol", str(tol)]}[command]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):

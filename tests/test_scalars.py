@@ -740,7 +740,7 @@ def _reference_eval_tree(e, point):
 def _reference_eval(e, point):
     try:
         value = _reference_eval_tree(e, point)
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:
         raise DomainEvalError(f"value outside the floating-point range ({exc})") from None
     if not cmath.isfinite(value):
         raise DomainEvalError(f"non-finite value {value}")
@@ -748,15 +748,15 @@ def _reference_eval(e, point):
 
 
 def _reference_eval_with_scale(n, point):
+    """The value of ``n``, as the tree walk gives it, and the sum of its
+    terms' moduli."""
     terms = n.terms if isinstance(n, Add) else (n,)
-    total, scale = 0.0 + 0.0j, 0.0
+    scale = 0.0
     for t in terms:
-        z = _reference_eval(t, point)
-        total += z
-        scale += abs(z)
+        scale += abs(_reference_eval(t, point))
     if not math.isfinite(scale):
         raise DomainEvalError("non-finite sum of terms")
-    return total, scale
+    return _reference_eval_tree(n, point), scale
 
 
 def _hex(parts):
@@ -874,8 +874,8 @@ def test_batched_zero_test_matches_the_point_by_point_sampler():
     # sampled identities on x, y > -1 that certify_zero cannot prove, one
     # of them defined only where x > 0 or y > 0, so that a redraw decides
     # whether a point with x < -1 or y < -1 refutes it, and a negative
-    # power whose base underflows to 0 (raising ZeroDivisionError) at a
-    # quarter of the last box's points and overflows at others
+    # power whose base underflows to 0 at a quarter of the last box's
+    # points and overflows at others, both inadmissible points
     identity = Pow(x * x + 2 * x + 1, half) - (x + 1)
     trees = [identity, Pow((x + y) * (x + y), half) - x - y, identity * Pow(x, half),
              identity * Pow(y, half), identity * Pow(x - y, -1), Pow(x, -100) + y]
@@ -897,7 +897,10 @@ def test_batched_zero_test_matches_the_point_by_point_sampler():
                     verdicts[got if isinstance(got, bool) else got[0].__name__] += 1
     assert verdicts[True] > 1000 and verdicts[False] > 5000, verdicts
     assert verdicts["ZeroTestInconclusiveError"] > 300, verdicts
-    assert verdicts["ZeroDivisionError"] > 0, verdicts
+    # the underflow is a domain error, so no ZeroDivisionError escapes
+    assert "ZeroDivisionError" not in verdicts, verdicts
+    with pytest.raises(DomainEvalError, match=r"^value outside the floating-point range \(0\.0 "):
+        evaluate(Pow(x, -100), {"x": 1e-4})
 
 
 def test_shared_dag_visits_each_node_once():

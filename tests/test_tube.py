@@ -90,6 +90,41 @@ def test_negative_rho11_rejected():
     assert err.value.hypothesis == "positivity"
 
 
+def _reference_positivity_reason(rho, box, seed):
+    """The point-by-point check: draw a point, evaluate rho11 there, stop
+    at the first non-positive value among 16 admissible points."""
+    rho11 = tube._derivative_cache(tube._rho_over_base(rho), tube._tube_table())["rho11"]
+    variables = sorted(scalars.free_variables(rho11), key=lambda v: v.name)
+    rng = random.Random(seed + 5)
+    found = 0
+    for _ in range(8 * 16):
+        if found >= 16:
+            break
+        point = scalars.sample_point(variables, box, rng)
+        try:
+            val = evaluate(rho11, point)
+        except scalars.DomainEvalError:
+            continue
+        found += 1
+        if abs(val.imag) > 1e-9 * (1 + abs(val)) or val.real <= 0:
+            return f"positivity: rho11 = {val} at {point} is not positive"
+    return None
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_positivity_reason_names_the_first_nonpositive_point(seed, capsys):
+    # t2*g(t1/t2) for g = s^3 has rho11 = 6*t1/t2^2, negative where t1 < 0
+    want = _reference_positivity_reason(tube.ma_profile_solution("s^3"),
+                                        {"t1": (-1.0, 1.0), "t2": (0.5, 1.0)}, seed)
+    assert want is not None
+    code = cli.main(["tube", "profile", "--g", "s^3", "--box", "t1=-1:1,t2=0.5:1",
+                     "--seed", str(seed)])
+    assert code == cli.EXIT_FAIL
+    last = json.loads(capsys.readouterr().out)["checks"][-1]
+    assert (last["name"], last["status"]) == ("hypothesis:positivity", "fail")
+    assert last["details"]["reason"] == want
+
+
 def test_vanishing_rho11_rejected_by_positivity():
     # rho11 = 0, so S = (rho12/rho11)_1 is undefined
     with pytest.raises(tube.TubeHypothesisError) as err:
@@ -140,17 +175,21 @@ def test_levi_rank_one_for_paper_example(paper_model):
     assert report[0]["relative_smallest_eigenvalue"] < 1e-10
 
 
+def _levi_rank(rho, points):
+    """The Levi rank report of a defining function, with no hypothesis gate."""
+    derivs = tube._derivative_cache(tube._rho_over_base(rho), tube._tube_table())
+    return tube.hessian_rank_report(derivs, points)
+
+
 def test_levi_rank_one_for_parabola():
-    report = tube.levi_rank_numeric("t1^2/2", {"t1": (0.1, 1), "t2": (0.1, 1)},
-                                    points=[(0.5, 0.5)])
+    report = _levi_rank("t1^2/2", [(0.5, 0.5)])
     eigs = report[0]["eigenvalues"]
     assert report[0]["rank"] == 1
     assert eigs == pytest.approx([0.0, 1.0])
 
 
 def test_levi_rank_two_for_elliptic_paraboloid():
-    report = tube.levi_rank_numeric("t1^2+t2^2", {"t1": (0.1, 1), "t2": (0.1, 1)},
-                                    points=[(0.3, 0.4)])
+    report = _levi_rank("t1^2+t2^2", [(0.3, 0.4)])
     assert report[0]["rank"] == 2
     assert report[0]["eigenvalues"] == pytest.approx([2.0, 2.0])
 
@@ -162,11 +201,10 @@ def test_defining_function_over_foreign_variables_is_refused():
     u, = (Var(v) for v in table.positive("u"))
     box = {"t1": (0.5, 1), "t2": (0.5, 1)}
     for rho, name in ((x ** 2 + t1, "x"), (t1 ** 2 / t2 + u, "u")):
-        for build in (tube.levi_rank_numeric, tube.tube_from_rho):
-            with pytest.raises(scalars.ExprError, match=f"unexpected variable {name}"):
-                build(rho, box)
-    # the same function over t1 and t2 alone is accepted by both
-    assert tube.levi_rank_numeric(t1 ** 2 / t2, box)[0]["rank"] == 1
+        with pytest.raises(scalars.ExprError, match=f"unexpected variable {name}"):
+            tube.tube_from_rho(rho, box)
+    # the same function over t1 and t2 alone is accepted
+    assert _levi_rank(t1 ** 2 / t2, [(0.7, 0.6)])[0]["rank"] == 1
     assert tube.tube_from_rho(t1 ** 2 / t2, box).d("rho11") != ZERO
 
 
