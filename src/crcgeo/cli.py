@@ -42,23 +42,27 @@ EXIT_INCONCLUSIVE = 3
 MAX_TRIALS = 10_000
 
 
+def _entries(text: str) -> list:
+    """The nonblank entries of a comma-separated list, stripped."""
+    return [piece for piece in map(str.strip, text.split(",")) if piece]
+
+
 def parse_box(text: str) -> dict:
     """Parse 't1=0.02:0.08,t2=0.02:0.08' into interval pairs."""
     box = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in _entries(text):
         if "=" not in piece or ":" not in piece:
             raise ValueError(f"bad box entry {piece!r}; expected name=lo:hi")
-        name, rng = piece.split("=", 1)
+        name, rng = (s.strip() for s in piece.split("=", 1))
+        if name in box:
+            raise ValueError(f"{name!r} is given twice")
         lo, hi = rng.split(":", 1)
         lo_f, hi_f = float(lo), float(hi)
         if not (math.isfinite(lo_f) and math.isfinite(hi_f)):
-            raise ValueError(f"non-finite bound for {name.strip()!r}")
+            raise ValueError(f"non-finite bound for {name!r}")
         if not lo_f < hi_f:
-            raise ValueError(f"empty interval for {name.strip()!r}")
-        box[name.strip()] = (lo_f, hi_f)
+            raise ValueError(f"empty interval for {name!r}")
+        box[name] = (lo_f, hi_f)
     if not box:
         raise ValueError("empty box")
     return box
@@ -67,10 +71,7 @@ def parse_box(text: str) -> dict:
 def parse_declarations(text: str) -> VariableTable:
     """Parse 't1:real,t2:real,u:positive,a:unit,b~bb,lam:imaginary'."""
     table = VariableTable()
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in _entries(text):
         if "~" in piece:
             names, kind = piece.split("~", 1), "pair"
         elif ":" in piece:
@@ -83,13 +84,17 @@ def parse_declarations(text: str) -> VariableTable:
 
 
 def parse_bindings(text: str) -> dict:
+    """Parse 't1=0.05,t2=0.05' into complex values."""
     out = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        name, value = piece.split("=", 1)
-        out[name.strip()] = complex(value.strip())
+    for piece in _entries(text):
+        # without "=" the value is "", which complex() rejects
+        name, _, value = (s.strip() for s in piece.partition("="))
+        if name in out:
+            raise ValueError(f"{name!r} is given twice")
+        try:
+            out[name] = complex(value)
+        except ValueError:
+            raise ValueError(f"bad binding {piece!r}; expected name=value") from None
     return out
 
 

@@ -338,28 +338,27 @@ def necessity_phi1_coefficient(dc: DgaChart) -> Expr:
         dc, hatted_curvature(dc, dc.var("B"), dc.var("Lam")), "Phi1")
 
 
-def necessity_phi1_derived(dc: DgaChart) -> Expr:
-    """Closed form the machinery derives (self-consistent with the
-    transformation formulas verified elsewhere in this suite)."""
+def _necessity_phi1_closed_form(dc: DgaChart, lam_sign: int) -> Expr:
+    """The first-curvature closed form with ``lam_sign * Lam*T21c/2``."""
     B, Lam = dc.var("B"), dc.var("Lam")
     Bb = conjugate(B)
     return normalize(
         Bb * dc.var("T20") - B * dc.var("F2_20c")
         - Bb * Bb * dc.var("T21") * Fraction(3, 4)
-        + Lam * dc.var("T21c") * HALF
+        + Lam * dc.var("T21c") * (lam_sign * HALF)
         - B * Bb * dc.var("T21c") * Fraction(3, 4))
+
+
+def necessity_phi1_derived(dc: DgaChart) -> Expr:
+    """Closed form the machinery derives (self-consistent with the
+    transformation formulas verified elsewhere in this suite)."""
+    return _necessity_phi1_closed_form(dc, 1)
 
 
 def necessity_phi1_transcribed(dc: DgaChart) -> Expr:
     """The same coefficient as transcribed from the source material; its
     imaginary-parameter term carries the opposite sign."""
-    B, Lam = dc.var("B"), dc.var("Lam")
-    Bb = conjugate(B)
-    return normalize(
-        Bb * dc.var("T20") - B * dc.var("F2_20c")
-        - Bb * Bb * dc.var("T21") * Fraction(3, 4)
-        - Lam * dc.var("T21c") * HALF
-        - B * Bb * dc.var("T21c") * Fraction(3, 4))
+    return _necessity_phi1_closed_form(dc, -1)
 
 
 def necessity_psi_coefficient(dc: DgaChart) -> Expr:
@@ -408,7 +407,10 @@ def verify_cartan_criterion() -> Report:
 
     # necessity stage 1: general curvature coefficients
     dc = build_chart()
-    got = necessity_phi1_coefficient(dc)
+    B, Lam, A = dc.var("B"), dc.var("Lam"), dc.var("A")
+    hf = model.h2_transform(dc.coframe(), B, Lam)
+    hcurv = curvature_from(*hf)
+    got = _normalized_coefficient(dc, hcurv, "Phi1")
     derived = necessity_phi1_derived(dc)
     transcribed = necessity_phi1_transcribed(dc)
     check = report.add("necessity: first-curvature coefficient",
@@ -443,11 +445,8 @@ def verify_cartan_criterion() -> Report:
                              _normalized_coefficient(dcl, hat, name))
 
     # diagonal-family scaling of the transformed curvature forms
-    B, Lam, A = dc.var("B"), dc.var("Lam"), dc.var("A")
     Ab = conjugate(A)
-    hf = model.h2_transform(dc.coframe(), B, Lam)
     ccurv = curvature_from(*model.h1_transform(hf, A))
-    hcurv = hatted_curvature(dc, B, Lam)
     scalings = {"Theta2": A / Ab, "Phi1": 1 / Ab, "Phi2": ONE, "Psi": 1 / (A * Ab)}
     for name, factor in scalings.items():
         model.check_identity(report, f"diagonal scaling: {name}",

@@ -1,13 +1,15 @@
 """5x5 matrices with symbolic scalar or 1-form entries.
 
-SMatrix holds ScalarExpr entries (group elements, Lie algebra elements);
-FMatrix holds degree-1 FormExpr entries (connection matrices).  Products
-mix the two: scalar * form acts entrywise through ``FormExpr.scale``, and
-the curvature-style square of an FMatrix uses the wedge product.
+SMatrix holds scalar ``Expr`` entries (group elements, Lie algebra
+elements); FMatrix holds degree-1 ``FormExpr`` entries (connection
+matrices).  Every product is the one loop ``_product`` with its own entry
+product: ``*`` of scalars, ``FormExpr.scale`` of a form by a scalar, or
+the wedge product for the curvature-style square of an FMatrix.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .scalars import Expr, conjugate, is_zero_expr, lift, normalize
@@ -35,11 +37,7 @@ class SMatrix:
         return self.rows[i - 1][j - 1]
 
     def __matmul__(self, other: "SMatrix") -> "SMatrix":
-        return SMatrix([
-            [sum((self.rows[i][k] * other.rows[k][j] for k in range(N)), lift(0))
-             for j in range(N)]
-            for i in range(N)
-        ])
+        return SMatrix(_product(self.rows, other.rows, operator.mul, lift(0)))
 
     def __add__(self, other: "SMatrix") -> "SMatrix":
         return SMatrix([[self.rows[i][j] + other.rows[i][j] for j in range(N)]
@@ -65,6 +63,13 @@ class SMatrix:
         from .scalars import to_text
         body = "\n".join("  [" + ", ".join(to_text(x) for x in r) + "]" for r in self.rows)
         return f"SMatrix(\n{body}\n)"
+
+
+def _product(a, b, times, zero) -> list:
+    """The 5x5 product of row tuples ``a`` and ``b``: entry (i, j) sums
+    ``times(a[i][k], b[k][j])`` over k in order, starting from ``zero``."""
+    return [[sum((times(a[i][k], b[k][j]) for k in range(N)), zero) for j in range(N)]
+            for i in range(N)]
 
 
 def _det(rows) -> Expr:
@@ -100,35 +105,10 @@ class FMatrix:
 
     def wedge_square(self) -> list:
         """Entrywise wedge product of the matrix with itself."""
-        out = []
-        for i in range(N):
-            row = []
-            for j in range(N):
-                acc = self.chart.zero(2)
-                for k in range(N):
-                    acc = acc + self.rows[i][k].wedge(self.rows[k][j])
-                row.append(acc)
-            out.append(row)
-        return out
+        return _product(self.rows, self.rows, FormExpr.wedge, self.chart.zero(2))
 
     def conjugated_by(self, left: SMatrix, right: SMatrix) -> "FMatrix":
         """left @ self @ right with scalar entries acting on forms."""
-        mid = []
-        for i in range(N):
-            row = []
-            for j in range(N):
-                acc = self.chart.zero(1)
-                for k in range(N):
-                    acc = acc + self.rows[i][k].scale(right.rows[k][j])
-                row.append(acc)
-            mid.append(row)
-        out = []
-        for i in range(N):
-            row = []
-            for j in range(N):
-                acc = self.chart.zero(1)
-                for k in range(N):
-                    acc = acc + mid[k][j].scale(left.rows[i][k])
-                row.append(acc)
-            out.append(row)
-        return FMatrix(self.chart, out)
+        zero = self.chart.zero(1)
+        mid = _product(self.rows, right.rows, FormExpr.scale, zero)
+        return FMatrix(self.chart, _product(left.rows, mid, lambda s, f: f.scale(s), zero))

@@ -330,11 +330,16 @@ _INTERN_REFS: dict = _INTERN.data
 _NO_REF = type(None)
 
 
-def _interned(cls, key):
-    """A fresh node of ``cls`` registered under ``key`` (fields unset)."""
-    node = object.__new__(cls)
-    node._skey = None
-    _INTERN[key] = node
+def _interned(cls, key, *values):
+    """The live node of ``cls`` under ``key``, or a new one whose
+    ``__slots__`` hold ``values`` in order, registered under ``key``."""
+    node = _INTERN_REFS.get(key, _NO_REF)()
+    if node is None:
+        node = object.__new__(cls)
+        node._skey = None
+        for name, value in zip(cls.__slots__, values):
+            setattr(node, name, value)
+        _INTERN[key] = node
     return node
 
 
@@ -342,13 +347,7 @@ class Const(Expr):
     __slots__ = ("value", "_complex")
 
     def __new__(cls, value: QC):
-        key = ("C", value.re, value.im)
-        node = _INTERN_REFS.get(key, _NO_REF)()
-        if node is None:
-            node = _interned(cls, key)
-            node.value = value
-            node._complex = None
-        return node
+        return _interned(cls, ("C", value.re, value.im), value, None)
 
     def __repr__(self):
         return f"Const({qc_text(self.value)})"
@@ -358,12 +357,7 @@ class Var(Expr):
     __slots__ = ("var",)
 
     def __new__(cls, var: Variable):
-        key = ("V", var)
-        node = _INTERN_REFS.get(key, _NO_REF)()
-        if node is None:
-            node = _interned(cls, key)
-            node.var = var
-        return node
+        return _interned(cls, ("V", var), var)
 
     def __repr__(self):
         return f"Var({self.var.name})"
@@ -373,12 +367,7 @@ class Add(Expr):
     __slots__ = ("terms",)
 
     def __new__(cls, terms: tuple):
-        key = ("A", terms)
-        node = _INTERN_REFS.get(key, _NO_REF)()
-        if node is None:
-            node = _interned(cls, key)
-            node.terms = terms
-        return node
+        return _interned(cls, ("A", terms), terms)
 
     def __repr__(self):
         return "Add(" + ", ".join(map(repr, self.terms)) + ")"
@@ -388,12 +377,7 @@ class Mul(Expr):
     __slots__ = ("factors",)
 
     def __new__(cls, factors: tuple):
-        key = ("M", factors)
-        node = _INTERN_REFS.get(key, _NO_REF)()
-        if node is None:
-            node = _interned(cls, key)
-            node.factors = factors
-        return node
+        return _interned(cls, ("M", factors), factors)
 
     def __repr__(self):
         return "Mul(" + ", ".join(map(repr, self.factors)) + ")"
@@ -405,13 +389,7 @@ class Pow(Expr):
     def __new__(cls, base: Expr, exp):
         if type(exp) is not Fraction:  # also turns a _KeyExp into a Fraction
             exp = Fraction(exp)
-        key = ("P", base, exp)
-        node = _INTERN_REFS.get(key, _NO_REF)()
-        if node is None:
-            node = _interned(cls, key)
-            node.base = base
-            node.exp = exp
-        return node
+        return _interned(cls, ("P", base, exp), base, exp)
 
     def __repr__(self):
         return f"Pow({self.base!r}, {self.exp})"
@@ -1507,7 +1485,7 @@ def _factor_text(atom: Expr, e: Fraction) -> str:
         if _needs_parens_as_factor(atom):
             base = f"({base})"
     else:
-        base = f"({_render(atom)})"
+        base = f"({_atom_sort_key(atom)[1]})"
     return base if e == 1 else f"{base}^{_exp_text(e)}"
 
 

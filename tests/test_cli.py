@@ -302,6 +302,20 @@ def test_parse_box_helper():
             cli.parse_box(text)
 
 
+def test_parse_bindings_helper():
+    assert cli.parse_bindings("t1=0.5, t2=1+2j") == {"t1": 0.5, "t2": 1 + 2j}
+    # a malformed entry is named in the error; a name may be bound once
+    for text, message in (("t1", "bad binding 't1'"), ("t1=abc", "'t1=abc'"),
+                          ("t1=1,t1=2", "'t1' is given twice")):
+        with pytest.raises(ValueError, match=message):
+            cli.parse_bindings(text)
+    with pytest.raises(ValueError, match="'t1' is given twice"):
+        cli.parse_box("t1=0:1,t1=2:3")
+    result = run_cli("expr", "eval", "--expr", "t1", "--at", "t1")
+    assert (result.returncode, result.stderr) == (
+        2, "error: bad binding 't1'; expected name=value\n")
+
+
 def test_parse_declarations_helper():
     table = cli.parse_declarations("t1:real,u:positive,b~bb,lam:imaginary,a:unit")
     assert table["b"].partner == "bb"

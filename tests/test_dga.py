@@ -171,6 +171,12 @@ def test_necessity_phi1_value(expanded):
     assert is_zero_expr(got - dga.necessity_phi1_derived(expanded))
 
 
+def test_derived_and_transcribed_differ_only_in_the_imaginary_term(expanded):
+    # README "Known discrepancy": -Lam/2*T21c against +Lam/2*T21c
+    diff = dga.necessity_phi1_derived(expanded) - dga.necessity_phi1_transcribed(expanded)
+    assert normalize(diff) is normalize(expanded.var("Lam") * expanded.var("T21c"))
+
+
 # matrix position (1-based) of each coframe generator in the connection pattern
 _PATTERN_POSITIONS = {
     "omega": (1, 4), "omega1": (1, 3), "omega1c": (2, 3),

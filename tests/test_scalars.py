@@ -701,6 +701,19 @@ def test_cached_sort_key_equals_rendered_key():
     assert scalars._atom_sort_key(Const(QC.of(5))) == (1, "5")
 
 
+def test_printer_reuses_the_cached_text_of_a_sum_atom(monkeypatch):
+    table = VariableTable()
+    table.positive("x", "y")
+    e = normalize(parse("x*(x+y)^(1/2)", table))
+    atom, = (a for pows in scalars._nf(e) for a, _ in pows if scalars._is_sum_atom(a))
+    assert scalars._atom_sort_key(atom) == (2, "x + y")
+    rendered = []
+    render = scalars._render
+    monkeypatch.setattr(scalars, "_render", lambda n: rendered.append(n) or render(n))
+    assert to_text(e) == "x*(x + y)^(1/2)"
+    assert rendered == [e]
+
+
 def test_const_evaluates_to_its_cached_complex():
     scalars.clear_caches()
     table = VariableTable()

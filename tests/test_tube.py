@@ -177,8 +177,9 @@ def test_levi_rank_one_for_paper_example(paper_model):
 
 def _levi_rank(rho, points):
     """The Levi rank report of a defining function, with no hypothesis gate."""
-    derivs = tube._derivative_cache(tube._rho_over_base(rho), tube._tube_table())
-    return tube.hessian_rank_report(derivs, points)
+    table = tube._tube_table()
+    derivs = tube._derivative_cache(tube._rho_over_base(rho), table)
+    return tube.TubeModel(table, derivs["rho"], {}, derivs=derivs).levi_rank(points)
 
 
 def test_levi_rank_one_for_parabola():
