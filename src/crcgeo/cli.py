@@ -57,7 +57,10 @@ def parse_box(text: str) -> dict:
         if name in box:
             raise ValueError(f"{name!r} is given twice")
         lo, hi = rng.split(":", 1)
-        lo_f, hi_f = float(lo), float(hi)
+        try:
+            lo_f, hi_f = float(lo), float(hi)
+        except ValueError:
+            raise ValueError(f"bad box entry {piece!r}; bounds must be numbers") from None
         if not (math.isfinite(lo_f) and math.isfinite(hi_f)):
             raise ValueError(f"non-finite bound for {name!r}")
         if not lo_f < hi_f:
@@ -92,6 +95,8 @@ def parse_bindings(text: str) -> dict:
         if name in out:
             raise ValueError(f"{name!r} is given twice")
         try:
+            if not name:
+                raise ValueError("empty name")
             out[name] = complex(value)
         except ValueError:
             raise ValueError(f"bad binding {piece!r}; expected name=value") from None

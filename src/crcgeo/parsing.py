@@ -66,7 +66,7 @@ def _number_to_expr(text: str, offset: int) -> Expr:
     try:
         if "." in text:
             return Const(QC.of(Fraction(text)))
-        return Const(QC.of(int(text)))
+        return Const(QC(int(text)))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad numeric literal {text!r}", offset)
 
@@ -207,7 +207,7 @@ class Parser:
     def rational(self, e: Expr, offset: int) -> Fraction:
         """Fold an exponent to a rational constant."""
         n = normalize(e)
-        if isinstance(n, Const) and n.value.im == 0:
+        if isinstance(n, Const) and not n.value.b:
             return n.value.re
         raise ParseError("exponent must be a rational constant", offset)
 

@@ -44,6 +44,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import filterfalse, repeat
+from math import gcd
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -94,21 +95,11 @@ class WorkBudgetError(ExprError):
 # rational-complex constants
 
 
-def _as_fraction(x) -> Fraction:
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-_F0 = Fraction(0)
-
 # Size a coefficient raised to an integer power may reach, estimated as
-# |k| times floor(log2) of its largest numerator or denominator (doubled,
-# plus one, when it is not real).  The parts of a result within it stay
-# under 12000 bits, so they print within Python's 4300-digit limit on
-# converting an int to text.
+# |k| times floor(log2) of the largest numerator or denominator of its
+# real and imaginary parts in lowest terms (doubled, plus one, when it is
+# not real).  The parts of a result within it stay under 12000 bits, so
+# they print within Python's 4300-digit limit on converting an int to text.
 _POWER_BITS_BUDGET = 6000
 
 
@@ -121,89 +112,117 @@ def _check_power_bits(log2: int, k: int) -> None:
             f"of {_POWER_BITS_BUDGET} bits")
 
 
-@dataclass(frozen=True, slots=True)
 class QC:
-    """Complex number with exact rational real and imaginary parts.
+    """The Gaussian rational ``(a + b*i)/d`` over Python ints, with ``d > 0``
+    and ``gcd(a, b, d) == 1``, so equal values have equal fields.
 
-    Arithmetic between real values (``im == 0``) takes a fast path: one
-    ``Fraction`` operation on ``re``, with ``im`` the shared ``_F0``.
-    """
+    ``QC(a, b, d)`` takes fields already in that form (``QC(n)`` is the
+    integer n); ``QC.of`` builds one from int or Fraction parts.  No value
+    changes once built: arithmetic returns a new one, reduced with one
+    ``math.gcd``, with a fast path between real values (``b == 0``).  ``re``
+    and ``im`` give the parts as Fractions, for parsers and printers."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int = 0, d: int = 1):
+        self.a = a
+        self.b = b
+        self.d = d
 
     @staticmethod
     def of(re, im=0) -> "QC":
-        return QC(_as_fraction(re), _as_fraction(im))
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError(f"expected int or Fraction parts, got {re!r}, {im!r}")
+        p, q = re.denominator, im.denominator
+        return _reduced(re.numerator * q, im.numerator * p, p * q)
+
+    re = property(lambda self: Fraction(self.a, self.d))
+    im = property(lambda self: Fraction(self.b, self.d))
+
+    def __eq__(self, other):
+        return (type(other) is QC and self.a == other.a and self.b == other.b
+                and self.d == other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.d))
+
+    def __repr__(self):
+        return f"QC({self.a}, {self.b}, {self.d})"
 
     def __add__(self, other: "QC") -> "QC":
-        if not self.im and not other.im:
-            return QC(self.re + other.re, _F0)
-        return QC(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == 1 and e == 1:
+            return QC(self.a + other.a, self.b + other.b)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: "QC") -> "QC":
-        if not self.im and not other.im:
-            return QC(self.re - other.re, _F0)
-        return QC(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == 1 and e == 1:
+            return QC(self.a - other.a, self.b - other.b)
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __mul__(self, other: "QC") -> "QC":
-        if not self.im and not other.im:
-            return QC(self.re * other.re, _F0)
-        return QC(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self.a, self.b, self.d
+        x, y, e = other.a, other.b, other.d
+        if not b and not y:
+            a *= x
+            d *= e
+            if d == 1:
+                return QC(a)
+            g = gcd(a, d)
+            return QC(a // g, 0, d // g)
+        return _reduced(a * x - b * y, a * y + b * x, d * e)
 
     def __neg__(self) -> "QC":
-        if not self.im:
-            return QC(-self.re, _F0)
-        return QC(-self.re, -self.im)
+        return QC(-self.a, -self.b, self.d)
 
     def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
+        return QC(self.a, -self.b, self.d)
 
     def inverse(self) -> "QC":
-        if not self.im:
-            if not self.re:
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            if not a:
                 raise DomainEvalError("division by zero constant")
-            return QC(1 / self.re, _F0)
-        n = self.re * self.re + self.im * self.im
-        return QC(self.re / n, -self.im / n)
+            return QC(d, 0, a) if a > 0 else QC(-d, 0, -a)
+        return _reduced(a * d, -b * d, a * a + b * b)
 
     def pow_int(self, k: int) -> "QC":
+        a, b, d = self.a, self.b, self.d
         if k > 1 or k < -1:
-            log2 = max(n.bit_length() for part in (self.re, self.im)
-                       for n in (part.numerator, part.denominator)) - 1
-            _check_power_bits(2 * log2 + 1 if self.im else log2, k)
-        if not self.im:
-            if k < 0 and not self.re:
-                raise DomainEvalError("division by zero constant")
-            return QC(self.re ** k, _F0)
-        base = self if k >= 0 else self.inverse()
-        result = QC_ONE
-        for _ in range(abs(k)):
-            result = result * base
-        return result
+            log2 = max(n.bit_length() for x in (a, b) for g in (gcd(x, d),)
+                       for n in (x // g, d // g)) - 1
+            _check_power_bits(2 * log2 + 1 if b else log2, k)
+        if k < 0:
+            inv = self.inverse()
+            a, b, d, k = inv.a, inv.b, inv.d, -k
+        if not b:
+            return QC(a ** k, 0, d ** k)
+        x, y = 1, 0
+        for _ in range(k):
+            x, y = x * a - y * b, x * b + y * a
+        return _reduced(x, y, d ** k)
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     @property
     def is_one(self) -> bool:
-        return not self.im and self.re == 1
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
+        return self.a == 1 and self.d == 1 and not self.b
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(self.a / self.d, self.b / self.d)
 
 
-QC_ZERO = QC(_F0, _F0)
-QC_ONE = QC(Fraction(1), _F0)
-QC_I = QC(_F0, Fraction(1))
+def _reduced(a: int, b: int, d: int) -> QC:
+    """``(a + b*i)/d`` in lowest terms, for ``d > 0``."""
+    g = gcd(a, b, d)
+    return QC(a, b, d) if g == 1 else QC(a // g, b // g, d // g)
+
+
+QC_ONE = QC(1)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +366,7 @@ class Const(Expr):
     __slots__ = ("value", "_complex")
 
     def __new__(cls, value: QC):
-        return _interned(cls, ("C", value.re, value.im), value, None)
+        return _interned(cls, ("C", value.a, value.b, value.d), value, None)
 
     def __repr__(self):
         return f"Const({qc_text(self.value)})"
@@ -395,20 +414,16 @@ class Pow(Expr):
         return f"Pow({self.base!r}, {self.exp})"
 
 
-ZERO = Const(QC_ZERO)
+ZERO = Const(QC(0))
 ONE = Const(QC_ONE)
-I = Const(QC_I)
-MINUS_ONE = Const(QC(Fraction(-1), _F0))
+I = Const(QC(0, 1))
+MINUS_ONE = Const(QC(-1))
 
 
 def lift(x: NumberLike) -> Expr:
     if isinstance(x, Expr):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Const(QC.of(x))
-    if isinstance(x, QC):
-        return Const(x)
-    raise TypeError(f"cannot lift {type(x).__name__} into an expression")
+    return Const(x if isinstance(x, QC) else QC.of(x))
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +480,8 @@ def _atom_sort_key(atom: Expr):
 class _KeyExp(Fraction):
     """A non-integral exponent in a pows key: one instance per value (see
     ``_key_exp``), its hash, equal to ``Fraction``'s, computed once.
-    Arithmetic on it gives plain Fractions, and ``Pow`` and ``QC`` convert
-    it, so it never reaches a node."""
+    Arithmetic on it gives plain Fractions, ``Pow`` converts it and
+    ``QC.of`` reads its ints, so it never reaches a node."""
 
     __slots__ = ("_hash",)
 
@@ -644,24 +659,24 @@ def _const_pow(c: QC, e: Fraction) -> dict:
         return {(): c.pow_int(int(e))} if not (c.is_zero and e > 0) else {}
     if c.is_zero:
         return {}
-    if c.is_real and c.re > 0:
+    if not c.b and c.a > 0:
         powmap: dict = {}
-        for p in _factor_positive_int(c.re.numerator):
+        for p in _factor_positive_int(c.a):
             powmap[p] = powmap.get(p, 0) + 1
-        for p in _factor_positive_int(c.re.denominator):
+        for p in _factor_positive_int(c.d):
             powmap[p] = powmap.get(p, 0) - 1
-        coeff = Fraction(1)
+        coeff = QC_ONE
         pows = []
         for p in sorted(powmap):
             exp = powmap[p] * e
             whole = int(exp.numerator // exp.denominator)
             frac = exp - whole
             _check_power_bits(p.bit_length() - 1, whole)
-            coeff *= Fraction(p) ** whole
+            coeff = coeff * QC(p).pow_int(whole)
             if frac:
-                pows.append((Const(QC.of(p)), _key_exp(frac)))
+                pows.append((Const(QC(p)), _key_exp(frac)))
         pows.sort(key=_item_key)
-        return {tuple(pows): QC.of(coeff)}
+        return {tuple(pows): coeff}
     # non-positive or non-real constant under a fractional power: opaque atom
     return {((Const(c), _key_exp(e)),): QC_ONE}
 
@@ -673,7 +688,7 @@ def _atom_certified_positive(atom: Expr, exp: Fraction) -> bool:
             return True
         return exp.denominator != 1
     if isinstance(atom, Const):
-        return atom.value.is_real and atom.value.re > 0
+        return not atom.value.b and atom.value.a > 0
     return exp.denominator != 1
 
 
@@ -700,7 +715,7 @@ def _nf_pow(nf: Mapping, e: Fraction) -> dict:
             return _fix_monomial(c.pow_int(k), powmap)
         # fractional power of a monomial: split off factors that keep
         # value-or-error semantics, bundle the rest into an opaque base
-        if c.is_real and c.re > 0 and not c.is_one:
+        if not c.b and c.a > 0 and not c.is_one:
             out, residual_coeff = _const_pow(c, e), QC_ONE
         else:
             out, residual_coeff = {(): QC_ONE}, c
@@ -774,16 +789,12 @@ def _extract_content(nf: Mapping, fractional: bool):
 
 
 def _positive_rational_content(coeffs: Sequence[QC]) -> QC:
-    nums: list[int] = []
-    dens: list[int] = []
-    for c in coeffs:
-        for part in (c.re, c.im):
-            if part != 0:
-                nums.append(abs(part.numerator))
-                dens.append(part.denominator)
-    if not nums:
-        return QC_ONE
-    return QC.of(Fraction(math.gcd(*nums), math.lcm(*dens)))
+    """The positive rational generating the parts of ``coeffs`` as a group:
+    those of ``(a + b*i)/d`` generate ``gcd(a, b)/d``, in lowest terms as
+    ``gcd(a, b, d) == 1``, and several such ``n/d`` generate
+    ``gcd(n...)/lcm(d...)``, again in lowest terms.  A zero adds nothing."""
+    num = gcd(*[x for c in coeffs for x in (c.a, c.b)])
+    return QC(num, 0, math.lcm(*[c.d for c in coeffs])) if num else QC_ONE
 
 
 def _leading_item(nf: Mapping):
@@ -1448,18 +1459,14 @@ def frac_text(x: Fraction) -> str:
 
 
 def qc_text(c: QC) -> str:
-    if c.im == 0:
+    if not c.b:
         return frac_text(c.re)
-    if c.re == 0:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{frac_text(c.im)}*i"
-    sign = "+" if c.im > 0 else "-"
     imag = abs(c.im)
     istr = "i" if imag == 1 else f"{frac_text(imag)}*i"
-    return f"({frac_text(c.re)} {sign} {istr})"
+    sign = "" if c.b > 0 else "-"
+    if not c.a:
+        return sign + istr
+    return f"({frac_text(c.re)} {sign or '+'} {istr})"
 
 
 def _exp_text(e: Fraction) -> str:
@@ -1473,7 +1480,7 @@ def _needs_parens_as_factor(e: Expr) -> bool:
         return True
     if isinstance(e, Const):
         v = e.value
-        return v.im != 0 or v.re < 0 or v.re.denominator != 1
+        return v.b != 0 or v.a < 0 or v.d != 1
     return False
 
 
@@ -1499,16 +1506,14 @@ def _render(n: Expr) -> str:
     parts: list[str] = []
     for idx, t in enumerate(terms):
         coeff, factors = _split_mono(t)
-        negative = coeff.im == 0 and coeff.re < 0
+        negative = not coeff.b and coeff.a < 0
         if negative:
             coeff = -coeff
         body_parts = []
         if not coeff.is_one or not factors:
             c_txt = qc_text(coeff)
-            if c_txt.startswith("(") or coeff.im == 0:
-                body_parts.append(c_txt)
-            else:
-                body_parts.append(f"({c_txt})" if "*" in c_txt or " " in c_txt else c_txt)
+            # only a pure imaginary coefficient prints with '*' outside parentheses
+            body_parts.append(f"({c_txt})" if "*" in c_txt and c_txt[0] != "(" else c_txt)
         body_parts.extend(_factor_text(a, ex) for a, ex in factors)
         body = "*".join(body_parts)
         if idx == 0:
@@ -1524,15 +1529,9 @@ def to_text(e: Expr) -> str:
 
 
 def _split_mono(t: Expr):
-    if isinstance(t, Const):
-        return t.value, ()
-    if isinstance(t, (Var, Pow)) or not isinstance(t, Mul):
-        if isinstance(t, Pow):
-            return QC_ONE, ((t.base, t.exp),)
-        return QC_ONE, ((t, Fraction(1)),)
     coeff = QC_ONE
     factors = []
-    for f in t.factors:
+    for f in (t.factors if isinstance(t, Mul) else (t,)):
         if isinstance(f, Const):
             coeff = coeff * f.value
         elif isinstance(f, Pow):

@@ -316,6 +316,18 @@ def test_parse_bindings_helper():
         2, "error: bad binding 't1'; expected name=value\n")
 
 
+def test_bad_box_bound_names_the_entry():
+    result = run_cli("expr", "zero", "--expr", "t1", "--box", "t1=a:1")
+    assert (result.returncode, result.stderr) == (
+        2, "error: bad box entry 't1=a:1'; bounds must be numbers\n")
+
+
+def test_empty_binding_name_names_the_entry():
+    result = run_cli("expr", "eval", "--expr", "t1", "--at", "=1")
+    assert (result.returncode, result.stderr) == (
+        2, "error: bad binding '=1'; expected name=value\n")
+
+
 def test_parse_declarations_helper():
     table = cli.parse_declarations("t1:real,u:positive,b~bb,lam:imaginary,a:unit")
     assert table["b"].partner == "bb"

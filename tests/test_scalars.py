@@ -1034,24 +1034,38 @@ def _pow_formula(a, k):
 
 _rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)
 _gaussian = st.one_of(
-    st.builds(lambda r: QC(r, Fraction(0)), _rationals),
-    st.builds(QC, _rationals, _rationals),
+    st.builds(QC.of, _rationals),
+    st.builds(QC.of, _rationals, _rationals),
 )
 
 
+def _bits(z: complex):
+    return (z.real.hex(), z.imag.hex())
+
+
 def _parts(c):
+    """(re, im) of a QC after checking its representation: int fields in
+    lowest terms, Fraction parts, and a float value rounded as
+    ``float(Fraction)`` rounds, bit for bit."""
+    assert type(c.a) is type(c.b) is type(c.d) is int
+    assert c.d > 0 and math.gcd(c.a, c.b, c.d) == 1
     assert type(c.re) is Fraction and type(c.im) is Fraction
+    assert _bits(c.to_complex()) == _bits(complex(float(c.re), float(c.im)))
     return (c.re, c.im)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_gaussian, _gaussian, st.integers(min_value=-5, max_value=5))
 def test_qc_fast_paths_match_the_complex_formulas(a, b, k):
-    pa, pb = (a.re, a.im), (b.re, b.im)
+    pa, pb = _parts(a), _parts(b)
     assert _parts(a + b) == (pa[0] + pb[0], pa[1] + pb[1])
     assert _parts(a - b) == (pa[0] - pb[0], pa[1] - pb[1])
     assert _parts(a * b) == _mul_formula(pa, pb)
     assert _parts(-a) == (-pa[0], -pa[1])
+    assert _parts(a.conjugate()) == (pa[0], -pa[1])
+    assert (a == b) == (pa == pb)
+    if a == b:
+        assert hash(a) == hash(b)
     try:
         expected = _inverse_formula(pa)
     except DomainEvalError:
@@ -1066,3 +1080,55 @@ def test_qc_fast_paths_match_the_complex_formulas(a, b, k):
             a.pow_int(k)
     else:
         assert _parts(a.pow_int(k)) == expected
+
+
+_huge = st.integers(min_value=-10**400, max_value=10**400)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_huge, _huge, st.integers(min_value=1, max_value=10**400))
+def test_qc_to_complex_rounds_as_fraction_does(p, q, den):
+    """Parts far outside the float range round, overflow and underflow as
+    ``float(Fraction)`` does, also when ``d`` shares factors with one part."""
+    c = QC.of(Fraction(p, den), Fraction(q, den))
+    try:
+        expected = _bits(complex(float(c.re), float(c.im)))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            c.to_complex()
+    else:
+        assert _bits(c.to_complex()) == expected
+
+
+def _fraction_power_bits(c):
+    """The coefficient size ``pow_int`` estimates, from the parts as
+    Fractions in lowest terms (see ``scalars._POWER_BITS_BUDGET``)."""
+    log2 = max(n.bit_length() for part in (c.re, c.im)
+               for n in (part.numerator, part.denominator)) - 1
+    return 2 * log2 + 1 if c.im else log2
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_gaussian, st.booleans())
+def test_power_budget_boundary_is_the_fraction_estimate(c, negative):
+    bits = _fraction_power_bits(c)
+    if bits == 0 or (negative and c.is_zero):
+        return  # 0 and units never grow; 0 has no negative power
+    edge = scalars._POWER_BITS_BUDGET // bits
+    sign = -1 if negative else 1
+    c.pow_int(sign * edge)
+    with pytest.raises(scalars.WorkBudgetError):
+        c.pow_int(sign * (edge + 1))
+
+
+def test_power_budget_reads_parts_in_lowest_terms():
+    # (2 + 3i)/6 has parts 1/3 and 1/2: 2 bits, not the 3 bits of d = 6
+    c = QC.of(Fraction(1, 3), Fraction(1, 2))
+    assert (c.a, c.b, c.d) == (2, 3, 6)
+    assert _fraction_power_bits(c) == 3
+    c.pow_int(2000)
+    with pytest.raises(scalars.WorkBudgetError):
+        c.pow_int(2001)
+    with pytest.raises(scalars.WorkBudgetError):
+        QC.of(Fraction(3, 2)).pow_int(-6001)
+    QC.of(Fraction(3, 2)).pow_int(-6000)
