@@ -511,6 +511,15 @@ def test_paper_example_report_is_byte_identical_to_golden(seed):
     assert report.to_json(include_timing=False) == golden
 
 
+def test_light_cone_tube_report_is_byte_identical_to_golden():
+    # the homogeneous tube over the light cone: its torsion coefficient is
+    # zero, the verdict branch the paper example never reaches
+    scalars.clear_caches()
+    report = tube.analyze("t1^2/t2", HOMOG_BOX, seed=0)
+    golden = (GOLDEN / "tube_light_cone_seed0.json").read_text()
+    assert report.to_json(include_timing=False) == golden
+
+
 def test_warm_analysis_reuses_zero_certificates(monkeypatch):
     # a certificate depends on the node alone: after one analysis, another
     # with a new seed and box samples again but clears no denominator again
