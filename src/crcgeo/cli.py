@@ -163,6 +163,12 @@ def _cmd_tube(args) -> int:
     return _emit(report, args)
 
 
+def _declared(flag: str, names, table: VariableTable) -> None:
+    for name in names:
+        if name not in table:
+            raise ValueError(f"--{flag} {name!r} is not a declared variable")
+
+
 def _cmd_expr(args) -> int:
     table = parse_declarations(args.vars) if args.vars else VariableTable()
     expr = parse(args.expr, table)
@@ -170,18 +176,18 @@ def _cmd_expr(args) -> int:
     report.config = {"tool_version": __version__, "expr": args.expr}
     if args.expr_command == "eval":
         point = parse_bindings(args.at)
+        _declared("at", point, table)
         value = evaluate(expr, point)
         report.add("evaluate", True,
                    {"at": {k: str(v) for k, v in point.items()},
                     "value": f"{value.real!r}{value.imag:+}j"})
     elif args.expr_command == "diff":
-        var = table.get(args.by)
-        if var is None:
-            raise ValueError(f"--by {args.by!r} is not a declared variable")
-        d = differentiate(expr, var)
+        _declared("by", [args.by], table)
+        d = differentiate(expr, table[args.by])
         report.add("differentiate", True, {"by": args.by, "result": to_text(d)})
     else:  # zero
         box = parse_box(args.box)
+        _declared("box", box, table)
         # a paired variable is covered by its partner's interval, as in
         # ``sample_point``
         missing = sorted(v.name for v in free_variables(expr)

@@ -189,8 +189,8 @@ def structure_terms(forms: dict, names) -> dict:
     evaluated on the six 1-forms ``forms`` (keyed by ``COFRAME``): each
     generator of the model chart becomes its form, a pair partner the
     conjugate."""
-    sub, target = _with_conjugates(forms), forms[COFRAME[0]].chart
-    return {name: model.model_chart().d_rule(name).rewrite(sub, target) for name in names}
+    sub = _with_conjugates(forms)
+    return {name: model.model_chart().d_rule(name).rewrite(sub) for name in names}
 
 
 def curvature_from(w: FormExpr, w1: FormExpr, t2: FormExpr,
@@ -287,36 +287,30 @@ def tilde_basis_sub(dc: DgaChart, gauge: dict) -> dict:
     return _basis_sub(dc, (inverse[name] for name in COFRAME))
 
 
+# (title, shift function, curvature form, coefficient word, factor): the
+# coefficient is the shift function times the factor
+_SHIFT_CASES = (
+    ("torsion (2,1bar) shift", "c", "Theta2", ("theta2", "omega1c"), -3),
+    ("torsion (1,1bar) shift", "f", "Theta2", ("omega1", "omega1c"), 2),
+    ("second-curvature (1,1bar) shift", "g", "Phi2", ("omega1", "omega1c"), 2),
+    ("first-curvature (1,1bar) shift", "r", "Phi1", ("omega1", "omega1c"), Fraction(3, 2)),
+    ("last-curvature (1,1bar) shift", "s", "Psi", ("omega1", "omega1c"), 1),
+)
+
+
 def verify_gauge_shifts(dc: DgaChart | None = None) -> Report:
     """The five normalization shifts, checked in the fixing order: each
     shift is verified with the previously fixed functions set to zero."""
     report = Report("normalization gauge shifts")
     dc = dc or build_chart()
 
-    cases = [
-        ("torsion (2,1bar) shift", "c", ("theta2", "omega1c"),
-         lambda c: c * -3),
-        ("torsion (1,1bar) shift", "f", ("omega1", "omega1c"),
-         lambda f: f * 2),
-        ("second-curvature (1,1bar) shift", "g", ("omega1", "omega1c"),
-         lambda g: g * 2),
-        ("first-curvature (1,1bar) shift", "r", ("omega1", "omega1c"),
-         lambda r: r * Fraction(3, 2)),
-        ("last-curvature (1,1bar) shift", "s", ("omega1", "omega1c"),
-         lambda s: s * 1),
-    ]
-    curv_of_case = ["Theta2", "Theta2", "Phi2", "Phi1", "Psi"]
-
-    for k, (title, param, word, expected_fn) in enumerate(cases):
-        active = {param: dc.var(param)}
+    for title, param, curv, word, factor in _SHIFT_CASES:
         # later shift functions stay symbolic; earlier ones are already fixed
-        for later in _GAUGE_ORDER[_GAUGE_ORDER.index(param) + 1:]:
-            active[later] = dc.var(later)
+        active = {k: dc.var(k) for k in _GAUGE_ORDER[_GAUGE_ORDER.index(param):]}
         tf = tilde_forms(dc, active)
         tcurv = curvature_from(*(tf[name] for name in COFRAME))
-        form = tcurv[curv_of_case[k]].rewrite(tilde_basis_sub(dc, active))
-        got = form.coefficient(word)
-        model.check_identity(report, title, got - expected_fn(dc.var(param)))
+        got = tcurv[curv].rewrite(tilde_basis_sub(dc, active)).coefficient(word)
+        model.check_identity(report, title, got - dc.var(param) * factor)
 
     # zero shift functions leave every curvature form unchanged
     tf0 = tilde_forms(dc, {})

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .scalars import (
@@ -99,6 +100,17 @@ def _merge_word(w1: tuple, w2: tuple):
         if word[i - 1] == word[i]:
             return None
     return tuple(word), sign
+
+
+def _summed(chart: "Chart", degree: int, pieces) -> "FormExpr":
+    """The form of ``degree`` summing the ``(word, coeff)`` pairs of
+    ``pieces``: each word's coefficients add up left to right, the first
+    as it is."""
+    out: dict[tuple, Expr] = {}
+    for word, coeff in pieces:
+        cur = out.get(word)
+        out[word] = coeff if cur is None else cur + coeff
+    return FormExpr(chart, degree, out)
 
 
 class Chart:
@@ -191,17 +203,6 @@ class Chart:
             raise MissingRuleError("scalar d", v.name)
         return rule
 
-    def d_scalar(self, e) -> "FormExpr":
-        """Differential of a scalar: sum of partials times scalar rules."""
-        e = lift(e)
-        out = self.zero(1)
-        for v in sorted(free_variables(e), key=lambda v: v.name):
-            rule = self.scalar_rule(v)
-            de = differentiate(e, v)
-            if de != ZERO:
-                out = out + rule.scale(de)
-        return out
-
     # -- validation --------------------------------------------------------
 
     def verify_d_squared(self) -> dict[str, bool]:
@@ -265,10 +266,8 @@ class FormExpr:
             if other.is_zero:
                 return self
             raise ChartError("cannot add forms of different degree")
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            out[word] = out.get(word, ZERO) + coeff
-        return FormExpr(self.chart, self.degree, out)
+        return _summed(self.chart, self.degree,
+                       chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "FormExpr") -> "FormExpr":
         return self + other.scale(-1)
@@ -289,75 +288,58 @@ class FormExpr:
 
     def wedge(self, other: "FormExpr") -> "FormExpr":
         self._check_same_chart(other)
-        out: dict[tuple, Expr] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                merged = _merge_word(w1, w2)
-                if merged is None:
-                    continue
-                word, sign = merged
-                coeff = c1 * c2 if sign > 0 else c1 * c2 * -1
-                out[word] = out.get(word, ZERO) + coeff
-        return FormExpr(self.chart, self.degree + other.degree, out)
+
+        def pieces():
+            for w1, c1 in self.terms.items():
+                for w2, c2 in other.terms.items():
+                    merged = _merge_word(w1, w2)
+                    if merged is not None:
+                        yield merged[0], c1 * c2 if merged[1] > 0 else c1 * c2 * -1
+
+        return _summed(self.chart, self.degree + other.degree, pieces())
 
     def d(self) -> "FormExpr":
+        """Exterior derivative; a 0-form's is its scalar's differential."""
         chart = self.chart
-        out: dict[tuple, Expr] = {}
 
-        def accumulate(word, coeff):
-            if word in out:
-                out[word] = out[word] + coeff
-            else:
-                out[word] = coeff
+        def pieces():
+            for word, coeff in self.terms.items():
+                for v in sorted(free_variables(coeff), key=lambda v: v.name):
+                    dc = differentiate(coeff, v)
+                    if dc == ZERO:
+                        continue
+                    for rword, rcoeff in chart.scalar_rule(v).terms.items():
+                        merged = _merge_word(rword, word)
+                        if merged is not None:
+                            yield merged[0], dc * rcoeff * merged[1]
+                for j, idx in enumerate(word):
+                    rule = chart.d_rule(chart.generators[idx].name)
+                    rest = word[:j] + word[j + 1:]
+                    outer_sign = -1 if j % 2 else 1
+                    for rword, rcoeff in rule.terms.items():
+                        merged = _merge_word(rword, rest)
+                        if merged is not None:
+                            yield merged[0], coeff * rcoeff * (merged[1] * outer_sign)
 
-        for word, coeff in self.terms.items():
-            for v in sorted(free_variables(coeff), key=lambda v: v.name):
-                dc = differentiate(coeff, v)
-                if dc == ZERO:
-                    continue
-                rule = chart.scalar_rule(v)
-                for rword, rcoeff in rule.terms.items():
-                    merged = _merge_word(rword, word)
-                    if merged is None:
-                        continue
-                    mword, sign = merged
-                    accumulate(mword, dc * rcoeff * sign)
-            for j, idx in enumerate(word):
-                rule = chart.d_rule(chart.generators[idx].name)
-                rest = word[:j] + word[j + 1:]
-                outer_sign = -1 if j % 2 else 1
-                for rword, rcoeff in rule.terms.items():
-                    merged = _merge_word(rword, rest)
-                    if merged is None:
-                        continue
-                    mword, sign = merged
-                    accumulate(mword, coeff * rcoeff * (sign * outer_sign))
-        return FormExpr(chart, self.degree + 1, out)
+        return _summed(chart, self.degree + 1, pieces())
 
     # -- chart operations ------------------------------------------------------
 
     def conj(self) -> "FormExpr":
+        """Conjugate the coefficients, swap pair partners, negate imaginaries."""
         chart = self.chart
-        out: dict[tuple, Expr] = {}
-        for word, coeff in self.terms.items():
-            sign = 1
-            new_indices = []
-            for idx in word:
-                g = chart.generators[idx]
-                if g.kind == GEN_PAIR:
-                    new_indices.append(chart._index[g.partner])
-                elif g.kind == GEN_REAL:
-                    new_indices.append(idx)
-                else:  # imaginary
-                    new_indices.append(idx)
-                    sign = -sign
-            merged = _merge_word(tuple(new_indices), ())
-            if merged is None:
-                continue
-            mword, psign = merged
-            c = conjugate(coeff) * (sign * psign)
-            out[mword] = out.get(mword, ZERO) + c
-        return FormExpr(chart, self.degree, out)
+
+        def pieces():
+            for word, coeff in self.terms.items():
+                gens = [chart.generators[idx] for idx in word]
+                sign = (-1) ** sum(g.kind == GEN_IMAGINARY for g in gens)
+                # a permutation of the indices: no index repeats
+                mword, psign = _merge_word(tuple(
+                    chart._index[g.partner] if g.kind == GEN_PAIR else idx
+                    for g, idx in zip(gens, word)), ())
+                yield mword, conjugate(coeff) * (sign * psign)
+
+        return _summed(chart, self.degree, pieces())
 
     def reduce_mod(self, names: Sequence[str]) -> "FormExpr":
         drop = {self.chart._require_gen(n) for n in names}
@@ -379,33 +361,29 @@ class FormExpr:
         coeff = self.terms.get(word, ZERO)
         return coeff if sign > 0 else normalize(coeff * -1)
 
-    def rewrite(self, sub: Mapping[str, "FormExpr"],
-                target: Chart | None = None) -> "FormExpr":
+    def rewrite(self, sub: Mapping[str, "FormExpr"]) -> "FormExpr":
         """Homomorphic basis change: replace each generator by a degree-1
-        form on the target chart."""
+        form of ``sub``.  The result lives on the chart of the images, or
+        on this form's chart when ``sub`` is empty."""
         chart = self.chart
-        if target is None:
-            some = next(iter(sub.values()), None)
-            target = some.chart if some is not None else chart
-        acc: dict[tuple, Expr] = {}
-        for word, coeff in self.terms.items():
-            piece = target.scalar(coeff)
-            ok = True
-            for idx in word:
-                name = chart.generators[idx].name
-                image = sub.get(name)
-                if image is None:
-                    raise ChartError(f"rewrite substitution missing generator {name}")
-                if image.degree != 1:
-                    raise ChartError(f"substitution for {name} must be a 1-form")
-                piece = piece.wedge(image)
-                if piece.is_zero:
-                    ok = False
-                    break
-            if ok:
-                for w, c in piece.terms.items():
-                    acc[w] = acc.get(w, ZERO) + c
-        return FormExpr(target, self.degree, acc)
+        target = next((image.chart for image in sub.values()), chart)
+
+        def pieces():
+            for word, coeff in self.terms.items():
+                piece = target.scalar(coeff)
+                for idx in word:
+                    name = chart.generators[idx].name
+                    image = sub.get(name)
+                    if image is None:
+                        raise ChartError(f"rewrite substitution missing generator {name}")
+                    if image.degree != 1:
+                        raise ChartError(f"substitution for {name} must be a 1-form")
+                    piece = piece.wedge(image)
+                    if piece.is_zero:
+                        break
+                yield from piece.terms.items()
+
+        return _summed(target, self.degree, pieces())
 
     def substitute_scalars(self, bindings: Mapping[Variable, Expr]) -> "FormExpr":
         return FormExpr(self.chart, self.degree,
@@ -462,15 +440,6 @@ class _FormGrammar(parsing.Parser):
         if tok.text in self.chart._index:
             return self.chart.gen(tok.text)
         return self.chart.scalar(super().identifier(tok))
-
-    def add(self, a: FormExpr, b: FormExpr) -> FormExpr:
-        return a + b
-
-    def sub(self, a: FormExpr, b: FormExpr) -> FormExpr:
-        return a + b.scale(-1)
-
-    def neg(self, a: FormExpr) -> FormExpr:
-        return a.scale(-1)
 
     def mul(self, a: FormExpr, b: FormExpr, tok) -> FormExpr:
         if a.degree == 0:

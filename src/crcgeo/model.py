@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .scalars import (
     ONE,
+    RealityViolationError,
     Var,
     ZERO,
     certify_zero,
@@ -91,7 +92,6 @@ def algebra_element(alpha, beta, gamma, sigma, delta, rho_alg) -> SMatrix:
     delta, rho_alg = lift(delta), lift(rho_alg)
     for name, x in (("delta", delta), ("rho_alg", rho_alg)):
         if not is_zero_expr(conjugate(x) + x):
-            from .scalars import RealityViolationError
             raise RealityViolationError(f"{name} must be imaginary-valued")
     return SMatrix(_pattern(delta, gamma, beta, conjugate(sigma), alpha, rho_alg,
                             conjugate, ZERO))

@@ -20,12 +20,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .scalars import (
-    Add,
     Const,
     Expr,
     I,
     Mul,
-    MINUS_ONE,
     ParseError,
     Pow,
     QC,
@@ -72,9 +70,9 @@ def _number_to_expr(text: str, offset: int) -> Expr:
 
 
 class Parser:
-    """The grammar over one text.  Grammar methods (``parse_*``) never build
-    a value themselves; they call the builder methods at the end of the
-    class, which make raw scalar nodes here."""
+    """The grammar over one text.  Grammar methods (``parse_*``) add, subtract
+    and negate values with their own operators, and build every other value
+    with the builder methods at the end of the class: raw scalar nodes here."""
 
     def __init__(self, text: str, table: VariableTable):
         self.tokens = tokenize(text)
@@ -108,7 +106,7 @@ class Parser:
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
                 rhs = self.parse_wedge()
-                node = self.add(node, rhs) if tok.text == "+" else self.sub(node, rhs)
+                node = node + rhs if tok.text == "+" else node - rhs
             else:
                 return node
 
@@ -138,7 +136,7 @@ class Parser:
         tok = self.tok
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return self.neg(self.parse_unary())
+            return -self.parse_unary()
         return self.parse_power()
 
     def parse_power(self):
@@ -182,15 +180,6 @@ class Parser:
         if v is None:
             raise UndeclaredIdentifierError(tok.text, tok.offset)
         return Var(v)
-
-    def add(self, a, b):
-        return Add((a, b))
-
-    def sub(self, a, b):
-        return Add((a, Mul((MINUS_ONE, b))))
-
-    def neg(self, a):
-        return Mul((MINUS_ONE, a))
 
     def mul(self, a, b, tok: Token):
         return Mul((a, b))

@@ -54,7 +54,7 @@ from .scalars import (
 from .forms import Chart, FormExpr, g_imaginary, g_pair, g_real
 from .dga import COFRAME, structure_terms
 from .model import model_chart
-from .report import INCONCLUSIVE, Report
+from .report import FAIL, INCONCLUSIVE, Report
 
 HALF = Fraction(1, 2)
 
@@ -70,11 +70,18 @@ class TubeHypothesisError(ExprError):
     """A failed tube hypothesis.  Raising it records the failure as the
     last check of ``report``, which holds the hypotheses checked so far."""
 
+    status = FAIL
+
     def __init__(self, hypothesis: str, message: str, report: Report):
         super().__init__(f"{hypothesis}: {message}")
         self.hypothesis = hypothesis
         self.report = report
-        report.add(f"hypothesis:{hypothesis}", False, {"reason": str(self)})
+        report.add(f"hypothesis:{hypothesis}", self.status, {"reason": str(self)})
+
+
+class TubeHypothesisUndecided(TubeHypothesisError):
+    """A tube hypothesis the sampled tests cannot decide: inconclusive."""
+    status = INCONCLUSIVE
 
 
 class CoframeVerificationError(ExprError):
@@ -193,10 +200,11 @@ def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
 
     ``rho`` is an expression string over t1, t2 (or an already-parsed
     expression over a compatible table).  Raises ``TubeHypothesisError``
-    naming the failed hypothesis: the Monge-Ampere equation, positivity of
-    rho11, or 2-nondegeneracy (S not identically zero).  Each hypothesis is
-    a check in the model's ``hypotheses`` report, or in the error's when it
-    fails; the first one's time includes parsing and the derivative cache.
+    naming the failed hypothesis (``TubeHypothesisUndecided`` if undecided):
+    the Monge-Ampere equation, positivity of rho11, or 2-nondegeneracy (S
+    not identically zero).  Each hypothesis is a check in the model's
+    ``hypotheses`` report, or in the error's when it fails; the first one's
+    time includes parsing and the derivative cache.
     """
     hypotheses = Report("tube hypotheses")
     table = _tube_table()
@@ -214,24 +222,26 @@ def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
                       trials=trials, seed=seed, tol=tol, derivs=derivs,
                       hypotheses=hypotheses)
 
-    undecided = "inconclusive: the sampled zero test cannot decide on the box"
-    verdict = model.vanishes(ma_residual(model.derivs), seed_shift=11)
-    if verdict is not True:
-        raise TubeHypothesisError("monge_ampere", undecided if verdict is INCONCLUSIVE
-                                  else "rho11*rho22 - rho12^2 does not vanish on the box",
-                                  hypotheses)
-    hypotheses.add("hypothesis:monge_ampere", True)
-
+    _zero_hypothesis(model, "monge_ampere", ma_residual(model.derivs), 11, True,
+                     "rho11*rho22 - rho12^2 does not vanish on the box")
     _check_positivity(model)
     hypotheses.add("hypothesis:positivity", True)
-
-    verdict = model.vanishes(model.d("S"), seed_shift=23)
-    if verdict is not False:
-        raise TubeHypothesisError("twonondegenerate", undecided if verdict is INCONCLUSIVE
-                                  else "S = (rho12/rho11)_1 is identically zero",
-                                  hypotheses)
-    hypotheses.add("hypothesis:twonondegenerate", True)
+    _zero_hypothesis(model, "twonondegenerate", model.d("S"), 23, False,
+                     "S = (rho12/rho11)_1 is identically zero")
     return model
+
+
+def _zero_hypothesis(model: TubeModel, hypothesis: str, x: Expr, seed_shift: int,
+                     want: bool, refuted: str) -> None:
+    """Check that the zero verdict on ``x`` is ``want``; ``refuted`` is the
+    reason when it is not."""
+    verdict = model.vanishes(x, seed_shift)
+    if verdict is INCONCLUSIVE:
+        raise TubeHypothesisUndecided(hypothesis, "inconclusive: the sampled zero "
+                                      "test cannot decide on the box", model.hypotheses)
+    if verdict is not want:
+        raise TubeHypothesisError(hypothesis, refuted, model.hypotheses)
+    model.hypotheses.add(f"hypothesis:{hypothesis}", True)
 
 
 def _rho_over_base(rho) -> Expr:
@@ -257,8 +267,8 @@ def _check_positivity(model: TubeModel) -> None:
                 "positivity", f"rho11 = {val} at {point} is not positive",
                 model.hypotheses)
     if found == 0:
-        raise TubeHypothesisError("positivity", "no admissible sample points",
-                                  model.hypotheses)
+        raise TubeHypothesisUndecided("positivity", "no admissible sample points",
+                                      model.hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +356,7 @@ class TubeCoframe:
     checks: Report            # the coframe: checks, each timed
 
     def rewrite(self, form: FormExpr) -> FormExpr:
-        return form.rewrite(self.frame_sub, self.frame)
+        return form.rewrite(self.frame_sub)
 
     def gen(self, name: str) -> FormExpr:
         return self.frame.gen(name)
@@ -477,7 +487,7 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
 
     # substitution table inverts the coframe definitions
     for name in ("omega", "omega1", "theta2", "phi2"):
-        image = forms[name].rewrite(sub, frame)
+        image = forms[name].rewrite(sub)
         record(f"substitution inverts {name}",
                model.vanishes(image - frame.gen(name), seed_shift=31))
 
@@ -488,13 +498,13 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     # differential dbc + (lam/2) omega1 for phi1
     phi1 = g("dbc") + g("omega1").scale(lam * HALF)
     first = _minus_structure_terms(
-        frame, "omega", forms["omega"].d().rewrite(sub, frame), phi1)
+        frame, "omega", forms["omega"].d().rewrite(sub), phi1)
     record("contact form structure identity",
            model.vanishes(first, seed_shift=37))
 
     # second structure identity, solved for the fiber correction form
     residue = _minus_structure_terms(
-        frame, "omega1", forms["omega1"].d().rewrite(sub, frame), phi1)
+        frame, "omega1", forms["omega1"].d().rewrite(sub), phi1)
     record("coframe structure identity holds modulo the contact form",
            model.vanishes(residue.reduce_mod(["omega"]), seed_shift=41))
     sigma = frame.zero(1)
@@ -634,7 +644,7 @@ def curvature_coefficients(cf: TubeCoframe) -> CurvatureVerdict:
     theta2_21 = torsion.coefficient(("theta2", "omega1"))
     theta2_21_gamma0 = restrict_to_section(theta2_21, table)
 
-    dc = cf.rewrite(cf.ambient.d_scalar(c))
+    dc = cf.rewrite(cf.ambient.scalar(c).d())
     tilde = (torsion - dc.wedge(g("omega1"))
              + g("theta2").wedge(g("omega1")).scale(2 * conjugate(c))
              - g("theta2").wedge(g("omega1c")).scale(3 * c))
@@ -671,8 +681,8 @@ def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
     """End-to-end tube analysis: hypotheses, Levi rank, coframe identities,
     curvature coefficients, and the flatness verdict.  Each check is timed
     from the one before it; the final zero test belongs to the curvature
-    coefficients.  A failed hypothesis or coframe identity ends the report,
-    after the checks made before it."""
+    coefficients.  A failed or undecided hypothesis, or a failed coframe
+    identity, ends the report after the checks made before it."""
     report = Report("tube hypersurface analysis")
     report.config = {"trials": trials, "seed": seed, "tol": tol,
                      "box": {k: list(v) for k, v in box.items()}}

@@ -52,6 +52,23 @@ def test_tube_analyze_rejects_degenerate():
         "hypothesis:twonondegenerate"]
 
 
+@pytest.mark.parametrize("command, undecided", [
+    # rho is undefined on the negative box: the zero test has no point
+    (("analyze", "--rho", "t1^(3/2)+t2^(3/2)", "--box", "t1=-2:-1,t2=-2:-1"),
+     "hypothesis:monge_ampere"),
+    # rho11 is undefined at every sampled point of t1 < 0
+    (("profile", "--g", "s^(5/2)", "--box", "t1=-1:-0.5,t2=0.5:1"),
+     "hypothesis:positivity"),
+], ids=["monge_ampere", "positivity"])
+def test_tube_undecided_hypothesis_is_inconclusive(command, undecided):
+    result = run_cli("tube", *command)
+    assert result.returncode == 3
+    payload = json.loads(result.stdout)
+    assert payload["overall"] == "inconclusive"
+    assert payload["checks"][-1]["name"] == undecided
+    assert payload["checks"][-1]["status"] == "inconclusive"
+
+
 def test_tube_analyze_parse_error_exit_code():
     result = run_cli("tube", "analyze", "--rho", "t1 +",
                      "--box", "t1=0.1:1,t2=0.1:1")
@@ -206,6 +223,20 @@ def test_expr_diff_by_an_undeclared_name_is_an_input_error():
     assert result.stderr == "error: --by 't3' is not a declared variable\n"
 
 
+def test_expr_at_and_box_names_must_be_declared():
+    # a name missing from --vars is a typo; a declared but unused one is fine
+    for command, flag, value in (("eval", "--at", "t1=1,x=2"),
+                                 ("zero", "--box", "t1=0:1,zz=0:1")):
+        result = run_cli("expr", command, "--expr", "t1", flag, value)
+        name = value.split(",")[1].split("=")[0]
+        assert (result.returncode, result.stderr) == (
+            2, f"error: {flag} {name!r} is not a declared variable\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["expr", "eval", "--expr", "t1", "--at", "t1=1,t2=2"]) == 0
+        assert cli.main(["expr", "zero", "--expr", "t1-t1", "--box",
+                         "t1=0:1,t2=0:1"]) == 0
+
+
 def test_expr_zero_box_must_cover_the_expression_variables():
     result = run_cli("expr", "zero", "--expr", "t1-t2", "--box", "t1=0.1:1")
     assert result.returncode == 2
@@ -349,11 +380,12 @@ _WELL_FORMED = ("t1-t2", "t1*t2^2", "1/t2", "sqrt(t1*t2)+1", "t1^2", "t1^(-2)")
        command=st.sampled_from(("eval", "diff", "zero")),
        tol=st.sampled_from(_NUMBERS), bound=st.sampled_from(_NUMBERS),
        by=st.sampled_from(("t1", "t2", "t3")), box_t2=st.booleans(),
-       at=st.sampled_from(("0.3", "1e-200", "1e200")))
+       at=st.sampled_from(("0.3", "1e-200", "1e200")), t3=st.booleans())
 def test_expr_commands_end_with_a_contract_exit_code(text, command, tol, bound, by, box_t2,
-                                                     at):
-    box = f"t1={bound}:1" + (",t2=0.1:1" if box_t2 else "")
-    extra = {"eval": ["--at", f"t1={at},t2=0.7"], "diff": ["--by", by],
+                                                     at, t3):
+    box = f"t1={bound}:1" + (",t2=0.1:1" if box_t2 else "") + (",t3=0:1" if t3 else "")
+    extra = {"eval": ["--at", f"t1={at},t2=0.7" + (",t3=1" if t3 else "")],
+             "diff": ["--by", by],
              "zero": ["--box", box, "--trials", "4", "--tol", str(tol)]}[command]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -362,7 +394,7 @@ def test_expr_commands_end_with_a_contract_exit_code(text, command, tol, bound, 
     if command == "zero" and not (math.isfinite(tol) and math.isfinite(bound)):
         assert code == 2
     # t3 is undeclared; text holding t2 either fails to parse or has t2 free
-    if command == "diff" and by == "t3":
+    if (command == "diff" and by == "t3") or (command != "diff" and t3):
         assert code == 2
     if command == "zero" and not box_t2 and "t2" in text:
         assert code == 2

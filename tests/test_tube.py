@@ -135,6 +135,22 @@ def test_vanishing_rho11_rejected_by_positivity():
     assert [c.name for c in report.checks] == ["hypothesis:positivity"]
 
 
+def test_undecided_twonondegeneracy_is_inconclusive(monkeypatch):
+    # S's zero test (seed shift 23) cannot decide: the analysis stops there
+    # without calling the hypothesis failed
+    vanishes = tube.TubeModel.vanishes
+    monkeypatch.setattr(tube.TubeModel, "vanishes", lambda model, x, seed_shift: (
+        tube.INCONCLUSIVE if seed_shift == 23 else vanishes(model, x, seed_shift)))
+    with pytest.raises(tube.TubeHypothesisUndecided) as err:
+        tube.tube_from_rho("t1^2/t2", HOMOG_BOX)
+    assert err.value.hypothesis == "twonondegenerate"
+    report = tube.analyze("t1^2/t2", HOMOG_BOX)
+    assert report.overall == "inconclusive"
+    assert [(c.name, c.status) for c in report.checks] == [
+        ("hypothesis:monge_ampere", "pass"), ("hypothesis:positivity", "pass"),
+        ("hypothesis:twonondegenerate", "inconclusive")]
+
+
 def test_homogeneous_family_accepted(homog_model):
     # oracle: direct differentiation gives rho11 = 2/t2, rho12 = -2 t1/t2^2
     assert is_zero_expr(homog_model.d("rho11") - parse("2/t2", homog_model.table))
