@@ -15,7 +15,6 @@ import math
 import sys
 
 from . import __version__, dga, model, tube
-from .forms import declare_variables
 from .parsing import parse
 from .report import FAIL, INCONCLUSIVE, PASS, Report
 from .scalars import (
@@ -40,6 +39,10 @@ EXIT_INCONCLUSIVE = 3
 # the most sample points one zero test may take: 10 000 trials already make
 # a cold paper analysis take seconds, and time grows linearly with them
 MAX_TRIALS = 10_000
+
+# the dga suites by their --suite name
+DGA_SUITES = {"shifts": dga.verify_gauge_shifts, "equivariance": dga.verify_equivariance,
+              "cartan": dga.verify_cartan_criterion, "flat": dga.verify_flat_consistency}
 
 
 def _entries(text: str) -> list:
@@ -82,7 +85,7 @@ def parse_declarations(text: str) -> VariableTable:
             names = [name]
         else:
             raise ValueError(f"bad declaration {piece!r}; expected name:kind")
-        declare_variables(table, [n.strip() for n in names], kind.strip())
+        table.declare(kind.strip(), *(n.strip() for n in names))
     return table
 
 
@@ -123,13 +126,7 @@ def _cmd_model_verify(args) -> int:
 
 
 def _cmd_dga_verify(args) -> int:
-    suites = {
-        "shifts": dga.verify_gauge_shifts,
-        "equivariance": dga.verify_equivariance,
-        "cartan": dga.verify_cartan_criterion,
-        "flat": dga.verify_flat_consistency,
-    }
-    report = suites[args.suite]()
+    report = DGA_SUITES[args.suite]()
     report.config = {"tool_version": __version__, "suite": args.suite}
     return _emit(report, args)
 
@@ -137,10 +134,13 @@ def _cmd_dga_verify(args) -> int:
 def _tube_box(text: str | None, default: tuple | None = None) -> dict:
     """The box of a tube command: ``--box``, or ``default`` for both t1
     and t2 when there is one and ``--box`` is absent or empty; it must
-    cover t1 and t2."""
+    cover t1 and t2 and nothing else, as the fiber box is fixed."""
     box = {"t1": default, "t2": default} if default and not text else parse_box(text)
     if "t1" not in box or "t2" not in box:
         raise ValueError("box must cover t1 and t2")
+    extra = sorted(box.keys() - {"t1", "t2"})
+    if extra:
+        raise ValueError(f"box takes only t1 and t2, not {', '.join(extra)}")
     return box
 
 
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     dga_sub = p_dga.add_subparsers(dest="dga_command", required=True)
     p_dga_verify = dga_sub.add_parser("verify", parents=[common])
     p_dga_verify.add_argument("--suite", required=True,
-                              choices=("shifts", "equivariance", "cartan", "flat"))
+                              choices=DGA_SUITES)
 
     p_tube = sub.add_parser("tube", help="tube hypersurface pipeline")
     tube_sub = p_tube.add_subparsers(dest="tube_command", required=True)

@@ -32,12 +32,13 @@ from .scalars import (
     VariableTable,
     ZERO,
     conjugate,
+    declared,
     is_zero_expr,
     lift,
     normalize,
     to_text,
 )
-from .forms import Chart, FormExpr, declare_generators, declare_variables
+from .forms import Chart, FormExpr
 from . import model
 from .model import COFRAME
 from .report import Report
@@ -154,10 +155,10 @@ def build_chart(zero_coeffs=frozenset()) -> DgaChart:
     table = VariableTable()
     gens = list(model.model_chart().generators)
     for names, kind in SCALARS:
-        declare_variables(table, list(names), kind)
-        gens.extend(declare_generators([f"d_{n}" for n in names], kind))
+        table.declare(kind, *names)
+        gens.extend(declared(kind, [f"d_{n}" for n in names]))
     for names, kind in PARAMETERS:
-        declare_variables(table, list(names), kind)
+        table.declare(kind, *names)
     chart = Chart(table, gens)
     curv = _expanded_curvature(chart, frozenset(zero_coeffs))
 

@@ -26,34 +26,34 @@ form expressions go through ``parse_form``, which is the grammar of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Mapping, Sequence
 
 from .scalars import (
+    COMPLEX_PAIRED,
     Expr,
     ExprError,
+    IMAGINARY,
     ONE,
     ParseError,
+    REAL,
     Variable,
     VariableTable,
     ZERO,
     certify_zero,
     conjugate,
+    declared,
     differentiate,
     free_variables,
     is_identically_zero,
+    is_name,
     lift,
     normalize,
     substitute,
     to_text,
 )
 from . import parsing
-
-GEN_REAL = "real"        # self-conjugate, conj(g) = g
-GEN_IMAGINARY = "imaginary"  # self-conjugate, conj(g) = -g
-GEN_PAIR = "pair"
 
 
 class ChartError(ExprError):
@@ -66,23 +66,16 @@ class MissingRuleError(ChartError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    kind: str
-    partner: str | None = None
+def g_real(name: str) -> Variable:
+    return Variable(name, REAL)
 
 
-def g_real(name: str) -> Generator:
-    return Generator(name, GEN_REAL)
+def g_imaginary(name: str) -> Variable:
+    return Variable(name, IMAGINARY)
 
 
-def g_imaginary(name: str) -> Generator:
-    return Generator(name, GEN_IMAGINARY)
-
-
-def g_pair(name: str, partner: str) -> tuple[Generator, Generator]:
-    return Generator(name, GEN_PAIR, partner), Generator(partner, GEN_PAIR, name)
+def g_pair(name: str, partner: str) -> list[Variable]:
+    return declared("pair", (name, partner))
 
 
 def _merge_word(w1: tuple, w2: tuple):
@@ -114,19 +107,28 @@ def _summed(chart: "Chart", degree: int, pieces) -> "FormExpr":
 
 
 class Chart:
-    """Ordered coframe context: generators, d-rules, scalar differentials."""
+    """Ordered coframe context: generators, d-rules, scalar differentials.
+    A generator is a ``Variable`` tagged real (conj(g) = g), imaginary
+    (conj(g) = -g) or paired; its name is no variable of ``table``."""
 
-    def __init__(self, table: VariableTable, generators: Sequence[Generator]):
+    def __init__(self, table: VariableTable, generators: Sequence[Variable]):
         self.table = table
         self.generators = tuple(generators)
         self._index = {g.name: i for i, g in enumerate(self.generators)}
         if len(self._index) != len(self.generators):
             raise ChartError("duplicate generator names")
         for g in self.generators:
-            if g.kind == GEN_PAIR:
+            if g.reality not in (REAL, IMAGINARY, COMPLEX_PAIRED):
+                raise ChartError(f"generator {g.name} is {g.reality}, "
+                                 "not real, imaginary or pair")
+            if not is_name(g.name):
+                raise ChartError(f"invalid generator name '{g.name}'")
+            if g.name in table:
+                raise ChartError(f"generator {g.name} is also a variable")
+            if g.reality == COMPLEX_PAIRED:
                 idx = self._index.get(g.partner)
                 p = None if idx is None else self.generators[idx]
-                if p is None or p.kind != GEN_PAIR or p.partner != g.name:
+                if p is None or p.reality != COMPLEX_PAIRED or p.partner != g.name:
                     raise ChartError(f"generator {g.name} lacks its conjugate partner")
         self._d_rules: dict[str, FormExpr] = {}
         self._scalar_rules: dict[str, FormExpr] = {}
@@ -155,7 +157,7 @@ class Chart:
                     raise ChartError(f"scalar rule for {vname} must have degree 1")
                 self._scalar_rules[vname] = rule
         for g in self.generators:
-            if (g.kind == GEN_PAIR and g.name not in self._d_rules
+            if (g.reality == COMPLEX_PAIRED and g.name not in self._d_rules
                     and g.partner in self._d_rules):
                 self._d_rules[g.name] = self._d_rules[g.partner].conj()
         self._frozen = True
@@ -332,10 +334,10 @@ class FormExpr:
         def pieces():
             for word, coeff in self.terms.items():
                 gens = [chart.generators[idx] for idx in word]
-                sign = (-1) ** sum(g.kind == GEN_IMAGINARY for g in gens)
+                sign = (-1) ** sum(g.reality == IMAGINARY for g in gens)
                 # a permutation of the indices: no index repeats
                 mword, psign = _merge_word(tuple(
-                    chart._index[g.partner] if g.kind == GEN_PAIR else idx
+                    chart._index[g.partner] if g.reality == COMPLEX_PAIRED else idx
                     for g, idx in zip(gens, word)), ())
                 yield mword, conjugate(coeff) * (sign * psign)
 
@@ -463,16 +465,16 @@ class _FormGrammar(parsing.Parser):
 def load_chart(text: str, check: bool = True) -> Chart:
     """Build a chart from a declarative description.
 
-    Sections: ``[variables]`` (``name... : real|positive|imaginary|unit`` or
-    ``name partner : pair``), ``[generators]`` (``real``, ``imaginary`` or
-    ``pair``; order fixes the coframe order), ``[d]`` and ``[dscalar]``
-    ruled as form expressions, where ``0`` declares a closed generator or
-    a constant.
+    ``[variables]`` and ``[generators]`` hold ``names : kind`` lines, the
+    kind a key of ``scalars.KINDS`` (two names for ``pair``; generators
+    take ``real``, ``imaginary`` or ``pair``, in coframe order).  ``[d]``
+    and ``[dscalar]`` rule them with form expressions, where ``0``
+    declares a closed generator or a constant.
     Missing d-rules of conjugate partners are filled in by
     conjugation; generators without rules stay inert.
     """
     table = VariableTable()
-    gens: list[Generator] = []
+    gens: list[Variable] = []
     d_lines: list[tuple[str, str]] = []
     ds_lines: list[tuple[str, str]] = []
     section = None
@@ -487,12 +489,11 @@ def load_chart(text: str, check: bool = True) -> Chart:
             if ":" not in line:
                 raise ChartError(f"expected 'names : kind' in [{section}]: {line!r}")
             names_part, kind = (p.strip() for p in line.rsplit(":", 1))
-            names = names_part.split()
-            kind = kind.lower()
+            names, kind = names_part.split(), kind.lower()
             if section == "variables":
-                declare_variables(table, names, kind)
+                table.declare(kind, *names)
             else:
-                gens.extend(declare_generators(names, kind))
+                gens.extend(declared(kind, names))
         elif section in ("d", "dscalar"):
             if "=" not in line:
                 raise ChartError(f"expected 'name = form' in [{section}]: {line!r}")
@@ -510,36 +511,3 @@ def load_chart(text: str, check: bool = True) -> Chart:
     scalar_rules = {name: rule(rhs, 1) for name, rhs in ds_lines}
     chart.install_rules(d_rules, scalar_rules, check=check)
     return chart
-
-
-def declare_variables(table: VariableTable, names: list[str], kind: str) -> None:
-    """Declare ``names`` in ``table`` as variables of one kind: ``pair``
-    (exactly two names), ``real``, ``positive``, ``imaginary`` or ``unit``."""
-    if kind == "pair":
-        if len(names) != 2:
-            raise ChartError("a pair declaration needs exactly two names")
-        table.pair(names[0], names[1])
-    elif kind == "real":
-        table.real(*names)
-    elif kind == "positive":
-        table.positive(*names)
-    elif kind == "imaginary":
-        table.imaginary(*names)
-    elif kind in ("unit", "unit_modulus"):
-        table.unit_modulus(*names)
-    else:
-        raise ChartError(f"unknown variable kind {kind!r}")
-
-
-def declare_generators(names: list[str], kind: str) -> list[Generator]:
-    """Generators ``names`` of one kind: ``pair`` (exactly two names),
-    ``real`` or ``imaginary``."""
-    if kind == "pair":
-        if len(names) != 2:
-            raise ChartError("a pair declaration needs exactly two names")
-        return list(g_pair(names[0], names[1]))
-    if kind == "real":
-        return [g_real(n) for n in names]
-    if kind == "imaginary":
-        return [g_imaginary(n) for n in names]
-    raise ChartError(f"unknown generator kind {kind!r}")

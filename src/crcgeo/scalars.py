@@ -54,7 +54,9 @@ UNIT_MODULUS = "unit_modulus"
 COMPLEX_PAIRED = "complex_paired"
 POSITIVE_REAL = "positive_real"
 
-REALITIES = (REAL, IMAGINARY, UNIT_MODULUS, COMPLEX_PAIRED, POSITIVE_REAL)
+# the one table of declaration keywords, for variables and chart generators
+KINDS = {"real": REAL, "positive": POSITIVE_REAL, "imaginary": IMAGINARY,
+         "unit": UNIT_MODULUS, "unit_modulus": UNIT_MODULUS, "pair": COMPLEX_PAIRED}
 
 _RESERVED_NAMES = {"i", "sqrt"}
 
@@ -239,41 +241,58 @@ class Variable:
         return f"Variable({self.name}:{self.reality})"
 
 
+def declared(kind: str, names: Sequence[str]) -> list[Variable]:
+    """The variables of one declaration: ``names`` tagged ``KINDS[kind]``.
+    A ``pair`` takes two distinct names, each the other's partner."""
+    reality = KINDS.get(kind)
+    if reality is None:
+        raise ExprError(f"unknown kind {kind!r}")
+    if reality != COMPLEX_PAIRED:
+        return [Variable(n, reality) for n in names]
+    if len(names) != 2 or names[0] == names[1]:
+        raise ExprError("a pair declaration needs two distinct names")
+    a, b = names
+    return [Variable(a, reality, b), Variable(b, reality, a)]
+
+
+def is_name(name: str) -> bool:
+    """The name rule of variables and generators: a letter, then letters,
+    digits or underscores, and not reserved."""
+    return (bool(name) and name[0].isalpha() and name.replace("_", "a").isalnum()
+            and name not in _RESERVED_NAMES)
+
+
 class VariableTable:
     """Registry of declared variables; names are unique within a table."""
 
     def __init__(self):
         self._vars: dict[str, Variable] = {}
 
-    def _declare(self, name: str, reality: str, partner: str | None = None) -> Variable:
-        if not name or not (name[0].isalpha() and name.replace("_", "a").isalnum()):
-            raise ExprError(f"invalid variable name '{name}'")
-        if name in _RESERVED_NAMES:
-            raise ExprError(f"'{name}' is reserved")
-        if name in self._vars:
-            raise ExprError(f"variable '{name}' already declared")
-        v = Variable(name, reality, partner)
-        self._vars[name] = v
-        return v
+    def declare(self, kind: str, *names: str) -> list[Variable]:
+        """Declare ``names`` as variables of ``kind``, a key of ``KINDS``."""
+        out = declared(kind, names)
+        for v in out:
+            if not is_name(v.name):
+                raise ExprError(f"invalid variable name '{v.name}'")
+            if v.name in self._vars:
+                raise ExprError(f"variable '{v.name}' already declared")
+            self._vars[v.name] = v
+        return out
 
     def real(self, *names: str) -> list[Variable]:
-        return [self._declare(n, REAL) for n in names]
+        return self.declare("real", *names)
 
     def positive(self, *names: str) -> list[Variable]:
-        return [self._declare(n, POSITIVE_REAL) for n in names]
+        return self.declare("positive", *names)
 
     def imaginary(self, *names: str) -> list[Variable]:
-        return [self._declare(n, IMAGINARY) for n in names]
+        return self.declare("imaginary", *names)
 
     def unit_modulus(self, *names: str) -> list[Variable]:
-        return [self._declare(n, UNIT_MODULUS) for n in names]
+        return self.declare("unit", *names)
 
     def pair(self, name: str, partner: str) -> tuple[Variable, Variable]:
-        if name == partner:
-            raise ExprError("a paired variable needs a distinct partner")
-        v = self._declare(name, COMPLEX_PAIRED, partner)
-        w = self._declare(partner, COMPLEX_PAIRED, name)
-        return v, w
+        return tuple(self.declare("pair", name, partner))
 
     def __getitem__(self, name: str) -> Variable:
         return self._vars[name]

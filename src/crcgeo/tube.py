@@ -364,14 +364,9 @@ class TubeCoframe:
 
 def _ambient_chart(model: TubeModel) -> Chart:
     table = model.table
-    gens = [g_imaginary("mu")]
-    gens.extend(g_pair("dz1", "dz1c"))
-    gens.extend(g_pair("dz2", "dz2c"))
-    gens.append(g_real("du"))
-    gens.append(g_imaginary("alpha"))
-    gens.extend(g_pair("db", "dbc"))
-    gens.append(g_imaginary("dlam"))
-    chart = Chart(table, gens)
+    chart = Chart(table, [g_imaginary("mu"), *g_pair("dz1", "dz1c"), *g_pair("dz2", "dz2c"),
+                          g_real("du"), g_imaginary("alpha"), *g_pair("db", "dbc"),
+                          g_imaginary("dlam")])
     g = chart.gen
     dt1 = g("dz1") + g("dz1c")
     dt2 = g("dz2") + g("dz2c")

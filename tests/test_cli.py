@@ -134,6 +134,17 @@ def test_tube_box_must_cover_t1_and_t2(command):
     assert result.stderr == "error: box must cover t1 and t2\n"
 
 
+@pytest.mark.parametrize("entry", ("u=-1:-0.5", "zz=0:1"))
+def test_tube_box_takes_only_t1_and_t2(entry):
+    # the fiber box of u and the other coordinates is fixed; a box entry
+    # for u would sample the positive u at negative values
+    result = run_cli("tube", "analyze", "--rho", "t1^2/t2",
+                     "--box", f"t1=0.5:1,t2=0.5:1,{entry}")
+    assert result.returncode == 2, result.stderr
+    name = entry.partition("=")[0]
+    assert result.stderr == f"error: box takes only t1 and t2, not {name}\n"
+
+
 def test_expr_eval_and_diff():
     result = run_cli("expr", "diff", "--expr", "t1^2/t2", "--by", "t1")
     assert result.returncode == 0

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from crcgeo import cli
 from crcgeo.forms import (
     Chart,
     ChartError,
@@ -20,7 +21,9 @@ from crcgeo.forms import (
 from crcgeo.model import model_chart
 from crcgeo.parsing import parse
 from crcgeo.scalars import (
+    KINDS,
     Const,
+    ExprError,
     ParseError,
     QC,
     UndeclaredIdentifierError,
@@ -353,3 +356,46 @@ def test_chart_file_zero_rule_declares_constant(chart):
     assert chart.scalar(Var(chart.table["Lam"])).d().is_zero
     closed = load_chart("[generators]\nx : real\n[d]\nx = 0\n")
     assert closed.gen("x").d().is_zero and closed.gen("x").d().degree == 2
+
+
+# ---------------------------------------------------------------------------
+# one declaration vocabulary for variables and generators
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_kind_gives_one_tag_everywhere(kind):
+    names = ("p", "q") if kind == "pair" else ("p", "q2")
+    direct = VariableTable().declare(kind, *names)
+    assert {v.reality for v in direct} == {KINDS[kind]}
+    from_chart = load_chart(f"[variables]\n{' '.join(names)} : {kind}\n").table
+    from_cli = cli.parse_declarations("p~q" if kind == "pair"
+                                      else ",".join(f"{n}:{kind}" for n in names))
+    for table in (from_chart, from_cli):
+        assert table.variables() == direct
+
+
+@pytest.mark.parametrize("kind", ("positive", "unit"))
+def test_generators_refuse_variable_only_kinds(kind):
+    with pytest.raises(ChartError, match="not real, imaginary or pair"):
+        load_chart(f"[generators]\ng : {kind}\n")
+
+
+@pytest.mark.parametrize("section", ("variables", "generators"))
+@pytest.mark.parametrize("names", ("g", "g g", "g h k"))
+def test_pair_needs_two_distinct_names(section, names):
+    with pytest.raises(ExprError, match="two distinct names"):
+        load_chart(f"[{section}]\n{names} : pair\n")
+
+
+@pytest.mark.parametrize("line", ("x : real", "x y : pair", "i : real",
+                                  "sqrt : imaginary", "2g : real", "g-h : real"))
+def test_generator_names_follow_the_variable_name_rule(line):
+    with pytest.raises(ChartError):
+        load_chart(f"[variables]\nx : real\n[generators]\n{line}\n")
+
+
+def test_generator_cannot_shadow_a_variable():
+    table = VariableTable()
+    table.real("x")
+    with pytest.raises(ChartError, match="x is also a variable"):
+        Chart(table, [g_real("x")])

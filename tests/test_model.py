@@ -12,7 +12,9 @@ from crcgeo import cli, dga, model
 from crcgeo.forms import ChartError, load_chart
 from crcgeo.matrices import SMatrix
 from crcgeo.scalars import (
+    COMPLEX_PAIRED,
     I,
+    IMAGINARY,
     QC,
     Const,
     RealityViolationError,
@@ -352,10 +354,10 @@ def test_adjoint_numeric_agreement(chart):
         aval = cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-3, 3))
         point = {"B": bval, "Bb": bval.conjugate(), "Lam": lval,
                  "A": aval, "Ab": aval.conjugate()}
-        cover = {g.name: rng.uniform(-1, 1) * (1j if g.kind == "imaginary" else 1)
+        cover = {g.name: rng.uniform(-1, 1) * (1j if g.reality == IMAGINARY else 1)
                  for g in chart.generators}
         for g in chart.generators:
-            if g.kind == "pair" and g.partner in cover:
+            if g.reality == COMPLEX_PAIRED and g.partner in cover:
                 cover[g.name] = complex(cover[g.partner]).conjugate()
 
         def form_value(form):
