@@ -489,7 +489,7 @@ def load_chart(text: str, check: bool = True) -> Chart:
             if ":" not in line:
                 raise ChartError(f"expected 'names : kind' in [{section}]: {line!r}")
             names_part, kind = (p.strip() for p in line.rsplit(":", 1))
-            names, kind = names_part.split(), kind.lower()
+            names = names_part.split()
             if section == "variables":
                 table.declare(kind, *names)
             else:

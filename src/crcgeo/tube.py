@@ -10,6 +10,18 @@ computes the torsion coefficients through the first normalization,
 reporting the flatness/connection obstruction carried by the final
 normalized coefficient on the reference section (u=1, a=1, b=0, lam=0).
 
+The coframe and the torsion depend on rho only through its derivative
+cache, so ``analyze`` proves them once, on ``jet_model()``: a model over
+free jets r_k, m_k of a Monge-Ampere solution, where every identity is a
+Laurent polynomial in variables and is decided by normal form.  The four
+printed coefficients are then specialized to rho's own cache
+(``_specialization``); the final zero verdict and its samples are taken
+over rho's box.  The same ``build_coframe`` and ``curvature_coefficients``
+run on a rho model directly, the per-rho route that tests cross-check.
+One derivation, ``_derive``, gives d1 and d2 to the derivative cache, the
+direct scalar route and the charts' scalar rules: the plain derivative in
+t1 or t2 for rho, plus the Monge-Ampere jet rules over jets.
+
 The frame chart's coframe and structure equations are those of
 ``model.model_chart()``: the two coframe identities and the torsion form
 are each a differential minus ``dga.structure_terms``.  All heavy identities
@@ -108,19 +120,24 @@ def _tube_table() -> VariableTable:
 
 @dataclass
 class TubeModel:
-    """Defining function with its derivative cache and checked hypotheses."""
+    """Defining function with its derivative cache and checked hypotheses,
+    or (``rho`` None) the jet model of ``jet_model``."""
 
     table: VariableTable
-    rho: Expr
+    rho: Expr | None
     box: dict
     trials: int = 32
     seed: int = 0
     tol: float = 1e-8
     derivs: dict = field(default_factory=dict)
     hypotheses: Report = field(default_factory=lambda: Report("tube hypotheses"))
+    jets: dict = field(default_factory=dict)  # see ``_derive``; empty for a rho
 
     def d(self, key: str) -> Expr:
         return self.derivs[key]
+
+    def derive(self, e: Expr, axis: int) -> Expr:
+        return _derive(e, axis, self.table, self.jets)
 
     @property
     def zero_test_box(self) -> dict:
@@ -172,16 +189,35 @@ class TubeModel:
         return out
 
 
-def _derivative_cache(rho: Expr, table: VariableTable) -> dict:
-    t1, t2 = table["t1"], table["t2"]
-    d1 = lambda e: differentiate(e, t1)
-    d2 = lambda e: differentiate(e, t2)
-    derivs = {"rho": normalize(rho)}
-    derivs["rho1"] = d1(derivs["rho"])
-    derivs["rho2"] = d2(derivs["rho"])
-    derivs["rho11"] = d1(derivs["rho1"])
-    derivs["rho12"] = d2(derivs["rho1"])
-    derivs["rho22"] = d2(derivs["rho2"])
+def _derive(e: Expr, axis: int, table: VariableTable, jets: dict) -> Expr:
+    """The derivation d1 (``axis`` 1) or d2 (``axis`` 2): the derivative in
+    t1 or t2, plus the chain rule through each jet variable, whose
+    ``jets`` entry holds its own (d1, d2), or None past the jet order."""
+    out = differentiate(e, table[f"t{axis}"])
+    for v in sorted(free_variables(e) & jets.keys(), key=lambda v: v.name):
+        if jets[v] is None:
+            raise ExprError(f"d{axis} of jet {v.name} is past the jet order")
+        out = out + differentiate(e, v) * jets[v][axis - 1]
+    return normalize(out)
+
+
+def _derivative_cache(rho: Expr | None, table: VariableTable,
+                      jets: dict | None = None) -> dict:
+    """rho's derivatives through ``_derive``; with ``rho`` None, those of
+    the Monge-Ampere solution whose Hessian is r0*[[1, m0], [m0, m0^2]]."""
+    jets = jets or {}
+    d1, d2 = (partial(_derive, axis=k, table=table, jets=jets) for k in (1, 2))
+    if rho is None:
+        r0, m0 = Var(table["r0"]), Var(table["m0"])
+        derivs = {"rho11": r0, "rho12": normalize(m0 * r0),
+                  "rho22": normalize(m0 ** 2 * r0)}
+    else:
+        derivs = {"rho": normalize(rho)}
+        derivs["rho1"] = d1(derivs["rho"])
+        derivs["rho2"] = d2(derivs["rho"])
+        derivs["rho11"] = d1(derivs["rho1"])
+        derivs["rho12"] = d2(derivs["rho1"])
+        derivs["rho22"] = d2(derivs["rho2"])
     derivs["rho111"] = d1(derivs["rho11"])
     derivs["rho112"] = d2(derivs["rho11"])
     derivs["S"] = d1(derivs["rho12"] / derivs["rho11"])
@@ -269,6 +305,47 @@ def _check_positivity(model: TubeModel) -> None:
     if found == 0:
         raise TubeHypothesisUndecided("positivity", "no admissible sample points",
                                       model.hypotheses)
+
+
+# ---------------------------------------------------------------------------
+# the jet model: one proof for every Monge-Ampere solution
+
+
+JET_ORDER = 3   # the least the proof needs: jets r0..r3, m0..m3; rules to r2, m2
+JET_INTERVAL = (0.5, 1.5)
+
+
+def jet_model(trials: int = 32, seed: int = 0, tol: float = 1e-8) -> TubeModel:
+    """The tube over free jets of a Monge-Ampere solution: r_k stands for
+    d1^k rho11 (r0 > 0) and m_k for d1^k (rho12/rho11).  d1 shifts a jet
+    by one; d2 = m0*d1 on functions of grad rho, constant on the rulings,
+    so d2 m0 = m0*m1, d2 r0 = m1*r0 + m0*r1 and d2 X_k = d1(d2 X_{k-1}).
+    Every jet is sampled on ``JET_INTERVAL``."""
+    table = _tube_table()
+    r = [Var(v) for v in table.positive("r0")
+         + table.real(*(f"r{k}" for k in range(1, JET_ORDER + 1)))]
+    m = [Var(v) for v in table.real(*(f"m{k}" for k in range(JET_ORDER + 1)))]
+    jets = {seq[-1].var: None for seq in (r, m)}
+    jets |= {x.var: [shift, None] for seq in (r, m) for x, shift in zip(seq, seq[1:])}
+    jets[r[0].var][1] = normalize(m[1] * r[0] + m[0] * r[1])
+    jets[m[0].var][1] = normalize(m[0] * m[1])
+    for k in range(1, JET_ORDER):
+        for seq in (r, m):
+            jets[seq[k].var][1] = _derive(jets[seq[k - 1].var][1], 1, table, jets)
+    box = {x.var.name: JET_INTERVAL for x in r + m}
+    return TubeModel(table, None, box, trials=trials, seed=seed, tol=tol,
+                     derivs=_derivative_cache(None, table, jets), jets=jets)
+
+
+def _specialization(source: TubeModel, model: TubeModel) -> dict:
+    """Bindings of the jets the universal coefficients use to ``model``'s
+    derivative cache, valid where its hypotheses hold; none when
+    ``source``, the model they were extracted on, is a rho's."""
+    if not source.jets:
+        return {}
+    t, d = source.table, model.d
+    return {t["r0"]: d("rho11"), t["r1"]: d("rho111"),
+            t["m0"]: normalize(d("rho12") / d("rho11")), t["m1"]: d("S"), t["m2"]: d("S1")}
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +455,12 @@ def _ambient_chart(model: TubeModel) -> Chart:
     d_rules = {"mu": dmu, "dz1": zero2, "dz1c": zero2, "dz2": zero2,
                "dz2c": zero2, "du": zero2, "alpha": zero2,
                "db": zero2, "dbc": zero2, "dlam": zero2}
+    # dX = d1X dt1 + d2X dt2 for t1, t2 and each jet below the jet order
     scalar_rules = {
-        "t1": dt1, "t2": dt2, "u": g("du"), "a": g("alpha").scale(a),
-        "b": g("db"), "bb": g("dbc"), "lam": g("dlam"),
-    }
+        v.name: dt1.scale(model.derive(Var(v), 1)) + dt2.scale(model.derive(Var(v), 2))
+        for v in (table["t1"], table["t2"], *(v for v, dv in model.jets.items() if dv))}
+    scalar_rules |= {"u": g("du"), "a": g("alpha").scale(a), "b": g("db"),
+                     "bb": g("dbc"), "lam": g("dlam")}
     chart.install_rules(d_rules, scalar_rules)
     return chart
 
@@ -606,15 +685,14 @@ def expected_theta2_21_gamma0(model: TubeModel) -> Expr:
 def direct_final_coefficient(model: TubeModel) -> Expr:
     """Independent scalar-calculus route to the final normalized torsion
     coefficient on the reference section (no exterior algebra involved)."""
-    t1, t2 = model.table["t1"], model.table["t2"]
     rho11, rho12 = model.d("rho11"), model.d("rho12")
     rho111 = model.d("rho111")
     s_fn, s1 = model.d("S"), model.d("S1")
     a1 = normalize(s1 * rho11 ** Fraction(-1, 2) / s_fn)
     a2 = normalize(rho111 * rho11 ** Fraction(-3, 2))
     ratio = rho12 / rho11
-    bracket1 = ratio * differentiate(a1, t1) - differentiate(a1, t2)
-    bracket2 = ratio * differentiate(a2, t1) - differentiate(a2, t2)
+    bracket1 = ratio * model.derive(a1, 1) - model.derive(a1, 2)
+    bracket2 = ratio * model.derive(a2, 1) - model.derive(a2, 2)
     return normalize((bracket1 - bracket2) / (3 * s_fn)
                      - a1 * Fraction(11, 6) - a2 * Fraction(1, 6))
 
@@ -626,11 +704,15 @@ def paper_example_final_closed_form(model: TubeModel) -> Expr:
     return normalize(-12 * t2 * w ** Fraction(-3, 4) / (1 - w ** HALF))
 
 
-def curvature_coefficients(cf: TubeCoframe) -> CurvatureVerdict:
+def curvature_coefficients(cf: TubeCoframe,
+                           model: TubeModel | None = None) -> CurvatureVerdict:
     """Extract the two torsion coefficients and the final normalized
-    coefficient on the reference section, with a tri-state zero verdict."""
-    model = cf.model
-    table = model.table
+    coefficient on the reference section from ``cf``, and give them over
+    ``model`` (by default ``cf.model``) with the final one's tri-state zero
+    verdict there.  When ``cf`` is the jet proof, each coefficient is
+    specialized to ``model``'s derivative cache (``_specialization``)."""
+    model = model or cf.model
+    table = cf.model.table
     g = cf.gen
     torsion = torsion_form(cf)
 
@@ -651,12 +733,14 @@ def curvature_coefficients(cf: TubeCoframe) -> CurvatureVerdict:
     tilde0 = tilde.substitute_scalars(gamma0_bindings(table))
     final = tilde0.coefficient(("theta2", "omega1"))
 
+    spec = partial(substitute, bindings=_specialization(cf.model, model))
+    final = spec(final)
     verdict = model.vanishes(final, seed_shift=53)
     return CurvatureVerdict(
-        theta2_2bar1=theta2_2bar1,
-        c=c,
-        theta2_21_gamma0=theta2_21_gamma0,
-        theta2_21_final=normalize(final),
+        theta2_2bar1=spec(theta2_2bar1),
+        c=spec(c),
+        theta2_21_gamma0=spec(theta2_21_gamma0),
+        theta2_21_final=final,
         is_final_zero={True: "zero", False: "nonzero"}.get(verdict, "inconclusive"),
     )
 
@@ -671,10 +755,18 @@ def flatness_probe(verdict: CurvatureVerdict) -> dict:
 # full pipeline
 
 
+def _sample_text(val: complex) -> str:
+    """A sample's value to 10 and 3 significant digits; a zero imaginary
+    part prints as +0 whatever its sign."""
+    return f"{val.real:.10g}{val.imag + 0.0:+.3g}j"
+
+
 def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
             tol: float = 1e-8) -> Report:
-    """End-to-end tube analysis: hypotheses, Levi rank, coframe identities,
-    curvature coefficients, and the flatness verdict.  Each check is timed
+    """End-to-end tube analysis: hypotheses, Levi rank, coframe identities
+    (proved over jets), curvature coefficients (specialized to rho), and
+    the flatness verdict.  The jet proof is rebuilt on every call, from
+    the kernel's memos when they are warm.  Each check is timed
     from the one before it; the final zero test belongs to the curvature
     coefficients.  A failed or undecided hypothesis, or a failed coframe
     identity, ends the report after the checks made before it."""
@@ -698,14 +790,14 @@ def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
                     max(e["relative_smallest_eigenvalue"] for e in levi)})
 
     try:
-        cf = build_coframe(model)
+        cf = build_coframe(jet_model(trials=trials, seed=seed, tol=tol))
     except CoframeVerificationError as exc:
         report.extend(exc.report)
         report.add("coframe construction", False, {"identity": exc.identity})
         return report
     report.extend(cf.checks)
 
-    verdict = curvature_coefficients(cf)
+    verdict = curvature_coefficients(cf, model)
     sample_rng = random.Random(seed + 97)
     samples = []
     for _ in range(4):
@@ -716,7 +808,7 @@ def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
         except DomainEvalError:
             continue
         samples.append({"t1": round(pt["t1"], 6), "t2": round(pt["t2"], 6),
-                        "value": f"{val.real:.10g}{val.imag:+.3g}j"})
+                        "value": _sample_text(val)})
     report.add("curvature coefficients", True, {
         "theta2_2bar1": to_text(verdict.theta2_2bar1),
         "c": to_text(verdict.c),

@@ -205,6 +205,18 @@ def test_acceptance_6_intermediate_formulas(paper_pipeline):
     assert second_ok
 
 
+def test_jet_route_agrees_with_the_per_rho_route(paper_pipeline):
+    # `tube.analyze` specializes the jet proof; the per-rho exterior route
+    # of the fixture is its cross-check
+    m, _, verdict, _ = paper_pipeline
+    jet = tube.curvature_coefficients(tube.build_coframe(tube.jet_model()), m)
+    assert (jet.theta2_2bar1, jet.c, jet.theta2_21_gamma0) == (
+        verdict.theta2_2bar1, verdict.c, verdict.theta2_21_gamma0)
+    diff = normalize(jet.theta2_21_final - verdict.theta2_21_final)
+    assert is_identically_zero(diff, BOX, trials=32, seed=3, tol=1e-8)
+    assert jet.is_final_zero == verdict.is_final_zero == "nonzero"
+
+
 def test_acceptance_7_normalization_shifts():
     report = dga.verify_gauge_shifts()
     shift_checks = [c for c in report.checks if c.name.endswith("shift")]

@@ -1,6 +1,7 @@
 """The benchmark tracer's targets exist: every (module, attribute path) in
 ``bench/tracer.py``'s ``TARGETS`` resolves on the package, so renaming or
-deleting a traced function fails here instead of in a traced bench run."""
+deleting a traced function fails here instead of in a traced bench run.
+And every span the tracer expects on a paper workload records calls."""
 
 import ast
 import importlib
@@ -30,3 +31,24 @@ def test_tracer_target_resolves(prefix, module_name, path):
         assert callable(vars(owner)[attr]), prefix
     else:
         assert callable(getattr(owner, path)), prefix
+
+
+@pytest.mark.parametrize("name", ("paper_cold", "paper_warm"))
+def test_no_active_span_of_a_paper_workload_is_silent(name, monkeypatch):
+    # one job after the workload's warm-up, traced as `bench/run.py --trace 1`
+    # traces it: a design that silences a layer fails here
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    tracing = importlib.import_module("tracer")
+    workload = importlib.import_module("workloads").WORKLOADS[name]()
+    for job in workload.warm_up(0):
+        job.check(*job.execute())
+    job = next(workload.jobs(1))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        payload, extra = job.execute()
+    finally:
+        tracer.uninstall()
+    assert tracer.restored()
+    job.check(payload, extra)
+    assert [s for s in tracing.ACTIVE[name] if tracer.stats[s].calls == 0] == []

@@ -374,6 +374,17 @@ def test_each_kind_gives_one_tag_everywhere(kind):
         assert table.variables() == direct
 
 
+def test_kind_keywords_are_case_sensitive_everywhere(capsys):
+    # KINDS alone decides what a keyword is: a chart file and --vars refuse
+    # "REAL" with one message
+    with pytest.raises(ExprError) as err:
+        load_chart("[variables]\nx : REAL\n")
+    assert str(err.value) == "unknown kind 'REAL'"
+    code = cli.main(["expr", "eval", "--expr", "t1", "--vars", "t1:REAL", "--at", "t1=1"])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.strip() == f"error: {err.value}"
+
+
 @pytest.mark.parametrize("kind", ("positive", "unit"))
 def test_generators_refuse_variable_only_kinds(kind):
     with pytest.raises(ChartError, match="not real, imaginary or pair"):

@@ -436,6 +436,117 @@ def test_torsion_conjugation_consistency(paper_model, paper_coframe):
 
 
 # ---------------------------------------------------------------------------
+# the jet proof
+
+
+@pytest.fixture(scope="module")
+def jets():
+    return tube.jet_model()
+
+
+@pytest.fixture(scope="module")
+def jet_verdict(jets):
+    return tube.curvature_coefficients(tube.build_coframe(jets))
+
+
+def _jet(model, name):
+    return Var(model.table[name])
+
+
+def test_jet_derivation_commutes_and_solves_monge_ampere(jets):
+    d = jets.derive
+    for k in range(tube.JET_ORDER - 1):
+        for name in (f"r{k}", f"m{k}"):
+            x = _jet(jets, name)
+            assert d(d(x, 1), 2) == d(d(x, 2), 1), name
+    # the cache is the Hessian r0*[[1, m0], [m0, m0^2]] and its derivatives
+    r0, r1, m0, m1, m2 = (_jet(jets, n) for n in ("r0", "r1", "m0", "m1", "m2"))
+    want = {"rho11": r0, "rho12": m0 * r0, "rho22": m0 ** 2 * r0, "rho111": r1,
+            "rho112": m1 * r0 + m0 * r1, "S": m1, "S1": m2, "S2": m0 * m2 + m1 ** 2}
+    assert {k: jets.d(k) for k in want} == {k: normalize(v) for k, v in want.items()}
+    assert tube.ma_residual(jets.derivs) == ZERO
+    assert d(jets.d("rho11"), 2) == d(jets.d("rho12"), 1)
+    assert d(jets.d("rho12"), 2) == d(jets.d("rho22"), 1)
+
+
+def test_jet_chart_certifies_d_squared(jets):
+    # _ambient_chart installs its rules with check=True; d(d mu) = 0 needs
+    # the jets' scalar rules dX = d1X dt1 + d2X dt2
+    checked = tube._ambient_chart(jets).verify_d_squared()
+    assert checked["mu"] and all(checked.values())
+
+
+def test_a_derivative_past_the_jet_order_raises(jets):
+    top = _jet(jets, f"m{tube.JET_ORDER}")
+    for axis in (1, 2):
+        with pytest.raises(scalars.ExprError, match="past the jet order"):
+            jets.derive(top * _jet(jets, "r0"), axis)
+    with pytest.raises(scalars.ExprError):
+        tube._ambient_chart(jets).scalar(top).d()
+
+
+def test_jet_coframe_identities_hold_by_normal_form(jets, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a jet identity was sampled")
+
+    monkeypatch.setattr(scalars, "sample_values", no_sampling)
+    checks = tube.build_coframe(jets).checks.checks
+    assert len(checks) == 9 and all(c.status == "pass" for c in checks)
+
+
+def test_universal_coefficients_equal_their_closed_forms_exactly(jets, jet_verdict):
+    assert normalize(jet_verdict.theta2_2bar1 - tube.expected_theta2_2bar1(jets)) == ZERO
+    assert normalize(jet_verdict.theta2_21_gamma0
+                     - tube.expected_theta2_21_gamma0(jets)) == ZERO
+    final = jet_verdict.theta2_21_final
+    assert to_text(final) == "-2*m1^(-1)*m2*r0^(-1/2)"
+    assert normalize(tube.direct_final_coefficient(jets) - final) == ZERO
+    assert jet_verdict.is_final_zero == "nonzero"
+
+
+def test_specialized_paper_final_is_certified_equal_to_closed_form(paper_model, jets):
+    verdict = tube.curvature_coefficients(tube.build_coframe(jets), paper_model)
+    closed = tube.paper_example_final_closed_form(paper_model)
+    assert certify_zero(normalize(verdict.theta2_21_final - closed))
+    assert verdict.is_final_zero == "nonzero"
+
+
+def test_a_nonzero_jet_identity_fails_rather_than_inconclusive(jets, monkeypatch):
+    # every jet has a box interval, so a false identity is refuted
+    assert jets.vanishes(_jet(jets, "m1") * _jet(jets, "r2"), seed_shift=0) is False
+    base_substitution = tube._base_substitution
+
+    def perturbed(model, frame):
+        sub = base_substitution(model, frame)
+        if model.jets:
+            sub["mu"] = sub["mu"].scale(1 + _jet(model, "m1"))
+        return sub
+
+    monkeypatch.setattr(tube, "_base_substitution", perturbed)
+    report = tube.analyze("t1^2/t2", HOMOG_BOX, trials=16)
+    assert report.overall == "fail"
+    assert [(c.name, c.status) for c in report.checks[-2:]] == [
+        ("coframe:substitution inverts omega", "fail"), ("coframe construction", "fail")]
+
+
+@pytest.mark.parametrize("g", ["s^2+s^3", "s^2*(1+s)^(1/2)", "s^2+s^3+s^4"])
+def test_profile_reports_keep_every_check_and_status(g):
+    # each profile's checks and statuses are those of the light-cone golden
+    # (final coefficient zero)
+    golden = json.loads((GOLDEN / "tube_light_cone_seed0.json").read_text())
+    report = tube.analyze(tube.ma_profile_solution(g), HOMOG_BOX)
+    assert ([(c.name, c.status) for c in report.checks]
+            == [(c["name"], c["status"]) for c in golden["checks"]])
+    assert report.checks[-1].details["final_coefficient_zero"] == "zero"
+
+
+def test_sample_text_prints_either_zero_imaginary_part_as_plus_zero():
+    assert tube._sample_text(complex(-63.98489377, -0.0)) == "-63.98489377+0j"
+    assert tube._sample_text(complex(-63.98489377, 0.0)) == "-63.98489377+0j"
+    assert tube._sample_text(complex(2.5, -1.25e-7)) == "2.5-1.25e-07j"
+
+
+# ---------------------------------------------------------------------------
 # end-to-end report
 
 
