@@ -17,7 +17,10 @@ Verified here: the five gauge-shift identities that pin the normalization,
 the equivariance of the curvature forms under the unipotent isotropy
 family, the transformed-coefficient formulas behind the connection
 criterion (necessity and sufficiency directions), and the diagonal-family
-scaling relations.
+scaling relations.  Each check builds only what it reads: ``curvature_from``
+makes only the curvature forms asked for, and a single coefficient in a
+new basis comes from ``FormExpr.rewritten_coefficient``, not from the
+whole rewritten form.
 """
 
 from __future__ import annotations
@@ -173,6 +176,7 @@ def build_chart(zero_coeffs=frozenset()) -> DgaChart:
 
 
 _CURV_OF_GEN = {"theta2": "Theta2", "phi1": "Phi1", "phi2": "Phi2", "psi": "Psi"}
+CURVATURES = tuple(_CURV_OF_GEN.values())
 
 
 def _with_conjugates(forms: dict) -> dict:
@@ -195,12 +199,15 @@ def structure_terms(forms: dict, names) -> dict:
 
 
 def curvature_from(w: FormExpr, w1: FormExpr, t2: FormExpr,
-                   p1: FormExpr, p2: FormExpr, ps: FormExpr) -> dict:
-    """The four curvature 2-forms: the differential of each form minus the
-    model structure terms evaluated on the six forms."""
+                   p1: FormExpr, p2: FormExpr, ps: FormExpr,
+                   names=CURVATURES) -> dict:
+    """The curvature 2-forms ``names`` (all four by default), in the order
+    of ``CURVATURES``: the differential of each form minus the model
+    structure terms evaluated on the six forms."""
     forms = dict(zip(COFRAME, (w, w1, t2, p1, p2, ps)))
-    terms = structure_terms(forms, _CURV_OF_GEN)
-    return {curv: forms[name].d() - terms[name] for name, curv in _CURV_OF_GEN.items()}
+    gens = [gen for gen, curv in _CURV_OF_GEN.items() if curv in names]
+    terms = structure_terms(forms, gens)
+    return {_CURV_OF_GEN[gen]: forms[gen].d() - terms[gen] for gen in gens}
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +230,15 @@ def hat_basis_sub(dc: DgaChart, B: Expr, Lam: Expr) -> dict:
     return _basis_sub(dc, model.h2_transform(dc.coframe(), -lift(B), -lift(Lam)))
 
 
-def hatted_curvature(dc: DgaChart, B: Expr, Lam: Expr) -> dict:
-    return curvature_from(*model.h2_transform(dc.coframe(), B, Lam))
+def hatted_curvature(dc: DgaChart, B: Expr, Lam: Expr, names=CURVATURES) -> dict:
+    return curvature_from(*model.h2_transform(dc.coframe(), B, Lam), names=names)
 
 
-def _normalized_coefficient(dc: DgaChart, hat: dict, name: str) -> Expr:
-    """Coefficient at omega1^omega1c of the hatted curvature form ``name``,
-    extracted in the transformed basis."""
-    sub = hat_basis_sub(dc, dc.var("B"), dc.var("Lam"))
-    return hat[name].rewrite(sub).coefficient(("omega1", "omega1c"))
+def _normalized_coefficient(dc: DgaChart, form: FormExpr, sub: dict | None = None) -> Expr:
+    """Coefficient at omega1^omega1c of the hatted curvature form ``form``,
+    extracted in the transformed basis ``sub`` (``hat_basis_sub`` at B, Lam)."""
+    sub = sub or hat_basis_sub(dc, dc.var("B"), dc.var("Lam"))
+    return form.rewritten_coefficient(sub, ("omega1", "omega1c"))
 
 
 def verify_equivariance(dc: DgaChart | None = None) -> Report:
@@ -309,14 +316,14 @@ def verify_gauge_shifts(dc: DgaChart | None = None) -> Report:
         # later shift functions stay symbolic; earlier ones are already fixed
         active = {k: dc.var(k) for k in _GAUGE_ORDER[_GAUGE_ORDER.index(param):]}
         tf = tilde_forms(dc, active)
-        tcurv = curvature_from(*(tf[name] for name in COFRAME))
-        got = tcurv[curv].rewrite(tilde_basis_sub(dc, active)).coefficient(word)
+        tcurv = curvature_from(*(tf[name] for name in COFRAME), names=(curv,))
+        got = tcurv[curv].rewritten_coefficient(tilde_basis_sub(dc, active), word)
         model.check_identity(report, title, got - dc.var(param) * factor)
 
     # zero shift functions leave every curvature form unchanged
     tf0 = tilde_forms(dc, {})
     tcurv0 = curvature_from(*(tf0[name] for name in COFRAME))
-    for name in ("Theta2", "Phi1", "Phi2", "Psi"):
+    for name in CURVATURES:
         model.check_identity(report, f"identity shift fixes {name}",
                              tcurv0[name] - dc.curvature[name])
     return report
@@ -329,8 +336,8 @@ def verify_gauge_shifts(dc: DgaChart | None = None) -> Report:
 def necessity_phi1_coefficient(dc: DgaChart) -> Expr:
     """Transformed first-curvature coefficient at the (coframe,conjugate)
     word, extracted in the transformed basis."""
-    return _normalized_coefficient(
-        dc, hatted_curvature(dc, dc.var("B"), dc.var("Lam")), "Phi1")
+    hat = hatted_curvature(dc, dc.var("B"), dc.var("Lam"), ("Phi1",))
+    return _normalized_coefficient(dc, hat["Phi1"])
 
 
 def _necessity_phi1_closed_form(dc: DgaChart, lam_sign: int) -> Expr:
@@ -358,8 +365,8 @@ def necessity_phi1_transcribed(dc: DgaChart) -> Expr:
 
 def necessity_psi_coefficient(dc: DgaChart) -> Expr:
     """The same extraction for the last curvature form."""
-    return _normalized_coefficient(
-        dc, hatted_curvature(dc, dc.var("B"), dc.var("Lam")), "Psi")
+    hat = hatted_curvature(dc, dc.var("B"), dc.var("Lam"), ("Psi",))
+    return _normalized_coefficient(dc, hat["Psi"])
 
 
 def sufficiency_expected(dc: DgaChart) -> dict:
@@ -405,7 +412,7 @@ def verify_cartan_criterion() -> Report:
     B, Lam, A = dc.var("B"), dc.var("Lam"), dc.var("A")
     hf = model.h2_transform(dc.coframe(), B, Lam)
     hcurv = curvature_from(*hf)
-    got = _normalized_coefficient(dc, hcurv, "Phi1")
+    got = _normalized_coefficient(dc, hcurv["Phi1"])
     derived = necessity_phi1_derived(dc)
     transcribed = necessity_phi1_transcribed(dc)
     check = report.add("necessity: first-curvature coefficient",
@@ -430,14 +437,15 @@ def verify_cartan_criterion() -> Report:
     B, Lam = dcl.var("B"), dcl.var("Lam")
     hat = hatted_curvature(dcl, B, Lam)
     expected = sufficiency_expected(dcl)
-    for name in ("Theta2", "Phi1", "Phi2", "Psi"):
+    for name in CURVATURES:
         model.check_identity(report, f"sufficiency expansion: {name}",
                              hat[name] - expected[name])
 
     # with leading terms zero the two normalized coefficients stay zero
+    sub = hat_basis_sub(dcl, B, Lam)
     for name, label in (("Phi1", "first"), ("Psi", "last")):
         model.check_identity(report, f"leading-zero consequence: {label} curvature",
-                             _normalized_coefficient(dcl, hat, name))
+                             _normalized_coefficient(dcl, hat[name], sub))
 
     # diagonal-family scaling of the transformed curvature forms
     Ab = conjugate(A)

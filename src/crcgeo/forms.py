@@ -387,6 +387,18 @@ class FormExpr:
 
         return _summed(target, self.degree, pieces())
 
+    def rewritten_coefficient(self, sub: Mapping[str, "FormExpr"],
+                              names: Sequence[str]) -> Expr:
+        """``self.rewrite(sub).coefficient(names)``, rewritten with each
+        image cut down to the generators ``names``: a wedge term only adds
+        generators, so a term outside them never lands on the word."""
+        target = next((image.chart for image in sub.values()), self.chart)
+        keep = {target._require_gen(n) for n in names}
+        cut = {name: FormExpr(image.chart, image.degree,
+                              {w: c for w, c in image.terms.items() if keep.issuperset(w)})
+               for name, image in sub.items()}
+        return self.rewrite(cut).coefficient(names)
+
     def substitute_scalars(self, bindings: Mapping[Variable, Expr]) -> "FormExpr":
         return FormExpr(self.chart, self.degree,
                         {w: substitute(c, bindings) for w, c in self.terms.items()})

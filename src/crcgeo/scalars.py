@@ -469,6 +469,7 @@ _FREEVARS_MEMO: dict = {}
 _CERT_MEMO: dict = {}
 _QUOT_MEMO: dict = {}
 _STEP_MEMO: dict = {}
+_MUL_MEMO: dict = {}
 _POWS: dict = {}
 _PAIRS: dict = {}
 _EXPS: dict = {}
@@ -479,7 +480,7 @@ def clear_caches() -> None:
     their cached sort keys and complex values."""
     for memo in (_NF_MEMO, _NORM_MEMO, _CONJ_MEMO, _DIFF_MEMO,
                  _FREEVARS_MEMO, _CERT_MEMO, _QUOT_MEMO, _STEP_MEMO,
-                 _POWS, _PAIRS, _EXPS):
+                 _MUL_MEMO, _POWS, _PAIRS, _EXPS):
         memo.clear()
 
 
@@ -639,14 +640,28 @@ def _fix_monomial(coeff: QC, powmap: dict) -> dict:
 
 
 def _nf_mul(a: Mapping, b: Mapping) -> dict:
+    """The product of two normal forms.  ``_MUL_MEMO`` keeps the product of
+    two monomial keys, by value, as ``_fix_monomial``'s terms at unit
+    coefficient; scaled by ``c = ca*cb`` (never zero) they are exactly, in
+    order, the terms of ``_fix_monomial(c, ...)`` (see ``_long_division``)."""
     acc: dict = {}
     for pa, ca in a.items():
         for pb, cb in b.items():
-            powmap = dict(pa)
-            for atom, e in pb:
-                cur = powmap.get(atom)
-                powmap[atom] = e if cur is None else cur + e
-            _nf_add_into(acc, _fix_monomial(ca * cb, powmap))
+            c = ca * cb
+            unit = _MUL_MEMO.get((pa, pb))
+            if unit is None:
+                powmap = dict(pa)
+                for atom, e in pb:
+                    cur = powmap.get(atom)
+                    powmap[atom] = e if cur is None else cur + e
+                unit = _MUL_MEMO[pa, pb] = tuple(_fix_monomial(QC_ONE, powmap).items())
+            for pows, u in unit:
+                cur = acc.get(pows)
+                new = c * u if cur is None else cur + c * u
+                if new.is_zero:
+                    acc.pop(pows, None)
+                else:
+                    acc[pows] = new
     return acc
 
 
@@ -1213,6 +1228,7 @@ def substitute(e: Expr, bindings: Mapping[Variable, Expr]) -> Expr:
 
 
 def _check_substitution_reality(v: Variable, s: Expr, full: Mapping) -> None:
+    s = normalize(s)  # an unnormalized radical quotient can miss cancellations
     if v.reality in (REAL, POSITIVE_REAL):
         if not is_zero_expr(conjugate(s) - s):
             raise RealityViolationError(
@@ -1228,7 +1244,7 @@ def _check_substitution_reality(v: Variable, s: Expr, full: Mapping) -> None:
     elif v.reality == COMPLEX_PAIRED:
         partner = Variable(v.partner, COMPLEX_PAIRED, v.name)
         ps = full.get(partner)
-        if ps is not None and not is_zero_expr(conjugate(s) - ps):
+        if ps is not None and not is_zero_expr(conjugate(s) - normalize(ps)):
             raise RealityViolationError(
                 f"substitutions for {v.name} and {v.partner} are not conjugate")
 

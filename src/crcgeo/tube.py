@@ -730,8 +730,7 @@ def curvature_coefficients(cf: TubeCoframe,
         if "dlam" in names and "omega" not in names:
             raise CoframeVerificationError(
                 "inert covector escaped the contact direction", str(names))
-    tilde0 = tilde.substitute_scalars(gamma0_bindings(table))
-    final = tilde0.coefficient(("theta2", "omega1"))
+    final = restrict_to_section(tilde.coefficient(("theta2", "omega1")), table)
 
     spec = partial(substitute, bindings=_specialization(cf.model, model))
     final = spec(final)

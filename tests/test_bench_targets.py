@@ -1,7 +1,8 @@
 """The benchmark tracer's targets exist: every (module, attribute path) in
 ``bench/tracer.py``'s ``TARGETS`` resolves on the package, so renaming or
 deleting a traced function fails here instead of in a traced bench run.
-And every span the tracer expects on a paper workload records calls."""
+And every span the tracer expects on a paper workload or the suites records
+calls."""
 
 import ast
 import importlib
@@ -33,7 +34,7 @@ def test_tracer_target_resolves(prefix, module_name, path):
         assert callable(getattr(owner, path)), prefix
 
 
-@pytest.mark.parametrize("name", ("paper_cold", "paper_warm"))
+@pytest.mark.parametrize("name", ("paper_cold", "paper_warm", "suites"))
 def test_no_active_span_of_a_paper_workload_is_silent(name, monkeypatch):
     # one job after the workload's warm-up, traced as `bench/run.py --trace 1`
     # traces it: a design that silences a layer fails here

@@ -104,6 +104,33 @@ def test_first_curvature_shift_is_three_halves_r(expanded):
     assert is_zero_expr(got - 3 * expanded.var("r") / 2)
 
 
+def test_curvature_from_builds_only_the_forms_asked_for(expanded):
+    tf = dga.tilde_forms(expanded, {k: expanded.var(k) for k in ("c", "r")})
+    forms = [tf[name] for name in dga.COFRAME]
+    full = dga.curvature_from(*forms)
+    assert list(full) == list(dga.CURVATURES)
+    for names in (("Psi",), ("Phi1",), ("Theta2", "Psi"), ("Psi", "Phi2")):
+        part = dga.curvature_from(*forms, names=names)
+        assert list(part.items()) == [(n, f) for n, f in full.items() if n in names]
+
+
+@pytest.mark.parametrize("zeros", (frozenset(), dga.LEADING_ZEROS),
+                         ids=("general", "leading_zeros"))
+def test_rewritten_coefficient_is_the_coefficient_of_the_rewrite(zeros):
+    dc = dga.build_chart(zeros)
+    gauge = {k: dc.var(k) for k in ("c", "f", "g", "r", "s")}
+    subs = {"hat": dga.hat_basis_sub(dc, dc.var("B"), dc.var("Lam")),
+            "tilde": dga.tilde_basis_sub(dc, gauge)}
+    for label, sub in subs.items():
+        for name, form in dc.curvature.items():
+            full = form.rewrite(sub)
+            for word in set(full.terms) | set(form.terms):
+                names = full.word_names(word)
+                for order in (names, names[::-1]):
+                    assert (form.rewritten_coefficient(sub, order)
+                            == full.coefficient(order)), (label, name, order)
+
+
 # ---------------------------------------------------------------------------
 # equivariance
 

@@ -615,6 +615,73 @@ def test_clear_caches_empties_step_memo_and_key_tables():
     assert not any(tables)
 
 
+def _memo_free_nf_mul(a, b):
+    """The product of two normal forms without ``_MUL_MEMO``: every
+    monomial product is canonicalized afresh.  Installed as
+    ``scalars._nf_mul`` it also makes the expansions inside
+    ``_fix_monomial``, so no product reads the memo."""
+    acc = {}
+    for pa, ca in a.items():
+        for pb, cb in b.items():
+            powmap = dict(pa)
+            for atom, e in pb:
+                cur = powmap.get(atom)
+                powmap[atom] = e if cur is None else cur + e
+            scalars._nf_add_into(acc, scalars._fix_monomial(ca * cb, powmap))
+    return acc
+
+
+def _radical_form(rng, x, y, n_terms):
+    """A sum of monomials c * x^a * y^b * 2^(j/2) * (1+x)^(k/2) * (x+y)^(l/3)
+    with Gaussian rational c: constant radicals, fractional exponents and
+    sum atoms whose exponents reach 1 and more in a product."""
+    terms = [Const(QC.of(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)),
+                         rng.randint(-1, 1)))
+             * Pow(x, Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+             * Pow(y, rng.randint(-2, 2))
+             * Pow(Const(QC(2)), Fraction(rng.randint(-3, 3), 2))
+             * Pow(1 + x, Fraction(rng.randint(-3, 3), 2))
+             * Pow(x + y, Fraction(rng.randint(-2, 4), 3)) for _ in range(n_terms)]
+    return scalars._nf(normalize(Add(tuple(terms))))
+
+
+def test_memoized_monomial_products_match_the_memo_free_product(monkeypatch):
+    scalars.clear_caches()
+    table = VariableTable()
+    x, y = (Var(v) for v in table.positive("x", "y"))
+    rng = random.Random(2207)
+    pairs = []
+    for _ in range(40):
+        a = _radical_form(rng, x, y, rng.randint(2, 4))
+        pairs.append((a, _radical_form(rng, x, y, rng.randint(1, 3))))
+        # (p + r)(r - p): the cross terms cancel
+        flipped = dict(a)
+        first = next(iter(flipped))
+        flipped[first] = -flipped[first]
+        pairs.append((a, flipped))
+    # cold, warm, then cold again after clear_caches()
+    got = []
+    for rnd in range(3):
+        if rnd == 2:
+            scalars.clear_caches()
+        got.append([_items(scalars._nf_mul(a, b)) for a, b in pairs])
+    # some product expanded a sum atom into several terms
+    assert any(len(unit) > 1 for unit in scalars._MUL_MEMO.values())
+    monkeypatch.setattr(scalars, "_nf_mul", _memo_free_nf_mul)
+    expected = [_items(_memo_free_nf_mul(a, b)) for a, b in pairs]
+    assert got == [expected] * 3
+
+
+def test_clear_caches_empties_every_memo():
+    memos = [v for k, v in vars(scalars).items()
+             if k.endswith("_MEMO") and isinstance(v, dict)]
+    assert len(memos) >= 9
+    for memo in memos:
+        memo[object()] = None
+    scalars.clear_caches()
+    assert not any(memos)
+
+
 def test_coefficient_power_budget_refuses_only_growing_powers():
     table = VariableTable()
     table.real("t")

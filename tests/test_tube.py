@@ -174,6 +174,16 @@ def _fresh_table():
     return table
 
 
+def test_substitute_accepts_an_unnormalized_real_binding():
+    # rho12/rho11 of a radical profile is real, but as built it does not
+    # cancel against its conjugate before normalization
+    table = tube._tube_table()
+    derivs = tube._derivative_cache(tube.ma_profile_solution("s^2*(1+s)^(1/2)"), table)
+    ratio = derivs["rho12"] / derivs["rho11"]
+    m, = VariableTable().real("m")
+    assert substitute(Var(m), {m: ratio}) is normalize(ratio)
+
+
 def test_profile_linear_fails_positivity_downstream():
     rho = tube.ma_profile_solution("s")
     with pytest.raises(tube.TubeHypothesisError) as err:
