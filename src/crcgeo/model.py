@@ -314,32 +314,3 @@ def verify_adjoint_transforms(chart: Chart | None = None,
         for name in COMPONENTS:
             check_identity(report, f"{family}:{name}", comps[name] - formulas[name])
     return report
-
-
-# ---------------------------------------------------------------------------
-# orbit hypersurface membership
-
-
-def gamma_membership(z, side: str, tol: float = 1e-10) -> bool:
-    """Membership test for the two hypersurface orbits in the original
-    projective coordinates: isotropy of both quadratic forms plus the sign
-    of Re(z4) Im(z5) - Re(z5) Im(z4)."""
-    if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
-    zs = [complex(x) for x in z]
-    if len(zs) != 5:
-        raise ValueError("expected 5 homogeneous coordinates")
-    norm = max(abs(x) for x in zs)
-    if norm == 0:
-        raise ValueError("zero vector is not a projective point")
-    zs = [x / norm for x in zs]
-    sgn = [1, 1, 1, -1, -1]
-    re = [x.real for x in zs]
-    im = [x.imag for x in zs]
-    q_re = sum(s * x * x for s, x in zip(sgn, re))
-    q_im = sum(s * x * x for s, x in zip(sgn, im))
-    q_mix = sum(s * x * y for s, x, y in zip(sgn, re, im))
-    if max(abs(q_re), abs(q_im), abs(q_mix)) > tol:
-        return False
-    orient = re[3] * im[4] - re[4] * im[3]
-    return orient > tol if side == "+" else orient < -tol

@@ -21,10 +21,11 @@ surviving zero certifies the identity; a ``False`` only means "not
 proven", never "nonzero".  The sampled one is ``is_identically_zero``: it
 normalizes, tries the certificate, and only then reads values at seeded
 points of a caller-supplied box from ``sample_values``, the one sampler,
-which also serves the tube's positivity check.  It evaluates a batch of
-points at a time, each distinct node once per batch, with the evaluator
-``evaluate`` uses for a one-point batch.  A point where the expression
-has a pole or a non-finite value is inadmissible and is redrawn.
+which also serves the tube's positivity check.  It draws and evaluates
+one point at a time, each distinct node once per point, with the tree
+walk ``evaluate`` uses, so a verdict stops at the point that decides it.
+A point where the expression has a pole or a non-finite value is
+inadmissible and is redrawn.
 Certificate verdicts are memoized per node like the kernel's other
 results.  Forms, the suites and the tube pipeline call these two and
 decide nothing themselves.
@@ -43,9 +44,7 @@ import sys
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import filterfalse, repeat
 from math import gcd
-from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 REAL = "real"
@@ -1276,8 +1275,8 @@ def _check_binding(v: Variable, z: complex, point: Mapping[str, complex]) -> Non
 
 
 def evaluate(e: Expr, point: Mapping) -> complex:
-    """IEEE double evaluation; fractional powers need positive real bases.
-    The point is a one-point batch of ``_eval_columns``."""
+    """IEEE double evaluation by ``_eval_tree``, with a fresh memo;
+    fractional powers need positive real bases."""
     by_name: dict[str, complex] = {}
     for k, z in point.items():
         name = k.name if isinstance(k, Variable) else k
@@ -1291,7 +1290,7 @@ def evaluate(e: Expr, point: Mapping) -> complex:
                 raise DomainEvalError(f"no binding for variable {v.name}")
     for v in vars_present:
         _check_binding(v, by_name[v.name], by_name)
-    (value,) = _eval_batch(e, {name: [z] for name, z in by_name.items()}, 1, {})
+    value = _eval_point(e, by_name, {})
     if not cmath.isfinite(value):
         raise DomainEvalError(f"non-finite value {value}")
     return value
@@ -1306,56 +1305,53 @@ def _real_power(base: complex, exp: float) -> complex:
     return complex(base.real ** exp)
 
 
-def _eval_batch(e: Expr, columns: Mapping[str, list], n: int, memo: dict) -> list:
-    """``_eval_columns`` with a value outside the float range as a
+def _eval_point(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
+    """``_eval_tree`` with a value outside the float range as a
     ``DomainEvalError``: an overflow, or a negative power whose base
     underflowed to 0."""
     try:
-        return _eval_columns(e, columns, n, memo)
+        return _eval_tree(e, point, memo)
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainEvalError(f"value outside the floating-point range ({exc})") from None
 
 
-def _eval_columns(e: Expr, columns: Mapping[str, list], n: int, memo: dict) -> list:
-    """Values of ``e`` at a batch of ``n`` points, one list entry per point;
-    ``columns`` maps each variable name to its values.  Each distinct sum,
-    product and power is computed once per batch (``memo``), with the same
-    float operations at every point: a sum adds its terms to int 0, a
-    product multiplies ``1.0+0.0j`` by its factors, left to right.
-    Children are visited left to right, depth first, so the first failure
-    is the one a walk of the whole tree meets first; a domain error at any
-    point fails the whole batch."""
-    values = memo.get(e)
-    if values is not None:
-        return values
+def _eval_tree(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
+    """Value of ``e`` at ``point``, which maps each variable name to its
+    value.  Each distinct sum, product and power is computed once
+    (``memo``): a sum adds its terms to int 0, a product multiplies
+    ``1.0+0.0j`` by its factors, left to right.  Children are visited left
+    to right, depth first, so the first failure is the one a walk of the
+    whole tree meets first."""
+    value = memo.get(e)
+    if value is not None:
+        return value
     cls = type(e)
     if cls is Const:
         value = e._complex
         if value is None:
             value = e._complex = e.value.to_complex()
-        return [value] * n
+        return value
     if cls is Var:
-        return columns[e.var.name]
+        return point[e.var.name]
     if cls is Pow:
-        base = _eval_columns(e.base, columns, n, memo)
+        base = _eval_tree(e.base, point, memo)
         if e.exp.denominator == 1:
             k = int(e.exp)
-            if k < 0 and 0 in base:
+            if k < 0 and base == 0:
                 raise DomainEvalError("division by zero")
-            values = list(map(pow, base, repeat(k)))
+            value = pow(base, k)
         else:
-            values = list(map(_real_power, base, repeat(float(e.exp))))
+            value = _real_power(base, float(e.exp))
     elif cls is Mul:
-        values = [1.0 + 0.0j] * n
+        value = 1.0 + 0.0j
         for f in e.factors:
-            values = list(map(mul, values, _eval_columns(f, columns, n, memo)))
+            value = value * _eval_tree(f, point, memo)
     elif cls is Add:
-        values = list(map(sum, zip(*[_eval_columns(t, columns, n, memo)
-                                     for t in e.terms])))
+        value = sum([_eval_tree(t, point, memo) for t in e.terms])
     else:
         raise TypeError(f"not an expression: {e!r}")
-    memo[e] = values
-    return values
+    memo[e] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -1389,43 +1385,23 @@ def sample_point(variables: Sequence[Variable], box: Box, rng: random.Random) ->
     return point
 
 
-def _eval_with_scale(e_norm: Expr, points: Sequence[Mapping[str, complex]]) -> list:
-    """``(value, scale)`` of the normal form at each point: its value, as
+def _eval_with_scale(e_norm: Expr, point: Mapping[str, complex]) -> tuple:
+    """``(value, scale)`` of the normal form at ``point``: its value, as
     ``evaluate`` gives it, and the sum of its terms' moduli.  A domain
-    error, an overflow, or a non-finite term or scale at any point fails
-    the whole batch with ``DomainEvalError``."""
-    n = len(points)
-    columns = {name: [p[name] for p in points] for name in points[0]}
+    error, an overflow, or a non-finite term or scale raises
+    ``DomainEvalError``."""
     terms = e_norm.terms if isinstance(e_norm, Add) else (e_norm,)
     memo: dict = {}  # shared by the terms: their atoms recur
-    scales = [0.0] * n
+    scale = 0.0
     for t in terms:
-        values = _eval_batch(t, columns, n, memo)
-        bad = next(filterfalse(cmath.isfinite, values), None)
-        if bad is not None:
-            raise DomainEvalError(f"non-finite value {bad}")
-        scales = list(map(add, scales, map(abs, values)))
-    if not all(map(math.isfinite, scales)):
+        value = _eval_point(t, point, memo)
+        if not cmath.isfinite(value):
+            raise DomainEvalError(f"non-finite value {value}")
+        scale += abs(value)
+    if not math.isfinite(scale):
         raise DomainEvalError("non-finite sum of terms")
     # from the terms in the memo; finite, as the scale is
-    return list(zip(_eval_columns(e_norm, columns, n, memo), scales))
-
-
-def _scores(e_norm: Expr, points: list) -> Iterable:
-    """``(value, scale)`` at each point in draw order, or None where the
-    point is inadmissible.  The points are evaluated as one batch; if that
-    fails, one at a time as they are read."""
-    try:
-        return _eval_with_scale(e_norm, points)
-    except DomainEvalError:
-        return map(_score_one, repeat(e_norm), points)
-
-
-def _score_one(e_norm: Expr, point: Mapping[str, complex]):
-    try:
-        return _eval_with_scale(e_norm, [point])[0]
-    except DomainEvalError:
-        return None
+    return _eval_tree(e_norm, point, memo), scale
 
 
 def sample_values(e_norm: Expr, box: Box, count: int, seed: int) -> Iterable:
@@ -1433,24 +1409,25 @@ def sample_values(e_norm: Expr, box: Box, count: int, seed: int) -> Iterable:
     ``box``, in draw order (see ``_eval_with_scale``): the sampler of the
     zero test and of the tube's positivity check.
 
-    ``random.Random(seed)`` draws at most ``max(count*8, 64)`` points,
-    each batch the number still needed, and each batch is evaluated in one
-    pass over ``e_norm``.  A point with a pole or a non-finite value is
-    inadmissible and skipped.  Deterministic for a fixed seed.
+    ``random.Random(seed)`` draws at most ``max(count*8, 64)`` points, one
+    at a time: each is evaluated when drawn and yielded if admissible, so
+    a reader that stops early draws and evaluates no further point.  A
+    point with a pole or a non-finite value is inadmissible and skipped.
+    Deterministic for a fixed seed.
     """
     variables = sorted(free_variables(e_norm), key=lambda v: v.name)
     rng = random.Random(seed)
-    found = attempts = 0
-    max_attempts = max(count * 8, 64)
-    while found < count and attempts < max_attempts:
-        # each point yields at most once, so the whole batch is needed
-        points = [sample_point(variables, box, rng)
-                  for _ in range(min(count - found, max_attempts - attempts))]
-        attempts += len(points)
-        for point, scored in zip(points, _scores(e_norm, points)):
-            if scored is not None:
-                found += 1
-                yield point, *scored
+    found = 0
+    for _ in range(max(count * 8, 64)):
+        if found >= count:
+            return
+        point = sample_point(variables, box, rng)
+        try:
+            value, scale = _eval_with_scale(e_norm, point)
+        except DomainEvalError:
+            continue
+        found += 1
+        yield point, value, scale
 
 
 def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,

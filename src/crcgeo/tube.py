@@ -120,11 +120,10 @@ def _tube_table() -> VariableTable:
 
 @dataclass
 class TubeModel:
-    """Defining function with its derivative cache and checked hypotheses,
-    or (``rho`` None) the jet model of ``jet_model``."""
+    """A defining function's derivative cache and checked hypotheses, or
+    (``jets`` not empty) the jet model of ``jet_model``."""
 
     table: VariableTable
-    rho: Expr | None
     box: dict
     trials: int = 32
     seed: int = 0
@@ -157,7 +156,9 @@ class TubeModel:
             return INCONCLUSIVE
 
     def levi_rank(self, points) -> list:
-        """Eigenvalues and rank of the defining-function Hessian per point.
+        """Eigenvalues and rank of the defining-function Hessian per point
+        where each of its entries evaluates to a real number; the other
+        points are skipped.
 
         The Hessian is the Levi matrix of the tube up to a positive scale,
         so its rank is the Levi rank.  Its eigenvalues are solved in closed
@@ -169,12 +170,14 @@ class TubeModel:
         out = []
         for t1v, t2v in points:
             point = {"t1": t1v, "t2": t2v}
-            entries = []
-            for key in ("rho11", "rho12", "rho22"):
-                val = evaluate(self.derivs[key], point)
-                if abs(val.imag) > 1e-9 * (1 + abs(val)):
-                    raise DomainEvalError(f"{key} is not real at {point}")
-                entries.append(val.real)
+            try:
+                values = [evaluate(self.derivs[key], point)
+                          for key in ("rho11", "rho12", "rho22")]
+            except DomainEvalError:
+                continue
+            if any(abs(val.imag) > 1e-9 * (1 + abs(val)) for val in values):
+                continue
+            entries = [val.real for val in values]
             eigs = _symmetric_2x2_eigenvalues(*entries)
             sizes = [abs(x) for x in eigs]
             scale = sum(sizes)
@@ -219,10 +222,8 @@ def _derivative_cache(rho: Expr | None, table: VariableTable,
         derivs["rho12"] = d2(derivs["rho1"])
         derivs["rho22"] = d2(derivs["rho2"])
     derivs["rho111"] = d1(derivs["rho11"])
-    derivs["rho112"] = d2(derivs["rho11"])
     derivs["S"] = d1(derivs["rho12"] / derivs["rho11"])
     derivs["S1"] = d1(derivs["S"])
-    derivs["S2"] = d2(derivs["S"])
     return derivs
 
 
@@ -254,7 +255,7 @@ def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
             raise
         raise TubeHypothesisError("positivity", "rho11 is identically zero",
                                   hypotheses)
-    model = TubeModel(table, normalize(rho_expr), dict(box),
+    model = TubeModel(table, dict(box),
                       trials=trials, seed=seed, tol=tol, derivs=derivs,
                       hypotheses=hypotheses)
 
@@ -333,7 +334,7 @@ def jet_model(trials: int = 32, seed: int = 0, tol: float = 1e-8) -> TubeModel:
         for seq in (r, m):
             jets[seq[k].var][1] = _derive(jets[seq[k - 1].var][1], 1, table, jets)
     box = {x.var.name: JET_INTERVAL for x in r + m}
-    return TubeModel(table, None, box, trials=trials, seed=seed, tol=tol,
+    return TubeModel(table, box, trials=trials, seed=seed, tol=tol,
                      derivs=_derivative_cache(None, table, jets), jets=jets)
 
 
@@ -782,11 +783,11 @@ def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
     rng = random.Random(seed + 71)
     pts = [(rng.uniform(*box["t1"]), rng.uniform(*box["t2"])) for _ in range(8)]
     levi = model.levi_rank(pts)
-    ranks_ok = all(entry["rank"] == 1 for entry in levi)
+    ranks_ok = all(entry["rank"] == 1 for entry in levi) if levi else INCONCLUSIVE
     report.add("levi rank 1 at sampled points", ranks_ok,
                {"points": len(levi),
                 "max_relative_smallest_eigenvalue":
-                    max(e["relative_smallest_eigenvalue"] for e in levi)})
+                    max((e["relative_smallest_eigenvalue"] for e in levi), default=None)})
 
     try:
         cf = build_coframe(jet_model(trials=trials, seed=seed, tol=tol))

@@ -69,6 +69,33 @@ def test_tube_undecided_hypothesis_is_inconclusive(command, undecided):
     assert payload["checks"][-1]["status"] == "inconclusive"
 
 
+def _tube_profile_five_halves(t1_box):
+    result = run_cli("tube", "profile", "--g", "s^(5/2)", "--box", f"t1={t1_box},t2=0.5:1")
+    assert not result.stderr
+    return result.returncode, json.loads(result.stdout)
+
+
+def test_tube_levi_check_skips_points_where_the_hessian_is_undefined():
+    # rho = t1^(5/2)*t2^(-3/2) has no Hessian where t1 < 0; the hypotheses
+    # and the final samples skip such points, and so does the Levi check
+    code, payload = _tube_profile_five_halves("-0.5:1")
+    assert code == 0
+    assert payload["overall"] == "pass"
+    assert all(c["status"] == "pass" for c in payload["checks"])
+    (levi,) = (c for c in payload["checks"] if c["name"] == "levi rank 1 at sampled points")
+    assert levi["details"] == {"points": 3,
+                               "max_relative_smallest_eigenvalue": 4.5287791881750415e-19}
+    assert payload["checks"][-1]["details"]["final_coefficient_zero"] == "zero"
+    # no admissible Levi point: the check is inconclusive, the analysis goes on
+    code, payload = _tube_profile_five_halves("-1:0.05")
+    assert code == 3
+    statuses = {c["name"]: c["status"] for c in payload["checks"]}
+    assert statuses.pop("levi rank 1 at sampled points") == "inconclusive"
+    assert set(statuses.values()) == {"pass"}
+    (levi,) = (c for c in payload["checks"] if c["name"] == "levi rank 1 at sampled points")
+    assert levi["details"] == {"points": 0, "max_relative_smallest_eigenvalue": None}
+
+
 def test_tube_analyze_parse_error_exit_code():
     result = run_cli("tube", "analyze", "--rho", "t1 +",
                      "--box", "t1=0.1:1,t2=0.1:1")

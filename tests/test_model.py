@@ -1,5 +1,5 @@
 """Homogeneous model: defining matrices, algebra, subgroups, structure
-equations, adjoint transformation formulas, orbit membership."""
+equations, adjoint transformation formulas."""
 
 import cmath
 import contextlib
@@ -381,29 +381,3 @@ def test_adjoint_numeric_agreement(chart):
             got = form_value(comps1[name])
             want = form_value(formulas1[name])
             assert abs(got - want) <= 1e-12 * (1 + abs(want))
-
-
-# ---------------------------------------------------------------------------
-# orbit membership
-
-
-def test_reference_points():
-    assert model.gamma_membership([1j, 1, 0, 1, 1j], "+")
-    assert not model.gamma_membership([1j, 1, 0, 1, 1j], "-")
-    assert model.gamma_membership([-1j, 1, 0, 1, -1j], "-")
-    assert not model.gamma_membership([-1j, 1, 0, 1, -1j], "+")
-
-
-def test_membership_fails_isotropy():
-    assert not model.gamma_membership([1, 0, 0, 0, 0], "+")
-
-
-def test_membership_scale_invariance():
-    z = [1j, 1, 0, 1, 1j]
-    scaled = [(0.3 + 0.2j) * x for x in z]
-    assert model.gamma_membership(scaled, "+")
-
-
-def test_membership_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        model.gamma_membership([0, 0, 0, 0, 0], "+")

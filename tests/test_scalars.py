@@ -852,16 +852,10 @@ def _outcome(fn, *args):
     return _hex(result if isinstance(result, tuple) else (result,))
 
 
-def _scaled_one(n, point):
-    (scored,) = scalars._eval_with_scale(n, [point])
-    return scored
-
-
 def test_memoized_evaluation_matches_the_tree_walk_bit_for_bit():
-    # neither the memo nor the batch may change one float operation or
-    # which error comes first; the points include zeros and negatives, so
-    # poles, complex and negative radical bases, overflows and infinities
-    # all occur
+    # the memo may not change one float operation or which error comes
+    # first; the points include zeros and negatives, so poles, complex and
+    # negative radical bases, overflows and infinities all occur
     table = VariableTable()
     variables = table.real("x", "y", "z")
     x, y = Var(variables[0]), Var(variables[1])
@@ -871,44 +865,63 @@ def test_memoized_evaluation_matches_the_tree_walk_bit_for_bit():
     rng = random.Random(1212)
     trees += [_random_tree(rng, variables, rng.randint(1, 5)) for _ in range(2000)]
     messages = collections.Counter()
-    batches = collections.Counter()
     for tree in trees:
         n = normalize(tree)
-        points = []
         for _ in range(2):
             point = {v.name: complex(rng.choice([0.0, -1.0, 1e200, rng.uniform(-1.6, 1.6),
                                                  rng.uniform(0.6, 1.6),
                                                  rng.uniform(0.6, 1.6)]))
                      for v in variables}
-            points.append(point)
             got = _outcome(evaluate, tree, point)
             assert got == _outcome(_reference_eval, tree, point)
-            scaled = _outcome(_scaled_one, n, point)
+            scaled = _outcome(scalars._eval_with_scale, n, point)
             assert scaled == _outcome(_reference_eval_with_scale, n, point)
             for outcome in (got, scaled):
                 messages[outcome[1].split(" ")[0] if outcome[0] is DomainEvalError
                          else "finite"] += 1
-        points += [{v.name: complex(rng.uniform(0.6, 1.6)) for v in variables}
-                   for _ in range(4)]
-        expected = [_outcome(_reference_eval_with_scale, n, p) for p in points]
-        admissible = [p for p, want in zip(points, expected) if want[0] is not DomainEvalError]
-        # the whole batch: one failure fails it, else every point as alone
-        try:
-            whole = tuple(map(_hex, scalars._eval_with_scale(n, points)))
-        except DomainEvalError:
-            whole = None
-        assert whole == (tuple(expected) if len(admissible) == len(points) else None)
-        if admissible:
-            want = tuple(w for w in expected if w[0] is not DomainEvalError)
-            assert tuple(map(_hex, scalars._eval_with_scale(n, admissible))) == want
-        # scored in draw order, the inadmissible points as None
-        scored = [None if s is None else _hex(s) for s in scalars._scores(n, points)]
-        assert scored == [None if w[0] is DomainEvalError else w for w in expected]
-        batches["whole" if len(admissible) == len(points) else "fallback"] += 1
     assert messages["finite"] > 4000
     for first_word in ("division", "fractional", "value", "non-finite"):
         assert messages[first_word] > 20, messages
-    assert batches["whole"] > 1000 and batches["fallback"] > 300, batches
+
+
+def test_the_sampler_evaluates_no_point_past_the_last_it_yields(monkeypatch):
+    table = VariableTable()
+    variables = table.real("x", "y")
+    x, y = (Var(v) for v in variables)
+    drawn, scored = [], []
+    draw, score = scalars.sample_point, scalars._eval_with_scale
+
+    def counted_draw(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    def counted_score(e, point):
+        scored.append(point)
+        return score(e, point)
+
+    monkeypatch.setattr(scalars, "sample_point", counted_draw)
+    monkeypatch.setattr(scalars, "_eval_with_scale", counted_score)
+    # a nonzero verdict reads one admissible point, and draws and
+    # evaluates only that one
+    assert is_identically_zero(x * y + x * x, {"x": (0.5, 1), "y": (0.5, 1)},
+                               trials=16, seed=5) is False
+    assert len(drawn) == len(scored) == 1
+    # about half the points of x^(1/2) on [-1, 1] are inadmissible: each
+    # drawn point is evaluated once, and the last one is the last yielded
+    e = normalize(Pow(x, Fraction(1, 2)) + y)
+    for count in (1, 3, 6):
+        drawn.clear()
+        scored.clear()
+        yielded = [p for p, _, _ in scalars.sample_values(
+            e, {"x": (-1, 1), "y": (0, 1)}, count, seed=count)]
+        assert len(yielded) == count < len(drawn)
+        assert list(map(id, scored)) == list(map(id, drawn))
+        assert scored[-1] is yielded[-1]
+    # a reader that stops early leaves the rest undrawn
+    drawn.clear()
+    scored.clear()
+    next(scalars.sample_values(normalize(x + y), {"x": (0, 1), "y": (0, 1)}, 16, 3))
+    assert len(drawn) == len(scored) == 1
 
 
 def _reference_is_identically_zero(e, box, trials, seed, tol):
