@@ -421,12 +421,12 @@ class Mul(Expr):
 
 
 class Pow(Expr):
-    __slots__ = ("base", "exp")
+    __slots__ = ("base", "exp", "_fexp")
 
     def __new__(cls, base: Expr, exp):
         if type(exp) is not Fraction:  # also turns a _KeyExp into a Fraction
             exp = Fraction(exp)
-        return _interned(cls, ("P", base, exp), base, exp)
+        return _interned(cls, ("P", base, exp), base, exp, None)
 
     def __repr__(self):
         return f"Pow({self.base!r}, {self.exp})"
@@ -469,6 +469,7 @@ _CERT_MEMO: dict = {}
 _QUOT_MEMO: dict = {}
 _STEP_MEMO: dict = {}
 _MUL_MEMO: dict = {}
+_MONO_MEMO: dict = {}
 _POWS: dict = {}
 _PAIRS: dict = {}
 _EXPS: dict = {}
@@ -476,10 +477,10 @@ _EXPS: dict = {}
 
 def clear_caches() -> None:
     """Empty the memos and the key tables.  Live nodes stay interned, with
-    their cached sort keys and complex values."""
+    their cached sort keys, complex values and float exponents."""
     for memo in (_NF_MEMO, _NORM_MEMO, _CONJ_MEMO, _DIFF_MEMO,
                  _FREEVARS_MEMO, _CERT_MEMO, _QUOT_MEMO, _STEP_MEMO,
-                 _MUL_MEMO, _POWS, _PAIRS, _EXPS):
+                 _MUL_MEMO, _MONO_MEMO, _POWS, _PAIRS, _EXPS):
         memo.clear()
 
 
@@ -547,23 +548,31 @@ def _add_exp(powmap: dict, atom: Expr, e) -> None:
     powmap[atom] = e if cur is None else cur + e
 
 
-def _mono_expr(coeff: QC, pows: _PowsKey) -> Expr:
-    factors: list[Expr] = []
-    for atom, e in pows:
-        factors.append(atom if e == 1 else Pow(atom, e))
-    if not factors:
-        return Const(coeff)
-    if not coeff.is_one:
-        factors.insert(0, Const(coeff))
-    return factors[0] if len(factors) == 1 else Mul(tuple(factors))
+def _mono_parts(pows: _PowsKey) -> tuple:
+    """``(sort key, factors, laurent)`` of a monomial key: ``_mono_key(pows)``,
+    its ``Var``/``Pow`` factors in order, and whether it holds no sum atom,
+    built once per key value (``_MONO_MEMO``)."""
+    parts = _MONO_MEMO.get(pows)
+    if parts is None:
+        parts = _MONO_MEMO[pows] = (
+            _mono_key(pows), tuple([atom if e == 1 else Pow(atom, e) for atom, e in pows]),
+            not any(_is_sum_atom(atom) for atom, _ in pows))
+    return parts
 
 
 def _rebuild(nf: dict) -> Expr:
-    items = [(pows, c) for pows, c in nf.items() if not c.is_zero]
+    items = [(_mono_parts(pows), c) for pows, c in nf.items() if not c.is_zero]
     if not items:
         return ZERO
-    items.sort(key=lambda it: _mono_key(it[0]))
-    monos = [_mono_expr(c, pows) for pows, c in items]
+    items.sort(key=lambda it: it[0][0])
+    monos = []
+    for (_, factors, _), c in items:
+        if not factors:
+            monos.append(Const(c))
+        elif not c.is_one:
+            monos.append(Mul((Const(c),) + factors))
+        else:
+            monos.append(factors[0] if len(factors) == 1 else Mul(factors))
     return monos[0] if len(monos) == 1 else Add(tuple(monos))
 
 
@@ -1018,11 +1027,12 @@ def _nf(e: Expr) -> dict:
             _nf_add_into(acc, _nf(t))
         out = _collapse(acc)
     elif isinstance(e, Mul):
-        acc = {(): QC_ONE}
-        for f in e.factors:
-            acc = _nf_mul(acc, _nf(f))
+        # a normal form times the unit monomial is itself, term for term
+        acc = dict(_nf(e.factors[0])) if e.factors else {(): QC_ONE}
+        for f in e.factors[1:]:
             if not acc:
                 break
+            acc = _nf_mul(acc, _nf(f))
         out = _collapse(acc)
     elif isinstance(e, Pow):
         out = _collapse(_nf_pow(_nf(e.base), e.exp))
@@ -1033,13 +1043,21 @@ def _nf(e: Expr) -> dict:
 
 
 def normalize(e: Expr) -> Expr:
-    """Canonical sum-of-monomials form; idempotent and evaluation-preserving."""
+    """Canonical sum-of-monomials form; idempotent and evaluation-preserving.
+
+    The result keeps the normal form it was rebuilt from, so ``_nf`` does
+    not walk it again where it becomes a factor or term, when that form has
+    no sum atom: on Laurent polynomials ``_nf(_rebuild(nf)) == nf``, while
+    a sum atom may come back in another shape (ROADMAP item 5)."""
     cached = _NORM_MEMO.get(e)
     if cached is not None:
         return cached
-    result = _rebuild(_nf(e))
+    nf = _nf(e)
+    result = _rebuild(nf)
     _NORM_MEMO[e] = result
     _NORM_MEMO[result] = result
+    if all(_mono_parts(pows)[2] for pows in nf):
+        _NF_MEMO[result] = nf
     return result
 
 
@@ -1341,7 +1359,10 @@ def _eval_tree(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
                 raise DomainEvalError("division by zero")
             value = pow(base, k)
         else:
-            value = _real_power(base, float(e.exp))
+            fexp = e._fexp
+            if fexp is None:
+                fexp = e._fexp = float(e.exp)
+            value = _real_power(base, fexp)
     elif cls is Mul:
         value = 1.0 + 0.0j
         for f in e.factors:
@@ -1385,6 +1406,15 @@ def sample_point(variables: Sequence[Variable], box: Box, rng: random.Random) ->
     return point
 
 
+def _modulus(value: complex) -> float:
+    """``abs(value)``, with a modulus past the float range, which finite
+    parts near it can have, as a ``DomainEvalError``."""
+    try:
+        return abs(value)
+    except OverflowError:
+        raise DomainEvalError(f"modulus of {value} outside the floating-point range") from None
+
+
 def _eval_with_scale(e_norm: Expr, point: Mapping[str, complex]) -> tuple:
     """``(value, scale)`` of the normal form at ``point``: its value, as
     ``evaluate`` gives it, and the sum of its terms' moduli.  A domain
@@ -1397,7 +1427,7 @@ def _eval_with_scale(e_norm: Expr, point: Mapping[str, complex]) -> tuple:
         value = _eval_point(t, point, memo)
         if not cmath.isfinite(value):
             raise DomainEvalError(f"non-finite value {value}")
-        scale += abs(value)
+        scale += _modulus(value)
     if not math.isfinite(scale):
         raise DomainEvalError("non-finite sum of terms")
     # from the terms in the memo; finite, as the scale is
@@ -1445,7 +1475,7 @@ def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,
         return True
     successes = 0
     for _, val, scale in sample_values(n, box, trials, seed):
-        if not abs(val) <= tol * (1.0 + scale):
+        if not _modulus(val) <= tol * (1.0 + scale):
             return False
         successes += 1
     if successes == 0:

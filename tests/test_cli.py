@@ -255,6 +255,16 @@ def test_expr_zero_inconclusive_exit_code():
         assert result.stderr == ""
 
 
+def test_expr_zero_term_modulus_overflow_is_inconclusive():
+    # each term's parts are finite but its modulus is past the float range,
+    # so no point of the box is admissible
+    result = run_cli("expr", "zero", "--expr", "(1+i)*t1+t1^2",
+                     "--box", "t1=1.5e308:1.7e308")
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["overall"] == "inconclusive"
+
+
 def test_expr_diff_by_an_undeclared_name_is_an_input_error():
     result = run_cli("expr", "diff", "--expr", "t1", "--by", "t3")
     assert result.returncode == 2

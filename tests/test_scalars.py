@@ -675,11 +675,124 @@ def test_memoized_monomial_products_match_the_memo_free_product(monkeypatch):
 def test_clear_caches_empties_every_memo():
     memos = [v for k, v in vars(scalars).items()
              if k.endswith("_MEMO") and isinstance(v, dict)]
-    assert len(memos) >= 9
+    assert len(memos) >= 10
     for memo in memos:
         memo[object()] = None
     scalars.clear_caches()
     assert not any(memos)
+
+
+def _random_laurent_tree(rng, variables, depth):
+    """A tree whose normal form holds no sum atom: sums and products of
+    positive variables and rational constants, positive integer powers, and
+    rational powers of positive monomials only."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.6:
+            return Var(rng.choice(variables))
+        return Const(QC.of(Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 3)),
+                           rng.randint(-1, 1)))
+    op = rng.choice(["add", "mul", "pow", "root"])
+    left = _random_laurent_tree(rng, variables, depth - 1)
+    if op == "add":
+        return left + _random_laurent_tree(rng, variables, depth - 1)
+    if op == "mul":
+        return left * _random_laurent_tree(rng, variables, depth - 1)
+    if op == "pow":
+        return Pow(left, rng.choice((2, 3)))
+    base = Mul((Const(QC.of(rng.randint(1, 6))), Var(rng.choice(variables))))
+    return left * Pow(base, Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
+
+
+def test_normalize_registers_the_laurent_normal_form_it_rebuilt_from():
+    # the registered form equals the one a fresh walk of the result derives
+    table = VariableTable()
+    variables = table.positive("x", "y", "z")
+    rng = random.Random(2401)
+    rebuilt, fractional = 0, 0
+    for _ in range(300):
+        tree = _random_laurent_tree(rng, variables, rng.randint(1, 4))
+        scalars.clear_caches()
+        result = normalize(tree)
+        registered = scalars._NF_MEMO[result]
+        assert registered is scalars._nf(tree)
+        assert not any(scalars._is_sum_atom(a) for pows in registered for a, _ in pows)
+        del scalars._NF_MEMO[result]
+        assert scalars._nf(result) == registered, to_text(result)
+        rebuilt += result is not tree
+        fractional += any(type(e) is scalars._KeyExp for pows in registered for _, e in pows)
+    assert rebuilt > 150 and fractional > 50, (rebuilt, fractional)
+
+
+def test_normalize_does_not_register_a_normal_form_with_a_sum_atom():
+    scalars.clear_caches()
+    table = VariableTable()
+    x, y = (Var(v) for v in table.positive("x", "y"))
+    for tree in (Mul((x, Pow(x + y, -1), x)),
+                 Pow(x + y, Fraction(3, 2)) + y,
+                 Pow(Mul((x - 1, Pow(x * x + 1, -1))), -1)):
+        result = normalize(tree)
+        assert result is not tree
+        assert any(scalars._is_sum_atom(a) for pows in scalars._nf(tree) for a, _ in pows)
+        assert result not in scalars._NF_MEMO
+
+
+def _reference_nf_of_product(e):
+    """``_nf`` of a ``Mul`` started from the unit monomial, as a product
+    of every factor's normal form."""
+    acc = {(): QC.of(1)}
+    for f in e.factors:
+        acc = scalars._nf_mul(acc, scalars._nf(f))
+        if not acc:
+            break
+    return scalars._collapse(acc)
+
+
+def test_product_normal_forms_start_from_the_first_factor_exactly():
+    # the same terms in the same order as from the unit monomial, sum atoms
+    # and radical recombination included
+    scalars.clear_caches()
+    table = VariableTable()
+    variables = table.positive("x", "y", "z")
+    rng = random.Random(2402)
+    products, with_sum_atoms = 0, 0
+    for _ in range(400):
+        tree = _random_tree(rng, variables, rng.randint(1, 5))
+        seen, stack = set(), [tree]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            stack.extend(getattr(node, "terms", getattr(node, "factors", ())))
+            if isinstance(node, Pow):
+                stack.append(node.base)
+            if not isinstance(node, Mul):
+                continue
+            try:
+                got = scalars._nf(node)
+            except DomainEvalError:
+                continue
+            assert _items(got) == _items(_reference_nf_of_product(node)), node
+            products += 1
+            with_sum_atoms += any(scalars._is_sum_atom(a) for pows in got for a, _ in pows)
+    assert products > 500 and with_sum_atoms > 100, (products, with_sum_atoms)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: a sum atom has no sign rule, so a cold re-derivation "
+    "of a normal form can flip the sign of a sum atom"))
+def test_normalize_is_idempotent_across_clear_caches():
+    scalars.clear_caches()
+    table = VariableTable()
+    x, z = (Var(v) for v in table.positive("x", "z"))
+    one, minus_one = Const(QC.of(1)), Const(QC.of(-1))
+    tree = Pow(Mul((Add((z, Mul((minus_one, one)))),
+                    Mul((one, Pow(Add((Mul((x, x)), one)), -1))))), -1)
+    result = normalize(tree)
+    assert to_text(result) == "x^2*(-1 + z)^(-1) + (-1 + z)^(-1)"
+    scalars.clear_caches()
+    # prints -x^2*(1 - z)^(-1) - (1 - z)^(-1)
+    assert normalize(result) is result
 
 
 def test_coefficient_power_budget_refuses_only_growing_powers():
@@ -791,6 +904,19 @@ def test_const_evaluates_to_its_cached_complex():
     assert third._complex == complex(float(Fraction(1, 3)), float(Fraction(-2, 7)))
     assert value == third._complex * 0.25 + third._complex
     assert evaluate(third, {}) is third._complex
+
+
+def test_pow_evaluates_with_its_cached_float_exponent():
+    scalars.clear_caches()
+    table = VariableTable()
+    x = Var(table.real("x")[0])
+    root = Pow(x + 2, Fraction(5, 17))  # an exponent no other test builds
+    assert root._fexp is None
+    value = evaluate(root * x, {"x": 0.25})
+    assert type(root._fexp) is float and root._fexp == float(Fraction(5, 17))
+    assert value == complex(2.25 ** root._fexp) * 0.25
+    scalars.clear_caches()
+    assert root._fexp == float(Fraction(5, 17))
 
 
 def _reference_eval_tree(e, point):
