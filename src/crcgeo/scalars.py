@@ -453,9 +453,7 @@ def lift(x: NumberLike) -> Expr:
 # An integral exponent is stored as an int and any other as an interned
 # ``_KeyExp`` (``_key_exp``): ints add and hash in C, a ``_KeyExp`` carries
 # its hash, and since equal values hash alike the memos see the same keys
-# as with Fractions throughout.  The pows tuples that ``_fix_monomial`` and
-# ``_mono_quotient`` build are interned too (``_shared_pows``), so equal
-# keys held by many normal forms and memo entries are one object.
+# as with Fractions throughout.
 
 _PowsKey = tuple
 
@@ -470,17 +468,15 @@ _QUOT_MEMO: dict = {}
 _STEP_MEMO: dict = {}
 _MUL_MEMO: dict = {}
 _MONO_MEMO: dict = {}
-_POWS: dict = {}
-_PAIRS: dict = {}
 _EXPS: dict = {}
 
 
 def clear_caches() -> None:
-    """Empty the memos and the key tables.  Live nodes stay interned, with
-    their cached sort keys, complex values and float exponents."""
+    """Empty the memos and the exponent table.  Live nodes stay interned,
+    with their cached sort keys, complex values and float exponents."""
     for memo in (_NF_MEMO, _NORM_MEMO, _CONJ_MEMO, _DIFF_MEMO,
                  _FREEVARS_MEMO, _CERT_MEMO, _QUOT_MEMO, _STEP_MEMO,
-                 _MUL_MEMO, _MONO_MEMO, _POWS, _PAIRS, _EXPS):
+                 _MUL_MEMO, _MONO_MEMO, _EXPS):
         memo.clear()
 
 
@@ -522,16 +518,6 @@ def _key_exp(e):
         shared = _KeyExp(num, den)
         shared._hash = Fraction.__hash__(shared)
         _EXPS[num, den] = shared
-    return shared
-
-
-def _shared_pows(pows: _PowsKey) -> _PowsKey:
-    """The one interned tuple equal to ``pows``, built from interned
-    (atom, exponent) pairs."""
-    shared = _POWS.get(pows)
-    if shared is None:
-        shared = tuple([_PAIRS.setdefault(pair, pair) for pair in pows])
-        _POWS[shared] = shared
     return shared
 
 
@@ -640,7 +626,7 @@ def _fix_monomial(coeff: QC, powmap: dict) -> dict:
             if not e:
                 continue
         reduced[atom] = _key_exp(e)
-    pows = _shared_pows(tuple(sorted(reduced.items(), key=_item_key)))
+    pows = tuple(sorted(reduced.items(), key=_item_key))
     result = {pows: coeff}
     for base_nf in expansions:
         result = _nf_mul(result, base_nf)
@@ -849,16 +835,16 @@ def _mono_quotient(num_pows: _PowsKey, den_pows: _PowsKey) -> _PowsKey:
     for a, x in den_pows:
         cur = powmap.get(a)
         powmap[a] = -x if cur is None else cur - x
-    return _shared_pows(tuple(sorted(
-        ((a, _key_exp(x)) for a, x in powmap.items() if x), key=_item_key)))
+    return tuple(sorted(((a, _key_exp(x)) for a, x in powmap.items() if x),
+                        key=_item_key))
 
 
 _QUOT_MAX_STEPS = 60
 
 
 def _var_span_rejects(nf: Mapping, base: Mapping) -> bool:
-    """True when no exact quotient nf / base can exist, for a divisor of at
-    least two terms whose atoms are all variables.
+    """True when no exact quotient nf / base can exist, for a divisor whose
+    atoms are all variables.
 
     A Var-only divisor never touches the non-Var part of a monomial, so the
     monomials of nf sharing one non-Var part divide on their own, inside
@@ -872,8 +858,6 @@ def _var_span_rejects(nf: Mapping, base: Mapping) -> bool:
     units such as 1 + 2^(1/2) or A^(1/2) + x with A = x^2 + y, and the
     ranges no longer add.
     """
-    if len(base) < 2:
-        return False
     for pows in base:
         for atom, _ in pows:
             if not isinstance(atom, Var):
@@ -1020,19 +1004,22 @@ def _nf(e: Expr) -> dict:
     if isinstance(e, Const):
         out = {} if e.value.is_zero else {(): e.value}
     elif isinstance(e, Var):
-        out = {_shared_pows(((e, 1),)): QC_ONE}
+        out = {((e, 1),): QC_ONE}
     elif isinstance(e, Add):
         acc: dict = {}
         for t in e.terms:
             _nf_add_into(acc, _nf(t))
         out = _collapse(acc)
     elif isinstance(e, Mul):
-        # a normal form times the unit monomial is itself, term for term
-        acc = dict(_nf(e.factors[0])) if e.factors else {(): QC_ONE}
-        for f in e.factors[1:]:
+        # derive every factor first, so a pole after a zero factor raises
+        # as one before it does; a normal form times the unit monomial is
+        # itself, term for term
+        factors = [_nf(f) for f in e.factors]
+        acc = dict(factors[0]) if factors else {(): QC_ONE}
+        for nf in factors[1:]:
             if not acc:
                 break
-            acc = _nf_mul(acc, _nf(f))
+            acc = _nf_mul(acc, nf)
         out = _collapse(acc)
     elif isinstance(e, Pow):
         out = _collapse(_nf_pow(_nf(e.base), e.exp))

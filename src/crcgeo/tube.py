@@ -361,23 +361,15 @@ def paper_example_rho() -> str:
 def ma_profile_solution(g_text: str) -> Expr:
     """Degree-1-homogeneous Monge-Ampere solution t2 * g(t1/t2).
 
-    Homogeneity makes the residual vanish identically; this is verified
-    before returning (a failure would be an implementation bug, reported
-    as such).
+    Homogeneity makes the residual vanish identically; ``tube_from_rho``
+    checks that as ``hypothesis:monge_ampere`` on the box it is given.
     """
     gtab = VariableTable()
     s_var, = gtab.real("s")
     g_expr = parse(g_text, gtab)
     table = _tube_table()
     t1, t2 = Var(table["t1"]), Var(table["t2"])
-    rho = normalize(t2 * substitute(g_expr, {s_var: t1 / t2}))
-    derivs = _derivative_cache(rho, table)
-    residual = ma_residual(derivs)
-    if not is_identically_zero(residual, {"t1": (0.5, 1.0), "t2": (0.5, 1.0)},
-                               trials=16, seed=3):
-        raise ExprError("profile construction produced a nonzero residual; "
-                        "this is a bug in the generator")
-    return rho
+    return normalize(t2 * substitute(g_expr, {s_var: t1 / t2}))
 
 
 # ---------------------------------------------------------------------------

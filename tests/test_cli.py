@@ -255,6 +255,14 @@ def test_expr_zero_inconclusive_exit_code():
         assert result.stderr == ""
 
 
+def test_expr_zero_refuses_a_pole_beside_a_zero_factor_in_either_order():
+    for text in ("(x-x)*(x-x)^(-1)", "(x-x)^(-1)*(x-x)"):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(["expr", "zero", "--expr", text, "--vars", "x:real",
+                             "--box", "x=0:1"])
+        assert (code, err.getvalue()) == (2, "error: zero raised to a negative power\n"), text
+
+
 def test_expr_zero_term_modulus_overflow_is_inconclusive():
     # each term's parts are finite but its modulus is past the float range,
     # so no point of the box is admissible

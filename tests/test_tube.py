@@ -184,11 +184,19 @@ def test_substitute_accepts_an_unnormalized_real_binding():
     assert substitute(Var(m), {m: ratio}) is normalize(ratio)
 
 
-def test_profile_linear_fails_positivity_downstream():
+def test_profile_linear_fails_positivity_downstream(capsys):
+    # t2*g(t1/t2) for g = s is t1: rho11 is identically zero, so
+    # S = (rho12/rho11)_1 divides by zero whatever the box
     rho = tube.ma_profile_solution("s")
     with pytest.raises(tube.TubeHypothesisError) as err:
         tube.tube_from_rho(rho, HOMOG_BOX)
-    assert err.value.hypothesis in ("positivity", "twonondegenerate")
+    assert str(err.value) == "positivity: rho11 is identically zero"
+    for args in (["profile", "--g", "s"],
+                 ["analyze", "--rho", "t1", "--box", "t1=0.5:1,t2=0.5:1"]):
+        assert cli.main(["tube", *args]) == cli.EXIT_FAIL
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["name"], c["status"], c["details"]["reason"]) for c in checks] == [
+            ("hypothesis:positivity", "fail", str(err.value))], args
 
 
 # ---------------------------------------------------------------------------
