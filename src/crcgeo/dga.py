@@ -25,8 +25,8 @@ whole rewritten form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .scalars import (
     Expr,
@@ -77,8 +77,7 @@ NECESSITY_STAGE2_ZEROS = frozenset({"T21", "T20", "F2_20", "P1", "P2", "P3"})
 LEADING_ZEROS = NECESSITY_STAGE2_ZEROS | {"F1_20", "Q1", "Q3"}
 
 
-@dataclass
-class DgaChart:
+class DgaChart(NamedTuple):
     chart: Chart
     curvature: dict  # name -> FormExpr, keys Theta2/Phi1/Phi2/Psi
 

@@ -14,32 +14,29 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     status: str
     details: dict
     timing_s: float  # seconds since the check before it in its report
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "details": self.details,
-                "timing_s": self.timing_s}
+        return self._asdict()
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-    _lap: float = field(default_factory=time.monotonic, init=False, repr=False,
-                        compare=False)
+    def __init__(self, title: str):
+        self.title = title
+        self.checks: list = []
+        self.config: dict = {}
+        self._lap = time.monotonic()
 
     def _split(self) -> float:
         now = time.monotonic()

@@ -42,10 +42,9 @@ import math
 import random
 import sys
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 REAL = "real"
 IMAGINARY = "imaginary"
@@ -230,8 +229,7 @@ QC_ONE = QC(1)
 # variables
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     reality: str
     partner: str | None = None
@@ -1150,21 +1148,24 @@ def differentiate(e: Expr, v: Variable) -> Expr:
 
 
 def _d(e: Expr, v: Variable) -> Expr:
+    """The product rule on a normal form, with no term whose derivative
+    factor is ``ZERO``: a normal form has no pole for a dropped factor to hide."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.var == v else ZERO
     if isinstance(e, Add):
-        return Add(tuple(_d(t, v) for t in e.terms))
-    if isinstance(e, Mul):
-        terms = []
+        terms = tuple(dt for dt in (_d(t, v) for t in e.terms) if dt is not ZERO)
+    elif isinstance(e, Mul):
         fs = e.factors
-        for i in range(len(fs)):
-            terms.append(Mul(fs[:i] + (_d(fs[i], v),) + fs[i + 1:]))
-        return Add(tuple(terms))
-    if isinstance(e, Pow):
-        return Mul((Const(QC.of(e.exp)), Pow(e.base, e.exp - 1), _d(e.base, v)))
-    raise TypeError(f"not an expression: {e!r}")
+        terms = tuple(Mul(fs[:i] + (df,) + fs[i + 1:])
+                      for i, df in enumerate(_d(f, v) for f in fs) if df is not ZERO)
+    elif isinstance(e, Pow):
+        db = _d(e.base, v)
+        return ZERO if db is ZERO else Mul((Const(QC.of(e.exp)), Pow(e.base, e.exp - 1), db))
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    return Add(terms) if terms else ZERO
 
 
 def conjugate(e: Expr) -> Expr:

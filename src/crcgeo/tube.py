@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
+from typing import NamedTuple
 
 from .parsing import parse
 from .scalars import (
@@ -118,19 +118,21 @@ def _tube_table() -> VariableTable:
     return table
 
 
-@dataclass
 class TubeModel:
     """A defining function's derivative cache and checked hypotheses, or
     (``jets`` not empty) the jet model of ``jet_model``."""
 
-    table: VariableTable
-    box: dict
-    trials: int = 32
-    seed: int = 0
-    tol: float = 1e-8
-    derivs: dict = field(default_factory=dict)
-    hypotheses: Report = field(default_factory=lambda: Report("tube hypotheses"))
-    jets: dict = field(default_factory=dict)  # see ``_derive``; empty for a rho
+    def __init__(self, table: VariableTable, box: dict, trials: int = 32,
+                 seed: int = 0, tol: float = 1e-8, derivs: dict | None = None,
+                 hypotheses: Report | None = None, jets: dict | None = None):
+        self.table = table
+        self.box = box
+        self.trials = trials
+        self.seed = seed
+        self.tol = tol
+        self.derivs = {} if derivs is None else derivs
+        self.hypotheses = Report("tube hypotheses") if hypotheses is None else hypotheses
+        self.jets = {} if jets is None else jets  # see ``_derive``; empty for a rho
 
     def d(self, key: str) -> Expr:
         return self.derivs[key]
@@ -415,8 +417,7 @@ def _symmetric_2x2_eigenvalues(a: float, b: float, c: float) -> tuple:
 # the adapted coframe
 
 
-@dataclass
-class TubeCoframe:
+class TubeCoframe(NamedTuple):
     model: TubeModel
     ambient: Chart            # base-and-fiber differentials
     frame: Chart              # adapted coframe chart for extraction
@@ -621,8 +622,7 @@ _READINGS = {
 }
 
 
-@dataclass
-class CurvatureVerdict:
+class CurvatureVerdict(NamedTuple):
     theta2_2bar1: Expr
     c: Expr
     theta2_21_gamma0: Expr

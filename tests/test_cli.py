@@ -117,6 +117,9 @@ def test_cli_imports_only_the_standard_library():
     assert "crcgeo.cli" in loaded
     allowed = sys.stdlib_module_names | {"crcgeo"}
     assert [name for name in loaded if name.partition(".")[0] not in allowed] == []
+    # records are typing.NamedTuple or plain classes: dataclasses would load
+    # inspect and through it dis, ast and tokenize, about 12 ms of start-up
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
 
 
 def test_usage_error_exit_code():

@@ -31,6 +31,13 @@ def test_extend_keeps_the_checks_and_their_times_and_restarts_the_lap():
     assert report.timing_s == inner.checks[0].timing_s + after.timing_s
 
 
+def test_reports_share_no_checks_or_config():
+    first, second = Report("first"), Report("second")
+    first.add("a", True)
+    first.config["k"] = 1
+    assert (second.checks, second.config) == ([], {})
+
+
 REPORTS = {
     "model structure equations": model.verify_structure_equations,
     "dga shifts": dga.verify_gauge_shifts,

@@ -59,6 +59,18 @@ def paper_rho(table):
     return parse("((1-12*t1*t2)^(3/2)+18*t1*t2-1)/(108*t2^2)", table)
 
 
+def test_variable_is_a_frozen_value_of_its_three_fields(table):
+    pair = table["b"]
+    assert (pair.name, pair.reality, pair.partner) == ("b", scalars.COMPLEX_PAIRED, "bb")
+    assert pair == scalars.Variable("b", scalars.COMPLEX_PAIRED, "bb") != table["bb"]
+    # set and dict orders, and with them every output, follow this hash
+    assert hash(pair) == hash(("b", scalars.COMPLEX_PAIRED, "bb"))
+    assert hash(table["t1"]) == hash(("t1", scalars.REAL, None))
+    with pytest.raises(AttributeError):
+        pair.name = "c"
+    assert repr(pair) == "Variable(b:complex_paired)"
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -778,6 +790,38 @@ def test_product_normal_forms_start_from_the_first_factor_exactly():
             products += 1
             with_sum_atoms += any(scalars._is_sum_atom(a) for pows in got for a, _ in pows)
     assert products > 500 and with_sum_atoms > 100, (products, with_sum_atoms)
+
+
+def _full_product_rule(e, v):
+    """The product rule with a term for every factor, ``ZERO`` derivative
+    factors included: the reference ``differentiate`` must agree with."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Var):
+        return Const(QC.of(1)) if e.var == v else ZERO
+    if isinstance(e, Add):
+        return Add(tuple(_full_product_rule(t, v) for t in e.terms))
+    if isinstance(e, Mul):
+        fs = e.factors
+        return Add(tuple(Mul(fs[:i] + (_full_product_rule(fs[i], v),) + fs[i + 1:])
+                         for i in range(len(fs))))
+    return Mul((Const(QC.of(e.exp)), Pow(e.base, e.exp - 1), _full_product_rule(e.base, v)))
+
+
+def test_differentiate_equals_the_full_product_rule():
+    # differentiate builds no term whose derivative factor is ZERO; on a
+    # normal form that drops nothing the full rule would keep
+    scalars.clear_caches()
+    table = VariableTable()
+    variables = table.positive("x", "y", "z")
+    rng = random.Random(2603)
+    with_sum_atoms = 0
+    for _ in range(400):
+        n = normalize(_random_tree(rng, variables, rng.randint(1, 5)))
+        v = rng.choice(variables)
+        assert differentiate(n, v) is normalize(_full_product_rule(n, v)), (n, v)
+        with_sum_atoms += any(scalars._is_sum_atom(a) for pows in scalars._nf(n) for a, _ in pows)
+    assert with_sum_atoms >= 100, with_sum_atoms
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -444,6 +444,23 @@ def test_flatness_probe_branches(paper_verdict):
     assert unknown.cartan_obstruction is None
 
 
+def test_tube_models_share_no_cache_or_report():
+    table = tube._tube_table()
+    first, second = tube.TubeModel(table, {}), tube.TubeModel(table, {})
+    for name in ("derivs", "jets", "hypotheses"):
+        assert getattr(first, name) is not getattr(second, name), name
+    assert first.hypotheses.checks is not second.hypotheses.checks
+    assert (first.trials, first.seed, first.tol, first.derivs, first.jets) == (32, 0, 1e-8, {}, {})
+    assert first.hypotheses.title == "tube hypotheses"
+
+
+def test_coframe_rewrites_into_and_reads_its_frame(paper_coframe):
+    cf = paper_coframe
+    assert cf.gen("theta2") == cf.frame.gen("theta2")
+    dtheta2 = cf.forms_ambient["theta2"].d()
+    assert cf.rewrite(dtheta2) == dtheta2.rewrite(cf.frame_sub)
+
+
 def test_torsion_conjugation_consistency(paper_model, paper_coframe):
     """Conjugating the torsion form equals computing it from conjugated
     inputs (zero test at 8 points)."""
