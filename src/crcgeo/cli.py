@@ -109,8 +109,11 @@ def parse_bindings(text: str) -> dict:
 def _emit(report: Report, args) -> int:
     payload = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(payload + "\n")
     return {PASS: EXIT_PASS, FAIL: EXIT_FAIL,

@@ -43,7 +43,7 @@ from .scalars import (
 )
 from .forms import Chart, FormExpr
 from . import model
-from .model import COFRAME
+from .model import COFRAME, PARAMETERS
 from .report import Report
 
 HALF = Fraction(1, 2)
@@ -52,7 +52,7 @@ HALF = Fraction(1, 2)
 # coefficients (T* torsion-form coefficients, F2*/F1* the two connection
 # curvatures, P*/Q* the secondary families, PS* the last curvature row) and
 # the gauge-shift functions c, f, g, r, s each get a d_ covector of their
-# kind as differential; the isotropy parameters B, Lam, A are constants.
+# kind as differential; the isotropy parameters (``PARAMETERS``) are constants.
 CURVATURE_SCALARS = (
     *((pair, "pair") for pair in (
         ("T21", "T21c"), ("T20", "T20c"), ("T10", "T10c"), ("T1b0", "T1b0c"),
@@ -67,7 +67,6 @@ SCALARS = (
     *((pair, "pair") for pair in (("c", "cb"), ("f", "fb"), ("r", "rb"))),
     (("g", "s"), "real"),
 )
-PARAMETERS = ((("B", "Bb"), "pair"), (("Lam",), "imaginary"), (("A", "Ab"), "pair"))
 
 # every curvature coefficient: zeroing them all gives the flat chart
 CURVATURE_COEFFS = frozenset(n for names, _ in CURVATURE_SCALARS for n in names)

@@ -18,15 +18,10 @@ form that touches them raises ``MissingRuleError``.  ``verify_d_squared``
 certifies d(d g) = 0 for each generator whose rule touches only ruled
 generators, and ``install_rules`` raises on the first that fails unless
 told not to check.
-
-Charts can also be read from declaration files (``load_chart``); their
-form expressions go through ``parse_form``, which is the grammar of
-``parsing`` building forms instead of scalars.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -36,7 +31,6 @@ from .scalars import (
     ExprError,
     IMAGINARY,
     ONE,
-    ParseError,
     REAL,
     Variable,
     VariableTable,
@@ -53,7 +47,6 @@ from .scalars import (
     substitute,
     to_text,
 )
-from . import parsing
 
 
 class ChartError(ExprError):
@@ -418,108 +411,3 @@ class FormExpr:
 
     def generators_present(self) -> set:
         return {self.chart.generators[i].name for w in self.terms for i in w}
-
-
-# ---------------------------------------------------------------------------
-# textual chart declarations
-
-
-def parse_form(text: str, chart: Chart) -> FormExpr:
-    """Parse a form expression in the grammar of ``parsing``.
-
-    Generator names are degree-1 basis forms, declared variables are
-    scalars, and ``/\\`` is the wedge product; ``*`` multiplies only when
-    one side is a scalar, and ``/`` and ``^`` apply to scalars only.
-    """
-    return _FormGrammar(text, chart).parse_all()
-
-
-def _scalar_part(form: FormExpr, message: str, offset: int) -> Expr:
-    if form.degree != 0:
-        raise ParseError(message, offset)
-    return form.terms.get((), ZERO)
-
-
-class _FormGrammar(parsing.Parser):
-    """``parsing.Parser`` with builders that make forms on a chart."""
-
-    def __init__(self, text: str, chart: Chart):
-        super().__init__(text, chart.table)
-        self.chart = chart
-
-    def constant(self, e: Expr) -> FormExpr:
-        return self.chart.scalar(e)
-
-    def identifier(self, tok) -> FormExpr:
-        if tok.text in self.chart._index:
-            return self.chart.gen(tok.text)
-        return self.chart.scalar(super().identifier(tok))
-
-    def mul(self, a: FormExpr, b: FormExpr, tok) -> FormExpr:
-        if a.degree == 0:
-            return b.scale(a.terms.get((), ZERO))
-        return a.scale(_scalar_part(b, "use /\\ to multiply forms", tok.offset))
-
-    def div(self, a: FormExpr, b: FormExpr, tok) -> FormExpr:
-        return a.scale(ONE / _scalar_part(b, "cannot divide by a form", tok.offset))
-
-    def wedge(self, a: FormExpr, b: FormExpr, tok) -> FormExpr:
-        return a.wedge(b)
-
-    def power(self, base: FormExpr, exp: Fraction, tok) -> FormExpr:
-        scalar = _scalar_part(base, "powers apply to scalars only", tok.offset)
-        return self.chart.scalar(scalar ** exp)
-
-    def rational(self, form: FormExpr, offset: int) -> Fraction:
-        return super().rational(_scalar_part(form, "exponent must be scalar", offset), offset)
-
-
-def load_chart(text: str, check: bool = True) -> Chart:
-    """Build a chart from a declarative description.
-
-    ``[variables]`` and ``[generators]`` hold ``names : kind`` lines, the
-    kind a key of ``scalars.KINDS`` (two names for ``pair``; generators
-    take ``real``, ``imaginary`` or ``pair``, in coframe order).  ``[d]``
-    and ``[dscalar]`` rule them with form expressions, where ``0``
-    declares a closed generator or a constant.
-    Missing d-rules of conjugate partners are filled in by
-    conjugation; generators without rules stay inert.
-    """
-    table = VariableTable()
-    gens: list[Variable] = []
-    d_lines: list[tuple[str, str]] = []
-    ds_lines: list[tuple[str, str]] = []
-    section = None
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            section = line.strip("[]").strip().lower()
-            continue
-        if section in ("variables", "generators"):
-            if ":" not in line:
-                raise ChartError(f"expected 'names : kind' in [{section}]: {line!r}")
-            names_part, kind = (p.strip() for p in line.rsplit(":", 1))
-            names = names_part.split()
-            if section == "variables":
-                table.declare(kind, *names)
-            else:
-                gens.extend(declared(kind, names))
-        elif section in ("d", "dscalar"):
-            if "=" not in line:
-                raise ChartError(f"expected 'name = form' in [{section}]: {line!r}")
-            name, rhs = (p.strip() for p in line.split("=", 1))
-            (d_lines if section == "d" else ds_lines).append((name, rhs))
-        else:
-            raise ChartError(f"content outside a known section: {line!r}")
-    chart = Chart(table, gens)
-
-    def rule(rhs: str, degree: int) -> FormExpr:
-        form = parse_form(rhs, chart)
-        return chart.zero(degree) if form.is_zero else form
-
-    d_rules = {name: rule(rhs, 2) for name, rhs in d_lines}
-    scalar_rules = {name: rule(rhs, 1) for name, rhs in ds_lines}
-    chart.install_rules(d_rules, scalar_rules, check=check)
-    return chart

@@ -4,9 +4,10 @@ isotropy subgroups, Maurer-Cartan form and structure equations.
 The model group lives on C^5 and preserves a symmetric bilinear form S
 and a Hermitian form T (plus the real form J = diag(1,1,1,-1,-1) in the
 original coordinates).  The connection matrix is assembled from six
-scalar-valued 1-forms on the model chart, whose generators and structure
-equations ``model_chart`` reads from ``data/model.chart`` once per process
-(``dga`` and ``tube`` take them from it too).  ``verify_structure_equations``
+scalar-valued 1-forms on the model chart.  ``model_chart`` declares its
+ten generators, its six structure equations and the constant isotropy
+parameters (``PARAMETERS``), once per process; ``dga`` and ``tube`` take
+the generators and equations from it.  ``verify_structure_equations``
 certifies d(MC) = MC /\\ MC entrywise, and ``verify_adjoint_transforms``
 certifies the closed-form component transformations ``h2_transform`` and
 ``h1_transform`` under both isotropy subgroup families.  Those two
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from pathlib import Path
 
 from .scalars import (
     ONE,
     RealityViolationError,
     Var,
+    VariableTable,
     ZERO,
     certify_zero,
     conjugate,
@@ -31,7 +32,7 @@ from .scalars import (
     normalize,
     to_text,
 )
-from .forms import Chart, FormExpr, load_chart
+from .forms import Chart, FormExpr, g_imaginary, g_pair
 from .matrices import FMatrix, SMatrix
 from .report import Report
 
@@ -170,20 +171,39 @@ def group_conditions_hold(c: SMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # model chart and Maurer-Cartan form
 
-CHART_PATH = Path(__file__).with_name("data") / "model.chart"
-
 # the six independent connection components, in matrix-pattern order,
 # and the chart generators that are the model's values of them
 COMPONENTS = ("w", "w1", "t2", "p1", "p2", "ps")
 COFRAME = ("omega", "omega1", "theta2", "phi1", "phi2", "psi")
 
+# the isotropy parameters as (names, kind): constants of every chart that
+# extends the model chart
+PARAMETERS = ((("B", "Bb"), "pair"), (("Lam",), "imaginary"), (("A", "Ab"), "pair"))
+
 
 @functools.cache
 def model_chart() -> Chart:
-    """Model coframe chart: generators, structure equations and the
-    constant isotropy parameters B, Lam, A, all from ``data/model.chart``,
-    loaded and d-squared-checked once per process."""
-    return load_chart(CHART_PATH.read_text(encoding="utf-8"))
+    """Model coframe chart: the ten generators, the six structure equations
+    (partners' rules by conjugation) and the isotropy parameters B, Lam, A
+    as constants, built and d-squared-checked once per process."""
+    table = VariableTable()
+    for names, kind in PARAMETERS:
+        table.declare(kind, *names)
+    chart = Chart(table, [g_imaginary("omega"), *g_pair("omega1", "omega1c"),
+                          *g_pair("theta2", "theta2c"), *g_pair("phi1", "phi1c"),
+                          *g_pair("phi2", "phi2c"), g_imaginary("psi")])
+    g = chart.gen
+    w = lambda x, y: g(x).wedge(g(y))
+    d_rules = {
+        "omega": -w("omega1", "omega1c") - g("omega").wedge(g("phi2") + g("phi2c")),
+        "omega1": w("theta2", "omega1c") - w("omega1", "phi2") - w("omega", "phi1"),
+        "theta2": -g("theta2").wedge(g("phi2") - g("phi2c")) + w("omega1", "phi1"),
+        "phi1": -w("theta2", "phi1c") + w("omega1", "psi") + w("phi1", "phi2c"),
+        "phi2": w("theta2", "theta2c") + w("omega1", "phi1c") + w("omega", "psi"),
+        "psi": -w("phi1", "phi1c") + g("psi").wedge(g("phi2") + g("phi2c")),
+    }
+    return chart.install_rules(
+        d_rules, {n: chart.zero(1) for names, _ in PARAMETERS for n in names})
 
 
 def coframe(chart: Chart) -> tuple[FormExpr, ...]:

@@ -1,16 +1,12 @@
-"""Recursive-descent parser for the expression grammar of scalars and forms.
+"""Recursive-descent parser for the scalar expression grammar.
 
-Grammar (precedence low to high): ``+ -`` < ``/\\`` < ``* /`` < unary
-minus < ``^``, with ``^`` right-associative.  Primaries are rational and
-decimal literals, the imaginary unit ``i``, ``sqrt(x)`` (sugar for
-``x^(1/2)``), declared identifiers, and parenthesized expressions.
-Exponents must fold to rational constants.  Errors carry the byte offset
-of the offending token in the text as given.
-
-One grammar serves two readers.  ``parse`` builds raw scalar nodes over a
-variable table, and there the wedge ``/\\`` is an error;
-``forms.parse_form`` subclasses the parser so that the same grammar code
-builds forms on a chart.
+Grammar (precedence low to high): ``+ -`` < ``* /`` < unary minus <
+``^``, with ``^`` right-associative.  Primaries are rational and decimal
+literals, the imaginary unit ``i``, ``sqrt(x)`` (sugar for ``x^(1/2)``),
+declared identifiers, and parenthesized expressions.  Exponents must fold
+to rational constants.  ``parse`` builds raw scalar nodes over a variable
+table.  Errors carry the byte offset of the offending token in the text
+as given.
 """
 
 from __future__ import annotations
@@ -44,7 +40,8 @@ class Token(NamedTuple):
 
 
 # Whitespace, then a number, an identifier, an operator, or any other
-# character, which is an error.
+# character, which is an error.  The wedge ``/\`` of form notation is one
+# operator that no rule takes, so it is refused at its first character.
 _TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d*)?|\.\d+)|([^\W\d]\w*)|(/\\|[-+*/^(),])|(\S))")
 _KINDS = (None, "num", "ident", "op")
 
@@ -70,9 +67,8 @@ def _number_to_expr(text: str, offset: int) -> Expr:
 
 
 class Parser:
-    """The grammar over one text.  Grammar methods (``parse_*``) add, subtract
-    and negate values with their own operators, and build every other value
-    with the builder methods at the end of the class: raw scalar nodes here."""
+    """The grammar over one text: each ``parse_*`` method builds the raw
+    scalar nodes of its rule."""
 
     def __init__(self, text: str, table: VariableTable):
         self.tokens = tokenize(text)
@@ -92,46 +88,36 @@ class Parser:
             raise ParseError(f"expected {op!r}", tok.offset)
         return self.advance()
 
-    def parse_all(self):
+    def parse_all(self) -> Expr:
         node = self.parse_sum()
         tail = self.tok
         if tail.kind != "end":
             raise ParseError(f"unexpected trailing input {tail.text!r}", tail.offset)
         return node
 
-    def parse_sum(self):
-        node = self.parse_wedge()
+    def parse_sum(self) -> Expr:
+        node = self.parse_product()
         while True:
             tok = self.tok
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
-                rhs = self.parse_wedge()
+                rhs = self.parse_product()
                 node = node + rhs if tok.text == "+" else node - rhs
             else:
                 return node
 
-    def parse_wedge(self):
-        node = self.parse_product()
-        while True:
-            tok = self.tok
-            if tok.kind == "op" and tok.text == "/\\":
-                self.advance()
-                node = self.wedge(node, self.parse_product(), tok)
-            else:
-                return node
-
-    def parse_product(self):
+    def parse_product(self) -> Expr:
         node = self.parse_unary()
         while True:
             tok = self.tok
             if tok.kind == "op" and tok.text in "*/":
                 self.advance()
                 rhs = self.parse_unary()
-                node = self.mul(node, rhs, tok) if tok.text == "*" else self.div(node, rhs, tok)
+                node = Mul((node, rhs if tok.text == "*" else Pow(rhs, MINUS_ONE_EXP)))
             else:
                 return node
 
-    def parse_unary(self):
+    def parse_unary(self) -> Expr:
         # also the exponent operand: a leading minus binds to the exponent
         tok = self.tok
         if tok.kind == "op" and tok.text == "-":
@@ -139,66 +125,42 @@ class Parser:
             return -self.parse_unary()
         return self.parse_power()
 
-    def parse_power(self):
+    def parse_power(self) -> Expr:
         base = self.parse_primary()
         tok = self.tok
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             offset = self.tok.offset
-            return self.power(base, self.rational(self.parse_unary(), offset), tok)
+            exp = normalize(self.parse_unary())
+            if not isinstance(exp, Const) or exp.value.b:
+                raise ParseError("exponent must be a rational constant", offset)
+            return Pow(base, exp.value.re)
         return base
 
-    def parse_primary(self):
+    def parse_primary(self) -> Expr:
         tok = self.tok
         if tok.kind == "num":
             self.advance()
-            return self.constant(_number_to_expr(tok.text, tok.offset))
+            return _number_to_expr(tok.text, tok.offset)
         if tok.kind == "ident":
             self.advance()
             if tok.text == "i":
-                return self.constant(I)
+                return I
             if tok.text == "sqrt":
                 self.expect_op("(")
                 inner = self.parse_sum()
                 self.expect_op(")")
-                return self.power(inner, HALF, tok)
-            return self.identifier(tok)
+                return Pow(inner, HALF)
+            v = self.table.get(tok.text)
+            if v is None:
+                raise UndeclaredIdentifierError(tok.text, tok.offset)
+            return Var(v)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             inner = self.parse_sum()
             self.expect_op(")")
             return inner
         raise ParseError("expected a number, identifier or '('", tok.offset)
-
-    # -- builders: raw scalar nodes ---------------------------------------
-
-    def constant(self, e: Expr):
-        return e
-
-    def identifier(self, tok: Token):
-        v = self.table.get(tok.text)
-        if v is None:
-            raise UndeclaredIdentifierError(tok.text, tok.offset)
-        return Var(v)
-
-    def mul(self, a, b, tok: Token):
-        return Mul((a, b))
-
-    def div(self, a, b, tok: Token):
-        return Mul((a, Pow(b, MINUS_ONE_EXP)))
-
-    def wedge(self, a, b, tok: Token):
-        raise ParseError("the wedge operator '/\\' joins forms, not scalars", tok.offset)
-
-    def power(self, base, exp: Fraction, tok: Token):
-        return Pow(base, exp)
-
-    def rational(self, e: Expr, offset: int) -> Fraction:
-        """Fold an exponent to a rational constant."""
-        n = normalize(e)
-        if isinstance(n, Const) and not n.value.b:
-            return n.value.re
-        raise ParseError("exponent must be a rational constant", offset)
 
 
 def parse(text: str, table: VariableTable) -> Expr:

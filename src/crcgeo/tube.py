@@ -32,7 +32,7 @@ first, seeded sampling on the model's box otherwise) and turns an
 undecided test into ``INCONCLUSIVE``.  rho11 > 0 is checked at the points
 the kernel's sampler ``sample_values`` draws, the sampler of the zero test.
 The defining function is read once, by ``_rho_over_base``, which refuses
-variables other than t1, t2.
+variables other than t1, t2 and a function that is not real.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .scalars import (
     DomainEvalError,
     Expr,
     ExprError,
+    RealityViolationError,
     Var,
     VariableTable,
     ZERO,
@@ -57,6 +58,7 @@ from .scalars import (
     evaluate,
     free_variables,
     is_identically_zero,
+    is_zero_expr,
     lift,
     normalize,
     sample_values,
@@ -284,14 +286,17 @@ def _zero_hypothesis(model: TubeModel, hypothesis: str, x: Expr, seed_shift: int
 
 
 def _rho_over_base(rho) -> Expr:
-    """The defining function as an expression over the real t1, t2: text is
-    parsed over those two, and any other variable is refused."""
+    """The defining function as a real expression over the real t1, t2: text
+    is parsed over those two, and any other variable, or an expression that
+    is not its own conjugate, is refused."""
     base = VariableTable()
     base.real("t1", "t2")
     e = parse(rho, base) if isinstance(rho, str) else lift(rho)
     allowed = set(base.variables())
     for name in sorted(v.name for v in free_variables(e) if v not in allowed):
         raise ExprError(f"defining function uses unexpected variable {name}")
+    if not is_zero_expr(conjugate(e) - e):
+        raise RealityViolationError("defining function is not real")
     return e
 
 

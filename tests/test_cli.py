@@ -96,6 +96,32 @@ def test_tube_levi_check_skips_points_where_the_hessian_is_undefined():
     assert levi["details"] == {"points": 0, "max_relative_smallest_eigenvalue": None}
 
 
+@pytest.mark.parametrize("args", [
+    ("analyze", "--rho", "t1^2/t2 + i*t1", "--box", "t1=0.5:1,t2=0.5:1"),
+    ("profile", "--g", "s^2 + i*s"),
+])
+def test_tube_refuses_a_defining_function_that_is_not_real(args, capsys):
+    assert cli.main(["tube", *args]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: defining function is not real\n"
+
+
+def test_tube_accepts_a_real_defining_function_written_with_i(capsys):
+    # -(i*t1)^2/t2 is the light cone t1^2/t2
+    code = cli.main(["tube", "analyze", "--rho=-(i*t1)^2/t2",
+                     "--box", "t1=0.5:1,t2=0.5:1"])
+    assert code == cli.EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+
+
+@pytest.mark.parametrize("target", ("directory", "missing/x.json"))
+def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, target, capsys):
+    out = tmp_path if target == "directory" else tmp_path / target
+    code = cli.main(["model", "verify", "--out", str(out)])
+    reason = "Is a directory" if target == "directory" else "No such file or directory"
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+
+
 def test_tube_analyze_parse_error_exit_code():
     result = run_cli("tube", "analyze", "--rho", "t1 +",
                      "--box", "t1=0.1:1,t2=0.1:1")
@@ -103,23 +129,37 @@ def test_tube_analyze_parse_error_exit_code():
     assert "offset" in result.stderr
 
 
-def test_cli_imports_only_the_standard_library():
-    # crcgeo has no runtime dependency: every module that importing the
-    # CLI loads in a fresh interpreter is crcgeo's own or the stdlib's
+def _modules_loaded_by_importing_the_cli(*flags):
+    """The modules that ``import crcgeo.cli`` loads in a fresh interpreter
+    started with ``flags``."""
     probe = ("import sys; before = set(sys.modules); import crcgeo.cli; "
              "print(*sorted(set(sys.modules) - before))")
     package_root = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+    result = subprocess.run([sys.executable, *flags, "-c", probe], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
     loaded = result.stdout.split()
     assert "crcgeo.cli" in loaded
+    return loaded
+
+
+def test_cli_imports_only_the_standard_library():
+    # crcgeo has no runtime dependency: every module that importing the
+    # CLI loads in a fresh interpreter is crcgeo's own or the stdlib's
+    loaded = _modules_loaded_by_importing_the_cli()
     allowed = sys.stdlib_module_names | {"crcgeo"}
     assert [name for name in loaded if name.partition(".")[0] not in allowed] == []
     # records are typing.NamedTuple or plain classes: dataclasses would load
     # inspect and through it dis, ast and tokenize, about 12 ms of start-up
     assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+
+
+def test_cli_import_loads_no_path_library():
+    # the model chart is declared in code, not read from a file: without
+    # site, which preloads pathlib, nothing should load it and what it pulls in
+    loaded = _modules_loaded_by_importing_the_cli("-S")
+    assert {"pathlib", "urllib.parse", "ipaddress", "fnmatch"}.isdisjoint(loaded)
 
 
 def test_usage_error_exit_code():

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -15,8 +14,6 @@ from crcgeo.forms import (
     g_imaginary,
     g_pair,
     g_real,
-    load_chart,
-    parse_form,
 )
 from crcgeo.model import model_chart
 from crcgeo.parsing import parse
@@ -24,12 +21,11 @@ from crcgeo.scalars import (
     KINDS,
     Const,
     ExprError,
-    ParseError,
     QC,
-    UndeclaredIdentifierError,
     Var,
     VariableTable,
     ZERO,
+    declared,
     is_zero_expr,
     normalize,
 )
@@ -283,83 +279,35 @@ def test_rewrite_requires_complete_substitution(chart):
 
 
 # ---------------------------------------------------------------------------
-# declarative chart files
+# rule installation
 
 
-MODEL_DECL = (Path(__file__).parent.parent / "src" / "crcgeo" / "data"
-              / "model.chart").read_text()
+def test_install_rules_checks_d_squared():
+    # d(d x) = d(y^z) = dy^z = x^y^z: the rules are refused unless told
+    # not to check
+    def chart_and_rules():
+        chart = Chart(VariableTable(), [g_real("x"), g_real("y"), g_real("z")])
+        return chart, {"x": w(chart, "y", "z"), "y": w(chart, "x", "y"), "z": chart.zero(2)}
+
+    chart, rules = chart_and_rules()
+    with pytest.raises(ChartError, match=r"d\(d x\) != 0"):
+        chart.install_rules(rules)
+    chart, rules = chart_and_rules()
+    chart.install_rules(rules, check=False)
+    assert chart.verify_d_squared() == {"x": False, "y": True, "z": True}
 
 
-def test_load_chart_validates_d_squared():
-    bad = MODEL_DECL.replace(
-        "omega = - omega1 /\\ omega1c - omega /\\ (phi2 + phi2c)",
-        "omega = - omega1 /\\ omega1c")
-    with pytest.raises(ChartError):
-        load_chart(bad)
-
-
-def test_parse_form_wedge_precedence(chart):
-    parsed = parse_form("2*omega /\\ psi + theta2 /\\ omega1", chart)
-    expected = w(chart, "omega", "psi").scale(2) + w(chart, "theta2", "omega1")
-    assert parsed == expected
-
-
-def test_parse_form_error_offsets_are_exact_after_wedges(chart):
-    for text, offset in (("omega /\\ omega1 + zz", 18),
-                         ("omega /\\ omega1 /\\ theta2 + zz", 28),
-                         ("omega/\\omega1+zz", 14)):
-        assert text[offset:offset + 2] == "zz"
-        with pytest.raises(UndeclaredIdentifierError) as err:
-            parse_form(text, chart)
-        assert err.value.offset == offset, text
-
-
-def test_parse_form_rejects_bare_at_sign(chart):
-    with pytest.raises(ParseError) as err:
-        parse_form("omega @ omega1", chart)
-    assert err.value.offset == 6
-
-
-@pytest.fixture(scope="module")
-def grammar_chart():
-    """A chart of its own for the grammar cases below, whose generator
-    names are part of the test ids."""
-    return load_chart("[variables]\nB Bb : pair\n"
-                      "[generators]\ntheta : imaginary\ntheta1 theta1c : pair\n")
-
-
-@pytest.mark.parametrize("text, gen, scalar", [
-    ("theta1 / 2", "theta1", lambda B, Bb: Fraction(1, 2)),
-    ("(B*Bb)^2 * theta", "theta", lambda B, Bb: (B * Bb) ** 2),
-    ("2/B*theta1", "theta1", lambda B, Bb: 2 / B),
-])
-def test_parse_form_divides_and_raises_scalars(grammar_chart, text, gen, scalar):
-    chart = grammar_chart
-    B, Bb = Var(chart.table["B"]), Var(chart.table["Bb"])
-    assert parse_form(text, chart) == chart.gen(gen).scale(scalar(B, Bb))
-
-
-@pytest.mark.parametrize("text, message, offset", [
-    ("theta / theta1", "cannot divide by a form", 6),
-    ("theta^2", "powers apply to scalars only", 5),
-    ("B^theta", "exponent must be scalar", 2),
-])
-def test_parse_form_keeps_forms_out_of_division_and_powers(grammar_chart, text, message,
-                                                           offset):
-    with pytest.raises(ParseError) as err:
-        parse_form(text, grammar_chart)
-    assert message in str(err.value)
-    assert err.value.offset == offset
-
-
-def test_chart_file_zero_rule_declares_constant(chart):
+def test_zero_rule_declares_a_constant(chart):
     assert chart.scalar(Var(chart.table["Lam"])).d().is_zero
-    closed = load_chart("[generators]\nx : real\n[d]\nx = 0\n")
+    closed = Chart(VariableTable(), [g_real("x")])
+    closed.install_rules({"x": closed.zero(2)})
     assert closed.gen("x").d().is_zero and closed.gen("x").d().degree == 2
 
 
 # ---------------------------------------------------------------------------
 # one declaration vocabulary for variables and generators
+
+GENERATOR_KINDS = {"real": g_real, "imaginary": g_imaginary, "pair": g_pair}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -367,19 +315,24 @@ def test_each_kind_gives_one_tag_everywhere(kind):
     names = ("p", "q") if kind == "pair" else ("p", "q2")
     direct = VariableTable().declare(kind, *names)
     assert {v.reality for v in direct} == {KINDS[kind]}
-    from_chart = load_chart(f"[variables]\n{' '.join(names)} : {kind}\n").table
+    assert declared(kind, names) == direct
     from_cli = cli.parse_declarations("p~q" if kind == "pair"
                                       else ",".join(f"{n}:{kind}" for n in names))
-    for table in (from_chart, from_cli):
-        assert table.variables() == direct
+    assert from_cli.variables() == direct
+    make = GENERATOR_KINDS.get(kind)
+    if make is not None:
+        gens = make(*names) if kind == "pair" else [make(n) for n in names]
+        assert list(Chart(VariableTable(), gens).generators) == direct
 
 
 def test_kind_keywords_are_case_sensitive_everywhere(capsys):
-    # KINDS alone decides what a keyword is: a chart file and --vars refuse
-    # "REAL" with one message
+    # KINDS alone decides what a keyword is: a declaration in code and
+    # --vars refuse "REAL" with one message
     with pytest.raises(ExprError) as err:
-        load_chart("[variables]\nx : REAL\n")
+        VariableTable().declare("REAL", "x")
     assert str(err.value) == "unknown kind 'REAL'"
+    with pytest.raises(ExprError, match=str(err.value)):
+        declared("REAL", ["g"])
     code = cli.main(["expr", "eval", "--expr", "t1", "--vars", "t1:REAL", "--at", "t1=1"])
     assert code == cli.EXIT_USAGE
     assert capsys.readouterr().err.strip() == f"error: {err.value}"
@@ -388,21 +341,27 @@ def test_kind_keywords_are_case_sensitive_everywhere(capsys):
 @pytest.mark.parametrize("kind", ("positive", "unit"))
 def test_generators_refuse_variable_only_kinds(kind):
     with pytest.raises(ChartError, match="not real, imaginary or pair"):
-        load_chart(f"[generators]\ng : {kind}\n")
+        Chart(VariableTable(), declared(kind, ["g"]))
 
 
 @pytest.mark.parametrize("section", ("variables", "generators"))
 @pytest.mark.parametrize("names", ("g", "g g", "g h k"))
 def test_pair_needs_two_distinct_names(section, names):
     with pytest.raises(ExprError, match="two distinct names"):
-        load_chart(f"[{section}]\n{names} : pair\n")
+        if section == "variables":
+            VariableTable().declare("pair", *names.split())
+        else:
+            Chart(VariableTable(), declared("pair", names.split()))
 
 
 @pytest.mark.parametrize("line", ("x : real", "x y : pair", "i : real",
                                   "sqrt : imaginary", "2g : real", "g-h : real"))
 def test_generator_names_follow_the_variable_name_rule(line):
+    names, kind = line.split(" : ")
+    table = VariableTable()
+    table.real("x")
     with pytest.raises(ChartError):
-        load_chart(f"[variables]\nx : real\n[generators]\n{line}\n")
+        Chart(table, declared(kind, names.split()))
 
 
 def test_generator_cannot_shadow_a_variable():

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from crcgeo import cli, dga, model
-from crcgeo.forms import ChartError, load_chart
+from crcgeo.forms import Chart, ChartError
 from crcgeo.matrices import SMatrix
 from crcgeo.scalars import (
     COMPLEX_PAIRED,
@@ -229,18 +229,22 @@ def test_structure_equation_runtime_budget(chart):
     assert report.timing_s < 5.0
 
 
-def _corrupted_chart_text():
-    """The model chart file with ``+ omega /\\ phi2`` added to d(omega)."""
-    text = model.CHART_PATH.read_text()
-    rule = "omega = - omega1 /\\ omega1c - omega /\\ (phi2 + phi2c)"
-    assert rule in text
-    return text.replace(rule, rule + " + omega /\\ phi2")
+def _corrupted_chart(check=False):
+    """The model chart's rules rewritten onto a fresh chart, with
+    ``omega /\\ phi2`` added to d(omega)."""
+    reference = model.model_chart()
+    chart = Chart(reference.table, reference.generators)
+    g = chart.gen
+    sub = {gen.name: g(gen.name) for gen in reference.generators}
+    d_rules = {name: reference.d_rule(name).rewrite(sub) for name in model.COFRAME}
+    d_rules["omega"] = d_rules["omega"] + g("omega").wedge(g("phi2"))
+    scalar_rules = {v.name: chart.zero(1) for v in reference.table.variables()}
+    return chart.install_rules(d_rules, scalar_rules, check=check)
 
 
 def test_structure_equations_mutation_detected():
     # perturbing one rule breaks exactly the entries housing that form's d
-    bad_chart = load_chart(_corrupted_chart_text(), check=False)
-    report = model.verify_structure_equations(bad_chart)
+    report = model.verify_structure_equations(_corrupted_chart())
     assert report.overall == "fail"
     failing = {c.name for c in report.failed_checks()}
     assert failing == {"entry(1,4)", "entry(2,5)"}
@@ -248,18 +252,18 @@ def test_structure_equations_mutation_detected():
 
 def test_verify_d_squared_names_each_generator_the_mutation_breaks():
     # d(omega) and every rule that uses omega lose d o d = 0
-    certified = load_chart(_corrupted_chart_text(), check=False).verify_d_squared()
+    certified = _corrupted_chart().verify_d_squared()
     broken = {"omega", "omega1", "omega1c", "phi2", "phi2c"}
     assert list(certified) == [g.name for g in model.model_chart().generators]
     assert {name for name, ok in certified.items() if not ok} == broken
     with pytest.raises(ChartError, match=r"d\(d omega\) != 0"):
-        load_chart(_corrupted_chart_text())
+        _corrupted_chart(check=True)
 
 
 def test_flat_suite_reports_a_broken_structure_equation_as_failed_checks(monkeypatch):
     # the flat dga chart takes its rules from the model chart, so a corrupted
     # model chart fails the suite's d^2 checks instead of raising
-    bad = load_chart(_corrupted_chart_text(), check=False)
+    bad = _corrupted_chart()
     monkeypatch.setattr(model, "model_chart", lambda: bad)
     report = dga.verify_flat_consistency()
     assert {c.name for c in report.failed_checks()} == {
@@ -269,17 +273,19 @@ def test_flat_suite_reports_a_broken_structure_equation_as_failed_checks(monkeyp
 
 
 def test_model_suites_load_the_chart_once(monkeypatch):
-    loads = []
+    # the chart is built, and its d^2 check run, once per process
+    builds = []
+    install_rules = Chart.install_rules
 
-    def counting_load(text, check=True):
-        loads.append(check)
-        return load_chart(text, check)
+    def counting_install(chart, *args, **kwargs):
+        builds.append((chart, kwargs.get("check", True)))
+        return install_rules(chart, *args, **kwargs)
 
-    monkeypatch.setattr(model, "load_chart", counting_load)
+    monkeypatch.setattr(Chart, "install_rules", counting_install)
     model.model_chart.cache_clear()
     assert model.verify_structure_equations().overall == "pass"
     assert model.verify_adjoint_transforms().overall == "pass"
-    assert loads == [True]
+    assert builds == [(model.model_chart(), True)]
 
 
 # ---------------------------------------------------------------------------
