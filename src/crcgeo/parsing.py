@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .scalars import (
+    MINUS_ONE,
+    Add,
     Const,
     Expr,
     I,
@@ -32,13 +33,6 @@ from .scalars import (
 HALF = Fraction(1, 2)
 MINUS_ONE_EXP = Fraction(-1)
 
-
-class Token(NamedTuple):
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    offset: int
-
-
 # Whitespace, then a number, an identifier, an operator, or any other
 # character, which is an error.  The wedge ``/\`` of form notation is one
 # operator that no rule takes, so it is refused at its first character.
@@ -46,14 +40,19 @@ _TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d*)?|\.\d+)|([^\W\d]\w*)|(/\\|[-+*/^(),])|
 _KINDS = (None, "num", "ident", "op")
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text`` as ``(kind, text, offset)`` tuples, of kind
+    ``"num"``, ``"ident"`` or ``"op"``, and a last ``("end", "", len(text))``.
+    An operator's text is no other kind's, so the grammar tests operators
+    by their text alone."""
+    tokens = []
+    append = tokens.append
     for m in _TOKEN.finditer(text):
         k = m.lastindex
         if k == 4:
-            raise ParseError(f"unexpected character {m.group(4)!r}", m.start(4))
-        tokens.append(Token(_KINDS[k], m.group(k), m.start(k)))
-    tokens.append(Token("end", "", len(text)))
+            raise ParseError(f"unexpected character {m[4]!r}", m.start(4))
+        append((_KINDS[k], m[k], m.start(k)))
+    append(("end", "", len(text)))
     return tokens
 
 
@@ -67,100 +66,97 @@ def _number_to_expr(text: str, offset: int) -> Expr:
 
 
 class Parser:
-    """The grammar over one text: each ``parse_*`` method builds the raw
-    scalar nodes of its rule."""
+    """The grammar over one text: each ``parse_*`` method reads the tokens
+    from ``pos`` on and builds the raw scalar nodes of its rule, with the
+    constructors of ``Expr``'s operators."""
+
+    __slots__ = ("tokens", "pos", "table")
 
     def __init__(self, text: str, table: VariableTable):
         self.tokens = tokenize(text)
         self.pos = 0
-        self.tok = self.tokens[0]  # the next token; the last one is "end"
         self.table = table
 
-    def advance(self) -> Token:
-        tok = self.tok
+    def expect_op(self, op: str) -> None:
+        _, text, offset = self.tokens[self.pos]
+        if text != op:
+            raise ParseError(f"expected {op!r}", offset)
         self.pos += 1
-        self.tok = self.tokens[self.pos]
-        return tok
-
-    def expect_op(self, op: str) -> Token:
-        tok = self.tok
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}", tok.offset)
-        return self.advance()
 
     def parse_all(self) -> Expr:
         node = self.parse_sum()
-        tail = self.tok
-        if tail.kind != "end":
-            raise ParseError(f"unexpected trailing input {tail.text!r}", tail.offset)
+        kind, text, offset = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", offset)
         return node
 
     def parse_sum(self) -> Expr:
         node = self.parse_product()
+        tokens = self.tokens
         while True:
-            tok = self.tok
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.parse_product()
-                node = node + rhs if tok.text == "+" else node - rhs
+            op = tokens[self.pos][1]
+            if op == "+":
+                self.pos += 1
+                node = Add((node, self.parse_product()))
+            elif op == "-":
+                self.pos += 1
+                node = Add((node, Mul((MINUS_ONE, self.parse_product()))))
             else:
                 return node
 
     def parse_product(self) -> Expr:
         node = self.parse_unary()
+        tokens = self.tokens
         while True:
-            tok = self.tok
-            if tok.kind == "op" and tok.text in "*/":
-                self.advance()
-                rhs = self.parse_unary()
-                node = Mul((node, rhs if tok.text == "*" else Pow(rhs, MINUS_ONE_EXP)))
+            op = tokens[self.pos][1]
+            if op == "*":
+                self.pos += 1
+                node = Mul((node, self.parse_unary()))
+            elif op == "/":
+                self.pos += 1
+                node = Mul((node, Pow(self.parse_unary(), MINUS_ONE_EXP)))
             else:
                 return node
 
     def parse_unary(self) -> Expr:
-        # also the exponent operand: a leading minus binds to the exponent
-        tok = self.tok
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return -self.parse_unary()
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
+        # also the exponent operand: a leading minus binds to the exponent,
+        # and ``^`` to the primary before it
+        tokens = self.tokens
+        if tokens[self.pos][1] == "-":
+            self.pos += 1
+            return Mul((MINUS_ONE, self.parse_unary()))
         base = self.parse_primary()
-        tok = self.tok
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            offset = self.tok.offset
-            exp = normalize(self.parse_unary())
-            if not isinstance(exp, Const) or exp.value.b:
-                raise ParseError("exponent must be a rational constant", offset)
-            return Pow(base, exp.value.re)
-        return base
+        if tokens[self.pos][1] != "^":
+            return base
+        self.pos += 1
+        offset = tokens[self.pos][2]
+        exp = normalize(self.parse_unary())
+        if not isinstance(exp, Const) or exp.value.b:
+            raise ParseError("exponent must be a rational constant", offset)
+        return Pow(base, exp.value.re)
 
     def parse_primary(self) -> Expr:
-        tok = self.tok
-        if tok.kind == "num":
-            self.advance()
-            return _number_to_expr(tok.text, tok.offset)
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "i":
+        kind, text, offset = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "num":
+            return _number_to_expr(text, offset)
+        if kind == "ident":
+            if text == "i":
                 return I
-            if tok.text == "sqrt":
+            if text == "sqrt":
                 self.expect_op("(")
                 inner = self.parse_sum()
                 self.expect_op(")")
                 return Pow(inner, HALF)
-            v = self.table.get(tok.text)
+            v = self.table.get(text)
             if v is None:
-                raise UndeclaredIdentifierError(tok.text, tok.offset)
+                raise UndeclaredIdentifierError(text, offset)
             return Var(v)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        if text == "(":
             inner = self.parse_sum()
             self.expect_op(")")
             return inner
-        raise ParseError("expected a number, identifier or '('", tok.offset)
+        raise ParseError("expected a number, identifier or '('", offset)
 
 
 def parse(text: str, table: VariableTable) -> Expr:

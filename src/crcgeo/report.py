@@ -12,8 +12,8 @@ includes the work that led up to it, and the report's time is the sum.
 
 from __future__ import annotations
 
-import json
 import time
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 PASS = "pass"
@@ -87,7 +87,7 @@ class Report:
         return out
 
     def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
+        return dumps(self.to_dict(include_timing))
 
     def to_text(self) -> str:
         lines = [f"== {self.title} =="]
@@ -100,3 +100,64 @@ class Report:
 
     def failed_checks(self) -> list:
         return [c for c in self.checks if c.status == FAIL]
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def dumps(value) -> str:
+    """The bytes of ``json.dumps(value, sort_keys=True, indent=2)``: ASCII
+    escapes, two spaces a level, ``float.__repr__`` and ``NaN``/``Infinity``
+    for floats.  A key that is not a ``str``, or a value JSON cannot hold,
+    raises ``TypeError``.  ``json`` builds the same text through a chain of
+    Python generators whenever ``indent`` is set; one recursive writer that
+    appends to a list and joins once does less."""
+    out: list = []
+    _write(value, out, "\n")
+    return "".join(out)
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append the pieces of ``value`` to ``out``, at the indentation
+    ``newline`` starts."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NONFINITE.get(text, text))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -1369,28 +1369,59 @@ def _eval_tree(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
 Box = Mapping[str, tuple]
 
 
-def sample_point(variables: Sequence[Variable], box: Box, rng: random.Random) -> dict:
-    """Draw one tag-respecting point; unit-modulus intervals are angles.
-    ``variables`` come in name order, the order of the draws."""
-    point: dict[str, complex] = {}
+def sample_draws(variables: Sequence[Variable], box: Box) -> list:
+    """How ``sample_point`` draws each of ``variables`` (in name order, the
+    order of the draws): ``(name, draw, lo, hi)`` with ``draw`` one of
+    ``"real"``, ``"imaginary"``, ``"unit"`` (an angle in ``[lo, hi]``) and
+    ``"complex"`` over the variable's interval or its partner's, or
+    ``"conjugate"`` of the partner named by ``lo``, drawn before it.  A
+    variable with no interval ends the list with a ``"missing"`` entry,
+    which raises when a point is drawn."""
+    draws: list = []
+    names: set = set()
     for v in variables:
-        if v.name in point:
+        name = v.name
+        if name in names:
             continue
-        if v.reality == COMPLEX_PAIRED and v.partner in point:
-            point[v.name] = point[v.partner].conjugate()
+        names.add(name)
+        if v.reality == COMPLEX_PAIRED and v.partner in names:
+            draws.append((name, "conjugate", v.partner, None))
             continue
-        key = v.name if v.name in box else (v.partner if v.partner and v.partner in box else None)
+        key = name if name in box else (v.partner if v.partner and v.partner in box else None)
         if key is None:
-            raise ZeroTestInconclusiveError(f"no box interval for variable {v.name}")
+            draws.append((name, "missing", None, None))
+            break
         lo, hi = box[key]
         if v.reality in (REAL, POSITIVE_REAL):
-            point[v.name] = complex(rng.uniform(lo, hi))
+            draw = "real"
         elif v.reality == IMAGINARY:
-            point[v.name] = complex(0.0, rng.uniform(lo, hi))
+            draw = "imaginary"
         elif v.reality == UNIT_MODULUS:
-            point[v.name] = cmath.exp(1j * rng.uniform(lo, hi))
+            draw = "unit"
         else:
-            point[v.name] = complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
+            draw = "complex"
+        draws.append((name, draw, lo, hi))
+    return draws
+
+
+def sample_point(draws: list, rng: random.Random) -> dict:
+    """Draw one tag-respecting point as ``draws`` (see ``sample_draws``)
+    lays it out."""
+    point: dict[str, complex] = {}
+    uniform = rng.uniform
+    for name, draw, lo, hi in draws:
+        if draw == "real":
+            point[name] = complex(uniform(lo, hi))
+        elif draw == "imaginary":
+            point[name] = complex(0.0, uniform(lo, hi))
+        elif draw == "unit":
+            point[name] = cmath.exp(1j * uniform(lo, hi))
+        elif draw == "complex":
+            point[name] = complex(uniform(lo, hi), uniform(lo, hi))
+        elif draw == "conjugate":
+            point[name] = point[lo].conjugate()
+        else:
+            raise ZeroTestInconclusiveError(f"no box interval for variable {name}")
     return point
 
 
@@ -1433,13 +1464,13 @@ def sample_values(e_norm: Expr, box: Box, count: int, seed: int) -> Iterable:
     point with a pole or a non-finite value is inadmissible and skipped.
     Deterministic for a fixed seed.
     """
-    variables = sorted(free_variables(e_norm), key=lambda v: v.name)
+    draws = sample_draws(sorted(free_variables(e_norm), key=lambda v: v.name), box)
     rng = random.Random(seed)
     found = 0
     for _ in range(max(count * 8, 64)):
         if found >= count:
             return
-        point = sample_point(variables, box, rng)
+        point = sample_point(draws, rng)
         try:
             value, scale = _eval_with_scale(e_norm, point)
         except DomainEvalError:

@@ -4,6 +4,7 @@ import cmath
 import collections
 import gc
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crcgeo import scalars
-from crcgeo.parsing import parse
+from crcgeo.parsing import parse, tokenize
 from crcgeo.scalars import (
     Add,
     Const,
@@ -137,6 +138,127 @@ def test_parse_rejects_wedge_and_at_sign(table):
         with pytest.raises(ParseError) as err:
             parse(text, table)
         assert err.value.offset == offset, text
+
+
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub),
+           "*": (2, operator.mul), "/": (2, operator.truediv)}
+
+
+def _reference_build(text, table):
+    """The grammar over ``tokenize``'s stream by precedence climbing, each
+    node built with ``Expr``'s operators."""
+    tokens = tokenize(text)
+    pos = 0
+
+    def take(op=None):
+        nonlocal pos
+        kind, tok, _ = tokens[pos]
+        assert op is None or (kind, tok) == ("op", op), (text, pos)
+        pos += 1
+        return kind, tok
+
+    def peek():
+        kind, tok, _ = tokens[pos]
+        return tok if kind == "op" else None
+
+    def binary(min_prec):
+        node = unary()
+        while peek() in _BINARY and _BINARY[peek()][0] >= min_prec:
+            prec, apply = _BINARY[take()[1]]
+            node = apply(node, binary(prec + 1))
+        return node
+
+    def unary():
+        if peek() == "-":
+            take()
+            return -unary()
+        base = primary()
+        if peek() != "^":
+            return base
+        take()
+        exp = normalize(unary())
+        assert isinstance(exp, Const) and exp.value.b == 0, text
+        return base ** exp.value.re
+
+    def primary():
+        kind, tok = take()
+        if kind == "num":
+            return scalars.lift(Fraction(tok))
+        if tok == "(":
+            inner = binary(1)
+            take(")")
+            return inner
+        if tok == "sqrt":
+            take("(")
+            inner = binary(1)
+            take(")")
+            return inner ** Fraction(1, 2)
+        return I if tok == "i" else Var(table[tok])
+
+    node = binary(1)
+    assert tokens[pos][0] == "end", text
+    return node
+
+
+def _random_tokens(rng, names, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return [rng.choice(names + ["i", "2", "7", "0", "0.25", ".5", "3.", "12"])]
+    shape = rng.choice(("+", "-", "*", "/", "neg", "^", "sqrt", "()"))
+    inner = _random_tokens(rng, names, depth - 1)
+    if shape == "neg":
+        return ["-", *inner]
+    if shape == "sqrt":
+        return ["sqrt", "(", *inner, ")"]
+    if shape == "()":
+        return ["(", *inner, ")"]
+    if shape == "^":
+        exponent = rng.choice((["2"], ["-", "1"], ["(", "1", "/", "2", ")"], ["0.5"],
+                               ["-", "(", "3", "/", "2", ")"], ["3", "^", "-", "1"], ["0"]))
+        # a base ending in a power would take the exponent as its own
+        return [*(["(", *inner, ")"] if "^" in inner else inner), "^", *exponent]
+    return [*inner, shape, *_random_tokens(rng, names, depth - 1)]
+
+
+def test_parse_returns_the_node_the_operators_build(table):
+    # texts over the whole grammar with random spacing; each parse is the
+    # very interned node the operators build from the same tokens
+    rng = random.Random(2808)
+    names = ["t1", "t2", "u", "a", "b", "bb", "lam"]
+    for _ in range(500):
+        tokens = _random_tokens(rng, names, rng.randint(1, 6))
+        text = "".join(tok + rng.choice(("", "", " ", "  \t")) for tok in tokens)
+        tree = _reference_build(text, table)
+        assert parse(text, table) is tree, text
+
+
+_LONG = "7" * 5000  # past the interpreter's limit on text-to-int digits
+
+PARSE_ERRORS = [
+    ("t1 $ 2", ParseError, "unexpected character '$'", 3),
+    ("2*t1 + \u2202t1", ParseError, "unexpected character '\u2202'", 7),
+    (f"t1 + {_LONG}", ParseError, f"bad numeric literal {_LONG!r}", 5),
+    ("(t1 + 2", ParseError, "expected ')'", 7),
+    ("sqrt(t1 t2)", ParseError, "expected ')'", 8),
+    ("sqrt t1", ParseError, "expected '('", 5),
+    ("t1 t2", ParseError, "unexpected trailing input 't2'", 3),
+    ("(t1))", ParseError, "unexpected trailing input ')'", 4),
+    ("t1 + zz", UndeclaredIdentifierError, "undeclared identifier 'zz'", 5),
+    ("t1^t2", ParseError, "exponent must be a rational constant", 3),
+    ("t1^ (2*i)", ParseError, "exponent must be a rational constant", 4),
+    ("t1 +", ParseError, "expected a number, identifier or '('", 4),
+    ("", ParseError, "expected a number, identifier or '('", 0),
+    ("t1 * / t2", ParseError, "expected a number, identifier or '('", 5),
+]
+
+
+@pytest.mark.parametrize("text, error, message, offset", PARSE_ERRORS,
+                         ids=[f"{e[2][:30]}@{e[3]}" for e in PARSE_ERRORS])
+def test_parse_errors_name_their_offset(table, text, error, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text, table)
+    assert type(err.value) is error
+    assert str(err.value) == f"{message} (offset {offset})"
+    assert err.value.offset == offset
 
 
 # ---------------------------------------------------------------------------
@@ -1096,6 +1218,31 @@ def test_the_sampler_evaluates_no_point_past_the_last_it_yields(monkeypatch):
     assert len(drawn) == len(scored) == 1
 
 
+def _reference_sample_point(variables, box, rng):
+    """The sampler that resolved each variable's draw at every point: one
+    tag-respecting point, unit-modulus intervals as angles."""
+    point = {}
+    for v in variables:
+        if v.name in point:
+            continue
+        if v.reality == scalars.COMPLEX_PAIRED and v.partner in point:
+            point[v.name] = point[v.partner].conjugate()
+            continue
+        key = v.name if v.name in box else (v.partner if v.partner and v.partner in box else None)
+        if key is None:
+            raise ZeroTestInconclusiveError(f"no box interval for variable {v.name}")
+        lo, hi = box[key]
+        if v.reality in (scalars.REAL, scalars.POSITIVE_REAL):
+            point[v.name] = complex(rng.uniform(lo, hi))
+        elif v.reality == scalars.IMAGINARY:
+            point[v.name] = complex(0.0, rng.uniform(lo, hi))
+        elif v.reality == scalars.UNIT_MODULUS:
+            point[v.name] = cmath.exp(1j * rng.uniform(lo, hi))
+        else:
+            point[v.name] = complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
+    return point
+
+
 def _reference_is_identically_zero(e, box, trials, seed, tol):
     """The point-by-point sampler: draw a point, judge it, draw the next."""
     n = normalize(e)
@@ -1107,7 +1254,7 @@ def _reference_is_identically_zero(e, box, trials, seed, tol):
     max_attempts = max(trials * 8, 64)
     while successes < trials and attempts < max_attempts:
         attempts += 1
-        point = scalars.sample_point(variables, box, rng)
+        point = _reference_sample_point(variables, box, rng)
         try:
             val, scale = _reference_eval_with_scale(n, point)
         except DomainEvalError:
@@ -1166,6 +1313,53 @@ def test_zero_test_matches_the_point_by_point_sampler():
     assert "ZeroDivisionError" not in verdicts, verdicts
     with pytest.raises(DomainEvalError, match=r"^value outside the floating-point range \(0\.0 "):
         evaluate(Pow(x, -100), {"x": 1e-4})
+
+
+def test_sample_draws_match_the_point_by_point_sampler():
+    # seeded variable sets over every tag: pairs with one or both names
+    # present and the interval under either name, a name declared twice,
+    # and variables with no interval, which raise at the first draw
+    rng = random.Random(2828)
+    kinds = ("real", "positive", "imaginary", "unit", "pair")
+    draw_kinds = collections.Counter()
+    for _ in range(400):
+        pool = []
+        for k in range(rng.randint(1, 5)):
+            kind = rng.choice(kinds)
+            if kind == "pair":
+                pair = scalars.declared(kind, (f"p{k}", f"q{k}"))
+                pool += rng.choice((pair, pair[:1], pair[1:]))
+            else:
+                pool += scalars.declared(kind, (f"v{k}",))
+        if rng.random() < 0.1:
+            pool.append(scalars.Variable(pool[0].name, scalars.IMAGINARY))
+        variables = sorted(pool, key=lambda v: v.name)
+        box = {}
+        for v in variables:
+            if rng.random() < 0.95:
+                name = v.partner if v.partner and rng.random() < 0.5 else v.name
+                box[name] = tuple(sorted((rng.uniform(-2, 2), rng.uniform(-2, 2))))
+        draws = scalars.sample_draws(variables, box)
+        draw_kinds.update(d[1] for d in draws)
+        seed = rng.randrange(10**6)
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            got = _verdict(scalars.sample_point, draws, new)
+            assert got == _verdict(_reference_sample_point, variables, box, old)
+            # the same draws from the generator, in the same order
+            assert new.getstate() == old.getstate()
+    assert min(draw_kinds[k] for k in ("real", "imaginary", "unit", "complex",
+                                       "conjugate", "missing")) > 20, draw_kinds
+
+
+def test_a_missing_interval_raises_at_the_first_draw():
+    table = VariableTable()
+    x, y = (Var(v) for v in table.real("x", "y"))
+    e = normalize(x + y)
+    # no point drawn, no error
+    assert list(scalars.sample_values(e, {"x": (0, 1)}, 0, seed=1)) == []
+    with pytest.raises(ZeroTestInconclusiveError, match="^no box interval for variable y$"):
+        next(scalars.sample_values(e, {"x": (0, 1)}, 1, seed=1))
 
 
 def test_shared_dag_visits_each_node_once():

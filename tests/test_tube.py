@@ -94,13 +94,13 @@ def _reference_positivity_reason(rho, box, seed):
     """The point-by-point check: draw a point, evaluate rho11 there, stop
     at the first non-positive value among 16 admissible points."""
     rho11 = tube._derivative_cache(tube._rho_over_base(rho), tube._tube_table())["rho11"]
-    variables = sorted(scalars.free_variables(rho11), key=lambda v: v.name)
+    draws = scalars.sample_draws(sorted(scalars.free_variables(rho11), key=lambda v: v.name), box)
     rng = random.Random(seed + 5)
     found = 0
     for _ in range(8 * 16):
         if found >= 16:
             break
-        point = scalars.sample_point(variables, box, rng)
+        point = scalars.sample_point(draws, rng)
         try:
             val = evaluate(rho11, point)
         except scalars.DomainEvalError:
