@@ -1376,7 +1376,8 @@ def sample_draws(variables: Sequence[Variable], box: Box) -> list:
     ``"complex"`` over the variable's interval or its partner's, or
     ``"conjugate"`` of the partner named by ``lo``, drawn before it.  A
     variable with no interval ends the list with a ``"missing"`` entry,
-    which raises when a point is drawn."""
+    which raises when a point is drawn.  A positive variable whose interval
+    reaches below 0 is refused with ``RealityViolationError``."""
     draws: list = []
     names: set = set()
     for v in variables:
@@ -1392,6 +1393,8 @@ def sample_draws(variables: Sequence[Variable], box: Box) -> list:
             draws.append((name, "missing", None, None))
             break
         lo, hi = box[key]
+        if v.reality == POSITIVE_REAL and lo < 0:
+            raise RealityViolationError(f"{name} must be positive, got interval [{lo}, {hi}]")
         if v.reality in (REAL, POSITIVE_REAL):
             draw = "real"
         elif v.reality == IMAGINARY:
@@ -1481,8 +1484,9 @@ def sample_values(e_norm: Expr, box: Box, count: int, seed: int) -> Iterable:
 
 def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,
                         tol: float = 1e-9) -> bool:
-    """Zero test: True if ``certify_zero`` proves the normal form zero, else
-    True iff |e| <= tol*(1+scale) at ``trials`` points of ``sample_values``.
+    """Zero test: True if ``certify_zero`` proves the normal form zero,
+    False if it is one monomial of variables to integer powers, else True
+    iff |e| <= tol*(1+scale) at ``trials`` points of ``sample_values``.
 
     The certificate is memoized per node; the sampling runs on every call.
     Deterministic for a fixed seed.  If too few admissible points are found
@@ -1492,6 +1496,9 @@ def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,
     n = normalize(e)
     if n == ZERO or certify_zero(n):
         return True
+    if not isinstance(n, Add) and all(isinstance(atom, Var) and ex.denominator == 1
+                                      for atom, ex in _split_mono(n)[1]):
+        return False  # one monomial of variables vanishes on no open set
     successes = 0
     for _, val, scale in sample_values(n, box, trials, seed):
         if not _modulus(val) <= tol * (1.0 + scale):

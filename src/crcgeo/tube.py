@@ -31,13 +31,14 @@ Every zero question goes through one method, ``TubeModel.vanishes``, which hands
 first, seeded sampling on the model's box otherwise) and turns an
 undecided test into ``INCONCLUSIVE``.  rho11 > 0 is checked at the points
 the kernel's sampler ``sample_values`` draws, the sampler of the zero test.
+The Levi rank is decided exactly, from the Monge-Ampere residual's zero
+certificate (``TubeModel.levi_rank``).
 The defining function is read once, by ``_rho_over_base``, which refuses
 variables other than t1, t2 and a function that is not real.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from functools import partial
 from fractions import Fraction
@@ -53,6 +54,7 @@ from .scalars import (
     VariableTable,
     ZERO,
     ZeroTestInconclusiveError,
+    certify_zero,
     conjugate,
     differentiate,
     evaluate,
@@ -159,41 +161,14 @@ class TubeModel:
         except ZeroTestInconclusiveError:
             return INCONCLUSIVE
 
-    def levi_rank(self, points) -> list:
-        """Eigenvalues and rank of the defining-function Hessian per point
-        where each of its entries evaluates to a real number; the other
-        points are skipped.
-
-        The Hessian is the Levi matrix of the tube up to a positive scale,
-        so its rank is the Levi rank.  Its eigenvalues are solved in closed
-        form by ``_symmetric_2x2_eigenvalues``, bit for bit as LAPACK's
-        symmetric eigensolver would for entries of modulus in about
-        [1.5e-122, 1e146].  Rank counts eigenvalues above 1e-10 times the
-        sum of absolute eigenvalues.
-        """
-        out = []
-        for t1v, t2v in points:
-            point = {"t1": t1v, "t2": t2v}
-            try:
-                values = [evaluate(self.derivs[key], point)
-                          for key in ("rho11", "rho12", "rho22")]
-            except DomainEvalError:
-                continue
-            if any(abs(val.imag) > 1e-9 * (1 + abs(val)) for val in values):
-                continue
-            entries = [val.real for val in values]
-            eigs = _symmetric_2x2_eigenvalues(*entries)
-            sizes = [abs(x) for x in eigs]
-            scale = sum(sizes)
-            rank = sum(x > 1e-10 * scale for x in sizes) if scale > 0 else 0
-            small = min(sizes) / scale if scale > 0 else 0.0
-            out.append({
-                "point": (float(t1v), float(t2v)),
-                "eigenvalues": list(eigs),
-                "rank": rank,
-                "relative_smallest_eigenvalue": small,
-            })
-        return out
+    def levi_rank(self) -> int | None:
+        """1 if the Levi rank is proved to be 1, else None: rho's Hessian,
+        the Levi matrix up to a positive scale, has the Monge-Ampere
+        residual as determinant, so a certified zero residual and rho11
+        not normalizing to zero prove rank 1."""
+        if certify_zero(ma_residual(self.derivs)) and normalize(self.d("rho11")) != ZERO:
+            return 1
+        return None
 
 
 def _derive(e: Expr, axis: int, table: VariableTable, jets: dict) -> Expr:
@@ -377,45 +352,6 @@ def ma_profile_solution(g_text: str) -> Expr:
     table = _tube_table()
     t1, t2 = Var(table["t1"]), Var(table["t2"])
     return normalize(t2 * substitute(g_expr, {s_var: t1 / t2}))
-
-
-# ---------------------------------------------------------------------------
-# numeric Levi analysis
-
-
-_EPS = 2.0 ** -53  # LAPACK's relative machine precision for doubles
-
-
-def _symmetric_2x2_eigenvalues(a: float, b: float, c: float) -> tuple:
-    """Ascending eigenvalues of [[a, b], [b, c]] by LAPACK's own route for a
-    2x2 ``dsyevd``: the two deflation tests of ``dsterf``, then ``dlae2`` on
-    sqrt(b*b).  Bit-identical to it while the largest entry has modulus in
-    [2^-405, 2^485] (about [1.5e-122, 1e146]), where LAPACK does not
-    rescale; beyond that the entries are scaled exactly by a power of two,
-    so the result may differ from LAPACK's rescaled one in the last bits."""
-    m = max(abs(a), abs(b), abs(c))
-    if m and not 2.0 ** -405 <= m <= 2.0 ** 485:
-        k = math.frexp(m)[1]
-        lo, hi = _symmetric_2x2_eigenvalues(
-            math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k))
-        return math.ldexp(lo, k), math.ldexp(hi, k)
-    e = b * b
-    if (abs(b) <= math.sqrt(abs(a)) * math.sqrt(abs(c)) * _EPS
-            or e <= _EPS * _EPS * abs(a * c)):
-        return (a, c) if a <= c else (c, a)
-    b = math.sqrt(e)
-    sm, adf, ab = a + c, abs(a - c), abs(b + b)
-    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
-    if adf == ab:
-        rt = ab * math.sqrt(2.0)
-    else:
-        big, q = (adf, ab / adf) if adf > ab else (ab, adf / ab)
-        rt = big * math.sqrt(1.0 + q * q)  # q * q: q ** 2 can round apart
-    if sm == 0:
-        return -0.5 * rt, 0.5 * rt
-    rt1 = 0.5 * (sm - rt) if sm < 0 else 0.5 * (sm + rt)
-    rt2 = (acmx / rt1) * acmn - (b / rt1) * b
-    return (rt2, rt1) if rt2 <= rt1 else (rt1, rt2)
 
 
 # ---------------------------------------------------------------------------
@@ -777,14 +713,9 @@ def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
         return report
     report.extend(model.hypotheses)
 
-    rng = random.Random(seed + 71)
-    pts = [(rng.uniform(*box["t1"]), rng.uniform(*box["t2"])) for _ in range(8)]
-    levi = model.levi_rank(pts)
-    ranks_ok = all(entry["rank"] == 1 for entry in levi) if levi else INCONCLUSIVE
-    report.add("levi rank 1 at sampled points", ranks_ok,
-               {"points": len(levi),
-                "max_relative_smallest_eigenvalue":
-                    max((e["relative_smallest_eigenvalue"] for e in levi), default=None)})
+    proved = model.levi_rank() == 1
+    report.add("levi rank 1", proved or INCONCLUSIVE, {} if proved else {
+        "reason": "rank 1 is not proven: the Monge-Ampere residual has no zero certificate"})
 
     try:
         cf = build_coframe(jet_model(trials=trials, seed=seed, tol=tol))

@@ -77,23 +77,16 @@ def _tube_profile_five_halves(t1_box):
 
 def test_tube_levi_check_skips_points_where_the_hessian_is_undefined():
     # rho = t1^(5/2)*t2^(-3/2) has no Hessian where t1 < 0; the hypotheses
-    # and the final samples skip such points, and so does the Levi check
-    code, payload = _tube_profile_five_halves("-0.5:1")
-    assert code == 0
-    assert payload["overall"] == "pass"
-    assert all(c["status"] == "pass" for c in payload["checks"])
-    (levi,) = (c for c in payload["checks"] if c["name"] == "levi rank 1 at sampled points")
-    assert levi["details"] == {"points": 3,
-                               "max_relative_smallest_eigenvalue": 4.5287791881750415e-19}
-    assert payload["checks"][-1]["details"]["final_coefficient_zero"] == "zero"
-    # no admissible Levi point: the check is inconclusive, the analysis goes on
-    code, payload = _tube_profile_five_halves("-1:0.05")
-    assert code == 3
-    statuses = {c["name"]: c["status"] for c in payload["checks"]}
-    assert statuses.pop("levi rank 1 at sampled points") == "inconclusive"
-    assert set(statuses.values()) == {"pass"}
-    (levi,) = (c for c in payload["checks"] if c["name"] == "levi rank 1 at sampled points")
-    assert levi["details"] == {"points": 0, "max_relative_smallest_eigenvalue": None}
+    # and the final samples skip such points, and the Levi rank is decided
+    # exactly, so it needs no point at all
+    for t1_box in ("-0.5:1", "-1:0.05"):
+        code, payload = _tube_profile_five_halves(t1_box)
+        assert code == 0, t1_box
+        assert payload["overall"] == "pass"
+        assert all(c["status"] == "pass" for c in payload["checks"])
+        (levi,) = (c for c in payload["checks"] if c["name"] == "levi rank 1")
+        assert levi["details"] == {}
+        assert payload["checks"][-1]["details"]["final_coefficient_zero"] == "zero"
 
 
 @pytest.mark.parametrize("args", [
@@ -288,14 +281,34 @@ def test_expr_zero_subcommand():
 
 def test_expr_zero_inconclusive_exit_code():
     # the box lies entirely inside the singular locus of the expression;
-    # 100*t1^307 is inf on its whole box, and a non-finite point is no
+    # 100*t1^307 + t1 is inf on its whole box, and a non-finite point is no
     # zero, nor is one where t1^2 underflows to 0 under a negative power
     for text, box in (("sqrt(t1-2)", "t1=0.1:1,t2=0.1:1"),
-                      ("100*t1^307", "t1=10:10.01"),
+                      ("100*t1^307 + t1", "t1=10:10.01"),
                       ("t1^(-2)+t2", "t1=1e-200:2e-200,t2=0:1")):
         result = run_cli("expr", "zero", "--expr", text, "--box", box, "--trials", "4")
         assert result.returncode == 3, text
         assert result.stderr == ""
+
+
+def test_expr_zero_reads_a_monomial_as_nonzero_without_sampling(capsys):
+    # one monomial of variables vanishes on no open set: each sample of
+    # t1/10^20 is below tol*(1 + scale), and 100*t1^307 is inf on its box
+    for text, box in (("t1/10^20", "t1=1:2"), ("100*t1^307", "t1=10:10.01")):
+        assert cli.main(["expr", "zero", "--expr", text, "--box", box]) == 0, text
+        details = json.loads(capsys.readouterr().out)["checks"][0]["details"]
+        assert details["identically_zero"] is False, text
+
+
+def test_expr_zero_refuses_a_positive_variable_sampled_below_zero(capsys):
+    # the identity holds wherever x > 0; a box reaching below 0 is an input
+    # error, as a negative point is for `expr eval`
+    args = ["expr", "zero", "--expr", "((x+1)^2)^(1/2) - x - 1", "--vars", "x:positive"]
+    assert cli.main([*args, "--box", "x=-3:-2"]) == 2
+    assert capsys.readouterr().err == "error: x must be positive, got interval [-3.0, -2.0]\n"
+    assert cli.main([*args, "--box", "x=0.5:2"]) == 0
+    details = json.loads(capsys.readouterr().out)["checks"][0]["details"]
+    assert details["identically_zero"] is True
 
 
 def test_expr_zero_refuses_a_pole_beside_a_zero_factor_in_either_order():

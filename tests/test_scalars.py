@@ -1232,6 +1232,8 @@ def _reference_sample_point(variables, box, rng):
         if key is None:
             raise ZeroTestInconclusiveError(f"no box interval for variable {v.name}")
         lo, hi = box[key]
+        if v.reality == scalars.POSITIVE_REAL and lo < 0:
+            raise RealityViolationError(f"{v.name} must be positive, got interval [{lo}, {hi}]")
         if v.reality in (scalars.REAL, scalars.POSITIVE_REAL):
             point[v.name] = complex(rng.uniform(lo, hi))
         elif v.reality == scalars.IMAGINARY:
@@ -1248,6 +1250,12 @@ def _reference_is_identically_zero(e, box, trials, seed, tol):
     n = normalize(e)
     if n == ZERO or certify_zero(n):
         return True
+    # one monomial of variables to integer powers vanishes on no open set
+    factors = n.factors if isinstance(n, Mul) else (n,)
+    if not isinstance(n, Add) and all(
+            isinstance(f, (Const, Var)) or isinstance(f, Pow) and isinstance(f.base, Var)
+            and f.exp.denominator == 1 for f in factors):
+        return False
     variables = sorted(free_variables(n), key=lambda v: v.name)
     rng = random.Random(seed)
     successes = attempts = 0
@@ -1339,9 +1347,15 @@ def test_sample_draws_match_the_point_by_point_sampler():
             if rng.random() < 0.95:
                 name = v.partner if v.partner and rng.random() < 0.5 else v.name
                 box[name] = tuple(sorted((rng.uniform(-2, 2), rng.uniform(-2, 2))))
-        draws = scalars.sample_draws(variables, box)
-        draw_kinds.update(d[1] for d in draws)
         seed = rng.randrange(10**6)
+        draws = _verdict(scalars.sample_draws, variables, box)
+        if not isinstance(draws, list):
+            # refused before any draw: a positive variable reaching below 0
+            assert draws == _verdict(_reference_sample_point, variables, box,
+                                     random.Random(seed))
+            draw_kinds["refused"] += 1
+            continue
+        draw_kinds.update(d[1] for d in draws)
         new, old = random.Random(seed), random.Random(seed)
         for _ in range(3):
             got = _verdict(scalars.sample_point, draws, new)
@@ -1349,7 +1363,7 @@ def test_sample_draws_match_the_point_by_point_sampler():
             # the same draws from the generator, in the same order
             assert new.getstate() == old.getstate()
     assert min(draw_kinds[k] for k in ("real", "imaginary", "unit", "complex",
-                                       "conjugate", "missing")) > 20, draw_kinds
+                                       "conjugate", "missing", "refused")) > 20, draw_kinds
 
 
 def test_a_missing_interval_raises_at_the_first_draw():
