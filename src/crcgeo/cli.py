@@ -36,8 +36,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-# the most sample points one zero test may take: 10 000 trials already make
-# a cold paper analysis take seconds, and time grows linearly with them
+# the most sample points one zero test may take; its time grows linearly
+# with them
 MAX_TRIALS = 10_000
 
 # the dga suites by their --suite name
@@ -161,7 +161,7 @@ def _cmd_tube(args) -> int:
     else:
         rho = tube.ma_profile_solution(args.g)
         config["g"] = args.g
-    report = tube.analyze(rho, box, trials=args.trials, seed=args.seed, tol=args.tol)
+    report = tube.analyze(rho, box, seed=args.seed)
     report.config.update(config, rho=rho if isinstance(rho, str) else to_text(rho))
     return _emit(report, args)
 
@@ -198,8 +198,7 @@ def _cmd_expr(args) -> int:
         if missing:
             raise ValueError(f"box must cover {', '.join(missing)}")
         try:
-            verdict = is_identically_zero(expr, box, trials=args.trials,
-                                          seed=args.seed, tol=args.tol)
+            verdict = is_identically_zero(expr, box, trials=args.trials, seed=args.seed)
             report.add("zero test", True,
                        {"identically_zero": verdict, "trials": args.trials})
         except ZeroTestInconclusiveError as exc:
@@ -241,9 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="profile function of one variable s")
     p_profile.add_argument("--box")
     for p in (p_analyze, p_paper, p_profile):
-        p.add_argument("--trials", type=int, default=32)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
 
     p_expr = sub.add_parser("expr", help="scalar expression utilities")
     expr_sub = p_expr.add_subparsers(dest="expr_command", required=True)
@@ -255,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_zero.add_argument("--box", required=True)
     p_zero.add_argument("--trials", type=int, default=16)
     p_zero.add_argument("--seed", type=int, default=0)
-    p_zero.add_argument("--tol", type=float, default=1e-9)
     for p in (p_eval, p_diff, p_zero):
         p.add_argument("--expr", required=True)
         p.add_argument("--vars", default="t1:real,t2:real",
@@ -274,11 +270,10 @@ def main(argv=None) -> int:
         for key, value in vars(args).items():
             if value == []:  # argparse drops the value of "--key=--"
                 raise ValueError(f"--{key} needs a value")
-        for key in ("trials", "tol"):
-            x = getattr(args, key, None)
-            if x is not None and not (math.isfinite(x) and x > 0):
-                raise ValueError(f"--{key} must be positive and finite")
-        if getattr(args, "trials", 0) > MAX_TRIALS:
+        trials = getattr(args, "trials", 1)
+        if trials <= 0:
+            raise ValueError("--trials must be positive")
+        if trials > MAX_TRIALS:
             raise ValueError(f"--trials must be at most {MAX_TRIALS}")
         if args.command == "model":
             return _cmd_model_verify(args)

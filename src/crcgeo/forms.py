@@ -401,13 +401,10 @@ class FormExpr:
     def certify_zero(self) -> bool:
         return all(certify_zero(c) for c in self.terms.values())
 
-    def vanishes(self, box, trials: int = 16, seed: int = 0,
-                 tol: float = 1e-9) -> bool:
-        """``is_identically_zero`` on each coefficient, in word order, the
-        k-th with seed ``seed + 7*k``."""
-        return all(is_identically_zero(coeff, box, trials=trials,
-                                       seed=seed + 7 * k, tol=tol)
-                   for k, (_, coeff) in enumerate(self.items()))
+    def vanishes(self, box, trials: int = 16, seed: int = 0) -> bool:
+        """``is_identically_zero`` on each coefficient, in word order."""
+        return all(is_identically_zero(coeff, box, trials=trials, seed=seed)
+                   for _, coeff in self.items())
 
     def generators_present(self) -> set:
         return {self.chart.generators[i].name for w in self.terms for i in w}

@@ -777,13 +777,13 @@ def _nf_pow(nf: Mapping, e: Fraction) -> dict:
 def _extract_content(nf: Mapping, fractional: bool):
     """Factor a sum as content * primitive.
 
-    For integer (negative) powers the content is the leading coefficient and
-    the full common atom powers; under fractional powers only certified
-    positive content may be pulled out.
+    For integer (negative) powers the content is the full common atom
+    powers and the coefficient of the primitive's leading monomial, so the
+    sign of a sum atom does not depend on the atoms it shares; under
+    fractional powers only certified positive content may be pulled out.
     """
-    items = sorted(nf.items(), key=lambda it: _mono_key(it[0]))
     common: dict | None = None
-    for pows, _ in items:
+    for pows in nf:
         pmap = dict(pows)
         if common is None:
             common = pmap
@@ -797,19 +797,20 @@ def _extract_content(nf: Mapping, fractional: bool):
         common = {a: e for a, e in common.items()
                   if _atom_certified_positive(a, e) and (
                       not isinstance(a, Var) or a.var.reality == POSITIVE_REAL)}
-        coeff = _positive_rational_content([c for _, c in items])
-    else:
-        coeff = items[0][1]
-    inv = coeff.inverse()
-    prim: dict = {}
-    for pows, c in items:
+    divided: dict = {}
+    for pows, c in nf.items():
         pmap = dict(pows)
         for a, e in common.items():
             pmap[a] = pmap[a] - e
         key = tuple(sorted(((a, _key_exp(e)) for a, e in pmap.items() if e),
                            key=_item_key))
-        prim[key] = inv * c
-    primitive = _rebuild(prim)
+        divided[key] = c
+    if fractional:
+        coeff = _positive_rational_content(list(nf.values()))
+    else:
+        coeff = divided[min(divided, key=_mono_key)]
+    inv = coeff.inverse()
+    primitive = _rebuild({key: inv * c for key, c in divided.items()})
     content_pows = tuple(sorted(common.items(), key=_item_key))
     return coeff, content_pows, primitive
 
@@ -1482,16 +1483,16 @@ def sample_values(e_norm: Expr, box: Box, count: int, seed: int) -> Iterable:
         yield point, value, scale
 
 
-def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,
-                        tol: float = 1e-9) -> bool:
+def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0) -> bool:
     """Zero test: True if ``certify_zero`` proves the normal form zero,
     False if it is one monomial of variables to integer powers, else True
-    iff |e| <= tol*(1+scale) at ``trials`` points of ``sample_values``.
+    iff |e| <= 1e-9*scale at ``trials`` points of ``sample_values``, where
+    scale is the sum of the terms' moduli there: the rule is relative, so
+    a constant factor leaves the verdict as it is.
 
     The certificate is memoized per node; the sampling runs on every call.
     Deterministic for a fixed seed.  If too few admissible points are found
-    the test is inconclusive and raises ``ZeroTestInconclusiveError``.  A
-    NaN ``tol`` accepts no point.
+    the test is inconclusive and raises ``ZeroTestInconclusiveError``.
     """
     n = normalize(e)
     if n == ZERO or certify_zero(n):
@@ -1501,7 +1502,8 @@ def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0,
         return False  # one monomial of variables vanishes on no open set
     successes = 0
     for _, val, scale in sample_values(n, box, trials, seed):
-        if not _modulus(val) <= tol * (1.0 + scale):
+        # cancellation in double precision leaves about 1e-15 of the scale
+        if not _modulus(val) <= 1e-9 * scale:
             return False
         successes += 1
     if successes == 0:

@@ -28,8 +28,8 @@ are each a differential minus ``dga.structure_terms``.  All heavy identities
 are verified as exterior-algebra identities after the basis rewriting.
 Every zero question goes through one method, ``TubeModel.vanishes``, which hands a scalar to the kernel's
 ``is_identically_zero`` and a form to ``FormExpr.vanishes`` (certificate
-first, seeded sampling on the model's box otherwise) and turns an
-undecided test into ``INCONCLUSIVE``.  rho11 > 0 is checked at the points
+first, sampling on the model's box at the run's seed otherwise) and turns
+an undecided test into ``INCONCLUSIVE``.  rho11 > 0 is checked at the points
 the kernel's sampler ``sample_values`` draws, the sampler of the zero test.
 The Levi rank is decided exactly, from the Monge-Ampere residual's zero
 certificate (``TubeModel.levi_rank``).
@@ -126,14 +126,12 @@ class TubeModel:
     """A defining function's derivative cache and checked hypotheses, or
     (``jets`` not empty) the jet model of ``jet_model``."""
 
-    def __init__(self, table: VariableTable, box: dict, trials: int = 32,
-                 seed: int = 0, tol: float = 1e-8, derivs: dict | None = None,
-                 hypotheses: Report | None = None, jets: dict | None = None):
+    def __init__(self, table: VariableTable, box: dict, seed: int = 0,
+                 derivs: dict | None = None, hypotheses: Report | None = None,
+                 jets: dict | None = None):
         self.table = table
         self.box = box
-        self.trials = trials
         self.seed = seed
-        self.tol = tol
         self.derivs = {} if derivs is None else derivs
         self.hypotheses = Report("tube hypotheses") if hypotheses is None else hypotheses
         self.jets = {} if jets is None else jets  # see ``_derive``; empty for a rho
@@ -150,14 +148,13 @@ class TubeModel:
         merged.update(self.box)
         return merged
 
-    def vanishes(self, x: Expr | FormExpr, seed_shift: int):
-        """The sampled zero verdict on ``zero_test_box`` for a scalar or a
-        form: True, False, or ``INCONCLUSIVE`` when the kernel's zero test
-        cannot decide."""
+    def vanishes(self, x: Expr | FormExpr):
+        """The sampled zero verdict on ``zero_test_box`` at the model's seed
+        for a scalar or a form: True, False, or ``INCONCLUSIVE`` when the
+        kernel's zero test cannot decide."""
         test = x.vanishes if isinstance(x, FormExpr) else partial(is_identically_zero, x)
         try:
-            return test(self.zero_test_box, trials=self.trials,
-                        seed=self.seed + seed_shift, tol=self.tol)
+            return test(self.zero_test_box, seed=self.seed)
         except ZeroTestInconclusiveError:
             return INCONCLUSIVE
 
@@ -210,8 +207,7 @@ def ma_residual(derivs: dict) -> Expr:
     return normalize(derivs["rho11"] * derivs["rho22"] - derivs["rho12"] ** 2)
 
 
-def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
-                  tol: float = 1e-8) -> TubeModel:
+def tube_from_rho(rho, box: dict, seed: int = 0) -> TubeModel:
     """Build and validate a tube model from a defining-function expression.
 
     ``rho`` is an expression string over t1, t2 (or an already-parsed
@@ -234,24 +230,22 @@ def tube_from_rho(rho, box: dict, trials: int = 32, seed: int = 0,
             raise
         raise TubeHypothesisError("positivity", "rho11 is identically zero",
                                   hypotheses)
-    model = TubeModel(table, dict(box),
-                      trials=trials, seed=seed, tol=tol, derivs=derivs,
-                      hypotheses=hypotheses)
+    model = TubeModel(table, dict(box), seed=seed, derivs=derivs, hypotheses=hypotheses)
 
-    _zero_hypothesis(model, "monge_ampere", ma_residual(model.derivs), 11, True,
+    _zero_hypothesis(model, "monge_ampere", ma_residual(model.derivs), True,
                      "rho11*rho22 - rho12^2 does not vanish on the box")
     _check_positivity(model)
     hypotheses.add("hypothesis:positivity", True)
-    _zero_hypothesis(model, "twonondegenerate", model.d("S"), 23, False,
+    _zero_hypothesis(model, "twonondegenerate", model.d("S"), False,
                      "S = (rho12/rho11)_1 is identically zero")
     return model
 
 
-def _zero_hypothesis(model: TubeModel, hypothesis: str, x: Expr, seed_shift: int,
-                     want: bool, refuted: str) -> None:
+def _zero_hypothesis(model: TubeModel, hypothesis: str, x: Expr, want: bool,
+                     refuted: str) -> None:
     """Check that the zero verdict on ``x`` is ``want``; ``refuted`` is the
     reason when it is not."""
-    verdict = model.vanishes(x, seed_shift)
+    verdict = model.vanishes(x)
     if verdict is INCONCLUSIVE:
         raise TubeHypothesisUndecided(hypothesis, "inconclusive: the sampled zero "
                                       "test cannot decide on the box", model.hypotheses)
@@ -298,7 +292,7 @@ JET_ORDER = 3   # the least the proof needs: jets r0..r3, m0..m3; rules to r2, m
 JET_INTERVAL = (0.5, 1.5)
 
 
-def jet_model(trials: int = 32, seed: int = 0, tol: float = 1e-8) -> TubeModel:
+def jet_model() -> TubeModel:
     """The tube over free jets of a Monge-Ampere solution: r_k stands for
     d1^k rho11 (r0 > 0) and m_k for d1^k (rho12/rho11).  d1 shifts a jet
     by one; d2 = m0*d1 on functions of grad rho, constant on the rulings,
@@ -316,8 +310,7 @@ def jet_model(trials: int = 32, seed: int = 0, tol: float = 1e-8) -> TubeModel:
         for seq in (r, m):
             jets[seq[k].var][1] = _derive(jets[seq[k - 1].var][1], 1, table, jets)
     box = {x.var.name: JET_INTERVAL for x in r + m}
-    return TubeModel(table, box, trials=trials, seed=seed, tol=tol,
-                     derivs=_derivative_cache(None, table, jets), jets=jets)
+    return TubeModel(table, box, derivs=_derivative_cache(None, table, jets), jets=jets)
 
 
 def _specialization(source: TubeModel, model: TubeModel) -> dict:
@@ -497,8 +490,7 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     # substitution table inverts the coframe definitions
     for name in ("omega", "omega1", "theta2", "phi2"):
         image = forms[name].rewrite(sub)
-        record(f"substitution inverts {name}",
-               model.vanishes(image - frame.gen(name), seed_shift=31))
+        record(f"substitution inverts {name}", model.vanishes(image - frame.gen(name)))
 
     lam = Var(model.table["lam"])
     g = frame.gen
@@ -508,14 +500,13 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     phi1 = g("dbc") + g("omega1").scale(lam * HALF)
     first = _minus_structure_terms(
         frame, "omega", forms["omega"].d().rewrite(sub), phi1)
-    record("contact form structure identity",
-           model.vanishes(first, seed_shift=37))
+    record("contact form structure identity", model.vanishes(first))
 
     # second structure identity, solved for the fiber correction form
     residue = _minus_structure_terms(
         frame, "omega1", forms["omega1"].d().rewrite(sub), phi1)
     record("coframe structure identity holds modulo the contact form",
-           model.vanishes(residue.reduce_mod(["omega"]), seed_shift=41))
+           model.vanishes(residue.reduce_mod(["omega"])))
     sigma = frame.zero(1)
     for gen in frame.generators:
         if gen.name == "omega":
@@ -524,14 +515,13 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
         if coeff != ZERO:
             sigma = sigma - frame.gen(gen.name).scale(coeff)
     record("fiber correction reconstructs the identity",
-           model.vanishes(residue + g("omega").wedge(sigma), seed_shift=43))
+           model.vanishes(residue + g("omega").wedge(sigma)))
     stray = sigma.generators_present() & {"db", "dbc", "dlam"}
     record("fiber correction uses only coframe covectors", not stray,
            f"unexpected covectors {sorted(stray)}")
     sigma_at_b0 = sigma.substitute_scalars(
         {model.table["b"]: ZERO, model.table["bb"]: ZERO})
-    record("fiber correction vanishes at b=0",
-           model.vanishes(sigma_at_b0, seed_shift=47))
+    record("fiber correction vanishes at b=0", model.vanishes(sigma_at_b0))
 
     # final substitution: express the fiber differentials through the
     # connection forms (db_conj = phi1 - (lam/2) omega1 - sigma)
@@ -668,7 +658,7 @@ def curvature_coefficients(cf: TubeCoframe,
 
     spec = partial(substitute, bindings=_specialization(cf.model, model))
     final = spec(final)
-    verdict = model.vanishes(final, seed_shift=53)
+    verdict = model.vanishes(final)
     return CurvatureVerdict(
         theta2_2bar1=spec(theta2_2bar1),
         c=spec(c),
@@ -694,8 +684,7 @@ def _sample_text(val: complex) -> str:
     return f"{val.real:.10g}{val.imag + 0.0:+.3g}j"
 
 
-def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
-            tol: float = 1e-8) -> Report:
+def analyze(rho, box: dict, seed: int = 0) -> Report:
     """End-to-end tube analysis: hypotheses, Levi rank, coframe identities
     (proved over jets), curvature coefficients (specialized to rho), and
     the flatness verdict.  The jet proof is rebuilt on every call, from
@@ -704,10 +693,9 @@ def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
     coefficients.  A failed or undecided hypothesis, or a failed coframe
     identity, ends the report after the checks made before it."""
     report = Report("tube hypersurface analysis")
-    report.config = {"trials": trials, "seed": seed, "tol": tol,
-                     "box": {k: list(v) for k, v in box.items()}}
+    report.config = {"seed": seed, "box": {k: list(v) for k, v in box.items()}}
     try:
-        model = tube_from_rho(rho, box, trials=trials, seed=seed, tol=tol)
+        model = tube_from_rho(rho, box, seed=seed)
     except TubeHypothesisError as exc:
         report.extend(exc.report)
         return report
@@ -718,7 +706,7 @@ def analyze(rho, box: dict, trials: int = 32, seed: int = 0,
         "reason": "rank 1 is not proven: the Monge-Ampere residual has no zero certificate"})
 
     try:
-        cf = build_coframe(jet_model(trials=trials, seed=seed, tol=tol))
+        cf = build_coframe(jet_model())
     except CoframeVerificationError as exc:
         report.extend(exc.report)
         report.add("coframe construction", False, {"identity": exc.identity})

@@ -168,22 +168,34 @@ def test_bad_box_exit_code():
     for box in ("t1=1:0", ""):
         result = run_cli("tube", "analyze", "--rho", "t1^2/t2", "--box", box)
         assert result.returncode == 2, box
-    # a non-finite bound or tolerance turns every comparison into "zero"
-    for box, tol in (("t1=0.1:inf,t2=0.1:1", "1e-8"), ("t1=0.1:1,t2=0.1:1", "nan"),
-                     ("t1=0.1:1,t2=0.1:1", "inf")):
-        result = run_cli("tube", "analyze", "--rho", "t1^2+t2^2", "--box", box,
-                         "--tol", tol)
-        assert result.returncode == 2, (box, tol)
-        assert result.stderr.startswith("error:")
+    # a non-finite bound turns every comparison into "zero"
+    result = run_cli("tube", "analyze", "--rho", "t1^2+t2^2", "--box", "t1=0.1:inf,t2=0.1:1")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("command", (("tube", "paper-example", "--tol", "1e-8"),
+                                     ("tube", "paper-example", "--trials", "32"),
+                                     ("tube", "analyze", "--rho", "t1^2/t2",
+                                      "--box", "t1=0.5:1,t2=0.5:1", "--trials", "8"),
+                                     ("expr", "zero", "--expr", "t1", "--box", "t1=1:2",
+                                      "--tol", "1e-9")))
+def test_removed_sampler_options_are_usage_errors(command):
+    # the tube commands take the seed as their only sampler setting, and the
+    # zero test's tolerance is relative to the terms' scale
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(list(command)) == cli.EXIT_USAGE
+    assert "unrecognized arguments: --t" in err.getvalue()
 
 
 def test_trials_over_budget_exit_code():
     # a billion sample points would run for hours; refused before any work
-    for command in (("expr", "zero", "--expr", "sqrt(t1^2)-t1", "--box", "t1=0.1:1"),
-                    ("tube", "paper-example")):
-        result = run_cli(*command, "--trials", "1000000000", timeout=15)
-        assert result.returncode == 2, command
-        assert result.stderr == f"error: --trials must be at most {cli.MAX_TRIALS}\n"
+    for trials, message in (("1000000000", f"at most {cli.MAX_TRIALS}"), ("0", "positive")):
+        result = run_cli("expr", "zero", "--expr", "sqrt(t1^2)-t1", "--box", "t1=0.1:1",
+                         "--trials", trials, timeout=15)
+        assert result.returncode == 2, trials
+        assert result.stderr == f"error: --trials must be {message}\n"
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["expr", "zero", "--expr", "sqrt(t1^2)-t1", "--box", "t1=0.1:1",
                          "--trials", str(cli.MAX_TRIALS)]) == 0
@@ -192,7 +204,7 @@ def test_trials_over_budget_exit_code():
 @pytest.mark.parametrize("command", (("analyze", "--rho", "t1^2+t2^2"),
                                      ("paper-example",), ("profile", "--g", "s^2")))
 def test_tube_box_must_cover_t1_and_t2(command):
-    result = run_cli("tube", *command, "--box", "t1=0.02:0.08", "--trials", "4")
+    result = run_cli("tube", *command, "--box", "t1=0.02:0.08")
     assert result.returncode == 2, result.stderr
     assert result.stderr == "error: box must cover t1 and t2\n"
 
@@ -292,8 +304,8 @@ def test_expr_zero_inconclusive_exit_code():
 
 
 def test_expr_zero_reads_a_monomial_as_nonzero_without_sampling(capsys):
-    # one monomial of variables vanishes on no open set: each sample of
-    # t1/10^20 is below tol*(1 + scale), and 100*t1^307 is inf on its box
+    # one monomial of variables vanishes on no open set, however small, as
+    # t1/10^20, or however large, as 100*t1^307, inf on its box
     for text, box in (("t1/10^20", "t1=1:2"), ("100*t1^307", "t1=10:10.01")):
         assert cli.main(["expr", "zero", "--expr", text, "--box", box]) == 0, text
         details = json.loads(capsys.readouterr().out)["checks"][0]["details"]
@@ -373,6 +385,17 @@ def test_out_file_option(tmp_path):
     assert payload["overall"] == "pass"
 
 
+def test_expr_zero_is_relative_to_the_terms_scale(capsys):
+    # a sampled point reads as zero when its value is small against the sum
+    # of its terms' moduli, whatever their common size
+    for text, box, zero in (("t1/10^20 + t2/10^20", "t1=1:2,t2=1:2", False),
+                            ("t1^(1/2)/10^20", "t1=1:2", False),
+                            ("sqrt(t1^2)/10^200 - t1/10^200", "t1=1:2", True)):
+        assert cli.main(["expr", "zero", "--expr", text, "--box", box]) == 0, text
+        details = json.loads(capsys.readouterr().out)["checks"][0]["details"]
+        assert details["identically_zero"] is zero, text
+
+
 def _strip_timing(payload):
     if isinstance(payload, dict):
         return {k: _strip_timing(v) for k, v in payload.items() if k != "timing_s"}
@@ -383,9 +406,9 @@ def _strip_timing(payload):
 
 def test_reports_are_deterministic():
     a = run_cli("tube", "analyze", "--rho", "t1^2/t2",
-                "--box", "t1=0.5:1,t2=0.5:1", "--trials", "8", "--seed", "4")
+                "--box", "t1=0.5:1,t2=0.5:1", "--seed", "4")
     b = run_cli("tube", "analyze", "--rho", "t1^2/t2",
-                "--box", "t1=0.5:1,t2=0.5:1", "--trials", "8", "--seed", "4")
+                "--box", "t1=0.5:1,t2=0.5:1", "--seed", "4")
     pa = _strip_timing(json.loads(a.stdout))
     pb = _strip_timing(json.loads(b.stdout))
     assert json.dumps(pa, sort_keys=True) == json.dumps(pb, sort_keys=True)
@@ -490,20 +513,19 @@ _WELL_FORMED = ("t1-t2", "t1*t2^2", "1/t2", "sqrt(t1*t2)+1", "t1^2", "t1^(-2)")
 @given(text=st.one_of(st.sampled_from(_WELL_FORMED),
                       st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=14).map("".join)),
        command=st.sampled_from(("eval", "diff", "zero")),
-       tol=st.sampled_from(_NUMBERS), bound=st.sampled_from(_NUMBERS),
+       bound=st.sampled_from(_NUMBERS),
        by=st.sampled_from(("t1", "t2", "t3")), box_t2=st.booleans(),
        at=st.sampled_from(("0.3", "1e-200", "1e200")), t3=st.booleans())
-def test_expr_commands_end_with_a_contract_exit_code(text, command, tol, bound, by, box_t2,
-                                                     at, t3):
+def test_expr_commands_end_with_a_contract_exit_code(text, command, bound, by, box_t2, at, t3):
     box = f"t1={bound}:1" + (",t2=0.1:1" if box_t2 else "") + (",t3=0:1" if t3 else "")
     extra = {"eval": ["--at", f"t1={at},t2=0.7" + (",t3=1" if t3 else "")],
              "diff": ["--by", by],
-             "zero": ["--box", box, "--trials", "4", "--tol", str(tol)]}[command]
+             "zero": ["--box", box, "--trials", "4"]}[command]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["expr", command, f"--expr={text}", *extra])
     assert code in (0, 1, 2, 3)
-    if command == "zero" and not (math.isfinite(tol) and math.isfinite(bound)):
+    if command == "zero" and not math.isfinite(bound):
         assert code == 2
     # t3 is undeclared; text holding t2 either fails to parse or has t2 free
     if (command == "diff" and by == "t3") or (command != "diff" and t3):

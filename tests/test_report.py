@@ -48,8 +48,8 @@ REPORTS = {
     "dga equivariance": dga.verify_equivariance,
     "dga cartan": dga.verify_cartan_criterion,
     "dga flat": dga.verify_flat_consistency,
-    "tube analyze": lambda: tube.analyze("t1^2/t2", BOX, trials=8),
-    "tube failed hypothesis": lambda: tube.analyze("t1^2/2", BOX, trials=8),
+    "tube analyze": lambda: tube.analyze("t1^2/t2", BOX),
+    "tube failed hypothesis": lambda: tube.analyze("t1^2/2", BOX),
 }
 
 

@@ -56,8 +56,7 @@ def _equal(model, a, b, seed=0):
     diff = normalize(a - b)
     if certify_zero(diff):
         return True
-    return is_identically_zero(diff, model.zero_test_box, trials=16,
-                               seed=seed, tol=1e-8)
+    return is_identically_zero(diff, model.zero_test_box, trials=16, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +134,11 @@ def test_vanishing_rho11_rejected_by_positivity():
 
 
 def test_undecided_twonondegeneracy_is_inconclusive(monkeypatch):
-    # S's zero test (seed shift 23) cannot decide: the analysis stops there
-    # without calling the hypothesis failed
+    # S's zero test cannot decide: the analysis stops there without calling
+    # the hypothesis failed
     vanishes = tube.TubeModel.vanishes
-    monkeypatch.setattr(tube.TubeModel, "vanishes", lambda model, x, seed_shift: (
-        tube.INCONCLUSIVE if seed_shift == 23 else vanishes(model, x, seed_shift)))
+    monkeypatch.setattr(tube.TubeModel, "vanishes", lambda model, x: (
+        tube.INCONCLUSIVE if x is model.d("S") else vanishes(model, x)))
     with pytest.raises(tube.TubeHypothesisUndecided) as err:
         tube.tube_from_rho("t1^2/t2", HOMOG_BOX)
     assert err.value.hypothesis == "twonondegenerate"
@@ -267,7 +266,7 @@ def test_base_derivative_structure(paper_model):
     target = forms["eta1"].wedge(forms["eta1"].conj()).scale(-1 / rho11)
     diff = dmu - target
     assert diff.certify_zero() or diff.vanishes(paper_model.zero_test_box,
-                                                trials=8, seed=1, tol=1e-8)
+                                                trials=8, seed=1)
     # d eta1 = -S eta2 ^ eta1c + [rho111/rho11^2 eta1c + S eta2c] ^ eta1
     s_fn = paper_model.d("S")
     rho111 = paper_model.d("rho111")
@@ -277,7 +276,7 @@ def test_base_derivative_structure(paper_model):
     target1 = eta2.wedge(eta1.conj()).scale(-s_fn) + bracket.wedge(eta1)
     diff1 = deta1 - target1
     assert diff1.certify_zero() or diff1.vanishes(paper_model.zero_test_box,
-                                                  trials=8, seed=2, tol=1e-8)
+                                                  trials=8, seed=2)
 
 
 def test_gamma0_collapses_fiber_differentials(paper_model, paper_coframe):
@@ -324,21 +323,20 @@ def test_normalization_shift_kills_coefficient(paper_model, paper_verdict):
     b, bb = table["b"], table["bb"]
     shifted = substitute(paper_verdict.theta2_2bar1, {bb: Var(bb) - paper_verdict.c})
     on_section = tube.restrict_to_section(shifted, table)
-    assert is_identically_zero(on_section, paper_model.zero_test_box, trials=16,
-                               seed=13, tol=1e-8)
+    assert is_identically_zero(on_section, paper_model.zero_test_box, trials=16, seed=13)
 
 
 def test_final_coefficient_matches_printed_value(paper_model, paper_verdict):
     closed = tube.paper_example_final_closed_form(paper_model)
     diff = normalize(paper_verdict.theta2_21_final - closed)
-    assert is_identically_zero(diff, BOX, trials=32, seed=0, tol=1e-8)
+    assert is_identically_zero(diff, BOX, trials=32, seed=0)
 
 
 def test_final_coefficient_matches_direct_route(paper_model, paper_verdict):
     # oracle: the independent scalar-calculus route (no exterior algebra)
     direct = tube.direct_final_coefficient(paper_model)
     diff = normalize(paper_verdict.theta2_21_final - direct)
-    assert is_identically_zero(diff, BOX, trials=32, seed=1, tol=1e-8)
+    assert is_identically_zero(diff, BOX, trials=32, seed=1)
 
 
 def test_paper_example_verdict(paper_verdict):
@@ -354,7 +352,7 @@ def test_homogeneous_example_final_zero(homog_model):
     assert not verdict.cartan_obstruction
     assert verdict.flatness == "necessary_condition_passed"
     direct = tube.direct_final_coefficient(homog_model)
-    assert is_identically_zero(direct, HOMOG_BOX, trials=16, seed=2, tol=1e-8)
+    assert is_identically_zero(direct, HOMOG_BOX, trials=16, seed=2)
 
 
 def test_flatness_probe_branches(paper_verdict):
@@ -380,7 +378,7 @@ def test_tube_models_share_no_cache_or_report():
     for name in ("derivs", "jets", "hypotheses"):
         assert getattr(first, name) is not getattr(second, name), name
     assert first.hypotheses.checks is not second.hypotheses.checks
-    assert (first.trials, first.seed, first.tol, first.derivs, first.jets) == (32, 0, 1e-8, {}, {})
+    assert (first.seed, first.derivs, first.jets) == (0, {}, {})
     assert first.hypotheses.title == "tube hypotheses"
 
 
@@ -403,7 +401,7 @@ def test_torsion_conjugation_consistency(paper_model, paper_coframe):
                    - g("omega1c").wedge(g("phi1c")))
     diff = direct_conj - from_inputs
     assert diff.certify_zero() or diff.vanishes(
-        paper_model.zero_test_box, trials=8, seed=17, tol=1e-8)
+        paper_model.zero_test_box, trials=8, seed=17)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +484,7 @@ def test_specialized_paper_final_is_certified_equal_to_closed_form(paper_model, 
 
 def test_a_nonzero_jet_identity_fails_rather_than_inconclusive(jets, monkeypatch):
     # every jet has a box interval, so a false identity is refuted
-    assert jets.vanishes(_jet(jets, "m1") * _jet(jets, "r2"), seed_shift=0) is False
+    assert jets.vanishes(_jet(jets, "m1") * _jet(jets, "r2")) is False
     base_substitution = tube._base_substitution
 
     def perturbed(model, frame):
@@ -496,7 +494,7 @@ def test_a_nonzero_jet_identity_fails_rather_than_inconclusive(jets, monkeypatch
         return sub
 
     monkeypatch.setattr(tube, "_base_substitution", perturbed)
-    report = tube.analyze("t1^2/t2", HOMOG_BOX, trials=16)
+    report = tube.analyze("t1^2/t2", HOMOG_BOX)
     assert report.overall == "fail"
     assert [(c.name, c.status) for c in report.checks[-2:]] == [
         ("coframe:substitution inverts omega", "fail"), ("coframe construction", "fail")]
@@ -533,14 +531,15 @@ def test_analyze_report_for_rejected_input():
 
 
 def test_analyze_report_keeps_checks_before_a_failed_coframe_identity(monkeypatch):
-    vanishes = tube.TubeModel.vanishes
+    minus_structure_terms = tube._minus_structure_terms
 
-    def contact_identity_fails(self, x, seed_shift):
-        # seed shift 37 belongs to the contact form structure identity
-        return False if seed_shift == 37 else vanishes(self, x, seed_shift)
+    def perturbed(frame, name, dform, phi1):
+        # the contact form structure identity gains a nonzero term
+        out = minus_structure_terms(frame, name, dform, phi1)
+        return out + frame.gen("omega").wedge(frame.gen("omega1")) if name == "omega" else out
 
-    monkeypatch.setattr(tube.TubeModel, "vanishes", contact_identity_fails)
-    report = tube.analyze("t1^2/t2", HOMOG_BOX, trials=16)
+    monkeypatch.setattr(tube, "_minus_structure_terms", perturbed)
+    report = tube.analyze("t1^2/t2", HOMOG_BOX)
     assert report.overall == "fail"
     assert [c.name for c in report.checks] == [
         "hypothesis:monge_ampere", "hypothesis:positivity",
@@ -553,7 +552,7 @@ def test_analyze_report_keeps_checks_before_a_failed_coframe_identity(monkeypatc
 
 
 def test_analyze_report_homogeneous():
-    report = tube.analyze("t1^2/t2", HOMOG_BOX, trials=16)
+    report = tube.analyze("t1^2/t2", HOMOG_BOX)
     assert report.overall == "pass"
     names = {c.name for c in report.checks}
     assert "levi rank 1" in names
@@ -564,8 +563,8 @@ def test_analyze_report_homogeneous():
 @pytest.mark.parametrize("interval", [(1e-300, 1e-299), (1e300, 1e301)])
 def test_light_cone_passes_at_extreme_scales(interval):
     # near 1e-300 no Hessian entry has a float value, which an exact Levi
-    # rank does not need; near 1e300 every sample of S = -t2^(-1) is below
-    # the zero test's tolerance, and a one-monomial S is no zero regardless
+    # rank does not need; near 1e300 S = -t2^(-1) is below 1e-300, and a
+    # one-monomial S is no zero whatever its size
     report = tube.analyze("t1^2/t2", {"t1": interval, "t2": interval})
     assert [(c.name, c.status) for c in report.checks if c.status != "pass"] == []
     assert report.overall == "pass"
@@ -573,7 +572,7 @@ def test_light_cone_passes_at_extreme_scales(interval):
 
 def test_levi_rank_without_a_certificate_is_inconclusive(monkeypatch):
     monkeypatch.setattr(tube, "certify_zero", lambda e: False)
-    report = tube.analyze("t1^2/t2", HOMOG_BOX, trials=16)
+    report = tube.analyze("t1^2/t2", HOMOG_BOX)
     (levi,) = (c for c in report.checks if c.name == "levi rank 1")
     assert levi.status == "inconclusive"
     assert levi.details == {"reason": "rank 1 is not proven: the Monge-Ampere "
@@ -582,7 +581,7 @@ def test_levi_rank_without_a_certificate_is_inconclusive(monkeypatch):
 
 
 def test_every_coframe_check_carries_its_own_timing():
-    report = tube.analyze("t1^2/t2", HOMOG_BOX, trials=16)
+    report = tube.analyze("t1^2/t2", HOMOG_BOX)
     coframe = [c for c in report.checks if c.name.startswith("coframe:")]
     assert len(coframe) == 9
     assert all(c.timing_s is not None and c.timing_s >= 0 for c in coframe)
@@ -592,7 +591,7 @@ def test_every_coframe_check_carries_its_own_timing():
 
 
 def test_hypothesis_levi_and_verdict_checks_carry_their_own_timing():
-    report = tube.analyze("t1^2/t2", HOMOG_BOX, trials=16)
+    report = tube.analyze("t1^2/t2", HOMOG_BOX)
     timed = {c.name: c.timing_s for c in report.checks
              if not c.name.startswith("coframe:")}
     assert list(timed) == [
@@ -609,14 +608,14 @@ def test_inconclusive_coframe_identity_is_reported_inconclusive(monkeypatch, cap
         raise ZeroTestInconclusiveError("forced")
 
     monkeypatch.setattr(FormExpr, "vanishes", undecided)
-    report = tube.analyze("t1^2/t2", HOMOG_BOX, trials=16)
+    report = tube.analyze("t1^2/t2", HOMOG_BOX)
     coframe = {c.name: c.status for c in report.checks if c.name.startswith("coframe:")}
     assert coframe["coframe:contact form structure identity"] == "inconclusive"
     assert coframe["coframe:fiber correction uses only coframe covectors"] == "pass"
     assert "fail" not in coframe.values()
     assert report.overall == "inconclusive"
     code = cli.main(["tube", "analyze", "--rho", "t1^2/t2",
-                     "--box", "t1=0.5:1,t2=0.5:1", "--trials", "16"])
+                     "--box", "t1=0.5:1,t2=0.5:1"])
     assert code == cli.EXIT_INCONCLUSIVE
     assert json.loads(capsys.readouterr().out)["overall"] == "inconclusive"
 
