@@ -26,10 +26,13 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from .scalars import (
+    Add,
     COMPLEX_PAIRED,
     Expr,
     ExprError,
     IMAGINARY,
+    MINUS_ONE,
+    Mul,
     ONE,
     REAL,
     Variable,
@@ -45,6 +48,7 @@ from .scalars import (
     lift,
     normalize,
     substitute,
+    times,
     to_text,
 )
 
@@ -88,6 +92,12 @@ def _merge_word(w1: tuple, w2: tuple):
     return tuple(word), sign
 
 
+def _signed(c: Expr, sign: int) -> Expr:
+    """``c`` times ``sign``, +1 adding no factor: ``_collapse`` returns its
+    output, a product's normal form, unchanged (seeded trees test this)."""
+    return c if sign > 0 else Mul((c, MINUS_ONE))
+
+
 def _summed(chart: "Chart", degree: int, pieces) -> "FormExpr":
     """The form of ``degree`` summing the ``(word, coeff)`` pairs of
     ``pieces``: each word's coefficients add up left to right, the first
@@ -95,7 +105,7 @@ def _summed(chart: "Chart", degree: int, pieces) -> "FormExpr":
     out: dict[tuple, Expr] = {}
     for word, coeff in pieces:
         cur = out.get(word)
-        out[word] = coeff if cur is None else cur + coeff
+        out[word] = coeff if cur is None else Add((cur, coeff))
     return FormExpr(chart, degree, out)
 
 
@@ -178,12 +188,6 @@ class Chart:
         idx = self._require_gen(name)
         return FormExpr(self, 1, {(idx,): ONE})
 
-    def basis_word(self, names: Sequence[str]) -> "FormExpr":
-        form = self.scalar(1)
-        for n in names:
-            form = form.wedge(self.gen(n))
-        return form
-
     # -- rules -------------------------------------------------------------
 
     def d_rule(self, name: str) -> "FormExpr":
@@ -221,7 +225,7 @@ class FormExpr:
         for word, coeff in terms.items():
             if len(word) != degree:
                 raise ChartError("word length does not match form degree")
-            c = normalize(lift(coeff))
+            c = normalize(coeff if isinstance(coeff, Expr) else lift(coeff))
             if c != ZERO:
                 cleaned[word] = c
         self.terms = cleaned
@@ -265,15 +269,15 @@ class FormExpr:
                        chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "FormExpr") -> "FormExpr":
-        return self + other.scale(-1)
+        return self + other.scale(MINUS_ONE)
 
     def __neg__(self) -> "FormExpr":
-        return self.scale(-1)
+        return self.scale(MINUS_ONE)
 
     def scale(self, e) -> "FormExpr":
         e = lift(e)
         return FormExpr(self.chart, self.degree,
-                        {w: c * e for w, c in self.terms.items()})
+                        {w: times(c, e) for w, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FormExpr) and self.chart is other.chart
@@ -289,7 +293,7 @@ class FormExpr:
                 for w2, c2 in other.terms.items():
                     merged = _merge_word(w1, w2)
                     if merged is not None:
-                        yield merged[0], c1 * c2 if merged[1] > 0 else c1 * c2 * -1
+                        yield merged[0], _signed(times(c1, c2), merged[1])
 
         return _summed(self.chart, self.degree + other.degree, pieces())
 
@@ -306,7 +310,7 @@ class FormExpr:
                     for rword, rcoeff in chart.scalar_rule(v).terms.items():
                         merged = _merge_word(rword, word)
                         if merged is not None:
-                            yield merged[0], dc * rcoeff * merged[1]
+                            yield merged[0], _signed(times(dc, rcoeff), merged[1])
                 for j, idx in enumerate(word):
                     rule = chart.d_rule(chart.generators[idx].name)
                     rest = word[:j] + word[j + 1:]
@@ -314,7 +318,8 @@ class FormExpr:
                     for rword, rcoeff in rule.terms.items():
                         merged = _merge_word(rword, rest)
                         if merged is not None:
-                            yield merged[0], coeff * rcoeff * (merged[1] * outer_sign)
+                            yield merged[0], _signed(times(coeff, rcoeff),
+                                                     merged[1] * outer_sign)
 
         return _summed(chart, self.degree + 1, pieces())
 
@@ -332,7 +337,9 @@ class FormExpr:
                 mword, psign = _merge_word(tuple(
                     chart._index[g.partner] if g.reality == COMPLEX_PAIRED else idx
                     for g, idx in zip(gens, word)), ())
-                yield mword, conjugate(coeff) * (sign * psign)
+                # a normalized conjugate drops a +1 only if Laurent (``times``)
+                c = conjugate(coeff)
+                yield mword, times(c, ONE) if sign * psign > 0 else Mul((c, MINUS_ONE))
 
         return _summed(chart, self.degree, pieces())
 
@@ -351,10 +358,9 @@ class FormExpr:
             raise ChartError("coefficient word repeats a generator")
         if len(indices) != self.degree:
             raise ChartError("coefficient word length must equal the form degree")
-        merged = _merge_word(indices, ())
-        word, sign = merged
+        word, sign = _merge_word(indices, ())
         coeff = self.terms.get(word, ZERO)
-        return coeff if sign > 0 else normalize(coeff * -1)
+        return coeff if sign > 0 else normalize(Mul((coeff, MINUS_ONE)))
 
     def rewrite(self, sub: Mapping[str, "FormExpr"]) -> "FormExpr":
         """Homomorphic basis change: replace each generator by a degree-1

@@ -84,7 +84,7 @@ class RealityViolationError(ExprError):
 
 
 class ZeroTestInconclusiveError(ExprError):
-    """Raised when every sampled point hit a singularity."""
+    """Raised when too few sampled points are admissible."""
 
 
 class WorkBudgetError(ExprError):
@@ -1047,6 +1047,22 @@ def normalize(e: Expr) -> Expr:
     return result
 
 
+def times(a: Expr, b: Expr) -> Expr:
+    """``Mul((a, b))``, or the other factor when one is ``ONE`` and the
+    other's normal form in ``_NF_MEMO`` has no sum atom, the forms that
+    ``normalize`` registers for its results (``_NF_MEMO[result] = nf``):
+    the unit monomial multiplies it term for term and it rebuilds to the
+    factor's own normalization, so every normalization gives the node it
+    gives with the product.  A form with a sum atom may derive back in
+    another shape, so it keeps ``ONE``."""
+    if a is ONE or b is ONE:
+        other = b if a is ONE else a
+        nf = _NF_MEMO.get(other)
+        if nf is not None and all(_mono_parts(pows)[2] for pows in nf):
+            return other
+    return Mul((a, b))
+
+
 def is_zero_expr(e: Expr) -> bool:
     return normalize(e) == ZERO
 
@@ -1466,7 +1482,9 @@ def sample_values(e_norm: Expr, box: Box, count: int, seed: int) -> Iterable:
     at a time: each is evaluated when drawn and yielded if admissible, so
     a reader that stops early draws and evaluates no further point.  A
     point with a pole or a non-finite value is inadmissible and skipped.
-    Deterministic for a fixed seed.
+    One of scale 0 (every term 0, as when all underflow) tells nothing: it
+    is yielded for the reader to skip, and not counted.  Deterministic for
+    a fixed seed.
     """
     draws = sample_draws(sorted(free_variables(e_norm), key=lambda v: v.name), box)
     rng = random.Random(seed)
@@ -1479,7 +1497,8 @@ def sample_values(e_norm: Expr, box: Box, count: int, seed: int) -> Iterable:
             value, scale = _eval_with_scale(e_norm, point)
         except DomainEvalError:
             continue
-        found += 1
+        if scale:
+            found += 1
         yield point, value, scale
 
 
@@ -1500,14 +1519,19 @@ def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0) -> b
     if not isinstance(n, Add) and all(isinstance(atom, Var) and ex.denominator == 1
                                       for atom, ex in _split_mono(n)[1]):
         return False  # one monomial of variables vanishes on no open set
-    successes = 0
+    successes = underflows = 0
     for _, val, scale in sample_values(n, box, trials, seed):
+        if not scale:
+            underflows += 1
+            continue
         # cancellation in double precision leaves about 1e-15 of the scale
         if not _modulus(val) <= 1e-9 * scale:
             return False
         successes += 1
     if successes == 0:
         raise ZeroTestInconclusiveError(
+            "every term is 0 (underflow) at the sampled points that hit no "
+            "singularity; zero test inconclusive" if underflows else
             "all sampled points hit singularities; zero test inconclusive")
     if successes < trials:
         raise ZeroTestInconclusiveError(

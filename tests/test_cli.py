@@ -122,11 +122,11 @@ def test_tube_analyze_parse_error_exit_code():
     assert "offset" in result.stderr
 
 
-def _modules_loaded_by_importing_the_cli(*flags):
+def _modules_loaded_by_importing_the_cli(*flags, then="pass"):
     """The modules that ``import crcgeo.cli`` loads in a fresh interpreter
-    started with ``flags``."""
+    started with ``flags``, and the statement ``then`` after it."""
     probe = ("import sys; before = set(sys.modules); import crcgeo.cli; "
-             "print(*sorted(set(sys.modules) - before))")
+             f"{then}; print(*sorted(set(sys.modules) - before))")
     package_root = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, *flags, "-c", probe], capture_output=True,
@@ -153,6 +153,30 @@ def test_cli_import_loads_no_path_library():
     # site, which preloads pathlib, nothing should load it and what it pulls in
     loaded = _modules_loaded_by_importing_the_cli("-S")
     assert {"pathlib", "urllib.parse", "ipaddress", "fnmatch"}.isdisjoint(loaded)
+
+
+def test_expr_loads_no_exterior_algebra():
+    # each command imports what it runs: an expression job needs the kernel,
+    # the parser and the report, not the forms layer or the workloads on it
+    for command in (["eval", "--at", "t1=1"], ["diff", "--by", "t1"],
+                    ["zero", "--box", "t1=1:2"]):
+        argv = ["expr", *command, "--expr", "t1^(1/2)", "--out", os.devnull]
+        loaded = _modules_loaded_by_importing_the_cli(
+            then=f"assert crcgeo.cli.main({argv!r}) == 0")
+        assert {"crcgeo.forms", "crcgeo.model", "crcgeo.dga",
+                "crcgeo.tube"}.isdisjoint(loaded), command
+
+
+def test_expr_zero_is_inconclusive_where_every_term_underflows(capsys):
+    # 10^-400 is 0.0 in floating point: each sampled point has value 0 and
+    # scale 0, which says nothing about the expression
+    code = cli.main(["expr", "zero", "--expr", "t1^(1/2)/10^400", "--box", "t1=1:2"])
+    assert code == cli.EXIT_INCONCLUSIVE
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["overall"] == "inconclusive"
+    assert payload["checks"][0]["status"] == "inconclusive"
+    assert payload["checks"][0]["details"]["reason"].startswith(
+        "every term is 0 (underflow) at the sampled points")
 
 
 def test_usage_error_exit_code():

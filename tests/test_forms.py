@@ -1,16 +1,18 @@
 """Exterior algebra: wedge, d, rewriting, coefficients, conjugation."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from crcgeo import cli
+from crcgeo import cli, scalars
 from crcgeo.forms import (
     Chart,
     ChartError,
     FormExpr,
     MissingRuleError,
+    _signed,
     g_imaginary,
     g_pair,
     g_real,
@@ -19,8 +21,11 @@ from crcgeo.model import model_chart
 from crcgeo.parsing import parse
 from crcgeo.scalars import (
     KINDS,
+    ONE,
     Const,
     ExprError,
+    Mul,
+    Pow,
     QC,
     Var,
     VariableTable,
@@ -28,6 +33,7 @@ from crcgeo.scalars import (
     declared,
     is_zero_expr,
     normalize,
+    times,
 )
 
 
@@ -195,7 +201,7 @@ def test_conjugate_commutes_with_d(chart):
     names = [g.name for g in chart.generators]
     for _ in range(50):
         word = rng.sample(names, 2)
-        form = chart.basis_word(word).scale(rng.randint(1, 4))
+        form = w(chart, *word).scale(rng.randint(1, 4))
         diff = form.d().conj() - form.conj().d()
         assert diff.certify_zero()
 
@@ -223,6 +229,77 @@ def test_vanishes_certifies_each_coefficient_once(monkeypatch):
     assert len(calls) == 2
     assert len(set(calls)) == 2
     assert not any(certify(c) for c in calls)
+
+
+def test_forms_lift_no_unit_sign(monkeypatch):
+    # ordering signs and negation use the interned MINUS_ONE node: no
+    # operation of the forms layer lifts a Python 1 or -1 into a constant
+    from crcgeo import dga, tube
+
+    lifted = []
+    of = scalars.QC.of
+
+    def counting(re, im=0):
+        caller = sys._getframe(1)
+        if caller.f_code is scalars.lift.__code__:
+            caller = caller.f_back
+            if caller.f_globals["__name__"] == "crcgeo.scalars":  # an Expr operator
+                caller = caller.f_back
+            if caller.f_globals["__name__"] == "crcgeo.forms":
+                lifted.append((re, im))
+        return of(re, im)
+
+    monkeypatch.setattr(scalars.QC, "of", staticmethod(counting))
+    assert dga.verify_cartan_criterion().overall == "pass"
+    tube.build_coframe(tube.jet_model())
+    assert [value for value in lifted if value in ((1, 0), (-1, 0))] == []
+
+
+def _unit_products(x):
+    return ((times(ONE, x), Mul((ONE, x))), (times(x, ONE), Mul((x, ONE))))
+
+
+def test_unit_factor_shortcut_gives_the_product_normal_form():
+    # a factor ONE is left out only where every normalization reading the
+    # product gives the node it gives with it: on a registered Laurent
+    # normal form, not on a sum atom nor on a form no longer memoized
+    from tests.test_scalars import _random_tree
+
+    table = VariableTable()
+    variables = table.positive("x", "y", "z")
+    x = Var(variables[0])
+    radical = Pow(Const(QC(-2)), Fraction(3, 2))  # (-2)^(3/2) = -2*i*2^(1/2)
+    sum_atom = normalize(Pow(x * x + 1, Fraction(1, 2)))
+    rng = random.Random(2031)
+    trees = [radical, radical * x, sum_atom * x + 1]
+    trees += [_random_tree(rng, variables, rng.randint(1, 5)) for _ in range(400)]
+    taken = kept = 0
+    previous = sum_atom
+    for tree in trees:
+        try:
+            n = normalize(tree)
+        except ExprError:
+            continue
+        # the tree's normal form is memoized, and the normalized node's
+        # registered when it has no sum atom
+        for e in (tree, n):
+            for got, product in _unit_products(e):
+                if got is product:
+                    kept += 1
+                    continue
+                taken += 1
+                assert got is e
+                assert normalize(got) is normalize(product)
+                assert normalize(got + sum_atom) is normalize(product + sum_atom)
+        # a fresh product drops an ordering sign of +1
+        product = Mul((n, previous))
+        assert normalize(_signed(product, 1)) is normalize(Mul((product, ONE)))
+        previous = n
+    assert taken > 100 and kept > 100
+    assert times(ONE, normalize(radical)) is normalize(radical)
+    assert times(ONE, sum_atom) is not sum_atom
+    scalars.clear_caches()
+    assert times(ONE, n) is Mul((ONE, n))
 
 
 # ---------------------------------------------------------------------------

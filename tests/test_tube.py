@@ -103,6 +103,9 @@ def _reference_positivity_reason(rho, box, seed):
             val = evaluate(rho11, point)
         except scalars.DomainEvalError:
             continue
+        terms = rho11.terms if isinstance(rho11, scalars.Add) else (rho11,)
+        if not any(evaluate(t, point) for t in terms):
+            continue  # every term is 0 there: the point tells nothing
         found += 1
         if abs(val.imag) > 1e-9 * (1 + abs(val)) or val.real <= 0:
             return f"positivity: rho11 = {val} at {point} is not positive"
