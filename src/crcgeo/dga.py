@@ -25,11 +25,13 @@ whole rewritten form.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
 from .scalars import (
     Expr,
+    MINUS_ONE,
     ONE,
     Var,
     VariableTable,
@@ -91,56 +93,48 @@ class DgaChart(NamedTuple):
         return model.coframe(self.chart)
 
 
+def _expand(chart: Chart, *terms) -> FormExpr:
+    """The sum of ``c * x^y`` over the ``(x, y, c)`` of ``terms``, in one pass."""
+    g = chart.gen
+    return chart.combine((g(x).wedge(g(y)), c) for x, y, c in terms)
+
+
 def _expanded_curvature(chart: Chart, zero_coeffs: frozenset) -> dict:
-    def v(name: str) -> Expr:
+    def v(name: str, factor=ONE) -> Expr:
+        """The coefficient ``name`` times ``factor``; ZERO when zeroed."""
         if name in zero_coeffs or (name.endswith("c") and name[:-1] in zero_coeffs):
             return ZERO
-        return Var(chart.table[name])
+        var = Var(chart.table[name])
+        return var if factor is ONE else var * factor
 
-    g = chart.gen
-    w = lambda x, y: g(x).wedge(g(y))
-
-    theta2 = (w("theta2", "omega1").scale(v("T21"))
-              + w("theta2", "omega").scale(v("T20"))
-              + w("omega1", "omega").scale(v("T10"))
-              + w("omega1c", "omega").scale(v("T1b0")))
-    phi2 = (w("theta2", "omega1c").scale(v("T21"))
-            + w("omega1", "theta2c").scale(v("T21c"))
-            + w("phi1", "omega").scale(v("T21") * HALF)
-            + w("phi1c", "omega").scale(v("T21c") * HALF)
-            + w("theta2", "omega").scale(v("F2_20"))
-            + w("theta2c", "omega").scale(v("F2_20c"))
-            + w("omega1", "omega").scale(v("T10c"))
-            + w("omega1c", "omega").scale(v("T10")))
-    phi1 = (w("theta2", "omega1c").scale(v("T20"))
-            - w("omega1", "theta2c").scale(v("F2_20c"))
-            + w("theta2", "omega1").scale(v("F2_20"))
-            - w("omega1", "phi1").scale(v("T21") * HALF)
-            - w("omega1", "phi1c").scale(v("T21c") * HALF)
-            + w("phi1", "omega").scale(v("P1"))
-            + w("phi1c", "omega").scale(v("P2"))
-            + w("psi", "omega").scale(v("P3"))
-            + w("theta2", "omega").scale(v("F1_20"))
-            + w("theta2c", "omega").scale(v("F1_2b0"))
-            + w("omega1", "omega").scale(v("F1_10"))
-            + w("omega1c", "omega").scale(v("F1_1b0")))
-    psi = (w("theta2", "omega1c").scale(v("F1_20") * HALF)
-           + w("omega1", "theta2c").scale(v("F1_20c") * HALF)
-           - w("theta2", "omega1").scale(v("F1_2b0c") * HALF)
-           + w("theta2c", "omega1c").scale(v("F1_2b0") * HALF)
-           + w("omega1", "phi1").scale(v("P2c") * HALF)
-           + w("omega1", "phi1c").scale(v("P1c") * HALF)
-           - w("omega1", "psi").scale(v("P3c") * HALF)
-           + w("phi1", "omega1c").scale(v("P1") * HALF)
-           + w("phi1c", "omega1c").scale(v("P2") * HALF)
-           + w("psi", "omega1c").scale(v("P3") * HALF)
-           + w("phi1", "omega").scale(v("Q1"))
-           + w("phi1c", "omega").scale(v("Q1c"))
-           + w("psi", "omega").scale(v("Q3"))
-           + w("theta2", "omega").scale(v("PS20"))
-           + w("theta2c", "omega").scale(v("PS20c"))
-           + w("omega1", "omega").scale(v("PS10"))
-           + w("omega1c", "omega").scale(v("PS10c")))
+    expand = functools.partial(_expand, chart)
+    theta2 = expand(("theta2", "omega1", v("T21")), ("theta2", "omega", v("T20")),
+                    ("omega1", "omega", v("T10")), ("omega1c", "omega", v("T1b0")))
+    phi2 = expand(("theta2", "omega1c", v("T21")), ("omega1", "theta2c", v("T21c")),
+                  ("phi1", "omega", v("T21", HALF)), ("phi1c", "omega", v("T21c", HALF)),
+                  ("theta2", "omega", v("F2_20")), ("theta2c", "omega", v("F2_20c")),
+                  ("omega1", "omega", v("T10c")), ("omega1c", "omega", v("T10")))
+    phi1 = expand(("theta2", "omega1c", v("T20")),
+                  ("omega1", "theta2c", v("F2_20c", MINUS_ONE)),
+                  ("theta2", "omega1", v("F2_20")),
+                  ("omega1", "phi1", v("T21", -HALF)),
+                  ("omega1", "phi1c", v("T21c", -HALF)),
+                  ("phi1", "omega", v("P1")), ("phi1c", "omega", v("P2")),
+                  ("psi", "omega", v("P3")),
+                  ("theta2", "omega", v("F1_20")), ("theta2c", "omega", v("F1_2b0")),
+                  ("omega1", "omega", v("F1_10")), ("omega1c", "omega", v("F1_1b0")))
+    psi = expand(("theta2", "omega1c", v("F1_20", HALF)),
+                 ("omega1", "theta2c", v("F1_20c", HALF)),
+                 ("theta2", "omega1", v("F1_2b0c", -HALF)),
+                 ("theta2c", "omega1c", v("F1_2b0", HALF)),
+                 ("omega1", "phi1", v("P2c", HALF)), ("omega1", "phi1c", v("P1c", HALF)),
+                 ("omega1", "psi", v("P3c", -HALF)),
+                 ("phi1", "omega1c", v("P1", HALF)), ("phi1c", "omega1c", v("P2", HALF)),
+                 ("psi", "omega1c", v("P3", HALF)),
+                 ("phi1", "omega", v("Q1")), ("phi1c", "omega", v("Q1c")),
+                 ("psi", "omega", v("Q3")),
+                 ("theta2", "omega", v("PS20")), ("theta2c", "omega", v("PS20c")),
+                 ("omega1", "omega", v("PS10")), ("omega1c", "omega", v("PS10c")))
     return {"Theta2": theta2, "Phi1": phi1, "Phi2": phi2, "Psi": psi}
 
 
@@ -251,14 +245,15 @@ def verify_equivariance(dc: DgaChart | None = None) -> Report:
     phi1c = cv["Phi1"].conj()
     model.check_identity(report, "torsion unchanged", hat["Theta2"] - cv["Theta2"])
     model.check_identity(report, "second curvature unchanged", hat["Phi2"] - cv["Phi2"])
-    model.check_identity(report, "first curvature mixing",
-                         hat["Phi1"] - (cv["Phi1"] + cv["Theta2"].scale(B)
-                                        - cv["Phi2"].scale(Bb)))
-    model.check_identity(report, "last curvature mixing",
-                         hat["Psi"] - (cv["Psi"] + cv["Theta2"].scale(B * B * HALF)
-                                       - theta2c.scale(Bb * Bb * HALF)
-                                       + cv["Phi1"].scale(B) - phi1c.scale(Bb)
-                                       - cv["Phi2"].scale(B * Bb)))
+    # hat - (cv + mixing terms), one pass
+    combine = dc.chart.combine
+    model.check_identity(report, "first curvature mixing", combine((
+        (hat["Phi1"], None), (cv["Phi1"], MINUS_ONE), (cv["Theta2"], -B),
+        (cv["Phi2"], Bb))))
+    model.check_identity(report, "last curvature mixing", combine((
+        (hat["Psi"], None), (cv["Psi"], MINUS_ONE), (cv["Theta2"], B * B * -HALF),
+        (theta2c, Bb * Bb * HALF), (cv["Phi1"], -B), (phi1c, Bb),
+        (cv["Phi2"], B * Bb))))
     return report
 
 
@@ -276,13 +271,14 @@ def tilde_forms(dc: DgaChart, gauge: dict) -> dict:
     c, f, gg, r, s = (gauge.get(k, ZERO) for k in _GAUGE_ORDER)
     cb, rb = conjugate(c), conjugate(r)
     w, w1, w1c = g("omega"), g("omega1"), g("omega1c")
+    combine = dc.chart.combine
     return {
         "omega": w,
         "omega1": w1,
-        "theta2": g("theta2") - w1.scale(c) - w.scale(f),
-        "phi2": g("phi2") + w1.scale(cb) - w1c.scale(c) - w.scale(gg),
-        "phi1": g("phi1") - w1.scale(gg) - w1c.scale(f) - w.scale(r),
-        "psi": g("psi") + w1.scale(rb * HALF) - w1c.scale(r * HALF) - w.scale(s),
+        "theta2": combine(((g("theta2"), None), (w1, -c), (w, -f))),
+        "phi2": combine(((g("phi2"), None), (w1, cb), (w1c, -c), (w, -gg))),
+        "phi1": combine(((g("phi1"), None), (w1, -gg), (w1c, -f), (w, -r))),
+        "psi": combine(((g("psi"), None), (w1, rb * HALF), (w1c, r * -HALF), (w, -s))),
     }
 
 
@@ -370,8 +366,6 @@ def necessity_psi_coefficient(dc: DgaChart) -> Expr:
 def sufficiency_expected(dc: DgaChart) -> dict:
     """Transformed curvature expansions with all leading terms zero, as
     closed forms in the untransformed basis."""
-    g = dc.gen
-    w = lambda x, y: g(x).wedge(g(y))
     B = dc.var("B")
     Bb = conjugate(B)
     v = dc.var
@@ -382,21 +376,20 @@ def sufficiency_expected(dc: DgaChart) -> dict:
     f1_1b0, f1_1b0c = v("F1_1b0"), v("F1_1b0c")
     ps20, ps20c = v("PS20"), v("PS20c")
     ps10, ps10c = v("PS10"), v("PS10c")
-    theta2 = w("omega1", "omega").scale(t10) + w("omega1c", "omega").scale(t1b0)
-    phi1 = (w("theta2c", "omega").scale(f1_2b0)
-            + w("omega1", "omega").scale(f1_10 + B * t10 - Bb * t10c)
-            + w("omega1c", "omega").scale(f1_1b0 + B * t1b0 - Bb * t10))
-    phi2 = w("omega1", "omega").scale(t10c) + w("omega1c", "omega").scale(t10)
-    psi = (w("theta2", "omega1").scale(f1_2b0c * -HALF)
-           + w("theta2c", "omega1c").scale(f1_2b0 * HALF)
-           + w("theta2", "omega").scale(ps20 + Bb * f1_2b0c)
-           + w("theta2c", "omega").scale(ps20c + B * f1_2b0)
-           + w("omega1", "omega").scale(
-               ps10 + B * B * HALF * t10 + Bb * Bb * HALF * t1b0c
-               + B * f1_10 + Bb * f1_1b0c - B * Bb * t10c)
-           + w("omega1c", "omega").scale(
-               ps10c + Bb * Bb * HALF * t10c + B * B * HALF * t1b0
-               + Bb * f1_10c + B * f1_1b0 - B * Bb * t10))
+    expand = functools.partial(_expand, dc.chart)
+    theta2 = expand(("omega1", "omega", t10), ("omega1c", "omega", t1b0))
+    phi1 = expand(("theta2c", "omega", f1_2b0),
+                  ("omega1", "omega", f1_10 + B * t10 - Bb * t10c),
+                  ("omega1c", "omega", f1_1b0 + B * t1b0 - Bb * t10))
+    phi2 = expand(("omega1", "omega", t10c), ("omega1c", "omega", t10))
+    psi = expand(("theta2", "omega1", f1_2b0c * -HALF),
+                 ("theta2c", "omega1c", f1_2b0 * HALF),
+                 ("theta2", "omega", ps20 + Bb * f1_2b0c),
+                 ("theta2c", "omega", ps20c + B * f1_2b0),
+                 ("omega1", "omega", ps10 + B * B * HALF * t10 + Bb * Bb * HALF * t1b0c
+                  + B * f1_10 + Bb * f1_1b0c - B * Bb * t10c),
+                 ("omega1c", "omega", ps10c + Bb * Bb * HALF * t10c + B * B * HALF * t1b0
+                  + Bb * f1_10c + B * f1_1b0 - B * Bb * t10))
     return {"Theta2": theta2, "Phi1": phi1, "Phi2": phi2, "Psi": psi}
 
 
@@ -450,8 +443,8 @@ def verify_cartan_criterion() -> Report:
     ccurv = curvature_from(*model.h1_transform(hf, A))
     scalings = {"Theta2": A / Ab, "Phi1": 1 / Ab, "Phi2": ONE, "Psi": 1 / (A * Ab)}
     for name, factor in scalings.items():
-        model.check_identity(report, f"diagonal scaling: {name}",
-                             ccurv[name] - hcurv[name].scale(factor))
+        model.check_identity(report, f"diagonal scaling: {name}", dc.chart.combine(
+            ((ccurv[name], None), (hcurv[name], -factor))))
     return report
 
 

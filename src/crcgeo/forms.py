@@ -6,6 +6,9 @@ for the differential of each scalar variable.  FormExpr stores a form of
 homogeneous degree as a map from strictly increasing generator index
 words to scalar coefficients; construction normalizes coefficients and
 prunes zeros, and wedge ordering signs are applied automatically.
+``Chart.combine`` sums scaled forms in one pass, normalizing once per
+word, for ``+``, ``-`` and longer sums; ``d`` takes no derivative along a
+variable whose scalar rule is the zero form, which declares a constant.
 
 Forms decide no zero question themselves: ``certify_zero`` and
 ``vanishes`` hand each coefficient to the kernel's ``certify_zero`` and
@@ -22,7 +25,6 @@ told not to check.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Mapping, Sequence
 
 from .scalars import (
@@ -188,6 +190,35 @@ class Chart:
         idx = self._require_gen(name)
         return FormExpr(self, 1, {(idx,): ONE})
 
+    def combine(self, pairs) -> "FormExpr":
+        """The sum of ``form.scale(s)`` over the ``(form, s)`` of ``pairs``
+        (``form`` itself where ``s`` is None) in one pass: each word's
+        coefficient is one ``Add``, normalized once; a scalar ``ZERO`` adds
+        no term.  As for ``+``, nonzero forms share one degree; with none
+        the result has the first form's degree (0 with no form)."""
+        degree = zero_degree = None
+        out: dict[tuple, Expr] = {}
+        for form, s in pairs:
+            if form.chart is not self:
+                raise ChartError("forms live on different charts")
+            if not form.terms:
+                if zero_degree is None:
+                    zero_degree = form.degree
+                continue
+            if degree is None:
+                degree = form.degree
+            elif form.degree != degree:
+                raise ChartError("cannot add forms of different degree")
+            if s is not None:
+                if s is ZERO:
+                    continue
+                s = lift(s)
+            for word, c in form.terms.items():  # ``_summed``'s sum, inline
+                c = c if s is None else times(c, s)
+                cur = out.get(word)
+                out[word] = c if cur is None else Add((cur, c))
+        return FormExpr(self, degree if degree is not None else zero_degree or 0, out)
+
     # -- rules -------------------------------------------------------------
 
     def d_rule(self, name: str) -> "FormExpr":
@@ -258,18 +289,10 @@ class FormExpr:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "FormExpr") -> "FormExpr":
-        self._check_same_chart(other)
-        if self.degree != other.degree:
-            if self.is_zero:
-                return other
-            if other.is_zero:
-                return self
-            raise ChartError("cannot add forms of different degree")
-        return _summed(self.chart, self.degree,
-                       chain(self.terms.items(), other.terms.items()))
+        return self.chart.combine(((self, None), (other, None)))
 
     def __sub__(self, other: "FormExpr") -> "FormExpr":
-        return self + other.scale(MINUS_ONE)
+        return self.chart.combine(((self, None), (other, MINUS_ONE)))
 
     def __neg__(self) -> "FormExpr":
         return self.scale(MINUS_ONE)
@@ -304,10 +327,13 @@ class FormExpr:
         def pieces():
             for word, coeff in self.terms.items():
                 for v in sorted(free_variables(coeff), key=lambda v: v.name):
+                    rule = chart.scalar_rule(v)
+                    if not rule.terms:  # a constant
+                        continue
                     dc = differentiate(coeff, v)
                     if dc == ZERO:
                         continue
-                    for rword, rcoeff in chart.scalar_rule(v).terms.items():
+                    for rword, rcoeff in rule.terms.items():
                         merged = _merge_word(rword, word)
                         if merged is not None:
                             yield merged[0], _signed(times(dc, rcoeff), merged[1])

@@ -2,17 +2,16 @@
 
 SMatrix holds scalar ``Expr`` entries (group elements, Lie algebra
 elements); FMatrix holds degree-1 ``FormExpr`` entries (connection
-matrices).  Every product is the one loop ``_product`` with its own entry
-product: ``*`` of scalars, ``FormExpr.scale`` of a form by a scalar, or
-the wedge product for the curvature-style square of an FMatrix.
+matrices).  Every product is the one loop ``_product``, which hands each
+entry's pairs, in k order, to an entry sum: of scalar products, or one
+``Chart.combine`` pass over forms (a ``ZERO`` scalar adds no term).
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Sequence
 
-from .scalars import Expr, conjugate, is_zero_expr, lift, normalize
+from .scalars import Expr, ZERO, conjugate, is_zero_expr, lift, normalize
 from .forms import Chart, FormExpr
 
 N = 5
@@ -37,7 +36,8 @@ class SMatrix:
         return self.rows[i - 1][j - 1]
 
     def __matmul__(self, other: "SMatrix") -> "SMatrix":
-        return SMatrix(_product(self.rows, other.rows, operator.mul, lift(0)))
+        return SMatrix(_product(self.rows, other.rows,
+                                lambda pairs: sum((x * y for x, y in pairs), ZERO)))
 
     def __add__(self, other: "SMatrix") -> "SMatrix":
         return SMatrix([[self.rows[i][j] + other.rows[i][j] for j in range(N)]
@@ -65,11 +65,11 @@ class SMatrix:
         return f"SMatrix(\n{body}\n)"
 
 
-def _product(a, b, times, zero) -> list:
-    """The 5x5 product of row tuples ``a`` and ``b``: entry (i, j) sums
-    ``times(a[i][k], b[k][j])`` over k in order, starting from ``zero``."""
-    return [[sum((times(a[i][k], b[k][j]) for k in range(N)), zero) for j in range(N)]
-            for i in range(N)]
+def _product(a, b, total) -> list:
+    """The 5x5 product of row tuples ``a`` and ``b``: entry (i, j) is
+    ``total`` of the pairs ``(a[i][k], b[k][j])``, k in order."""
+    columns = list(zip(*b))
+    return [[total(zip(row, column)) for column in columns] for row in a]
 
 
 def _det(rows) -> Expr:
@@ -105,10 +105,11 @@ class FMatrix:
 
     def wedge_square(self) -> list:
         """Entrywise wedge product of the matrix with itself."""
-        return _product(self.rows, self.rows, FormExpr.wedge, self.chart.zero(2))
+        return _product(self.rows, self.rows, lambda pairs: self.chart.combine(
+            (f.wedge(g), None) for f, g in pairs))
 
     def conjugated_by(self, left: SMatrix, right: SMatrix) -> "FMatrix":
         """left @ self @ right with scalar entries acting on forms."""
-        zero = self.chart.zero(1)
-        mid = _product(self.rows, right.rows, FormExpr.scale, zero)
-        return FMatrix(self.chart, _product(left.rows, mid, lambda s, f: f.scale(s), zero))
+        mid = _product(self.rows, right.rows, self.chart.combine)
+        return FMatrix(self.chart, _product(left.rows, mid, lambda pairs: self.chart.combine(
+            (f, s) for s, f in pairs)))

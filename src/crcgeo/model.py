@@ -264,17 +264,17 @@ def h2_transform(forms, B, Lam) -> tuple[FormExpr, ...]:
     Bb = conjugate(B)
     bb2 = B * Bb * HALF
     w1c, t2c, p1c, p2c = w1.conj(), t2.conj(), p1.conj(), p2.conj()
+    combine = w.chart.combine
     return (
         w,
-        w1 + w.scale(Bb),
-        t2 - w1.scale(Bb) - w.scale(Bb * Bb * HALF),
-        p1 - w1.scale(Lam + bb2) - w1c.scale(Bb * Bb * HALF)
-        + t2.scale(B) - w.scale(Lam * Bb) + p2c.scale(Bb),
-        p2 - w1.scale(B) - w.scale(Lam + bb2),
-        ps - w1.scale(Lam * B) - w1c.scale(Lam * Bb)
-        + t2.scale(B * B * HALF) - t2c.scale(Bb * Bb * HALF)
-        - w.scale(Lam * Lam) + p1.scale(B) - p1c.scale(Bb)
-        + p2.scale(Lam - bb2) + p2c.scale(Lam + bb2),
+        combine(((w1, None), (w, Bb))),
+        combine(((t2, None), (w1, -Bb), (w, Bb * Bb * -HALF))),
+        combine(((p1, None), (w1, -(Lam + bb2)), (w1c, Bb * Bb * -HALF),
+                 (t2, B), (w, -(Lam * Bb)), (p2c, Bb))),
+        combine(((p2, None), (w1, -B), (w, -(Lam + bb2)))),
+        combine(((ps, None), (w1, -(Lam * B)), (w1c, -(Lam * Bb)),
+                 (t2, B * B * HALF), (t2c, Bb * Bb * -HALF), (w, -(Lam * Lam)),
+                 (p1, B), (p1c, -Bb), (p2, Lam - bb2), (p2c, Lam + bb2))),
     )
 
 

@@ -157,6 +157,87 @@ def test_leibniz_identity_on_random_pairs(chart):
 
 
 # ---------------------------------------------------------------------------
+# linear combinations
+
+
+def test_combination_equals_the_left_fold():
+    # one pass gives the nodes of the left fold on Laurent coefficients,
+    # and a certified-equal form where a sum atom may change shape
+    from tests.test_scalars import _random_tree
+
+    table = VariableTable()
+    variables = table.positive("x", "y", "z")
+    chart = Chart(table, [g_real("a"), g_real("b"), g_real("c")])
+    rng = random.Random(2032)
+
+    def has_sum_atom(e):
+        return any(scalars._is_sum_atom(atom)
+                   for pows in scalars._nf(e) for atom, _ in pows)
+
+    def coefficient(laurent):
+        while True:
+            try:
+                e = normalize(_random_tree(rng, variables, rng.randint(1, 3)))
+            except ExprError:
+                continue
+            if not (laurent and has_sum_atom(e)):
+                return e
+
+    def one_form(laurent):
+        return chart.combine((chart.gen(name), coefficient(laurent)) for name in "abc")
+
+    laurent = with_sum_atoms = 0
+    for round_ in range(120):
+        only_laurent = round_ % 2 == 0
+        a, b, c = (one_form(only_laurent) for _ in range(3))
+        x, y = coefficient(only_laurent), coefficient(only_laurent)
+        fold = a + b.scale(x) - c.scale(y)
+        combined = chart.combine(((a, None), (b, x), (c, -y)))
+        coefficients = [*a.terms.values(), *b.terms.values(), *c.terms.values(), x, y]
+        if any(map(has_sum_atom, coefficients)):
+            with_sum_atoms += 1
+            assert (combined - fold).certify_zero()
+        else:
+            laurent += 1
+            assert combined == fold
+        assert chart.combine(((a, None), (b, ZERO))) == a
+    assert laurent > 20 and with_sum_atoms > 20
+
+    other = Chart(VariableTable(), [g_real("a")])
+    with pytest.raises(ChartError, match="different charts"):
+        chart.combine(((chart.gen("a"), None), (other.gen("a"), None)))
+    with pytest.raises(ChartError, match="different degree"):
+        chart.combine(((chart.gen("a"), None), (w(chart, "a", "b"), ONE)))
+    assert chart.combine(((chart.zero(2), None), (chart.gen("a"), ONE))) == chart.gen("a")
+    assert chart.combine(()) == chart.zero()
+
+
+def test_d_takes_no_derivative_along_a_constant(monkeypatch):
+    # a variable whose scalar rule is the zero form is a constant: d asks
+    # for no derivative along it
+    from crcgeo import dga, forms
+    from crcgeo.model import PARAMETERS
+
+    constants = {name for names, _ in PARAMETERS for name in names}
+    along = []
+
+    def counting(e, v):
+        along.append(v.name)
+        return derive(e, v)
+
+    derive = forms.differentiate
+    monkeypatch.setattr(forms, "differentiate", counting)
+    scalars.clear_caches()
+    assert dga.verify_cartan_criterion().overall == "pass"
+    assert [name for name in along if name in constants] == []
+
+    dc = dga.build_chart()
+    form = dc.chart.scalar(dc.var("c") * dc.var("B")).d()
+    assert form == dc.gen("d_c").scale(dc.var("B"))
+    assert along[-1:] == ["c"]
+
+
+# ---------------------------------------------------------------------------
 # coefficients, reduction, conjugation
 
 
