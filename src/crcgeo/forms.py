@@ -9,6 +9,9 @@ prunes zeros, and wedge ordering signs are applied automatically.
 ``Chart.combine`` sums scaled forms in one pass, normalizing once per
 word, for ``+``, ``-`` and longer sums; ``d`` takes no derivative along a
 variable whose scalar rule is the zero form, which declares a constant.
+``rewrite`` expands each word once, image by image, into unnormalized
+partial products summed per word, and builds and normalizes only its
+result, with no form per image.
 
 Forms decide no zero question themselves: ``certify_zero`` and
 ``vanishes`` hand each coefficient to the kernel's ``certify_zero`` and
@@ -100,15 +103,29 @@ def _signed(c: Expr, sign: int) -> Expr:
     return c if sign > 0 else Mul((c, MINUS_ONE))
 
 
-def _summed(chart: "Chart", degree: int, pieces) -> "FormExpr":
-    """The form of ``degree`` summing the ``(word, coeff)`` pairs of
-    ``pieces``: each word's coefficients add up left to right, the first
-    as it is."""
+def _sums(pieces) -> dict[tuple, Expr]:
+    """``{word: coefficient}`` summing the ``(word, coeff)`` pairs of
+    ``pieces``, unnormalized: each word's coefficients add up left to
+    right, the first as it is."""
     out: dict[tuple, Expr] = {}
     for word, coeff in pieces:
         cur = out.get(word)
         out[word] = coeff if cur is None else Add((cur, coeff))
-    return FormExpr(chart, degree, out)
+    return out
+
+
+def _summed(chart: "Chart", degree: int, pieces) -> "FormExpr":
+    """The form of ``degree`` with the coefficients ``_sums(pieces)``."""
+    return FormExpr(chart, degree, _sums(pieces))
+
+
+def _wedge_pieces(terms1, terms2):
+    """The signed ``(word, coeff)`` products of two sequences of terms."""
+    for w1, c1 in terms1:
+        for w2, c2 in terms2:
+            merged = _merge_word(w1, w2)
+            if merged is not None:
+                yield merged[0], _signed(times(c1, c2), merged[1])
 
 
 class Chart:
@@ -310,15 +327,8 @@ class FormExpr:
 
     def wedge(self, other: "FormExpr") -> "FormExpr":
         self._check_same_chart(other)
-
-        def pieces():
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    merged = _merge_word(w1, w2)
-                    if merged is not None:
-                        yield merged[0], _signed(times(c1, c2), merged[1])
-
-        return _summed(self.chart, self.degree + other.degree, pieces())
+        return _summed(self.chart, self.degree + other.degree,
+                       _wedge_pieces(self.terms.items(), other.terms.items()))
 
     def d(self) -> "FormExpr":
         """Exterior derivative; a 0-form's is its scalar's differential."""
@@ -388,16 +398,23 @@ class FormExpr:
         coeff = self.terms.get(word, ZERO)
         return coeff if sign > 0 else normalize(Mul((coeff, MINUS_ONE)))
 
-    def rewrite(self, sub: Mapping[str, "FormExpr"]) -> "FormExpr":
+    def rewrite(self, sub: Mapping[str, "FormExpr"],
+                keep: Sequence[str] | None = None) -> "FormExpr":
         """Homomorphic basis change: replace each generator by a degree-1
         form of ``sub``.  The result lives on the chart of the images, or
-        on this form's chart when ``sub`` is empty."""
+        on this form's chart when ``sub`` is empty.  Each word expands
+        image by image into unnormalized ``(word, coefficient)`` products,
+        those on one word summed at each step, and only the result's
+        coefficients are normalized.  With ``keep``, generator names of the
+        target, an image term outside them is skipped: a wedge term only
+        adds generators, so words within ``keep`` are unchanged."""
         chart = self.chart
         target = next((image.chart for image in sub.values()), chart)
+        within = None if keep is None else {target._require_gen(n) for n in keep}
 
         def pieces():
             for word, coeff in self.terms.items():
-                piece = target.scalar(coeff)
+                images = []
                 for idx in word:
                     name = chart.generators[idx].name
                     image = sub.get(name)
@@ -405,24 +422,23 @@ class FormExpr:
                         raise ChartError(f"rewrite substitution missing generator {name}")
                     if image.degree != 1:
                         raise ChartError(f"substitution for {name} must be a 1-form")
-                    piece = piece.wedge(image)
-                    if piece.is_zero:
-                        break
-                yield from piece.terms.items()
+                    if image.chart is not target:
+                        raise ChartError("forms live on different charts")
+                    images.append(image.terms.items() if within is None else
+                                  [(w, c) for w, c in image.terms.items()
+                                   if within.issuperset(w)])
+                products = {(): coeff}
+                for terms in images:
+                    products = _sums(_wedge_pieces(products.items(), terms))
+                yield from products.items()
 
         return _summed(target, self.degree, pieces())
 
     def rewritten_coefficient(self, sub: Mapping[str, "FormExpr"],
                               names: Sequence[str]) -> Expr:
-        """``self.rewrite(sub).coefficient(names)``, rewritten with each
-        image cut down to the generators ``names``: a wedge term only adds
-        generators, so a term outside them never lands on the word."""
-        target = next((image.chart for image in sub.values()), self.chart)
-        keep = {target._require_gen(n) for n in names}
-        cut = {name: FormExpr(image.chart, image.degree,
-                              {w: c for w, c in image.terms.items() if keep.issuperset(w)})
-               for name, image in sub.items()}
-        return self.rewrite(cut).coefficient(names)
+        """``self.rewrite(sub).coefficient(names)``, expanding only the
+        image terms within the generators ``names``."""
+        return self.rewrite(sub, keep=names).coefficient(names)
 
     def substitute_scalars(self, bindings: Mapping[Variable, Expr]) -> "FormExpr":
         return FormExpr(self.chart, self.degree,

@@ -49,6 +49,7 @@ from .scalars import (
     DomainEvalError,
     Expr,
     ExprError,
+    MINUS_ONE,
     RealityViolationError,
     Var,
     VariableTable,
@@ -377,8 +378,8 @@ def _ambient_chart(model: TubeModel) -> Chart:
     g = chart.gen
     dt1 = g("dz1") + g("dz1c")
     dt2 = g("dz2") + g("dz2c")
-    drho1 = dt1.scale(model.d("rho11")) + dt2.scale(model.d("rho12"))
-    drho2 = dt1.scale(model.d("rho12")) + dt2.scale(model.d("rho22"))
+    drho1 = chart.combine(((dt1, model.d("rho11")), (dt2, model.d("rho12"))))
+    drho2 = chart.combine(((dt1, model.d("rho12")), (dt2, model.d("rho22"))))
     dmu = drho1.wedge(g("dz1")) + drho2.wedge(g("dz2"))
     zero2 = chart.zero(2)
     a = Var(table["a"])
@@ -387,7 +388,7 @@ def _ambient_chart(model: TubeModel) -> Chart:
                "db": zero2, "dbc": zero2, "dlam": zero2}
     # dX = d1X dt1 + d2X dt2 for t1, t2 and each jet below the jet order
     scalar_rules = {
-        v.name: dt1.scale(model.derive(Var(v), 1)) + dt2.scale(model.derive(Var(v), 2))
+        v.name: chart.combine(((dt1, model.derive(Var(v), 1)), (dt2, model.derive(Var(v), 2))))
         for v in (table["t1"], table["t2"], *(v for v, dv in model.jets.items() if dv))}
     scalar_rules |= {"u": g("du"), "a": g("alpha").scale(a), "b": g("db"),
                      "bb": g("dbc"), "lam": g("dlam")}
@@ -408,19 +409,19 @@ def _coframe_scalars(model: TubeModel) -> tuple:
 
 
 def _ambient_forms(model: TubeModel, chart: Chart) -> dict:
-    g = chart.gen
+    g, combine = chart.gen, chart.combine
     u, a, ab, b, bb, lam, rho11, rho12, rho111, s_fn, x = _coframe_scalars(model)
 
     omega = g("mu").scale(u)
-    eta1 = g("dz1").scale(rho11) + g("dz2").scale(rho12)
+    eta1 = combine(((g("dz1"), rho11), (g("dz2"), rho12)))
     nu = eta1.scale((u / rho11) ** HALF)
-    omega1 = nu.scale(a) + omega.scale(bb)
+    omega1 = combine(((nu, a), (omega, bb)))
     theta2 = g("dz2").scale(-(a ** 2) * s_fn)
-    phi2 = (g("alpha") + g("du").scale(1 / (2 * u))
-            + theta2.scale(ab ** 2 * HALF) - theta2.conj().scale(a ** 2 * HALF)
-            - omega1.scale(2 * b + ab * rho111 * x * HALF)
-            + omega1.conj().scale(bb + a * rho111 * x * HALF)
-            + omega.scale(lam * HALF))
+    phi2 = combine(((g("alpha"), None), (g("du"), 1 / (2 * u)),
+                    (theta2, ab ** 2 * HALF), (theta2.conj(), a ** 2 * -HALF),
+                    (omega1, -(2 * b + ab * rho111 * x * HALF)),
+                    (omega1.conj(), bb + a * rho111 * x * HALF),
+                    (omega, lam * HALF)))
     return {"omega": omega, "omega1": omega1, "theta2": theta2, "phi2": phi2,
             "eta1": eta1, "eta2": g("dz2"), "nu": nu, "mu": g("mu")}
 
@@ -443,7 +444,7 @@ def _minus_structure_terms(frame: Chart, name: str, dform: FormExpr,
 def _base_substitution(model: TubeModel, frame: Chart) -> dict:
     """Images of the ambient generators in the adapted coframe, leaving the
     fiber differentials db, dbc, dlam in place."""
-    g = frame.gen
+    g, combine = frame.gen, frame.combine
     u, a, ab, b, bb, lam, rho11, rho12, rho111, s_fn, x = _coframe_scalars(model)
 
     omega, omega1, omega1c = g("omega"), g("omega1"), g("omega1c")
@@ -451,14 +452,15 @@ def _base_substitution(model: TubeModel, frame: Chart) -> dict:
     phi2, phi2c = g("phi2"), g("phi2c")
 
     dz2 = theta2.scale(-(ab ** 2) / s_fn)
-    dz1 = ((omega1 - omega.scale(bb)).scale(ab * (u * rho11) ** Fraction(-1, 2))
-           + theta2.scale(rho12 * ab ** 2 / (s_fn * rho11)))
-    du = (omega1.scale(b) + omega1c.scale(bb) - omega.scale(lam)
-          + phi2 + phi2c).scale(u)
-    alpha = (theta2.scale(-(ab ** 2) * HALF) + theta2c.scale(a ** 2 * HALF)
-             + omega1.scale(3 * b * HALF + ab * rho111 * x * HALF)
-             - omega1c.scale(3 * bb * HALF + a * rho111 * x * HALF)
-             + phi2.scale(HALF) - phi2c.scale(HALF))
+    k = ab * (u * rho11) ** Fraction(-1, 2)
+    dz1 = combine(((omega1, k), (omega, -bb * k),
+                   (theta2, rho12 * ab ** 2 / (s_fn * rho11))))
+    du = combine(((omega1, b * u), (omega1c, bb * u), (omega, -lam * u),
+                  (phi2, u), (phi2c, u)))
+    alpha = combine(((theta2, -(ab ** 2) * HALF), (theta2c, a ** 2 * HALF),
+                     (omega1, 3 * b * HALF + ab * rho111 * x * HALF),
+                     (omega1c, -(3 * bb * HALF + a * rho111 * x * HALF)),
+                     (phi2, HALF), (phi2c, -HALF)))
     sub = {
         "mu": omega.scale(1 / u),
         "dz1": dz1, "dz1c": dz1.conj(),
@@ -499,7 +501,7 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
 
     # the model structure equations of omega and omega1, with the fiber
     # differential dbc + (lam/2) omega1 for phi1
-    phi1 = g("dbc") + g("omega1").scale(lam * HALF)
+    phi1 = frame.combine(((g("dbc"), None), (g("omega1"), lam * HALF)))
     first = _minus_structure_terms(
         frame, "omega", forms["omega"].d().rewrite(sub), phi1)
     record("contact form structure identity", model.vanishes(first))
@@ -509,13 +511,14 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
         frame, "omega1", forms["omega1"].d().rewrite(sub), phi1)
     record("coframe structure identity holds modulo the contact form",
            model.vanishes(residue.reduce_mod(["omega"])))
-    sigma = frame.zero(1)
+    pairs = [(frame.zero(1), None)]  # a 1-form also where no coefficient is left
     for gen in frame.generators:
         if gen.name == "omega":
             continue
         coeff = residue.coefficient(("omega", gen.name))
         if coeff != ZERO:
-            sigma = sigma - frame.gen(gen.name).scale(coeff)
+            pairs.append((g(gen.name), -coeff))
+    sigma = frame.combine(pairs)
     record("fiber correction reconstructs the identity",
            model.vanishes(residue + g("omega").wedge(sigma)))
     stray = sigma.generators_present() & {"db", "dbc", "dlam"}
@@ -528,7 +531,8 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     # final substitution: express the fiber differentials through the
     # connection forms (db_conj = phi1 - (lam/2) omega1 - sigma)
     full_sub = dict(sub)
-    full_sub["dbc"] = g("phi1") - g("omega1").scale(lam * HALF) - sigma
+    full_sub["dbc"] = frame.combine(((g("phi1"), None), (g("omega1"), lam * -HALF),
+                                     (sigma, MINUS_ONE)))
     full_sub["db"] = full_sub["dbc"].conj()
 
     return TubeCoframe(model, ambient, frame, forms, full_sub, sigma, checks)
@@ -648,9 +652,9 @@ def curvature_coefficients(cf: TubeCoframe,
     theta2_21_gamma0 = restrict_to_section(theta2_21, table)
 
     dc = cf.rewrite(cf.ambient.scalar(c).d())
-    tilde = (torsion - dc.wedge(g("omega1"))
-             + g("theta2").wedge(g("omega1")).scale(2 * conjugate(c))
-             - g("theta2").wedge(g("omega1c")).scale(3 * c))
+    tilde = cf.frame.combine(((torsion, None), (dc.wedge(g("omega1")), MINUS_ONE),
+                              (g("theta2").wedge(g("omega1")), 2 * conjugate(c)),
+                              (g("theta2").wedge(g("omega1c")), -3 * c)))
     for word in tilde.terms:
         names = tilde.word_names(word)
         if "dlam" in names and "omega" not in names:

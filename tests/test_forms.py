@@ -212,6 +212,99 @@ def test_combination_equals_the_left_fold():
     assert chart.combine(()) == chart.zero()
 
 
+def test_rewrite_equals_the_wedge_chain():
+    # expanding each word once gives the nodes of the chain of wedges,
+    # scalar(c) ^ image ^ image ..., on Laurent coefficients, and a
+    # certified-equal form where a sum atom may change shape
+    from functools import reduce
+    from itertools import combinations
+
+    from tests.test_scalars import _random_tree
+
+    table = VariableTable()
+    variables = table.positive("x", "y", "z")
+    source = Chart(table, [g_real(n) for n in "pqrs"])
+    target = Chart(table, [g_real(n) for n in "abce"])
+    rng = random.Random(2033)
+
+    def has_sum_atom(e):
+        return any(scalars._is_sum_atom(atom)
+                   for pows in scalars._nf(e) for atom, _ in pows)
+
+    def coefficient(laurent):
+        while True:
+            try:
+                e = normalize(_random_tree(rng, variables, rng.randint(1, 2)))
+            except ExprError:
+                continue
+            if not (laurent and has_sum_atom(e)):
+                return e
+
+    def chain(form, sub):
+        pieces = [(target.zero(form.degree), None)]
+        for word, c in form.terms.items():
+            piece = target.scalar(c)
+            for name in form.word_names(word):
+                piece = piece.wedge(sub[name])
+            pieces.append((piece, None))
+        return target.combine(pieces)
+
+    laurent = with_sum_atoms = 0
+    for round_ in range(60):
+        only_laurent = round_ % 2 == 0
+        degree = round_ % 3 + 1
+        words = rng.sample(list(combinations("pqrs", degree)), 2)
+        form = source.combine((reduce(FormExpr.wedge, map(source.gen, word)),
+                               coefficient(only_laurent)) for word in words)
+        sub = {name: target.combine((target.gen(image), coefficient(only_laurent))
+                                    for image in rng.sample("abce", 2))
+               for name in "pqrs"}
+        rewritten, reference = form.rewrite(sub), chain(form, sub)
+        assert rewritten.degree == degree
+        coefficients = [*form.terms.values(),
+                        *(c for image in sub.values() for c in image.terms.values())]
+        if any(map(has_sum_atom, coefficients)):
+            with_sum_atoms += 1
+            assert (rewritten - reference).certify_zero()
+        else:
+            laurent += 1
+            assert rewritten == reference
+    assert laurent > 20 and with_sum_atoms > 20
+
+    # each generator of a word is resolved before the word expands, also
+    # where a product with an earlier image is already zero
+    pq = w(source, "p", "q")
+    with pytest.raises(ChartError, match="missing generator q"):
+        pq.rewrite({"p": target.zero(1)})
+    with pytest.raises(ChartError, match="q must be a 1-form"):
+        pq.rewrite({"p": target.zero(1), "q": w(target, "a", "b")})
+    other = Chart(VariableTable(), [g_real("a")])
+    with pytest.raises(ChartError, match="different charts"):
+        pq.rewrite({"p": target.zero(1), "q": other.gen("a")})
+
+
+def test_rewrite_builds_one_form(monkeypatch):
+    # a rewrite builds no intermediate form: only its result
+    table = VariableTable()
+    x, y = (Var(v) for v in table.positive("x", "y"))
+    source = Chart(table, [g_real("p"), g_real("q")])
+    target = Chart(table, [g_real(n) for n in "abc"])
+    form = w(source, "p", "q").scale(x)
+    sub = {"p": target.combine(((target.gen("a"), y), (target.gen("b"), ONE))),
+           "q": target.combine(((target.gen("b"), x + y), (target.gen("c"), x)))}
+    built = []
+    init = FormExpr.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FormExpr, "__init__", counting)
+    rewritten = form.rewrite(sub)
+    assert len(built) == 1
+    assert rewritten.degree == 2 and len(rewritten.terms) == 3
+
+
 def test_d_takes_no_derivative_along_a_constant(monkeypatch):
     # a variable whose scalar rule is the zero form is a constant: d asks
     # for no derivative along it
