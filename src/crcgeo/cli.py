@@ -195,7 +195,7 @@ def _cmd_expr(args) -> int:
         box = parse_box(args.box)
         _declared("box", box, table)
         # a paired variable is covered by its partner's interval, as in
-        # ``sample_draws``
+        # ``sample_point``
         missing = sorted(v.name for v in free_variables(expr)
                          if v.name not in box and v.partner not in box)
         if missing:

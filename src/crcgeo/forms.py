@@ -53,7 +53,6 @@ from .scalars import (
     lift,
     normalize,
     substitute,
-    times,
     to_text,
 )
 
@@ -125,7 +124,7 @@ def _wedge_pieces(terms1, terms2):
         for w2, c2 in terms2:
             merged = _merge_word(w1, w2)
             if merged is not None:
-                yield merged[0], _signed(times(c1, c2), merged[1])
+                yield merged[0], _signed(Mul((c1, c2)), merged[1])
 
 
 class Chart:
@@ -231,7 +230,7 @@ class Chart:
                     continue
                 s = lift(s)
             for word, c in form.terms.items():  # ``_summed``'s sum, inline
-                c = c if s is None else times(c, s)
+                c = c if s is None else Mul((c, s))
                 cur = out.get(word)
                 out[word] = c if cur is None else Add((cur, c))
         return FormExpr(self, degree if degree is not None else zero_degree or 0, out)
@@ -317,7 +316,7 @@ class FormExpr:
     def scale(self, e) -> "FormExpr":
         e = lift(e)
         return FormExpr(self.chart, self.degree,
-                        {w: times(c, e) for w, c in self.terms.items()})
+                        {w: Mul((c, e)) for w, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FormExpr) and self.chart is other.chart
@@ -346,7 +345,7 @@ class FormExpr:
                     for rword, rcoeff in rule.terms.items():
                         merged = _merge_word(rword, word)
                         if merged is not None:
-                            yield merged[0], _signed(times(dc, rcoeff), merged[1])
+                            yield merged[0], _signed(Mul((dc, rcoeff)), merged[1])
                 for j, idx in enumerate(word):
                     rule = chart.d_rule(chart.generators[idx].name)
                     rest = word[:j] + word[j + 1:]
@@ -354,7 +353,7 @@ class FormExpr:
                     for rword, rcoeff in rule.terms.items():
                         merged = _merge_word(rword, rest)
                         if merged is not None:
-                            yield merged[0], _signed(times(coeff, rcoeff),
+                            yield merged[0], _signed(Mul((coeff, rcoeff)),
                                                      merged[1] * outer_sign)
 
         return _summed(chart, self.degree + 1, pieces())
@@ -373,9 +372,7 @@ class FormExpr:
                 mword, psign = _merge_word(tuple(
                     chart._index[g.partner] if g.reality == COMPLEX_PAIRED else idx
                     for g, idx in zip(gens, word)), ())
-                # a normalized conjugate drops a +1 only if Laurent (``times``)
-                c = conjugate(coeff)
-                yield mword, times(c, ONE) if sign * psign > 0 else Mul((c, MINUS_ONE))
+                yield mword, _signed(conjugate(coeff), sign * psign)
 
         return _summed(chart, self.degree, pieces())
 

@@ -1034,7 +1034,7 @@ def normalize(e: Expr) -> Expr:
     The result keeps the normal form it was rebuilt from, so ``_nf`` does
     not walk it again where it becomes a factor or term, when that form has
     no sum atom: on Laurent polynomials ``_nf(_rebuild(nf)) == nf``, while
-    a sum atom may come back in another shape (ROADMAP item 5)."""
+    a sum atom may come back in another shape (ROADMAP item 4)."""
     cached = _NORM_MEMO.get(e)
     if cached is not None:
         return cached
@@ -1045,22 +1045,6 @@ def normalize(e: Expr) -> Expr:
     if all(_mono_parts(pows)[2] for pows in nf):
         _NF_MEMO[result] = nf
     return result
-
-
-def times(a: Expr, b: Expr) -> Expr:
-    """``Mul((a, b))``, or the other factor when one is ``ONE`` and the
-    other's normal form in ``_NF_MEMO`` has no sum atom, the forms that
-    ``normalize`` registers for its results (``_NF_MEMO[result] = nf``):
-    the unit monomial multiplies it term for term and it rebuilds to the
-    factor's own normalization, so every normalization gives the node it
-    gives with the product.  A form with a sum atom may derive back in
-    another shape, so it keeps ``ONE``."""
-    if a is ONE or b is ONE:
-        other = b if a is ONE else a
-        nf = _NF_MEMO.get(other)
-        if nf is not None and all(_mono_parts(pows)[2] for pows in nf):
-            return other
-    return Mul((a, b))
 
 
 def is_zero_expr(e: Expr) -> bool:
@@ -1386,62 +1370,35 @@ def _eval_tree(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
 Box = Mapping[str, tuple]
 
 
-def sample_draws(variables: Sequence[Variable], box: Box) -> list:
-    """How ``sample_point`` draws each of ``variables`` (in name order, the
-    order of the draws): ``(name, draw, lo, hi)`` with ``draw`` one of
-    ``"real"``, ``"imaginary"``, ``"unit"`` (an angle in ``[lo, hi]``) and
-    ``"complex"`` over the variable's interval or its partner's, or
-    ``"conjugate"`` of the partner named by ``lo``, drawn before it.  A
-    variable with no interval ends the list with a ``"missing"`` entry,
-    which raises when a point is drawn.  A positive variable whose interval
-    reaches below 0 is refused with ``RealityViolationError``."""
-    draws: list = []
-    names: set = set()
+def sample_point(variables: Sequence[Variable], box: Box, rng: random.Random) -> dict:
+    """Draw one tag-respecting point of ``box`` for ``variables``, in their
+    order: each takes its own interval or its partner's (a unit-modulus one
+    as an angle), and a paired one drawn after its partner is the partner's
+    conjugate.  A variable with no interval raises
+    ``ZeroTestInconclusiveError``, and a positive one whose interval reaches
+    below 0 ``RealityViolationError``."""
+    point: dict[str, complex] = {}
     for v in variables:
         name = v.name
-        if name in names:
+        if name in point:
             continue
-        names.add(name)
-        if v.reality == COMPLEX_PAIRED and v.partner in names:
-            draws.append((name, "conjugate", v.partner, None))
+        if v.reality == COMPLEX_PAIRED and v.partner in point:
+            point[name] = point[v.partner].conjugate()
             continue
         key = name if name in box else (v.partner if v.partner and v.partner in box else None)
         if key is None:
-            draws.append((name, "missing", None, None))
-            break
+            raise ZeroTestInconclusiveError(f"no box interval for variable {name}")
         lo, hi = box[key]
         if v.reality == POSITIVE_REAL and lo < 0:
             raise RealityViolationError(f"{name} must be positive, got interval [{lo}, {hi}]")
         if v.reality in (REAL, POSITIVE_REAL):
-            draw = "real"
+            point[name] = complex(rng.uniform(lo, hi))
         elif v.reality == IMAGINARY:
-            draw = "imaginary"
+            point[name] = complex(0.0, rng.uniform(lo, hi))
         elif v.reality == UNIT_MODULUS:
-            draw = "unit"
+            point[name] = cmath.exp(1j * rng.uniform(lo, hi))
         else:
-            draw = "complex"
-        draws.append((name, draw, lo, hi))
-    return draws
-
-
-def sample_point(draws: list, rng: random.Random) -> dict:
-    """Draw one tag-respecting point as ``draws`` (see ``sample_draws``)
-    lays it out."""
-    point: dict[str, complex] = {}
-    uniform = rng.uniform
-    for name, draw, lo, hi in draws:
-        if draw == "real":
-            point[name] = complex(uniform(lo, hi))
-        elif draw == "imaginary":
-            point[name] = complex(0.0, uniform(lo, hi))
-        elif draw == "unit":
-            point[name] = cmath.exp(1j * uniform(lo, hi))
-        elif draw == "complex":
-            point[name] = complex(uniform(lo, hi), uniform(lo, hi))
-        elif draw == "conjugate":
-            point[name] = point[lo].conjugate()
-        else:
-            raise ZeroTestInconclusiveError(f"no box interval for variable {name}")
+            point[name] = complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
     return point
 
 
@@ -1486,13 +1443,13 @@ def sample_values(e_norm: Expr, box: Box, count: int, seed: int) -> Iterable:
     is yielded for the reader to skip, and not counted.  Deterministic for
     a fixed seed.
     """
-    draws = sample_draws(sorted(free_variables(e_norm), key=lambda v: v.name), box)
+    variables = sorted(free_variables(e_norm), key=lambda v: v.name)
     rng = random.Random(seed)
     found = 0
     for _ in range(max(count * 8, 64)):
         if found >= count:
             return
-        point = sample_point(draws, rng)
+        point = sample_point(variables, box, rng)
         try:
             value, scale = _eval_with_scale(e_norm, point)
         except DomainEvalError:

@@ -29,8 +29,8 @@ are verified as exterior-algebra identities after the basis rewriting.
 Every zero question goes through one method, ``TubeModel.vanishes``, which hands a scalar to the kernel's
 ``is_identically_zero`` and a form to ``FormExpr.vanishes`` (certificate
 first, sampling on the model's box at the run's seed otherwise) and turns
-an undecided test into ``INCONCLUSIVE``.  rho11 > 0 is checked at the points
-the kernel's sampler ``sample_values`` draws, the sampler of the zero test.
+an undecided test into ``INCONCLUSIVE``.  rho11 > 0 is checked, and the final
+coefficient printed, at points of the kernel's one sampler, ``sample_point``.
 The Levi rank is decided exactly, from the Monge-Ampere residual's zero
 certificate (``TubeModel.levi_rank``).
 The defining function is read once, by ``_rho_over_base``, which refuses
@@ -64,6 +64,7 @@ from .scalars import (
     is_zero_expr,
     lift,
     normalize,
+    sample_point,
     sample_values,
     substitute,
     to_text,
@@ -723,13 +724,12 @@ def analyze(rho, box: dict, seed: int = 0) -> Report:
     sample_rng = random.Random(seed + 97)
     samples = []
     for _ in range(4):
-        pt = {"t1": sample_rng.uniform(*box["t1"]),
-              "t2": sample_rng.uniform(*box["t2"])}
+        pt = sample_point((model.table["t1"], model.table["t2"]), box, sample_rng)
         try:
             val = evaluate(verdict.theta2_21_final, pt)
         except DomainEvalError:
             continue
-        samples.append({"t1": round(pt["t1"], 6), "t2": round(pt["t2"], 6),
+        samples.append({"t1": round(pt["t1"].real, 6), "t2": round(pt["t2"].real, 6),
                         "value": _sample_text(val)})
     report.add("curvature coefficients", True, {
         "theta2_2bar1": to_text(verdict.theta2_2bar1),

@@ -1343,7 +1343,26 @@ def test_zero_test_matches_the_point_by_point_sampler():
         evaluate(Pow(x, -100), {"x": 1e-4})
 
 
-def test_sample_draws_match_the_point_by_point_sampler():
+def _draw_kinds(variables, box):
+    """How the reference draws each of ``variables``, up to the first with
+    no interval."""
+    kinds, drawn = [], set()
+    for v in variables:
+        if v.name in drawn:
+            continue
+        if v.reality == scalars.COMPLEX_PAIRED and v.partner in drawn:
+            kinds.append("conjugate")
+        elif v.name not in box and v.partner not in box:
+            return kinds + ["missing"]
+        else:
+            kinds.append({scalars.REAL: "real", scalars.POSITIVE_REAL: "real",
+                          scalars.IMAGINARY: "imaginary",
+                          scalars.UNIT_MODULUS: "unit"}.get(v.reality, "complex"))
+        drawn.add(v.name)
+    return kinds
+
+
+def test_sample_point_matches_the_reference_sampler():
     # seeded variable sets over every tag: pairs with one or both names
     # present and the interval under either name, a name declared twice,
     # and variables with no interval, which raise at the first draw
@@ -1368,20 +1387,17 @@ def test_sample_draws_match_the_point_by_point_sampler():
                 name = v.partner if v.partner and rng.random() < 0.5 else v.name
                 box[name] = tuple(sorted((rng.uniform(-2, 2), rng.uniform(-2, 2))))
         seed = rng.randrange(10**6)
-        draws = _verdict(scalars.sample_draws, variables, box)
-        if not isinstance(draws, list):
-            # refused before any draw: a positive variable reaching below 0
-            assert draws == _verdict(_reference_sample_point, variables, box,
-                                     random.Random(seed))
-            draw_kinds["refused"] += 1
-            continue
-        draw_kinds.update(d[1] for d in draws)
         new, old = random.Random(seed), random.Random(seed)
         for _ in range(3):
-            got = _verdict(scalars.sample_point, draws, new)
+            got = _verdict(scalars.sample_point, variables, box, new)
             assert got == _verdict(_reference_sample_point, variables, box, old)
             # the same draws from the generator, in the same order
             assert new.getstate() == old.getstate()
+        if not isinstance(got, dict) and got[0] is RealityViolationError:
+            # a positive variable reaching below 0
+            draw_kinds["refused"] += 1
+            continue
+        draw_kinds.update(_draw_kinds(variables, box))
     assert min(draw_kinds[k] for k in ("real", "imaginary", "unit", "complex",
                                        "conjugate", "missing", "refused")) > 20, draw_kinds
 

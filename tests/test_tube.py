@@ -1,6 +1,7 @@
 """Tube pipeline: hypothesis screening, Levi rank, coframe identities,
 torsion coefficients, and the flatness verdict."""
 
+import collections
 import json
 import random
 from fractions import Fraction
@@ -92,13 +93,13 @@ def _reference_positivity_reason(rho, box, seed):
     """The point-by-point check: draw a point, evaluate rho11 there, stop
     at the first non-positive value among 16 admissible points."""
     rho11 = tube._derivative_cache(tube._rho_over_base(rho), tube._tube_table())["rho11"]
-    draws = scalars.sample_draws(sorted(scalars.free_variables(rho11), key=lambda v: v.name), box)
+    variables = sorted(scalars.free_variables(rho11), key=lambda v: v.name)
     rng = random.Random(seed + 5)
     found = 0
     for _ in range(8 * 16):
         if found >= 16:
             break
-        point = scalars.sample_point(draws, rng)
+        point = scalars.sample_point(variables, box, rng)
         try:
             val = evaluate(rho11, point)
         except scalars.DomainEvalError:
@@ -663,3 +664,22 @@ def test_warm_analysis_reuses_zero_certificates(monkeypatch):
     assert report.to_json(include_timing=False) == golden
     scalars.clear_caches()
     assert not scalars._CERT_MEMO
+
+
+def test_warm_paper_analysis_draws_every_point_with_sample_point(monkeypatch):
+    # 16 points for rho11 > 0, one for each sampled nonzero verdict (S and
+    # the final coefficient), and the report's 4 samples of the final one
+    tube.analyze(tube.paper_example_rho(), BOX)
+    calls = collections.Counter()
+    draw = scalars.sample_point
+
+    def counted(module):
+        def sample_point(*args):
+            calls[module] += 1
+            return draw(*args)
+        return sample_point
+
+    monkeypatch.setattr(scalars, "sample_point", counted("scalars"))
+    monkeypatch.setattr(tube, "sample_point", counted("tube"))
+    tube.analyze(tube.paper_example_rho(), BOX)
+    assert calls == {"scalars": 18, "tube": 4}
