@@ -6,13 +6,14 @@ tree into a sum of monomials whose atoms are variables and opaque power
 bases (radicals ``base**(p/q)`` and inverted polynomials ``base**(-k)``).
 Radical rewrites are deliberately light: the integer-part split
 ``base**e -> base**floor(e) * base**(e - floor(e))`` for ``e >= 1``,
-prime factorization of positive rational radicands, and a recombination
-pass that lifts monomial groups divisible by a radical base into the next
-power of the atom (which keeps derivative cascades of closed-form
-radicals in factored shape).  No general algebraic-extension engine is
-attempted; the normal form is canonical on the Laurent-polynomial
-fragment, and everywhere it is deterministic, idempotent and
-evaluation-preserving.
+prime factorization of positive rational radicands, one rule for what
+leaves a fractional power (its base's positive content, ``_extract_content``),
+and a recombination pass that lifts monomial groups divisible by a radical
+base into the next power of the atom (which keeps derivative cascades of
+closed-form radicals in factored shape).  No general algebraic-extension
+engine is attempted; the normal form is canonical on the Laurent-polynomial
+fragment, everywhere deterministic and idempotent, and on real variables
+value-or-error: where a tree has a value, its normal form has the same one.
 
 This module owns every zero decision, along two routes.  The exact one
 is ``certify_zero``: it clears all denominators and radical offsets by a
@@ -677,53 +678,43 @@ def _factor_positive_int(n: int) -> list:
 
 
 def _const_pow(c: QC, e: Fraction) -> dict:
-    """Normal form of c**e; positive rational bases split into prime-power
-    radical atoms so that constant radicals cancel."""
+    """Normal form of c**e for a nonzero c, positive rational when e is
+    fractional; such bases split into prime-power radical atoms so that
+    constant radicals cancel."""
     if e.denominator == 1:
-        if c.is_zero and e < 0:
-            raise DomainEvalError("zero raised to a negative power")
-        return {(): c.pow_int(int(e))} if not (c.is_zero and e > 0) else {}
-    if c.is_zero:
-        return {}
-    if not c.b and c.a > 0:
-        powmap: dict = {}
-        for p in _factor_positive_int(c.a):
-            powmap[p] = powmap.get(p, 0) + 1
-        for p in _factor_positive_int(c.d):
-            powmap[p] = powmap.get(p, 0) - 1
-        coeff = QC_ONE
-        pows = []
-        for p in sorted(powmap):
-            exp = powmap[p] * e
-            whole = int(exp.numerator // exp.denominator)
-            frac = exp - whole
-            _check_power_bits(p.bit_length() - 1, whole)
-            coeff = coeff * QC(p).pow_int(whole)
-            if frac:
-                pows.append((Const(QC(p)), _key_exp(frac)))
-        pows.sort(key=_item_key)
-        return {tuple(pows): coeff}
-    # non-positive or non-real constant under a fractional power: opaque atom
-    return {((Const(c), _key_exp(e)),): QC_ONE}
+        return {(): c.pow_int(int(e))}
+    powmap: dict = {}
+    for p in _factor_positive_int(c.a):
+        powmap[p] = powmap.get(p, 0) + 1
+    for p in _factor_positive_int(c.d):
+        powmap[p] = powmap.get(p, 0) - 1
+    coeff = QC_ONE
+    pows = []
+    for p in sorted(powmap):
+        exp = powmap[p] * e
+        whole = int(exp.numerator // exp.denominator)
+        frac = exp - whole
+        _check_power_bits(p.bit_length() - 1, whole)
+        coeff = coeff * QC(p).pow_int(whole)
+        if frac:
+            pows.append((Const(QC(p)), _key_exp(frac)))
+    pows.sort(key=_item_key)
+    return {tuple(pows): coeff}
 
 
 def _atom_certified_positive(atom: Expr, exp: Fraction) -> bool:
-    """True when atom**exp is positive wherever it is defined."""
-    if isinstance(atom, Var):
-        if atom.var.reality == POSITIVE_REAL:
-            return True
-        return exp.denominator != 1
+    """True when atom**exp is positive wherever it is defined: a positive
+    constant or variable, or any atom at a fractional power."""
     if isinstance(atom, Const):
         return not atom.value.b and atom.value.a > 0
-    return exp.denominator != 1
-
-
-def _exp_mul_safe(exp: Fraction) -> bool:
-    """(x**exp)**r -> x**(exp*r) preserves value-or-error for fractional r."""
-    return exp.denominator != 1 or exp.numerator % 2 == 1
+    return exp.denominator != 1 or isinstance(atom, Var) and atom.var.reality == POSITIVE_REAL
 
 
 def _nf_pow(nf: Mapping, e: Fraction) -> dict:
+    """Normal form of nf**e.  An integer power of a monomial multiplies its
+    exponents and a positive integer power of a sum expands; every other
+    power, of a monomial or a sum, splits the base as content * primitive
+    (``_extract_content``) and keeps the primitive as one atom."""
     if e == 0:
         return {(): QC_ONE}
     if e == 1:
@@ -733,54 +724,41 @@ def _nf_pow(nf: Mapping, e: Fraction) -> dict:
         if e < 0:
             raise DomainEvalError("zero raised to a negative power")
         return {}
-    if len(items) == 1:
-        pows, c = items[0]
-        if e.denominator == 1:
-            k = int(e)
-            powmap = {atom: ex * k for atom, ex in pows}
-            return _fix_monomial(c.pow_int(k), powmap)
-        # fractional power of a monomial: split off factors that keep
-        # value-or-error semantics, bundle the rest into an opaque base
-        if not c.b and c.a > 0 and not c.is_one:
-            out, residual_coeff = _const_pow(c, e), QC_ONE
-        else:
-            out, residual_coeff = {(): QC_ONE}, c
-        residual: dict = {}
-        split: dict = {}
-        for atom, ex in pows:
-            if _atom_certified_positive(atom, ex) or _exp_mul_safe(ex):
-                _add_exp(split, atom, ex * e)
-            else:
-                _add_exp(residual, atom, ex)
-        if residual or not residual_coeff.is_one:
-            base = _rebuild(_fix_monomial(residual_coeff, residual))
-            _add_exp(split, base, e)
-        out = _nf_mul(out, _fix_monomial(QC_ONE, split))
-        return out
-    # a genuine sum
-    if e.denominator == 1 and e >= 2:
-        _check_expansion(len(items), int(e))
-        acc = dict(nf)
-        for _ in range(int(e) - 1):
-            acc = _nf_mul(acc, nf)
-        return acc
-    # negative integer or fractional power: extract content, keep atom
+    if e.denominator == 1:
+        k = int(e)
+        if len(items) == 1:
+            pows, c = items[0]
+            return _fix_monomial(c.pow_int(k), {atom: ex * k for atom, ex in pows})
+        if k >= 2:
+            _check_expansion(len(items), k)
+            acc = dict(nf)
+            for _ in range(k - 1):
+                acc = _nf_mul(acc, nf)
+            return acc
     content_coeff, content_pows, primitive = _extract_content(nf, fractional=e.denominator != 1)
     out = _const_pow(content_coeff, e) if not content_coeff.is_one else {(): QC_ONE}
     powmap: dict = {}
     for atom, ex in content_pows:
         _add_exp(powmap, atom, ex * e)
-    _add_exp(powmap, primitive, e)
+    if primitive is not ONE:
+        _add_exp(powmap, primitive, e)
     return _nf_mul(out, _fix_monomial(QC_ONE, powmap))
 
 
 def _extract_content(nf: Mapping, fractional: bool):
-    """Factor a sum as content * primitive.
+    """Factor a nonzero normal form as content * primitive.
 
-    For integer (negative) powers the content is the full common atom
-    powers and the coefficient of the primitive's leading monomial, so the
-    sign of a sum atom does not depend on the atoms it shares; under
-    fractional powers only certified positive content may be pulled out.
+    For a negative integer power of a sum the content is the full common
+    atom powers and the coefficient of the primitive's leading monomial,
+    so the sign of a sum atom does not depend on the atoms it shares.
+    Under a fractional power e, ``(content*P)**e = content**e * P**e``
+    must hold wherever the left side is defined, so the content is what is
+    positive there: the common atoms ``_atom_certified_positive`` accepts
+    and the positive rational content of the coefficients.  A monomial
+    whose coefficient is that content, and whose other atoms are real
+    variables, one at an odd power f**k and the rest E at even powers,
+    gives up f**k too: E is never negative, so the monomial is positive
+    only where f is, and ``(f**k*E)**e = f**(k*e) * E**e``.
     """
     common: dict | None = None
     for pows in nf:
@@ -794,9 +772,14 @@ def _extract_content(nf: Mapping, fractional: bool):
             }
     common = common or {}
     if fractional:
-        common = {a: e for a, e in common.items()
-                  if _atom_certified_positive(a, e) and (
-                      not isinstance(a, Var) or a.var.reality == POSITIVE_REAL)}
+        coeff = _positive_rational_content(list(nf.values()))
+        uncertified = [a for a, e in common.items() if not _atom_certified_positive(a, e)]
+        odd = [a for a in uncertified if common[a] % 2]
+        if (len(nf) == 1 and len(odd) == 1 and next(iter(nf.values())) == coeff
+                and all(isinstance(a, Var) and a.var.reality == REAL for a in uncertified)):
+            uncertified.remove(odd[0])
+        for a in uncertified:
+            del common[a]
     divided: dict = {}
     for pows, c in nf.items():
         pmap = dict(pows)
@@ -805,9 +788,7 @@ def _extract_content(nf: Mapping, fractional: bool):
         key = tuple(sorted(((a, _key_exp(e)) for a, e in pmap.items() if e),
                            key=_item_key))
         divided[key] = c
-    if fractional:
-        coeff = _positive_rational_content(list(nf.values()))
-    else:
+    if not fractional:
         coeff = divided[min(divided, key=_mono_key)]
     inv = coeff.inverse()
     primitive = _rebuild({key: inv * c for key, c in divided.items()})

@@ -315,6 +315,14 @@ def test_expr_zero_subcommand():
     assert payload["checks"][0]["details"]["identically_zero"] is True
 
 
+def test_expr_zero_finds_a_product_of_negative_radicands_nonzero(capsys):
+    # both radicands are positive on the box, where the sum is 2
+    assert cli.main(["expr", "zero", "--expr", "(x*y)^(1/2) + (-x)^(1/2)*(-y)^(1/2)",
+                     "--vars", "x:real,y:real", "--box", "x=-2:-1,y=-2:-1"]) == 0
+    details = json.loads(capsys.readouterr().out)["checks"][0]["details"]
+    assert details["identically_zero"] is False
+
+
 def test_expr_zero_inconclusive_exit_code():
     # the box lies entirely inside the singular locus of the expression;
     # 100*t1^307 + t1 is inf on its whole box, and a non-finite point is no

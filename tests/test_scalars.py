@@ -393,6 +393,22 @@ def test_normalize_constant_radicals_cancel(table):
     assert normalize(e) == normalize(parse("1", table))
 
 
+def test_no_factor_of_unknown_sign_leaves_a_radical_with_another():
+    # for real x, y < 0 each identity equals 2, as a product of negative
+    # factors is positive, so neither may be certified
+    t = VariableTable()
+    t.real("x", "y")
+    t.imaginary("m")
+    for text in ("(x*y)^(1/2) + (-x)^(1/2)*(-y)^(1/2)", "(-x^3)^(1/2) + (-x)^(3/2)"):
+        e = parse(text, t)
+        assert evaluate(e, {"x": -1.0, "y": -1.0}) == pytest.approx(2)
+        assert not certify_zero(e)
+    # an even power of an imaginary variable is negative: x*m^2 is 1 at
+    # x = -1, m = i, where x^(1/2) has no value
+    e = parse("(x*m^2)^(1/2)", t)
+    assert evaluate(normalize(e), {"x": -1.0, "m": 1j}) == pytest.approx(1)
+
+
 def test_monge_ampere_residual_certified_zero(table):
     rho = paper_rho(table)
     t1, t2 = table["t1"], table["t2"]
@@ -531,21 +547,31 @@ def test_conjugation_is_involutive_antihomomorphism():
 
 
 def test_normalize_idempotent_and_evaluation_preserving():
+    # positive variables, then real ones at points of either sign, with
+    # half the trees under a fractional power of their product with a
+    # variable; where a tree has a value its normal form has the same one
     table = VariableTable()
-    variables = table.positive("x", "y")
+    positive = table.positive("x", "y")
+    signed = table.real("r", "s")
     rng = random.Random(99)
-    for _ in range(60):
-        tree = _random_tree(rng, variables, rng.randint(1, 5))
-        n = normalize(tree)
-        assert normalize(n) == n
-        for k in range(16):
-            point = _sample(rng, variables)
-            try:
-                before = evaluate(tree, point)
+    for variables in (positive, signed):
+        for _ in range(60):
+            tree = _random_tree(rng, variables, rng.randint(1, 5))
+            if variables is signed and rng.random() < 0.5:
+                tree = Pow(tree * Var(rng.choice(variables)),
+                           rng.choice([Fraction(1, 2), Fraction(3, 2), Fraction(-1, 3)]))
+            n = normalize(tree)
+            assert normalize(n) == n
+            for k in range(16):
+                point = _sample(rng, variables)
+                if variables is signed:
+                    point = {name: rng.choice((-1, 1)) * x for name, x in point.items()}
+                try:
+                    before = evaluate(tree, point)
+                except DomainEvalError:
+                    continue
                 after = evaluate(n, point)
-            except DomainEvalError:
-                continue
-            assert abs(before - after) <= 1e-9 * (1 + abs(before))
+                assert abs(before - after) <= 1e-9 * (1 + abs(before))
 
 
 def test_parse_print_round_trip():

@@ -504,7 +504,8 @@ def test_a_nonzero_jet_identity_fails_rather_than_inconclusive(jets, monkeypatch
         ("coframe:substitution inverts omega", "fail"), ("coframe construction", "fail")]
 
 
-@pytest.mark.parametrize("g", ["s^2+s^3", "s^2*(1+s)^(1/2)", "s^2+s^3+s^4"])
+@pytest.mark.parametrize("g", ["s^2+s^3", "s^2*(1+s)^(1/2)", "s^2+s^3+s^4", "1/s",
+                               "(1+s^2)^(1/2)"])
 def test_profile_reports_keep_every_check_and_status(g):
     # each profile's checks and statuses are those of the light-cone golden
     # (final coefficient zero)
@@ -513,6 +514,12 @@ def test_profile_reports_keep_every_check_and_status(g):
     assert ([(c.name, c.status) for c in report.checks]
             == [(c["name"], c["status"]) for c in golden["checks"]])
     assert report.checks[-1].details["final_coefficient_zero"] == "zero"
+    if g == "1/s":
+        # under c's radical t1^(-3) is the one factor of unknown sign at an
+        # odd power, so it leaves; t2^2 stays inside
+        details = {c.name: c.details for c in report.checks}["curvature coefficients"]
+        assert details["c"] == ("-1/2*a*t1^(1/2)*t2^(-2)*u^(-1/2)*2^(1/2)*(t2^2)^(1/2)"
+                                " + bb")
 
 
 def test_sample_text_prints_either_zero_imaginary_part_as_plus_zero():
