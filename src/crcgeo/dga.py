@@ -43,7 +43,7 @@ from .scalars import (
     normalize,
     to_text,
 )
-from .forms import Chart, FormExpr
+from .forms import Chart, FormExpr, gc_paused
 from . import model
 from .model import COFRAME, PARAMETERS
 from .report import Report
@@ -233,6 +233,7 @@ def _normalized_coefficient(dc: DgaChart, form: FormExpr, sub: dict | None = Non
     return form.rewritten_coefficient(sub, ("omega1", "omega1c"))
 
 
+@gc_paused
 def verify_equivariance(dc: DgaChart | None = None) -> Report:
     """Transformed curvature forms against their closed-form mixing law."""
     report = Report("curvature equivariance under the unipotent family")
@@ -300,6 +301,7 @@ _SHIFT_CASES = (
 )
 
 
+@gc_paused
 def verify_gauge_shifts(dc: DgaChart | None = None) -> Report:
     """The five normalization shifts, checked in the fixing order: each
     shift is verified with the previously fixed functions set to zero."""
@@ -393,6 +395,7 @@ def sufficiency_expected(dc: DgaChart) -> dict:
     return {"Theta2": theta2, "Phi1": phi1, "Phi2": phi2, "Psi": psi}
 
 
+@gc_paused
 def verify_cartan_criterion() -> Report:
     """Necessity and sufficiency data for the connection criterion, plus
     the diagonal-family scaling of the curvature forms."""
@@ -448,6 +451,7 @@ def verify_cartan_criterion() -> Report:
     return report
 
 
+@gc_paused
 def verify_flat_consistency() -> Report:
     """Every curvature coefficient zeroed: d o d vanishes on the whole
     coframe, so the six structure rules are mutually consistent."""

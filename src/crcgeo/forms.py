@@ -28,6 +28,8 @@ told not to check.
 
 from __future__ import annotations
 
+import functools
+import gc
 from typing import Mapping, Sequence
 
 from .scalars import (
@@ -65,6 +67,27 @@ class MissingRuleError(ChartError):
     def __init__(self, kind: str, name: str):
         super().__init__(f"no {kind} rule installed for '{name}'")
         self.name = name
+
+
+def gc_paused(fn):
+    """``fn`` with the cyclic garbage collector off while it runs.
+
+    For the pipeline entry points: a run allocates far more containers
+    than it frees while its memos grow, so each collection would rescan
+    the memos, and its garbage is freed by reference counts.  The
+    collector is turned back on afterwards, also after an exception, only
+    if it was on at the call, so nested calls and a caller that turned it
+    off keep their state."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def g_real(name: str) -> Variable:

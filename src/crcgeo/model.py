@@ -32,7 +32,7 @@ from .scalars import (
     normalize,
     to_text,
 )
-from .forms import Chart, FormExpr, g_imaginary, g_pair
+from .forms import Chart, FormExpr, g_imaginary, g_pair, gc_paused
 from .matrices import FMatrix, SMatrix
 from .report import Report
 
@@ -243,6 +243,7 @@ def check_identity(report: Report, name: str, diff) -> None:
                    {"residual": repr(diff) if form else to_text(normalize(diff))})
 
 
+@gc_paused
 def verify_structure_equations(chart: Chart | None = None) -> Report:
     """d(MC) - MC /\\ MC entrywise; all 25 entries must vanish exactly."""
     report = Report("model structure equations")
@@ -312,6 +313,7 @@ def _invert_group_element(h: SMatrix) -> SMatrix:
     return hinv
 
 
+@gc_paused
 def verify_adjoint_transforms(chart: Chart | None = None,
                               h2_formulas: dict | None = None,
                               h1_formulas: dict | None = None) -> Report:

@@ -361,9 +361,17 @@ _INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 # Lookups read the table's own dict of weak references and call the one
 # found, both in C (``WeakValueDictionary.get`` is Python code).  Calling
 # ``_NO_REF`` returns None, as a dead reference does; either way the new
-# node's ``_INTERN[key] = node`` replaces the entry.
+# node's reference replaces the entry.  It is written straight into that
+# dict, as ``_INTERN[key] = node`` would write a ``KeyedRef``, but built in
+# C: ``_KeyRef`` has no Python ``__new__``, and the table's removal
+# callback reads only its ``key``.
 _INTERN_REFS: dict = _INTERN.data
 _NO_REF = type(None)
+_INTERN_REMOVE = _INTERN._remove
+
+
+class _KeyRef(weakref.ref):
+    __slots__ = ("key",)
 
 
 def _interned(cls, key, *values):
@@ -375,7 +383,9 @@ def _interned(cls, key, *values):
         node._skey = None
         for name, value in zip(cls.__slots__, values):
             setattr(node, name, value)
-        _INTERN[key] = node
+        ref = _KeyRef(node, _INTERN_REMOVE)
+        ref.key = key
+        _INTERN_REFS[key] = ref
     return node
 
 
@@ -425,7 +435,8 @@ class Pow(Expr):
     def __new__(cls, base: Expr, exp):
         if type(exp) is not Fraction:  # also turns a _KeyExp into a Fraction
             exp = Fraction(exp)
-        return _interned(cls, ("P", base, exp), base, exp, None)
+        # the key holds ints, which hash in C, where Fraction's hash is Python
+        return _interned(cls, ("P", base, exp.numerator, exp.denominator), base, exp, None)
 
     def __repr__(self):
         return f"Pow({self.base!r}, {self.exp})"
@@ -828,10 +839,11 @@ def _var_span_rejects(nf: Mapping, base: Mapping) -> bool:
 
     A Var-only divisor never touches the non-Var part of a monomial, so the
     monomials of nf sharing one non-Var part divide on their own, inside
-    the integral domain Q(i)[Var^Q]; there the exponent range of each
+    the integral domain Q(i)[Var^Q].  A two-term divisor is decided exactly
+    (``_binomial_rejects``).  For a longer one the exponent range of each
     variable (an absent one counts as exponent 0) adds under
-    multiplication.  A group spanning a smaller range than the divisor in
-    some variable therefore has no exact quotient.
+    multiplication, so a group spanning a smaller range than the divisor
+    in some variable has no exact quotient.
 
     Divisors with Const or sum atoms are left to the long division: constant
     radicals fold and sum atoms expand under multiplication, which makes
@@ -842,6 +854,8 @@ def _var_span_rejects(nf: Mapping, base: Mapping) -> bool:
         for atom, _ in pows:
             if not isinstance(atom, Var):
                 return False
+    if len(base) == 2:
+        return _binomial_rejects(nf, base)
     divisor = [dict(pows) for pows in base]
     spans = {}
     for v in {atom for pows in base for atom, _ in pows}:
@@ -856,6 +870,44 @@ def _var_span_rejects(nf: Mapping, base: Mapping) -> bool:
             exps = [pmap.get(v, 0) for pmap in members]
             if max(exps) - min(exps) < span:
                 return True
+    return False
+
+
+def _binomial_rejects(nf: Mapping, base: Mapping) -> bool:
+    """``_var_span_rejects`` for ``c1*m1 + c2*m2``, a unit times
+    ``1 + c2/c1*X`` with ``X = m2/m1`` of exponent vector delta: it moves a
+    monomial e = point + t*delta (``point`` keeps the non-Var atoms) only
+    along the class point + (t mod 1 + Z)*delta.  A class ``{floor(t): c}``
+    is a Laurent polynomial in X, divisible exactly when it vanishes at
+    ``-c1/c2`` (Horner); a single monomial never does.  A class spanning
+    more than ``_QUOT_MAX_STEPS`` powers of X is left to the long division,
+    which a sparse quotient may still pass in a few steps."""
+    (p1, c1), (p2, c2) = base.items()
+    delta = dict(p2)
+    for v, x in p1:
+        delta[v] = delta.get(v, 0) - x
+    v0, d0 = next((v, x) for v, x in delta.items() if x)
+    classes: dict = {}
+    for pows, c in nf.items():
+        exps = dict(pows)
+        t = Fraction(exps.get(v0, 0)) / d0
+        k = math.floor(t)
+        point = frozenset((v, y) for v in exps.keys() | delta.keys()
+                          if (y := exps.get(v, 0) - t * delta.get(v, 0)))
+        classes.setdefault((point, t - k), {})[k] = c
+    root = -(c1 * c2.inverse())
+    for coeffs in classes.values():
+        top, bottom = max(coeffs), min(coeffs)
+        if top - bottom > _QUOT_MAX_STEPS:
+            continue
+        value = QC(0)
+        for k in range(top, bottom - 1, -1):
+            value = value * root
+            c = coeffs.get(k)
+            if c is not None:
+                value = value + c
+        if not value.is_zero:
+            return True
     return False
 
 
@@ -1154,7 +1206,7 @@ def conjugate(e: Expr) -> Expr:
     """Antilinear involution determined by the reality tags."""
     cached = _CONJ_MEMO.get(e)
     if cached is None:
-        cached = normalize(_map_leaves(e, _conj_leaf))
+        cached = normalize(_map_leaves(e, _conj_leaf, {}))
         _CONJ_MEMO[e] = cached
     return cached
 
@@ -1172,29 +1224,26 @@ def _conj_leaf(e: Expr) -> Expr:
     return Var(Variable(e.var.partner, COMPLEX_PAIRED, e.var.name))
 
 
-def _map_leaves(e: Expr, leaf) -> Expr:
-    """``e`` with each ``Const`` and ``Var`` replaced by ``leaf(node)``,
-    rebuilding each distinct node once (a shared DAG can have exponentially
-    many paths); hash-consing makes it the node a tree rebuild gives."""
-    memo: dict = {}
-
-    def walk(node: Expr) -> Expr:
-        out = memo.get(node)
-        if out is None:
-            if isinstance(node, (Const, Var)):
-                out = leaf(node)
-            elif isinstance(node, Add):
-                out = Add(tuple(walk(t) for t in node.terms))
-            elif isinstance(node, Mul):
-                out = Mul(tuple(walk(f) for f in node.factors))
-            elif isinstance(node, Pow):
-                out = Pow(walk(node.base), node.exp)
-            else:
-                raise TypeError(f"not an expression: {node!r}")
-            memo[node] = out
-        return out
-
-    return walk(e)
+def _map_leaves(node: Expr, leaf, memo: dict) -> Expr:
+    """``node`` with each ``Const`` and ``Var`` replaced by ``leaf(node)``,
+    rebuilding each distinct node once (``memo``, fresh per walk: a shared
+    DAG can have exponentially many paths); hash-consing makes it the node
+    a tree rebuild gives.  A module-level walker, as a nested one that
+    calls itself would be a reference cycle holding ``memo``."""
+    out = memo.get(node)
+    if out is None:
+        if isinstance(node, (Const, Var)):
+            out = leaf(node)
+        elif isinstance(node, Add):
+            out = Add(tuple([_map_leaves(t, leaf, memo) for t in node.terms]))
+        elif isinstance(node, Mul):
+            out = Mul(tuple([_map_leaves(f, leaf, memo) for f in node.factors]))
+        elif isinstance(node, Pow):
+            out = Pow(_map_leaves(node.base, leaf, memo), node.exp)
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+        memo[node] = out
+    return out
 
 
 def substitute(e: Expr, bindings: Mapping[Variable, Expr]) -> Expr:
@@ -1211,7 +1260,7 @@ def substitute(e: Expr, bindings: Mapping[Variable, Expr]) -> Expr:
     for v, s in full.items():
         _check_substitution_reality(v, s, full)
     return normalize(_map_leaves(
-        e, lambda leaf: leaf if isinstance(leaf, Const) else full.get(leaf.var, leaf)))
+        e, lambda leaf: leaf if isinstance(leaf, Const) else full.get(leaf.var, leaf), {}))
 
 
 def _check_substitution_reality(v: Variable, s: Expr, full: Mapping) -> None:

@@ -69,7 +69,7 @@ from .scalars import (
     substitute,
     to_text,
 )
-from .forms import Chart, FormExpr, g_imaginary, g_pair, g_real
+from .forms import Chart, FormExpr, g_imaginary, g_pair, g_real, gc_paused
 from .dga import COFRAME, structure_terms
 from .model import model_chart
 from .report import FAIL, INCONCLUSIVE, Report
@@ -691,6 +691,7 @@ def _sample_text(val: complex) -> str:
     return f"{val.real:.10g}{val.imag + 0.0:+.3g}j"
 
 
+@gc_paused
 def analyze(rho, box: dict, seed: int = 0) -> Report:
     """End-to-end tube analysis: hypotheses, Levi rank, coframe identities
     (proved over jets), curvature coefficients (specialized to rho), and

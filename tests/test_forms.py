@@ -1,12 +1,13 @@
 """Exterior algebra: wedge, d, rewriting, coefficients, conjugation."""
 
+import gc
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from crcgeo import cli, scalars
+from crcgeo import cli, dga, model, scalars, tube
 from crcgeo.forms import (
     Chart,
     ChartError,
@@ -16,6 +17,7 @@ from crcgeo.forms import (
     g_imaginary,
     g_pair,
     g_real,
+    gc_paused,
 )
 from crcgeo.model import model_chart
 from crcgeo.parsing import parse
@@ -599,3 +601,72 @@ def test_generator_cannot_shadow_a_variable():
     table.real("x")
     with pytest.raises(ChartError, match="x is also a variable"):
         Chart(table, [g_real("x")])
+
+
+# ---------------------------------------------------------------------------
+# the collector pause of the pipeline entry points
+
+
+@gc_paused
+def _collector_state(inner=None):
+    inside = inner() if inner else None
+    return gc.isenabled(), inside
+
+
+def test_gc_paused_keeps_a_disabled_collector_off():
+    gc.disable()
+    try:
+        assert _collector_state() == (False, None)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_gc_paused_restores_the_collector_after_an_exception():
+    @gc_paused
+    def failing():
+        raise KeyError("inside")
+
+    with pytest.raises(KeyError):
+        failing()
+    assert gc.isenabled()
+
+
+def test_gc_paused_nests():
+    # the inner call finds the collector off and leaves it off
+    assert _collector_state(_collector_state) == (False, (False, None))
+    assert gc.isenabled()
+
+
+class _Probe(Exception):
+    pass
+
+
+# each entry point with an inner call it makes first, and its arguments
+ENTRY_POINTS = (
+    (tube, "analyze", "tube_from_rho", (None, {})),
+    (model, "verify_structure_equations", "model_chart", ()),
+    (model, "verify_adjoint_transforms", "model_chart", ()),
+    (dga, "verify_equivariance", "build_chart", ()),
+    (dga, "verify_gauge_shifts", "build_chart", ()),
+    (dga, "verify_cartan_criterion", "build_chart", ()),
+    (dga, "verify_flat_consistency", "build_chart", ()),
+)
+
+
+@pytest.mark.parametrize("module, entry, inner, args", ENTRY_POINTS,
+                         ids=[f"{m.__name__}.{e}" for m, e, _, _ in ENTRY_POINTS])
+def test_pipeline_entry_points_run_with_the_collector_off(monkeypatch, module, entry,
+                                                          inner, args):
+    seen = []
+
+    def probe(*_args, **_kwargs):
+        seen.append(gc.isenabled())
+        raise _Probe
+
+    monkeypatch.setattr(module, inner, probe)
+    assert gc.isenabled()
+    with pytest.raises(_Probe):
+        getattr(module, entry)(*args)
+    assert seen == [False]
+    assert gc.isenabled()

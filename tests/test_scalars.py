@@ -675,6 +675,72 @@ def test_span_rejection_ignores_const_and_sum_atom_divisors():
     assert scalars._var_span_rejects(_nf_of("y", table), _nf_of("x+y", table))
 
 
+def _random_binomial(rng, variables):
+    """A two-term Var-only normal form with negative and fractional
+    exponents and Gaussian rational coefficients."""
+    while True:
+        terms = [Const(QC.of(Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 3)),
+                             rng.randint(-1, 1)))
+                 * Mul(tuple(Pow(Var(v), Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
+                             for v in variables))
+                 for _ in range(2)]
+        nf = scalars._nf(normalize(Add(tuple(terms))))
+        if len(nf) == 2:
+            return nf
+
+
+def test_binomial_decision_is_sound():
+    table = VariableTable()
+    variables = table.positive("x", "y", "z")
+    # q may carry non-Var atoms: constant radicals and sum atoms
+    extras = [_nf_of(text, table) for text in
+              ("1", "2^(1/2)", "(x+y^2)^(-1)", "(x^2+z)^(1/2)*3^(1/3)")]
+    rng = random.Random(36)
+    refused = 0
+    for _ in range(200):
+        # in fewer variables more monomials share a line along the divisor
+        vs = variables[:rng.randint(1, 3)]
+        b = _random_binomial(rng, vs)
+        q = scalars._nf_mul(_random_laurent(rng, vs, rng.randint(1, 4)), rng.choice(extras))
+        if not q:
+            continue
+        product = scalars._nf_mul(q, b)
+        # a multiple is never refused
+        assert not scalars._var_span_rejects(product, b)
+        # a non-multiple is refused only where the long division fails
+        other = dict(product)
+        scalars._nf_add_into(other, _random_laurent(rng, vs, rng.randint(1, 2)))
+        if other and scalars._var_span_rejects(other, b):
+            refused += 1
+            assert scalars._long_division(other, b) is None
+    assert refused > 150
+
+
+def test_binomial_decision_leaves_wide_classes_to_long_division():
+    # one class spanning a million powers of X: no Horner pass over it,
+    # and the sparse quotient is found in two steps
+    table = VariableTable()
+    table.positive("x")
+    quotient = scalars._exact_quotient(_nf_of("x^1000001 + x^1000000 + x + 1", table),
+                                       _nf_of("x+1", table))
+    assert quotient == _nf_of("x^1000000 + 1", table)
+
+
+def test_paper_binomial_divisions_are_refused_without_long_division(monkeypatch):
+    # the two divisions by 1 - 12*t1*t2 of a cold paper analysis that the
+    # span test let through, each failing all its long-division steps
+    def no_division(*_args):
+        raise AssertionError("long division ran")
+
+    table = VariableTable()
+    table.real("t1", "t2")
+    base = _nf_of("1 - 12*t1*t2", table)
+    scalars.clear_caches()
+    monkeypatch.setattr(scalars, "_long_division", no_division)
+    for text in ("1/9*t1*t2^(-3) - 1/3*t1^2*t2^(-2)", "1/3*t1*t2^(-3) - 1/18*t2^(-4)"):
+        assert scalars._exact_quotient(_nf_of(text, table), base) is None
+
+
 def test_quotient_memo_returns_fresh_copies():
     scalars.clear_caches()
     table = VariableTable()
@@ -1009,6 +1075,14 @@ def test_exact_quotient_finds_two_variable_factor():
     assert quotient == _nf_of("x-y", table)
 
 
+def test_binomial_decision_leaves_two_variable_factor_to_long_division():
+    # the quotient exists, so the decision lets the division through: what
+    # the strict xfail above misses is the long division's term order
+    table = VariableTable()
+    table.positive("x", "y")
+    assert not scalars._var_span_rejects(_nf_of("x^2-y^2", table), _nf_of("x+y", table))
+
+
 # ---------------------------------------------------------------------------
 # hash-consed nodes
 
@@ -1042,6 +1116,22 @@ def test_live_nodes_stay_interned_across_clear_caches():
     assert parse("(x+y)^(1/2)*x - 3*(x^2+y)^(-1) + y*x", table) is not old
     for cls in (Const, Var, Add, Mul, Pow):
         assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
+
+
+def test_substitute_and_conjugate_leave_no_cyclic_garbage(table):
+    e = paper_rho(table) * Var(table["b"]) + Var(table["a"]) * Var(table["lam"])
+    binding = {table["t1"]: parse("t2^2 + u", table)}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        scalars.clear_caches()
+        gc.collect()
+        substitute(e, binding)
+        conjugate(e)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_dead_nodes_leave_intern_table():

@@ -2,6 +2,7 @@
 torsion coefficients, and the flatness verdict."""
 
 import collections
+import gc
 import json
 import random
 from fractions import Fraction
@@ -62,6 +63,23 @@ def _equal(model, a, b, seed=0):
 
 # ---------------------------------------------------------------------------
 # hypothesis screening
+
+
+def test_cold_analysis_leaves_no_closures_in_cyclic_garbage():
+    # the run pauses the collector, so a cycle it makes lives until the
+    # next collection: none may hold a function or its cells (and through
+    # them a memo)
+    scalars.clear_caches()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        tube.analyze(tube.paper_example_rho(), BOX, seed=0)
+        gc.collect()
+        kinds = collections.Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert kinds["function"] == kinds["cell"] == 0, kinds
 
 
 def test_paper_example_accepted(paper_model):
