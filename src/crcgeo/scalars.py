@@ -833,86 +833,68 @@ def _mono_quotient(num_pows: _PowsKey, den_pows: _PowsKey) -> _PowsKey:
 _QUOT_MAX_STEPS = 60
 
 
-def _var_span_rejects(nf: Mapping, base: Mapping) -> bool:
-    """True when no exact quotient nf / base can exist, for a divisor whose
-    atoms are all variables.
+def _var_quotient(nf: Mapping, base: Mapping):
+    """nf / base for a divisor whose atoms are all variables, or None when
+    there is none or ``_QUOT_MAX_STEPS`` steps do not find it.
 
-    A Var-only divisor never touches the non-Var part of a monomial, so the
-    monomials of nf sharing one non-Var part divide on their own, inside
-    the integral domain Q(i)[Var^Q].  A two-term divisor is decided exactly
-    (``_binomial_rejects``).  For a longer one the exponent range of each
-    variable (an absent one counts as exponent 0) adds under
-    multiplication, so a group spanning a smaller range than the divisor
-    in some variable has no exact quotient.
-
-    Divisors with Const or sum atoms are left to the long division: constant
-    radicals fold and sum atoms expand under multiplication, which makes
-    units such as 1 + 2^(1/2) or A^(1/2) + x with A = x^2 + y, and the
-    ranges no longer add.
+    The divisor never touches the part of a monomial outside its own
+    variables, so the dividend's monomials sharing that part divide on
+    their own, in the domain Q(i)[V^Q].  There one polynomial is a Groebner
+    basis of its ideal, so division in a graded order (total degree, then
+    lex in ``_atom_sort_key`` order) decides divisibility: a quotient's
+    terms come out leading term first, and each lies at or above the
+    group's least exponents minus the divisor's (these add under
+    multiplication), so a quotient term below that floor proves there is
+    no quotient.  A divisor with Const or sum atoms is left to the long
+    division: constant radicals fold and sum atoms expand under
+    multiplication, which makes units such as 1 + 2^(1/2) or A^(1/2) + x
+    with A = x^2 + y, and the floors no longer add.
     """
-    for pows in base:
-        for atom, _ in pows:
-            if not isinstance(atom, Var):
-                return False
-    if len(base) == 2:
-        return _binomial_rejects(nf, base)
-    divisor = [dict(pows) for pows in base]
-    spans = {}
-    for v in {atom for pows in base for atom, _ in pows}:
-        exps = [pmap.get(v, 0) for pmap in divisor]
-        spans[v] = max(exps) - min(exps)
-    groups: dict = {}
-    for pows in nf:
-        rest = tuple(item for item in pows if not isinstance(item[0], Var))
-        groups.setdefault(rest, []).append(dict(pows))
-    for members in groups.values():
-        for v, span in spans.items():
-            exps = [pmap.get(v, 0) for pmap in members]
-            if max(exps) - min(exps) < span:
-                return True
-    return False
+    order = sorted({atom for pows in base for atom, _ in pows}, key=_atom_sort_key)
+    inside = set(order)
 
-
-def _binomial_rejects(nf: Mapping, base: Mapping) -> bool:
-    """``_var_span_rejects`` for ``c1*m1 + c2*m2``, a unit times
-    ``1 + c2/c1*X`` with ``X = m2/m1`` of exponent vector delta: it moves a
-    monomial e = point + t*delta (``point`` keeps the non-Var atoms) only
-    along the class point + (t mod 1 + Z)*delta.  A class ``{floor(t): c}``
-    is a Laurent polynomial in X, divisible exactly when it vanishes at
-    ``-c1/c2`` (Horner); a single monomial never does.  A class spanning
-    more than ``_QUOT_MAX_STEPS`` powers of X is left to the long division,
-    which a sparse quotient may still pass in a few steps."""
-    (p1, c1), (p2, c2) = base.items()
-    delta = dict(p2)
-    for v, x in p1:
-        delta[v] = delta.get(v, 0) - x
-    v0, d0 = next((v, x) for v, x in delta.items() if x)
-    classes: dict = {}
-    for pows, c in nf.items():
+    def split(pows):
         exps = dict(pows)
-        t = Fraction(exps.get(v0, 0)) / d0
-        k = math.floor(t)
-        point = frozenset((v, y) for v in exps.keys() | delta.keys()
-                          if (y := exps.get(v, 0) - t * delta.get(v, 0)))
-        classes.setdefault((point, t - k), {})[k] = c
-    root = -(c1 * c2.inverse())
-    for coeffs in classes.values():
-        top, bottom = max(coeffs), min(coeffs)
-        if top - bottom > _QUOT_MAX_STEPS:
-            continue
-        value = QC(0)
-        for k in range(top, bottom - 1, -1):
-            value = value * root
-            c = coeffs.get(k)
-            if c is not None:
-                value = value + c
-        if not value.is_zero:
-            return True
-    return False
+        return (tuple([item for item in pows if item[0] not in inside]),
+                tuple([exps.get(v, 0) for v in order]))
+
+    def graded(e):
+        return sum(e), e
+
+    divisor = {split(pows)[1]: c for pows, c in base.items()}
+    lead = max(divisor, key=graded)
+    lead_inv = divisor[lead].inverse()
+    floor = [min(col) for col in zip(*divisor)]
+    groups: dict = {}
+    for pows, c in nf.items():
+        rest, e = split(pows)
+        groups.setdefault(rest, {})[e] = c
+    quotient: dict = {}
+    steps = 0
+    for rest, remainder in groups.items():
+        low = [min(col) - f for col, f in zip(zip(*remainder), floor)]
+        while remainder:
+            steps += 1
+            top = max(remainder, key=graded)
+            qe = tuple([t - x for t, x in zip(top, lead)])
+            if steps > _QUOT_MAX_STEPS or any(q < f for q, f in zip(qe, low)):
+                return None
+            qc = remainder[top] * lead_inv
+            for e, c in divisor.items():
+                p = tuple([q + x for q, x in zip(qe, e)])
+                new = -(qc * c) if p not in remainder else remainder[p] - qc * c
+                if new.is_zero:
+                    del remainder[p]
+                else:
+                    remainder[p] = new
+            key = rest + tuple([(v, _key_exp(q)) for v, q in zip(order, qe) if q])
+            quotient[tuple(sorted(key, key=_item_key))] = qc
+    return quotient
 
 
 def _exact_quotient(nf: Mapping, base: Mapping):
-    """nf / base when the division terminates exactly, else None.
+    """nf / base when it exists and is found, else None: by ``_var_quotient``
+    when every atom of the divisor is a variable, else by ``_long_division``.
 
     Outcomes are memoized per (dividend, divisor) pair; a quotient is
     stored and returned as a fresh dict, so callers may mutate it.
@@ -922,8 +904,10 @@ def _exact_quotient(nf: Mapping, base: Mapping):
     if key in _QUOT_MEMO:
         cached = _QUOT_MEMO[key]
         return None if cached is None else dict(cached)
-    quotient = (None if _var_span_rejects(nf, base)
-                else _long_division(nf, base, base_key))
+    if all(type(atom) is Var for pows in base for atom, _ in pows):
+        quotient = _var_quotient(nf, base)
+    else:
+        quotient = _long_division(nf, base, base_key)
     _QUOT_MEMO[key] = None if quotient is None else tuple(quotient.items())
     return quotient
 

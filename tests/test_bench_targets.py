@@ -2,7 +2,7 @@
 ``bench/tracer.py``'s ``TARGETS`` resolves on the package, so renaming or
 deleting a traced function fails here instead of in a traced bench run.
 And every span the tracer expects on a paper workload or the suites records
-calls."""
+calls, and the ``expr_stream`` oracle accepts a seeded stretch of its jobs."""
 
 import ast
 import importlib
@@ -53,3 +53,15 @@ def test_no_active_span_of_a_paper_workload_is_silent(name, monkeypatch):
     assert tracer.restored()
     job.check(payload, extra)
     assert [s for s in tracing.ACTIVE[name] if tracer.stats[s].calls == 0] == []
+
+
+def test_expr_stream_oracle_accepts_every_seeded_job(monkeypatch):
+    # the bench's own oracle over the first 1,200 jobs of seed 1: each eval,
+    # diff and zero payload checked against its reference interpreter, its
+    # central difference or the known verdict
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    run_guarded = importlib.import_module("harness").run_guarded
+    stream = importlib.import_module("workloads").WORKLOADS["expr_stream"]().jobs(1)
+    outcomes = [run_guarded(job) for _, job in zip(range(1200), stream)]
+    assert len(outcomes) == 1200
+    assert [(o.label, o.kind) for o in outcomes if o.failed] == []

@@ -356,6 +356,27 @@ def test_substitute_respects_reality(table):
         substitute(Var(t1), {t1: I * Var(table["t2"])})
 
 
+def test_substitute_refuses_bindings_that_break_a_tag(table):
+    t1, a, b, bb, lam = (table[n] for n in ("t1", "a", "b", "bb", "lam"))
+    x = Var(t1)
+    # bindings that keep the tag pass
+    substitute(Var(lam), {lam: I * x})
+    substitute(Var(a), {a: Var(a) ** 3})
+    substitute(Var(b), {b: x + I, bb: x - I})
+    for bindings, broken in (({lam: x}, "anti-self-conjugate"),
+                             ({a: 2 * Var(a)}, "modulus one"),
+                             ({b: x + I, bb: x + I}, "not conjugate")):
+        with pytest.raises(RealityViolationError, match=broken):
+            substitute(Var(b) + Var(a) + Var(lam), bindings)
+
+
+def test_evaluate_refuses_paired_values_that_are_not_conjugate(table):
+    e = Var(table["b"]) * Var(table["bb"])
+    assert evaluate(e, {"b": 0.3 + 0.4j, "bb": 0.3 - 0.4j}) == pytest.approx(0.25)
+    with pytest.raises(RealityViolationError, match="not conjugate"):
+        evaluate(e, {"b": 0.3 + 0.4j, "bb": 0.3 + 0.4j})
+
+
 def test_substitute_pullback_shape(table):
     # t1 -> z1 + conj(z1) stays self-conjugate, so it is accepted
     zt = VariableTable()
@@ -592,12 +613,6 @@ def _nf_of(text, table):
     return scalars._nf(normalize(parse(text, table)))
 
 
-def _random_univariate(rng, v, n_terms):
-    terms = [Const(QC.of(rng.randint(-4, 4) or 1, rng.randint(-2, 2)))
-             * Pow(Var(v), Fraction(rng.randint(0, 6), 2)) for _ in range(n_terms)]
-    return scalars._nf(normalize(Add(tuple(terms))))
-
-
 def _random_laurent(rng, variables, n_terms):
     terms = [Const(QC.of(rng.randint(-3, 3) or 1, rng.randint(-1, 1)))
              * Mul(tuple(Pow(Var(v), Fraction(rng.randint(-2, 4), 2)) for v in variables))
@@ -605,35 +620,39 @@ def _random_laurent(rng, variables, n_terms):
     return scalars._nf(normalize(Add(tuple(terms))))
 
 
+def _random_var_only(rng, variables, n_terms):
+    """A Var-only normal form with negative and fractional exponents and
+    Gaussian rational coefficients."""
+    terms = [Const(QC.of(Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 3)),
+                         rng.randint(-1, 1)))
+             * Mul(tuple(Pow(Var(v), Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
+                         for v in variables))
+             for _ in range(n_terms)]
+    return scalars._nf(normalize(Add(tuple(terms))))
+
+
 def test_exact_quotient_recovers_var_only_factor():
+    scalars.clear_caches()
     table = VariableTable()
     variables = table.positive("x", "y", "z")
-    rng = random.Random(31)
+    # q may carry variables outside b, constant radicals and sum atoms
+    extras = [_nf_of(text, table) for text in
+              ("1", "2^(1/2)", "(x+y^2)^(-1)", "(x^2+z)^(1/2)*3^(1/3)")]
+    rng = random.Random(37)
     recovered = 0
-    for _ in range(150):
-        # one variable: the long division's leading-term order is a
-        # monomial order there, so every exact quotient is found
-        v = rng.choice(variables)
-        b = _random_univariate(rng, v, rng.randint(2, 3))
-        q = _random_univariate(rng, v, rng.randint(1, 4))
-        if len(b) < 2 or not q:
+    for _ in range(200):
+        b = _random_var_only(rng, variables[:rng.randint(1, 3)], rng.randint(1, 4))
+        q = scalars._nf_mul(_random_laurent(rng, variables, rng.randint(1, 4)),
+                            rng.choice(extras))
+        if not b or not q:
             continue
         assert scalars._exact_quotient(scalars._nf_mul(q, b), b) == q
-        recovered += 1
-        # several variables: the rejection never refuses a true multiple,
-        # and a quotient found is the factor
-        b = _random_laurent(rng, variables, rng.randint(2, 3))
-        q = _random_laurent(rng, variables, rng.randint(1, 3))
-        if len(b) < 2 or not q:
-            continue
-        product = scalars._nf_mul(q, b)
-        assert not scalars._var_span_rejects(product, b)
-        assert scalars._exact_quotient(product, b) in (None, q)
-    assert recovered > 100
+        recovered += len(b) > 1
+    assert recovered > 140
 
 
-def test_span_rejection_agrees_with_long_division(monkeypatch):
-    # every division _collapse asks for on the random-tree stream
+def test_exact_quotients_multiply_back_to_the_dividend(monkeypatch):
+    # every division _collapse asks for on the random-tree stream, cold
     pairs = []
     divide = scalars._exact_quotient
 
@@ -641,6 +660,7 @@ def test_span_rejection_agrees_with_long_division(monkeypatch):
         pairs.append((dict(nf), dict(base)))
         return divide(nf, base)
 
+    scalars.clear_caches()
     monkeypatch.setattr(scalars, "_exact_quotient", recording)
     table = VariableTable()
     variables = table.positive("x", "y", "z")
@@ -651,74 +671,52 @@ def test_span_rejection_agrees_with_long_division(monkeypatch):
             differentiate(tree, rng.choice(variables))
         except DomainEvalError:
             continue
-    rejected = [pair for pair in pairs if scalars._var_span_rejects(*pair)]
-    assert len(rejected) > 50
-    for nf, base in rejected:
-        assert scalars._long_division(nf, base) is None
-    # an exact multiple of a stream dividend is never refused
-    var_only = [(nf, base) for nf, base in pairs
-                if all(isinstance(atom, Var) for pows in base for atom, _ in pows)]
-    assert len(var_only) > 50
-    for nf, base in var_only:
-        assert not scalars._var_span_rejects(scalars._nf_mul(nf, base), base)
+    monkeypatch.undo()
+    # and Var-only multiples of stream dividends, with a term added or not
+    for nf, _ in list(pairs):
+        b = _random_var_only(rng, variables[:rng.randint(1, 3)], rng.randint(2, 3))
+        product = scalars._nf_mul(nf, b)
+        pairs.append((product, b))
+        product = dict(product)
+        scalars._nf_add_into(product, _random_var_only(rng, variables, 1))
+        pairs.append((product, b))
+    outcomes = {True: 0, False: 0}
+    for nf, base in pairs:
+        quotient = scalars._exact_quotient(nf, base)
+        if quotient is not None:
+            assert scalars._nf_mul(quotient, base) == nf
+        outcomes[quotient is not None] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100
 
 
-def test_span_rejection_ignores_const_and_sum_atom_divisors():
+def test_const_and_sum_atom_divisors_take_long_division(monkeypatch):
+    divisors = []
+    divide = scalars._long_division
+
+    def recording(nf, base, base_key=None):
+        divisors.append(base)
+        return divide(nf, base, base_key)
+
+    scalars.clear_caches()
+    monkeypatch.setattr(scalars, "_long_division", recording)
     table = VariableTable()
     table.positive("x", "y")
     # units: (1 + 2^(1/2)) (2^(1/2) - 1) = 1 and
-    # ((x^2+y)^(1/2) + x) ((x^2+y)^(1/2) - x) = y
-    for num, den in (("1", "1+2^(1/2)"), ("y", "(x^2+y)^(1/2)+x"),
-                     ("x", "(x^2+y)^(1/2)+x"), ("x*y^2", "x+2^(1/2)*y")):
-        assert not scalars._var_span_rejects(_nf_of(num, table), _nf_of(den, table))
-    # the same shapes over a Var-only divisor are refused
-    assert scalars._var_span_rejects(_nf_of("y", table), _nf_of("x+y", table))
+    # ((x^2+y)^(1/2) + x) ((x^2+y)^(1/2) - x) = y, so the exponent floors
+    # of a product need not add up
+    cases = (("1", "1+2^(1/2)"), ("y", "(x^2+y)^(1/2)+x"), ("x", "(x^2+y)^(1/2)+x"),
+             ("x*y^2", "x+2^(1/2)*y"), ("(y-1)*((x^2+y)^(-1/2)+x)", "(x^2+y)^(-1/2)+x"))
+    for num, den in cases:
+        scalars._exact_quotient(_nf_of(num, table), _nf_of(den, table))
+    assert divisors == [_nf_of(den, table) for _, den in cases]
+    # a Var-only divisor takes the graded division
+    scalars._exact_quotient(_nf_of("y", table), _nf_of("x+y", table))
+    assert len(divisors) == len(cases)
 
 
-def _random_binomial(rng, variables):
-    """A two-term Var-only normal form with negative and fractional
-    exponents and Gaussian rational coefficients."""
-    while True:
-        terms = [Const(QC.of(Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 3)),
-                             rng.randint(-1, 1)))
-                 * Mul(tuple(Pow(Var(v), Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
-                             for v in variables))
-                 for _ in range(2)]
-        nf = scalars._nf(normalize(Add(tuple(terms))))
-        if len(nf) == 2:
-            return nf
-
-
-def test_binomial_decision_is_sound():
-    table = VariableTable()
-    variables = table.positive("x", "y", "z")
-    # q may carry non-Var atoms: constant radicals and sum atoms
-    extras = [_nf_of(text, table) for text in
-              ("1", "2^(1/2)", "(x+y^2)^(-1)", "(x^2+z)^(1/2)*3^(1/3)")]
-    rng = random.Random(36)
-    refused = 0
-    for _ in range(200):
-        # in fewer variables more monomials share a line along the divisor
-        vs = variables[:rng.randint(1, 3)]
-        b = _random_binomial(rng, vs)
-        q = scalars._nf_mul(_random_laurent(rng, vs, rng.randint(1, 4)), rng.choice(extras))
-        if not q:
-            continue
-        product = scalars._nf_mul(q, b)
-        # a multiple is never refused
-        assert not scalars._var_span_rejects(product, b)
-        # a non-multiple is refused only where the long division fails
-        other = dict(product)
-        scalars._nf_add_into(other, _random_laurent(rng, vs, rng.randint(1, 2)))
-        if other and scalars._var_span_rejects(other, b):
-            refused += 1
-            assert scalars._long_division(other, b) is None
-    assert refused > 150
-
-
-def test_binomial_decision_leaves_wide_classes_to_long_division():
-    # one class spanning a million powers of X: no Horner pass over it,
-    # and the sparse quotient is found in two steps
+def test_exact_quotient_finds_sparse_quotient_of_wide_dividend():
+    # a dividend spanning a million powers of x: the graded division finds
+    # the sparse quotient in two steps
     table = VariableTable()
     table.positive("x")
     quotient = scalars._exact_quotient(_nf_of("x^1000001 + x^1000000 + x + 1", table),
@@ -727,8 +725,8 @@ def test_binomial_decision_leaves_wide_classes_to_long_division():
 
 
 def test_paper_binomial_divisions_are_refused_without_long_division(monkeypatch):
-    # the two divisions by 1 - 12*t1*t2 of a cold paper analysis that the
-    # span test let through, each failing all its long-division steps
+    # two divisions by 1 - 12*t1*t2 of a cold paper analysis that once ran
+    # all 60 long-division steps each
     def no_division(*_args):
         raise AssertionError("long division ran")
 
@@ -1065,22 +1063,11 @@ def test_coefficient_power_budget_refuses_only_growing_powers():
     assert QC.of(-1).pow_int(10**9) == QC.of(1)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "_long_division takes leading terms in _leading_item's order, which is "
-    "not a monomial order, so it misses exact quotients in several variables"))
 def test_exact_quotient_finds_two_variable_factor():
     table = VariableTable()
     table.positive("x", "y")
     quotient = scalars._exact_quotient(_nf_of("x^2-y^2", table), _nf_of("x+y", table))
     assert quotient == _nf_of("x-y", table)
-
-
-def test_binomial_decision_leaves_two_variable_factor_to_long_division():
-    # the quotient exists, so the decision lets the division through: what
-    # the strict xfail above misses is the long division's term order
-    table = VariableTable()
-    table.positive("x", "y")
-    assert not scalars._var_span_rejects(_nf_of("x^2-y^2", table), _nf_of("x+y", table))
 
 
 # ---------------------------------------------------------------------------

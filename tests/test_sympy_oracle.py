@@ -1,7 +1,9 @@
 """Differential test of the scalar kernel against sympy (dev-only oracle).
 
 On seeded random trees, ``evaluate``, ``normalize`` and ``differentiate``
-must agree with sympy at exact rational sample points.  sympy computes
+must agree with sympy at exact rational sample points, and the kernel's
+division by a sum of variables must refuse exactly what sympy's ``cancel``
+leaves with a denominator that is not a monomial.  sympy computes
 from the input tree alone, so its answers do not depend on how the kernel
 represents coefficients or exponents.  Skipped when sympy is missing; it
 is not a dependency of the package.
@@ -12,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from crcgeo import scalars
 from crcgeo.scalars import (
     QC,
     Add,
@@ -21,9 +24,11 @@ from crcgeo.scalars import (
     Pow,
     Var,
     VariableTable,
+    ZERO,
     differentiate,
     evaluate,
     normalize,
+    to_text,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -111,3 +116,35 @@ def test_kernel_agrees_with_sympy_on_random_trees():
             assert _close(got_d, want_d), ("differentiate", tree, var, exact)
             checked["differentiate"] += 1
     assert min(checked.values()) >= 300, checked
+
+
+def _laurent(rng, variables, n_terms):
+    """A Var-only sum of ``n_terms`` monomials with integer exponents,
+    negative ones included, and rational coefficients."""
+    return Add(tuple(Const(QC.of(Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 3))))
+                     * Mul(tuple(Pow(Var(v), Fraction(rng.randint(-2, 3)))
+                                 for v in variables))
+                     for _ in range(n_terms)))
+
+
+def test_var_only_division_refuses_only_what_sympy_cannot_cancel():
+    # _exact_quotient refuses N/B exactly when cancel(N/B) keeps a
+    # denominator that is not a monomial
+    table = VariableTable()
+    variables = table.positive("x", "y", "z")
+    symbols = {name: sympy.Symbol(name, positive=True) for name in ("x", "y", "z")}
+    rng = random.Random(37)
+    verdicts = {True: 0, False: 0}
+    for _ in range(120):
+        vs = variables[:rng.randint(1, 3)]
+        b = normalize(_laurent(rng, vs, rng.randint(2, 3)))
+        n = normalize(_laurent(rng, variables, rng.randint(1, 3)) * b
+                      + rng.choice((0, _laurent(rng, vs, 1))))
+        if n == ZERO or not isinstance(b, Add):
+            continue
+        found = scalars._exact_quotient(scalars._nf(n), scalars._nf(b)) is not None
+        _, den = sympy.fraction(sympy.cancel(_to_sympy(n, symbols) / _to_sympy(b, symbols)))
+        monomial = len(sympy.Poly(den, *symbols.values()).terms()) == 1
+        assert found == monomial, (to_text(n), to_text(b))
+        verdicts[found] += 1
+    assert min(verdicts.values()) > 40, verdicts

@@ -540,6 +540,45 @@ def test_profile_reports_keep_every_check_and_status(g):
                                 " + bb")
 
 
+@pytest.mark.parametrize("g", ["s^2+s^3", "s^2*(1+s)^(1/2)", "s^2+s^3+s^4"])
+def test_non_monomial_profiles_decide_every_zero_question_exactly(g, monkeypatch):
+    # radical recombination divides each group of these profiles exactly, so
+    # S is one monomial, S1 and the final coefficient normalize to 0, and
+    # no zero verdict is sampled
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a zero verdict was sampled")
+
+    golden = json.loads((GOLDEN / "tube_light_cone_seed0.json").read_text())
+    scalars.clear_caches()
+    monkeypatch.setattr(scalars, "sample_values", no_sampling)
+    model = tube.tube_from_rho(tube.ma_profile_solution(g), HOMOG_BOX)
+    assert to_text(model.d("S")) == "-t2^(-1)"
+    assert normalize(model.d("S1")) == ZERO
+    report = tube.analyze(tube.ma_profile_solution(g), HOMOG_BOX)
+    assert ([(c.name, c.status) for c in report.checks]
+            == [(c["name"], c["status"]) for c in golden["checks"]])
+    details = {c.name: c.details for c in report.checks}["curvature coefficients"]
+    assert details["theta2_21_final"] == "0"
+    assert tube.direct_final_coefficient(model) == ZERO
+
+
+def test_cold_paper_analysis_sends_no_var_only_divisor_to_long_division(monkeypatch):
+    divisors = []
+    divide = scalars._long_division
+
+    def recording(nf, base, base_key=None):
+        divisors.append(base)
+        return divide(nf, base, base_key)
+
+    scalars.clear_caches()
+    monkeypatch.setattr(scalars, "_long_division", recording)
+    assert tube.analyze(tube.paper_example_rho(), BOX).overall == "pass"
+    # its sum-atom divisors, such as 1 - (1 - 12*t1*t2)^(-1/2), still go there
+    assert divisors
+    for base in divisors:
+        assert any(scalars._is_sum_atom(atom) for pows in base for atom, _ in pows)
+
+
 def test_sample_text_prints_either_zero_imaginary_part_as_plus_zero():
     assert tube._sample_text(complex(-63.98489377, -0.0)) == "-63.98489377+0j"
     assert tube._sample_text(complex(-63.98489377, 0.0)) == "-63.98489377+0j"
