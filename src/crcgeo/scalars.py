@@ -475,7 +475,6 @@ _DIFF_MEMO: dict = {}
 _FREEVARS_MEMO: dict = {}
 _CERT_MEMO: dict = {}
 _QUOT_MEMO: dict = {}
-_STEP_MEMO: dict = {}
 _MUL_MEMO: dict = {}
 _MONO_MEMO: dict = {}
 _EXPS: dict = {}
@@ -485,7 +484,7 @@ def clear_caches() -> None:
     """Empty the memos and the exponent table.  Live nodes stay interned,
     with their cached sort keys, complex values and float exponents."""
     for memo in (_NF_MEMO, _NORM_MEMO, _CONJ_MEMO, _DIFF_MEMO,
-                 _FREEVARS_MEMO, _CERT_MEMO, _QUOT_MEMO, _STEP_MEMO,
+                 _FREEVARS_MEMO, _CERT_MEMO, _QUOT_MEMO,
                  _MUL_MEMO, _MONO_MEMO, _EXPS):
         memo.clear()
 
@@ -647,7 +646,8 @@ def _nf_mul(a: Mapping, b: Mapping) -> dict:
     """The product of two normal forms.  ``_MUL_MEMO`` keeps the product of
     two monomial keys, by value, as ``_fix_monomial``'s terms at unit
     coefficient; scaled by ``c = ca*cb`` (never zero) they are exactly, in
-    order, the terms of ``_fix_monomial(c, ...)`` (see ``_long_division``)."""
+    order, the terms of ``_fix_monomial(c, ...)``, as canonicalizing a
+    monomial is linear in its coefficient."""
     acc: dict = {}
     for pa, ca in a.items():
         for pb, cb in b.items():
@@ -816,39 +816,38 @@ def _positive_rational_content(coeffs: Sequence[QC]) -> QC:
     return QC(num, 0, math.lcm(*[c.d for c in coeffs])) if num else QC_ONE
 
 
-def _leading_item(nf: Mapping):
-    key = max(nf, key=_mono_key)
-    return key, nf[key]
-
-
-def _mono_quotient(num_pows: _PowsKey, den_pows: _PowsKey) -> _PowsKey:
-    powmap = dict(num_pows)
-    for a, x in den_pows:
-        cur = powmap.get(a)
-        powmap[a] = -x if cur is None else cur - x
-    return tuple(sorted(((a, _key_exp(x)) for a, x in powmap.items() if x),
-                        key=_item_key))
-
-
 _QUOT_MAX_STEPS = 60
 
 
-def _var_quotient(nf: Mapping, base: Mapping):
-    """nf / base for a divisor whose atoms are all variables, or None when
-    there is none or ``_QUOT_MAX_STEPS`` steps do not find it.
+def _graded_quotient(nf: Mapping, base: Mapping):
+    """nf / base, or None when there is none or ``_QUOT_MAX_STEPS`` steps
+    do not find it.
 
-    The divisor never touches the part of a monomial outside its own
-    variables, so the dividend's monomials sharing that part divide on
-    their own, in the domain Q(i)[V^Q].  There one polynomial is a Groebner
-    basis of its ideal, so division in a graded order (total degree, then
-    lex in ``_atom_sort_key`` order) decides divisibility: a quotient's
-    terms come out leading term first, and each lies at or above the
-    group's least exponents minus the divisor's (these add under
-    multiplication), so a quotient term below that floor proves there is
-    no quotient.  A divisor with Const or sum atoms is left to the long
-    division: constant radicals fold and sum atoms expand under
-    multiplication, which makes units such as 1 + 2^(1/2) or A^(1/2) + x
-    with A = x^2 + y, and the floors no longer add.
+    Every atom of the divisor, variable, constant radical or sum atom, is
+    taken as an indeterminate.  The divisor never touches the part of a
+    monomial outside its own atoms, so the dividend's monomials sharing
+    that part divide on their own, in the domain Q(i)[A^Q] of Laurent
+    polynomials with rational exponents.  There one polynomial is a
+    Groebner basis of its ideal, so division in a graded order (total
+    degree, then lex in ``_atom_sort_key`` order) decides formal
+    divisibility: a quotient's terms come out leading term first, and each
+    lies at or above the group's least exponents minus the divisor's
+    (these add under multiplication), so a quotient term below that floor
+    proves there is no quotient.
+
+    A formal identity ``nf = q*base`` gives ``_nf_mul(q, base) == nf``:
+    ``_nf_mul`` applies ``_fix_monomial`` to each monomial product,
+    ``_fix_monomial`` is linear, and it fixes every monomial of the normal
+    form nf.  Each quotient term goes through ``_fix_monomial`` as well,
+    which folds a constant radical's integer part into the coefficient;
+    products keep their value and form, as the integer parts still add up
+    (floor(a) + floor(a - floor(a) + b) = floor(a + b)).  A sum atom's
+    quotient exponent must stay below 1, its ceiling: the greatest
+    exponents add too, so at 1 or more every divisor monomial holds that
+    atom at a negative power, and the expansion ``_fix_monomial`` would
+    make of the term does not fold back under ``_nf_mul``.  The division
+    knows no relation between atoms, such as ``r^2 = 2`` for
+    ``r = 2^(1/2)``, so it refuses ``(x^2 - 2)/(x + 2^(1/2))``.
     """
     order = sorted({atom for pows in base for atom, _ in pows}, key=_atom_sort_key)
     inside = set(order)
@@ -856,7 +855,7 @@ def _var_quotient(nf: Mapping, base: Mapping):
     def split(pows):
         exps = dict(pows)
         return (tuple([item for item in pows if item[0] not in inside]),
-                tuple([exps.get(v, 0) for v in order]))
+                tuple([exps.get(a, 0) for a in order]))
 
     def graded(e):
         return sum(e), e
@@ -865,6 +864,7 @@ def _var_quotient(nf: Mapping, base: Mapping):
     lead = max(divisor, key=graded)
     lead_inv = divisor[lead].inverse()
     floor = [min(col) for col in zip(*divisor)]
+    ceiling = [1 if _is_sum_atom(a) else math.inf for a in order]
     groups: dict = {}
     for pows, c in nf.items():
         rest, e = split(pows)
@@ -877,7 +877,8 @@ def _var_quotient(nf: Mapping, base: Mapping):
             steps += 1
             top = max(remainder, key=graded)
             qe = tuple([t - x for t, x in zip(top, lead)])
-            if steps > _QUOT_MAX_STEPS or any(q < f for q, f in zip(qe, low)):
+            if steps > _QUOT_MAX_STEPS or any(
+                    q < f or q >= c for q, f, c in zip(qe, low, ceiling)):
                 return None
             qc = remainder[top] * lead_inv
             for e, c in divisor.items():
@@ -887,78 +888,25 @@ def _var_quotient(nf: Mapping, base: Mapping):
                     del remainder[p]
                 else:
                     remainder[p] = new
-            key = rest + tuple([(v, _key_exp(q)) for v, q in zip(order, qe) if q])
-            quotient[tuple(sorted(key, key=_item_key))] = qc
+            powmap = dict(rest)
+            powmap.update(zip(order, qe))
+            _nf_add_into(quotient, _fix_monomial(qc, powmap))
     return quotient
 
 
 def _exact_quotient(nf: Mapping, base: Mapping):
-    """nf / base when it exists and is found, else None: by ``_var_quotient``
-    when every atom of the divisor is a variable, else by ``_long_division``.
+    """nf / base by ``_graded_quotient`` when it exists and is found, else
+    None.
 
     Outcomes are memoized per (dividend, divisor) pair; a quotient is
     stored and returned as a fresh dict, so callers may mutate it.
     """
-    base_key = frozenset(base.items())
-    key = (frozenset(nf.items()), base_key)
+    key = (frozenset(nf.items()), frozenset(base.items()))
     if key in _QUOT_MEMO:
         cached = _QUOT_MEMO[key]
         return None if cached is None else dict(cached)
-    if all(type(atom) is Var for pows in base for atom, _ in pows):
-        quotient = _var_quotient(nf, base)
-    else:
-        quotient = _long_division(nf, base, base_key)
+    quotient = _graded_quotient(nf, base)
     _QUOT_MEMO[key] = None if quotient is None else tuple(quotient.items())
-    return quotient
-
-
-def _long_division(nf: Mapping, base: Mapping, base_key: frozenset | None = None):
-    """nf / base by cancelling the remainder's leading monomial until it
-    is empty; None once it has more than ``limit`` terms or the steps run
-    out.
-
-    A step for leading monomial rp subtracts qc * (qp * base), where
-    qp = rp / lead.  qp and the product qp * base at unit coefficient
-    depend only on rp and the divisor, so ``_STEP_MEMO`` keeps them per
-    divisor (``base_key``, its frozen item set).  Scaling the cached product
-    by qc gives exactly the terms, in the same order, that multiplying by
-    qc * qp gives: ``_fix_monomial(c*u, m) == c*_fix_monomial(u, m)`` over
-    exact coefficients, and zero terms drop out alike.
-    """
-    if base_key is None:
-        base_key = frozenset(base.items())
-    steps_memo = _STEP_MEMO.setdefault(base_key, {})
-    remainder = dict(nf)
-    sort_keys = {p: _mono_key(p) for p in remainder}
-    quotient: dict = {}
-    lead_pows, lead_coeff = _leading_item(base)
-    lead_inv = lead_coeff.inverse()
-    steps = 0
-    limit = len(nf) + 4 * len(base) + 8
-    while remainder:
-        steps += 1
-        if steps > _QUOT_MAX_STEPS or len(remainder) > limit:
-            return None
-        rp = max(remainder, key=sort_keys.__getitem__)
-        step = steps_memo.get(rp)
-        if step is None:
-            qp = _mono_quotient(rp, lead_pows)
-            step = steps_memo[rp] = (qp, tuple(_nf_mul({qp: QC_ONE}, base).items()))
-        qp, product = step
-        qc = remainder[rp] * lead_inv
-        _nf_add_into(quotient, {qp: qc})
-        for p, c in product:
-            cur = remainder.get(p)
-            if cur is None:
-                remainder[p] = -(qc * c)
-                if p not in sort_keys:
-                    sort_keys[p] = _mono_key(p)
-            else:
-                new = cur - qc * c
-                if new.is_zero:
-                    del remainder[p]
-                else:
-                    remainder[p] = new
     return quotient
 
 

@@ -680,38 +680,74 @@ def test_exact_quotients_multiply_back_to_the_dividend(monkeypatch):
         product = dict(product)
         scalars._nf_add_into(product, _random_var_only(rng, variables, 1))
         pairs.append((product, b))
-    outcomes = {True: 0, False: 0}
-    for nf, base in pairs:
-        quotient = scalars._exact_quotient(nf, base)
-        if quotient is not None:
-            assert scalars._nf_mul(quotient, base) == nf
-        outcomes[quotient is not None] += 1
-    assert outcomes[True] > 100 and outcomes[False] > 100
+    # and multiples over divisors with constant radicals and sum atoms at
+    # fractional and negative exponents, where quotient terms fold: q*b, a
+    # term added or not, and q*b over b*(1+x)^(-2), whose formal quotient
+    # q*(1+x)^2 would expand a sum atom
+    x, y = (Var(v) for v in variables[:2])
+    shifted = _nf_of("(1+x)^(-2)", table)
+    radical_pairs = []
+    for _ in range(120):
+        b = _radical_form(rng, x, y, rng.randint(2, 3))
+        product = scalars._nf_mul(_radical_form(rng, x, y, rng.randint(1, 3)), b)
+        radical_pairs.append((product, b))
+        radical_pairs.append((product, scalars._nf_mul(b, shifted)))
+        product = dict(product)
+        scalars._nf_add_into(product, _radical_form(rng, x, y, 1))
+        radical_pairs.append((product, b))
+    # the paper's divisors 1 - w^(1/2) and 1 - w^(-1/2), w = 1 - 12*t1*t2
+    t1, t2 = (Var(v) for v in table.real("t1", "t2"))
+    w = 1 - 12 * t1 * t2
+    for k in (1, -1):
+        b = scalars._nf(normalize(1 - Pow(w, Fraction(k, 2))))
+        for _ in range(15):
+            dividend = _paper_ladder(rng, t1, t2, w, rng.randint(1, 4))
+            radical_pairs.append((dividend, b))
+            radical_pairs.append((scalars._nf_mul(dividend, b), b))
+    outcomes = collections.Counter()
+    for kind, kind_pairs in (("var", pairs), ("radical", radical_pairs)):
+        for nf, base in kind_pairs:
+            quotient = scalars._exact_quotient(nf, base)
+            if quotient is not None:
+                assert scalars._nf_mul(quotient, base) == nf
+            outcomes[kind, quotient is not None] += 1
+    assert outcomes["var", True] > 100 and outcomes["var", False] > 100
+    assert outcomes["radical", True] > 40 and outcomes["radical", False] > 200
 
 
-def test_const_and_sum_atom_divisors_take_long_division(monkeypatch):
-    divisors = []
-    divide = scalars._long_division
-
-    def recording(nf, base, base_key=None):
-        divisors.append(base)
-        return divide(nf, base, base_key)
-
+def test_units_over_const_and_sum_atoms_are_refused():
     scalars.clear_caches()
-    monkeypatch.setattr(scalars, "_long_division", recording)
     table = VariableTable()
     table.positive("x", "y")
     # units: (1 + 2^(1/2)) (2^(1/2) - 1) = 1 and
-    # ((x^2+y)^(1/2) + x) ((x^2+y)^(1/2) - x) = y, so the exponent floors
-    # of a product need not add up
-    cases = (("1", "1+2^(1/2)"), ("y", "(x^2+y)^(1/2)+x"), ("x", "(x^2+y)^(1/2)+x"),
-             ("x*y^2", "x+2^(1/2)*y"), ("(y-1)*((x^2+y)^(-1/2)+x)", "(x^2+y)^(-1/2)+x"))
-    for num, den in cases:
-        scalars._exact_quotient(_nf_of(num, table), _nf_of(den, table))
-    assert divisors == [_nf_of(den, table) for _, den in cases]
-    # a Var-only divisor takes the graded division
-    scalars._exact_quotient(_nf_of("y", table), _nf_of("x+y", table))
-    assert len(divisors) == len(cases)
+    # ((x^2+y)^(1/2) + x) ((x^2+y)^(1/2) - x) = y, so each quotient below
+    # exists in value; none exists formally, with every atom an indeterminate
+    for num, den in (("1", "1+2^(1/2)"), ("y", "(x^2+y)^(1/2)+x"), ("x", "(x^2+y)^(1/2)+x"),
+                     ("x*y^2", "x+2^(1/2)*y")):
+        assert scalars._exact_quotient(_nf_of(num, table), _nf_of(den, table)) is None
+    quotient = scalars._exact_quotient(_nf_of("(y-1)*((x^2+y)^(-1/2)+x)", table),
+                                       _nf_of("(x^2+y)^(-1/2)+x", table))
+    assert to_text(scalars._rebuild(quotient)) == "-1 + y"
+    # the formal quotient (1+y)^(3/2) would expand a sum atom that every
+    # divisor monomial holds at a negative power
+    assert scalars._exact_quotient(_nf_of("x*(1+y)^(1/2) + (1+y)^(-1/2)", table),
+                                   _nf_of("x*(1+y)^(-1) + (1+y)^(-2)", table)) is None
+
+
+def test_graded_division_over_constant_radicals():
+    # a constant radical is an indeterminate r of the formal ring, as x is
+    scalars.clear_caches()
+    table = VariableTable()
+    table.positive("x", "y")
+    base = _nf_of("x + 2^(1/2)", table)
+    for other in ("x - 1", "x - 3^(1/2)"):
+        product = _nf_of(f"(x + 2^(1/2))*({other})", table)
+        assert scalars._exact_quotient(product, base) == _nf_of(other, table)
+    # and that ring has no relation r^2 = 2, so x^2 - 2 stays undivided
+    assert scalars._exact_quotient(_nf_of("x^2 - 2", table), base) is None
+    # a quotient term folds the integer part of a constant radical
+    assert (scalars._exact_quotient(_nf_of("x + y", table), _nf_of("2^(1/2)*x + 2^(1/2)*y", table))
+            == _nf_of("1/2*2^(1/2)", table))
 
 
 def test_exact_quotient_finds_sparse_quotient_of_wide_dividend():
@@ -724,19 +760,17 @@ def test_exact_quotient_finds_sparse_quotient_of_wide_dividend():
     assert quotient == _nf_of("x^1000000 + 1", table)
 
 
-def test_paper_binomial_divisions_are_refused_without_long_division(monkeypatch):
+def test_paper_binomial_divisions_are_refused():
     # two divisions by 1 - 12*t1*t2 of a cold paper analysis that once ran
-    # all 60 long-division steps each
-    def no_division(*_args):
-        raise AssertionError("long division ran")
-
+    # all 60 long-division steps each, and one of its single monomials over
+    # 1 - (1 - 12*t1*t2)^(-1/2)
     table = VariableTable()
     table.real("t1", "t2")
-    base = _nf_of("1 - 12*t1*t2", table)
     scalars.clear_caches()
-    monkeypatch.setattr(scalars, "_long_division", no_division)
-    for text in ("1/9*t1*t2^(-3) - 1/3*t1^2*t2^(-2)", "1/3*t1*t2^(-3) - 1/18*t2^(-4)"):
-        assert scalars._exact_quotient(_nf_of(text, table), base) is None
+    for text, den in (("1/9*t1*t2^(-3) - 1/3*t1^2*t2^(-2)", "1 - 12*t1*t2"),
+                      ("1/3*t1*t2^(-3) - 1/18*t2^(-4)", "1 - 12*t1*t2"),
+                      ("t2*(1 - 12*t1*t2)^(-3/4)", "1 - (1 - 12*t1*t2)^(-1/2)")):
+        assert scalars._exact_quotient(_nf_of(text, table), _nf_of(den, table)) is None
 
 
 def test_quotient_memo_returns_fresh_copies():
@@ -766,33 +800,6 @@ def test_clear_caches_empties_quotient_memo():
     assert not scalars._QUOT_MEMO
 
 
-def _reference_long_division(nf, base):
-    """The long division without its step memo: every step multiplies the
-    quotient monomial by the divisor afresh.  The reference for the
-    memoized ``scalars._long_division``."""
-    remainder = dict(nf)
-    quotient = {}
-    lead_pows, lead_coeff = scalars._leading_item(base)
-    steps = 0
-    limit = len(nf) + 4 * len(base) + 8
-    while remainder:
-        steps += 1
-        if steps > scalars._QUOT_MAX_STEPS or len(remainder) > limit:
-            return None
-        rp, rc = scalars._leading_item(remainder)
-        powmap = dict(rp)
-        for a, x in lead_pows:
-            cur = powmap.get(a)
-            powmap[a] = -x if cur is None else cur - x
-        qp = tuple(sorted(((a, scalars._key_exp(x)) for a, x in powmap.items() if x),
-                          key=scalars._item_key))
-        piece = {qp: rc * lead_coeff.inverse()}
-        scalars._nf_add_into(quotient, piece)
-        scalars._nf_add_into(remainder, {p: -c for p, c in
-                                         scalars._nf_mul(piece, base).items()})
-    return quotient
-
-
 def _items(nf):
     return None if nf is None else [(pows, c.re, c.im) for pows, c in nf.items()]
 
@@ -803,39 +810,6 @@ def _paper_ladder(rng, t1, t2, w, n_terms):
              * Pow(t1, rng.randint(-2, 2)) * Pow(t2, rng.randint(-2, 2))
              * Pow(w, Fraction(rng.randint(-5, 1), 2)) for _ in range(n_terms)]
     return scalars._nf(normalize(Add(tuple(terms))))
-
-
-def test_memoized_long_division_matches_reference():
-    scalars.clear_caches()
-    table = VariableTable()
-    t1, t2 = (Var(v) for v in table.real("t1", "t2"))
-    w = 1 - 12 * t1 * t2
-    divisors = [scalars._nf(normalize(d)) for d in
-                (w, 1 - Pow(w, Fraction(1, 2)), 1 - Pow(w, Fraction(-1, 2)))]
-    rng = random.Random(606)
-    pairs = []
-    for base in divisors:
-        for _ in range(15):
-            dividend = _paper_ladder(rng, t1, t2, w, rng.randint(1, 6))
-            pairs.append((dividend, base))
-            pairs.append((scalars._nf_mul(dividend, base), base))
-    variables = table.positive("x", "y", "z")
-    for _ in range(40):
-        base = _random_laurent(rng, variables, rng.randint(2, 3))
-        if len(base) < 2:
-            continue
-        dividend = _random_laurent(rng, variables, rng.randint(1, 5))
-        pairs.append((dividend, base))
-        pairs.append((scalars._nf_mul(_random_laurent(rng, variables, 2), base), base))
-    outcomes = {True: 0, False: 0}
-    # cold, then with the step memo warmed by every division of the first pass
-    for _ in range(2):
-        for nf, base in pairs:
-            got = scalars._long_division(nf, base)
-            assert _items(got) == _items(_reference_long_division(nf, base))
-            outcomes[got is not None] += 1
-    assert outcomes[True] > 50 and outcomes[False] > 50
-    assert len(scalars._STEP_MEMO) > 20
 
 
 def _memo_free_nf_mul(a, b):
@@ -899,7 +873,7 @@ def test_clear_caches_empties_every_memo():
     # every module-level dict of the kernel but the kind table and the
     # node intern table's own storage is a table clear_caches() empties
     names = {"_NF_MEMO", "_NORM_MEMO", "_CONJ_MEMO", "_DIFF_MEMO", "_FREEVARS_MEMO",
-             "_CERT_MEMO", "_QUOT_MEMO", "_STEP_MEMO", "_MUL_MEMO", "_MONO_MEMO", "_EXPS"}
+             "_CERT_MEMO", "_QUOT_MEMO", "_MUL_MEMO", "_MONO_MEMO", "_EXPS"}
     dicts = {k for k, v in vars(scalars).items() if type(v) is dict and not k.startswith("__")}
     assert names == dicts - {"KINDS", "_INTERN_REFS"}
     for name in names:

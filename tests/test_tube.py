@@ -361,6 +361,39 @@ def test_final_coefficient_matches_direct_route(paper_model, paper_verdict):
     assert is_identically_zero(diff, BOX, trials=32, seed=1)
 
 
+def _mp_value(e, point):
+    """An expression's value in mpmath at the working precision; ``point``
+    maps variable names to mpf values."""
+    import mpmath  # the caller has skipped without it
+    if isinstance(e, scalars.Const):
+        return mpmath.mpc(mpmath.mpf(e.value.a) / e.value.d, mpmath.mpf(e.value.b) / e.value.d)
+    if isinstance(e, Var):
+        return point[e.var.name]
+    if isinstance(e, scalars.Add):
+        return mpmath.fsum(_mp_value(t, point) for t in e.terms)
+    if isinstance(e, scalars.Mul):
+        return mpmath.fprod(_mp_value(f, point) for f in e.factors)
+    x = e.exp
+    power = int(x) if x.denominator == 1 else mpmath.mpf(x.numerator) / x.denominator
+    return _mp_value(e.base, point) ** power
+
+
+def test_four_routes_to_the_paper_final_agree_at_50_digits(paper_model, paper_verdict, jets):
+    # certify_zero proves none of these equal, through the two atoms
+    # 1 - w^(1/2) and 1 - w^(-1/2) of one quantity (w = 1 - 12*t1*t2), so
+    # they are compared in 50-digit arithmetic at rational points of the box
+    mpmath = pytest.importorskip("mpmath")
+    routes = [paper_verdict.theta2_21_final, tube.direct_final_coefficient(paper_model),
+              tube.curvature_coefficients(tube.build_coframe(jets), paper_model).theta2_21_final,
+              tube.paper_example_final_closed_form(paper_model)]
+    rng = random.Random(8)
+    with mpmath.workdps(50):
+        for _ in range(3):
+            point = {name: mpmath.mpf(rng.randint(20, 80)) / 1000 for name in ("t1", "t2")}
+            first, *others = [_mp_value(e, point) for e in routes]
+            assert all(abs(v - first) <= mpmath.mpf(10) ** -40 * abs(first) for v in others)
+
+
 def test_paper_example_verdict(paper_verdict):
     assert paper_verdict.is_final_zero == "nonzero"
     assert paper_verdict.cartan_obstruction
@@ -562,21 +595,26 @@ def test_non_monomial_profiles_decide_every_zero_question_exactly(g, monkeypatch
     assert tube.direct_final_coefficient(model) == ZERO
 
 
-def test_cold_paper_analysis_sends_no_var_only_divisor_to_long_division(monkeypatch):
-    divisors = []
-    divide = scalars._long_division
+def test_cold_paper_analysis_makes_33_divisions_with_4_quotients(monkeypatch):
+    divisions = []
+    divide = scalars._exact_quotient
 
-    def recording(nf, base, base_key=None):
-        divisors.append(base)
-        return divide(nf, base, base_key)
+    def recording(nf, base):
+        quotient = divide(nf, base)
+        divisions.append((dict(nf), base, quotient))
+        return quotient
 
     scalars.clear_caches()
-    monkeypatch.setattr(scalars, "_long_division", recording)
+    monkeypatch.setattr(scalars, "_exact_quotient", recording)
     assert tube.analyze(tube.paper_example_rho(), BOX).overall == "pass"
-    # its sum-atom divisors, such as 1 - (1 - 12*t1*t2)^(-1/2), still go there
-    assert divisors
-    for base in divisors:
-        assert any(scalars._is_sum_atom(atom) for pows in base for atom, _ in pows)
+    # the counts a traced paper_cold benchmark job reports
+    assert len(divisions) == 33
+    assert sum(quotient is None for _, _, quotient in divisions) == 29
+    for nf, base, quotient in divisions:
+        assert quotient is None or scalars._nf_mul(quotient, base) == nf
+    # the three divisions by 1 - (1 - 12*t1*t2)^(-1/2) are refused
+    assert [quotient for _, base, quotient in divisions
+            if any(scalars._is_sum_atom(atom) for pows in base for atom, _ in pows)] == [None] * 3
 
 
 def test_sample_text_prints_either_zero_imaginary_part_as_plus_zero():
