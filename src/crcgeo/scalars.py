@@ -89,7 +89,7 @@ class ZeroTestInconclusiveError(ExprError):
 
 
 class WorkBudgetError(ExprError):
-    """Raised when expanding a power of a sum would exceed the work budget."""
+    """Raised when a power or a printed coefficient would exceed its work budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +101,8 @@ class WorkBudgetError(ExprError):
 # real and imaginary parts in lowest terms (doubled, plus one, when it is
 # not real).  The parts of a result within it stay under 12000 bits, so
 # they print within Python's 4300-digit limit on converting an int to text.
+# Only ``QC.pow_int`` checks it, and only for a power that grows, |k| > 1.
 _POWER_BITS_BUDGET = 6000
-
-
-def _check_power_bits(log2: int, k: int) -> None:
-    """Refuse to raise a number of size ``log2`` (see ``_POWER_BITS_BUDGET``)
-    to the power ``k`` when the estimate exceeds the budget."""
-    if abs(k) * log2 > _POWER_BITS_BUDGET:
-        raise WorkBudgetError(
-            f"raising a coefficient to the power {k} exceeds the work budget "
-            f"of {_POWER_BITS_BUDGET} bits")
 
 
 class QC:
@@ -193,7 +185,10 @@ class QC:
         if k > 1 or k < -1:
             log2 = max(n.bit_length() for x in (a, b) for g in (gcd(x, d),)
                        for n in (x // g, d // g)) - 1
-            _check_power_bits(2 * log2 + 1 if b else log2, k)
+            if abs(k) * (2 * log2 + 1 if b else log2) > _POWER_BITS_BUDGET:
+                raise WorkBudgetError(
+                    f"raising a coefficient to the power {k} exceeds the work budget "
+                    f"of {_POWER_BITS_BUDGET} bits")
         if k < 0:
             inv = self.inverse()
             a, b, d, k = inv.a, inv.b, inv.d, -k
@@ -591,28 +586,18 @@ def _is_sum_atom(atom: Expr) -> bool:
 _EXPANSION_BUDGET = 200_000
 
 
-def _check_expansion(terms: int, k: int) -> None:
-    """Refuse to multiply a monomial by a ``terms``-term sum ``k`` times
-    when the monomial products that takes exceed the budget.
-
-    After j factors at most C(terms+j-1, j) monomials remain, so the k
-    steps make at most terms * C(terms+k-1, k-1) products; that also
-    bounds the expanded term count, C(terms+k-1, k).
-    """
-    products = terms * math.comb(terms + k - 1, k - 1)
-    if products > _EXPANSION_BUDGET:
-        raise WorkBudgetError(
-            f"expanding a {terms}-term sum to the power {k} exceeds the work "
-            f"budget of {_EXPANSION_BUDGET} monomial products")
-
-
 def _fix_monomial(coeff: QC, powmap: dict) -> dict:
-    """Canonicalize one monomial, splitting integer parts off sum-atom powers.
+    """Canonicalize one monomial of a nonzero coefficient: the one place
+    where a power becomes monomials.  A constant atom's integer part folds
+    into the coefficient, and a sum atom's integer part expands, so the
+    result may hold several monomials.
 
-    Returns a normal form (several monomials when a sum base gets expanded).
+    An expansion multiplies by a ``terms``-term sum ``n`` times; after j
+    factors at most C(terms+j-1, j) monomials remain, so the n steps make
+    at most terms * C(terms+n-1, n-1) products, which also bounds the
+    expanded term count, C(terms+n-1, n).  Over ``_EXPANSION_BUDGET``
+    products it is refused.
     """
-    if coeff.is_zero:
-        return {}
     reduced: dict = {}
     expansions: list[dict] = []
     for atom, e in powmap.items():
@@ -628,7 +613,11 @@ def _fix_monomial(coeff: QC, powmap: dict) -> dict:
         elif _is_sum_atom(atom) and e >= 1:
             n = int(e) if e.denominator == 1 else int(e.numerator // e.denominator)
             base_nf = _nf(atom)
-            _check_expansion(len(base_nf), n)
+            terms = len(base_nf)
+            if terms * math.comb(terms + n - 1, n - 1) > _EXPANSION_BUDGET:
+                raise WorkBudgetError(
+                    f"expanding a {terms}-term sum to the power {n} exceeds the work "
+                    f"budget of {_EXPANSION_BUDGET} monomial products")
             for _ in range(n):
                 expansions.append(base_nf)
             e = e - n
@@ -688,31 +677,6 @@ def _factor_positive_int(n: int) -> list:
     return out
 
 
-def _const_pow(c: QC, e: Fraction) -> dict:
-    """Normal form of c**e for a nonzero c, positive rational when e is
-    fractional; such bases split into prime-power radical atoms so that
-    constant radicals cancel."""
-    if e.denominator == 1:
-        return {(): c.pow_int(int(e))}
-    powmap: dict = {}
-    for p in _factor_positive_int(c.a):
-        powmap[p] = powmap.get(p, 0) + 1
-    for p in _factor_positive_int(c.d):
-        powmap[p] = powmap.get(p, 0) - 1
-    coeff = QC_ONE
-    pows = []
-    for p in sorted(powmap):
-        exp = powmap[p] * e
-        whole = int(exp.numerator // exp.denominator)
-        frac = exp - whole
-        _check_power_bits(p.bit_length() - 1, whole)
-        coeff = coeff * QC(p).pow_int(whole)
-        if frac:
-            pows.append((Const(QC(p)), _key_exp(frac)))
-    pows.sort(key=_item_key)
-    return {tuple(pows): coeff}
-
-
 def _atom_certified_positive(atom: Expr, exp: Fraction) -> bool:
     """True when atom**exp is positive wherever it is defined: a positive
     constant or variable, or any atom at a fractional power."""
@@ -721,11 +685,13 @@ def _atom_certified_positive(atom: Expr, exp: Fraction) -> bool:
     return exp.denominator != 1 or isinstance(atom, Var) and atom.var.reality == POSITIVE_REAL
 
 
-def _nf_pow(nf: Mapping, e: Fraction) -> dict:
-    """Normal form of nf**e.  An integer power of a monomial multiplies its
-    exponents and a positive integer power of a sum expands; every other
-    power, of a monomial or a sum, splits the base as content * primitive
-    (``_extract_content``) and keeps the primitive as one atom."""
+def _nf_pow(base: Expr, e: Fraction) -> dict:
+    """Normal form of base**e.  An integer power of a monomial multiplies
+    its exponents and a positive integer power of a sum expands; every
+    other power, of a monomial or a sum, splits the base as content *
+    primitive (``_extract_content``) and keeps the primitive as one atom.
+    ``_fix_monomial`` makes the monomials of each."""
+    nf = _nf(base)
     if e == 0:
         return {(): QC_ONE}
     if e == 1:
@@ -741,19 +707,23 @@ def _nf_pow(nf: Mapping, e: Fraction) -> dict:
             pows, c = items[0]
             return _fix_monomial(c.pow_int(k), {atom: ex * k for atom, ex in pows})
         if k >= 2:
-            _check_expansion(len(items), k)
-            acc = dict(nf)
-            for _ in range(k - 1):
-                acc = _nf_mul(acc, nf)
-            return acc
+            return _fix_monomial(QC_ONE, {base: k})
     content_coeff, content_pows, primitive = _extract_content(nf, fractional=e.denominator != 1)
-    out = _const_pow(content_coeff, e) if not content_coeff.is_one else {(): QC_ONE}
     powmap: dict = {}
+    if e.denominator == 1:
+        coeff = content_coeff.pow_int(int(e))
+    else:
+        # a positive rational content splits into prime radicals, so that
+        # constant radicals cancel
+        coeff = QC_ONE
+        for n, power in ((content_coeff.a, e), (content_coeff.d, -e)):
+            for p in _factor_positive_int(n):
+                _add_exp(powmap, Const(QC(p)), power)
     for atom, ex in content_pows:
         _add_exp(powmap, atom, ex * e)
     if primitive is not ONE:
         _add_exp(powmap, primitive, e)
-    return _nf_mul(out, _fix_monomial(QC_ONE, powmap))
+    return _fix_monomial(coeff, powmap)
 
 
 def _extract_content(nf: Mapping, fractional: bool):
@@ -919,7 +889,7 @@ def _collapse(nf: dict) -> dict:
     atoms = set()
     for pows, _ in nf.items():
         for a, x in pows:
-            if _is_sum_atom(a) and (x < 0 or x.denominator != 1):
+            if x < 0 and _is_sum_atom(a):
                 atoms.add(a)
     if not atoms:
         return nf
@@ -986,7 +956,7 @@ def _nf(e: Expr) -> dict:
             acc = _nf_mul(acc, nf)
         out = _collapse(acc)
     elif isinstance(e, Pow):
-        out = _collapse(_nf_pow(_nf(e.base), e.exp))
+        out = _collapse(_nf_pow(e.base, e.exp))
     else:
         raise TypeError(f"not an expression: {e!r}")
     _NF_MEMO[e] = out
@@ -1488,21 +1458,15 @@ def _exp_text(e: Fraction) -> str:
     return f"({frac_text(e)})"
 
 
-def _needs_parens_as_factor(e: Expr) -> bool:
-    if isinstance(e, Add):
-        return True
-    if isinstance(e, Const):
-        v = e.value
-        return v.b != 0 or v.a < 0 or v.d != 1
-    return False
-
-
 def _factor_text(atom: Expr, e: Fraction) -> str:
     if isinstance(atom, Var):
         base = atom.var.name
     elif isinstance(atom, Const):
-        base = qc_text(atom.value)
-        if _needs_parens_as_factor(atom):
+        v = atom.value
+        base = qc_text(v)
+        # qc_text parenthesizes a value with both parts; a pure imaginary,
+        # negative or fractional base needs its own
+        if (not v.a) if v.b else (v.a < 0 or v.d != 1):
             base = f"({base})"
     else:
         base = f"({_atom_sort_key(atom)[1]})"

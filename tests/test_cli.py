@@ -284,6 +284,19 @@ def test_expr_diff_coefficient_power_over_work_budget_is_inconclusive():
         assert "Traceback" not in result.stderr
 
 
+def test_expr_diff_checks_the_coefficient_budget_only_on_growing_powers(capsys):
+    # 10^2000 + 1 keeps a cofactor of about 6,600 bits past the trial
+    # division: its first and minus-first powers do not grow, its cube does
+    for power, code in (("3/2", cli.EXIT_PASS), ("-1/2", cli.EXIT_PASS),
+                        ("7/2", cli.EXIT_INCONCLUSIVE)):
+        argv = ["expr", "diff", "--expr", f"(10^2000+1)^({power})*t1", "--by", "t1",
+                "--out", os.devnull]
+        assert cli.main(argv) == code, power
+    assert capsys.readouterr().err == (
+        "inconclusive: raising a coefficient to the power 3 exceeds the work "
+        "budget of 6000 bits\n")
+
+
 def test_expr_diff_coefficient_past_print_limit_is_inconclusive():
     # each factor is within the power budget; their product has more
     # digits than an int may be printed with

@@ -605,6 +605,17 @@ def test_parse_print_round_trip():
         assert normalize(parse(text, table)) == normalize(tree)
 
 
+def test_complex_constant_radicals_print_with_one_pair_of_parentheses(table):
+    # qc_text already parenthesizes a value with both parts
+    for text, shown in (("(2+2*i)^(1/2)*t1", "t1*(1 + i)^(1/2)*2^(1/2)"),
+                        ("(-1-i)^(1/2)*t1", "t1*(-1 - i)^(1/2)"),
+                        ("(2*i)^(1/2)*t1", "t1*2^(1/2)*(i)^(1/2)"),
+                        ("(-3)^(1/3)*t1", "t1*(-1)^(1/3)*3^(1/3)")):
+        e = normalize(parse(text, table))
+        assert to_text(e) == shown
+        assert normalize(parse(shown, table)) is e
+
+
 # ---------------------------------------------------------------------------
 # exact division behind radical recombination
 
@@ -1035,6 +1046,58 @@ def test_coefficient_power_budget_refuses_only_growing_powers():
     # unit coefficients do not grow, however large the exponent
     assert to_text(parse("(-t)^100001", table)) == "-t^100001"
     assert QC.of(-1).pow_int(10**9) == QC.of(1)
+
+
+def test_integer_powers_of_radical_sums_equal_their_products():
+    # the power expands as the product of its copies does, also where the
+    # products fold constant radicals and expand sum atoms
+    scalars.clear_caches()
+    table = VariableTable()
+    x, y = (Var(v) for v in table.positive("x", "y"))
+    rng = random.Random(3911)
+    with_sum_atoms = 0
+    for _ in range(12):
+        s = scalars._rebuild(_radical_form(rng, x, y, rng.randint(2, 3)))
+        atoms = {a for pows in scalars._nf(s) for a, _ in pows}
+        with_sum_atoms += any(scalars._is_sum_atom(a) for a in atoms)
+        for k in (2, 3, 4):
+            assert normalize(Pow(s, k)) is normalize(Mul((s,) * k)), (to_text(s), k)
+    assert with_sum_atoms >= 8, with_sum_atoms
+
+
+_COFACTOR = 10**39 + 3  # a prime past the reach of the trial division
+
+
+def _no_factor_below_the_trial_bound(n):
+    return n > 1 and all(n % q for q in range(2, min(math.isqrt(n), 100_000) + 1))
+
+
+def test_constant_powers_split_into_prime_radicals():
+    rng = random.Random(3912)
+    values = [QC(_COFACTOR * 12), QC(3 * 5, 0, 2 * _COFACTOR), QC(-_COFACTOR), QC(2, 2)]
+    for _ in range(16):
+        num, den = (math.prod(rng.choice((2, 3, 5, 7, 11)) for _ in range(rng.randint(0, 4)))
+                    for _ in range(2))
+        c = QC.of(Fraction(rng.choice((1, -1)) * num, den), rng.choice((0, 0, 1, -2)))
+        values.append(c)
+    for c in values:
+        for e in (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2),
+                  Fraction(7, 3), Fraction(-5, 4), Fraction(2), Fraction(-3)):
+            result = normalize(Pow(Const(c), e))
+            for pows in scalars._nf(result):
+                for atom, ex in pows:
+                    assert isinstance(atom, Const) and 0 < ex < 1, (c, e)
+                    v = atom.value
+                    if v.b or v.a < 0:
+                        # what stays of c beside its positive rational content
+                        assert v.d == 1 and math.gcd(v.a, v.b) == 1, (c, e)
+                    else:
+                        assert v.d == 1 and _no_factor_below_the_trial_bound(v.a), (c, e)
+            scalars.clear_caches()
+            assert normalize(result) is result
+            if not c.b and c.a > 0:
+                assert evaluate(result, {}) == pytest.approx(
+                    float(c.re) ** float(e), rel=1e-12), (c, e)
 
 
 def test_exact_quotient_finds_two_variable_factor():
