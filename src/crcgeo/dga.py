@@ -39,6 +39,7 @@ from .scalars import (
     conjugate,
     declared,
     is_zero_expr,
+    kept,
     lift,
     normalize,
     to_text,
@@ -145,8 +146,14 @@ def build_chart(zero_coeffs=frozenset()) -> DgaChart:
     families in ``zero_coeffs`` zeroed.  No d-squared check is made here:
     with curvature d o d = 0 needs the Bianchi identities, which free
     coefficients do not satisfy, and ``verify_flat_consistency`` checks
-    the flat chart.
+    the flat chart.  One chart per set of zeroed families is built in a
+    generation of the kernel's memos (``kept``).
     """
+    return _build_chart(frozenset(zero_coeffs))
+
+
+@kept
+def _build_chart(zero_coeffs: frozenset) -> DgaChart:
     table = VariableTable()
     gens = list(model.model_chart().generators)
     for names, kind in SCALARS:
@@ -155,7 +162,7 @@ def build_chart(zero_coeffs=frozenset()) -> DgaChart:
     for names, kind in PARAMETERS:
         table.declare(kind, *names)
     chart = Chart(table, gens)
-    curv = _expanded_curvature(chart, frozenset(zero_coeffs))
+    curv = _expanded_curvature(chart, zero_coeffs)
 
     g = chart.gen
     d_rules = structure_terms({name: g(name) for name in COFRAME}, COFRAME)

@@ -174,8 +174,9 @@ class Chart:
                 p = None if idx is None else self.generators[idx]
                 if p is None or p.reality != COMPLEX_PAIRED or p.partner != g.name:
                     raise ChartError(f"generator {g.name} lacks its conjugate partner")
-        self._d_rules: dict[str, FormExpr] = {}
-        self._scalar_rules: dict[str, FormExpr] = {}
+        # rules as term dicts: a form refers to its chart, so forms would cycle
+        self._d_rules: dict[str, dict] = {}
+        self._scalar_rules: dict[str, dict] = {}
         self._frozen = False
 
     # -- construction ------------------------------------------------------
@@ -192,18 +193,18 @@ class Chart:
             self._require_gen(name)
             if rule.degree != 2:
                 raise ChartError(f"d rule for {name} must have degree 2")
-            self._d_rules[name] = rule
+            self._d_rules[name] = rule.terms
         if scalar_rules:
             for vname, rule in scalar_rules.items():
                 if vname not in self.table:
                     raise ChartError(f"scalar rule for undeclared variable {vname}")
                 if rule.degree != 1:
                     raise ChartError(f"scalar rule for {vname} must have degree 1")
-                self._scalar_rules[vname] = rule
+                self._scalar_rules[vname] = rule.terms
         for g in self.generators:
             if (g.reality == COMPLEX_PAIRED and g.name not in self._d_rules
                     and g.partner in self._d_rules):
-                self._d_rules[g.name] = self._d_rules[g.partner].conj()
+                self._d_rules[g.name] = self.d_rule(g.partner).conj().terms
         self._frozen = True
         if check:
             bad = next((n for n, ok in self.verify_d_squared().items() if not ok), None)
@@ -260,27 +261,33 @@ class Chart:
 
     # -- rules -------------------------------------------------------------
 
-    def d_rule(self, name: str) -> "FormExpr":
-        rule = self._d_rules.get(name)
-        if rule is None:
+    def _d_terms(self, name: str) -> dict:
+        terms = self._d_rules.get(name)
+        if terms is None:
             raise MissingRuleError("generator d", name)
-        return rule
+        return terms
+
+    def _scalar_terms(self, v: Variable) -> dict:
+        terms = self._scalar_rules.get(v.name)
+        if terms is None:
+            raise MissingRuleError("scalar d", v.name)
+        return terms
+
+    def d_rule(self, name: str) -> "FormExpr":
+        return FormExpr(self, 2, self._d_terms(name))
 
     def scalar_rule(self, v: Variable) -> "FormExpr":
-        rule = self._scalar_rules.get(v.name)
-        if rule is None:
-            raise MissingRuleError("scalar d", v.name)
-        return rule
+        return FormExpr(self, 1, self._scalar_terms(v))
 
     # -- validation --------------------------------------------------------
 
     def verify_d_squared(self) -> dict[str, bool]:
         """``{name: d(d g) certified zero}``, in generator order, for each
         generator g whose d-rule touches only generators with d-rules."""
-        return {g.name: self._d_rules[g.name].d().certify_zero()
-                for g in self.generators
-                if g.name in self._d_rules
-                and self._d_rules[g.name].generators_present() <= self._d_rules.keys()}
+        rules = {g.name: self.d_rule(g.name) for g in self.generators
+                 if g.name in self._d_rules}
+        return {name: rule.d().certify_zero() for name, rule in rules.items()
+                if rule.generators_present() <= rules.keys()}
 
 
 class FormExpr:
@@ -359,21 +366,21 @@ class FormExpr:
         def pieces():
             for word, coeff in self.terms.items():
                 for v in sorted(free_variables(coeff), key=lambda v: v.name):
-                    rule = chart.scalar_rule(v)
-                    if not rule.terms:  # a constant
+                    rule = chart._scalar_terms(v)
+                    if not rule:  # a constant
                         continue
                     dc = differentiate(coeff, v)
                     if dc == ZERO:
                         continue
-                    for rword, rcoeff in rule.terms.items():
+                    for rword, rcoeff in rule.items():
                         merged = _merge_word(rword, word)
                         if merged is not None:
                             yield merged[0], _signed(Mul((dc, rcoeff)), merged[1])
                 for j, idx in enumerate(word):
-                    rule = chart.d_rule(chart.generators[idx].name)
+                    rule = chart._d_terms(chart.generators[idx].name)
                     rest = word[:j] + word[j + 1:]
                     outer_sign = -1 if j % 2 else 1
-                    for rword, rcoeff in rule.terms.items():
+                    for rword, rcoeff in rule.items():
                         merged = _merge_word(rword, rest)
                         if merged is not None:
                             yield merged[0], _signed(Mul((coeff, rcoeff)),

@@ -39,6 +39,7 @@ fixed, ``imaginary`` ones negate, ``unit_modulus`` ones invert, and
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 import sys
@@ -473,15 +474,31 @@ _QUOT_MEMO: dict = {}
 _MUL_MEMO: dict = {}
 _MONO_MEMO: dict = {}
 _EXPS: dict = {}
+# what ``kept`` functions returned, by (function, arguments)
+_KEPT: dict = {}
 
 
 def clear_caches() -> None:
-    """Empty the memos and the exponent table.  Live nodes stay interned,
-    with their cached sort keys, complex values and float exponents."""
+    """Empty the memos, the exponent table and what ``kept`` functions
+    returned: a new generation.  Live nodes stay interned, with their
+    cached sort keys, complex values and float exponents."""
     for memo in (_NF_MEMO, _NORM_MEMO, _CONJ_MEMO, _DIFF_MEMO,
                  _FREEVARS_MEMO, _CERT_MEMO, _QUOT_MEMO,
-                 _MUL_MEMO, _MONO_MEMO, _EXPS):
+                 _MUL_MEMO, _MONO_MEMO, _EXPS, _KEPT):
         memo.clear()
+
+
+def kept(build):
+    """``build`` returning, for arguments it has seen in this generation,
+    what it returned then.  For constructions (charts, forms, models) that
+    no caller changes; the arguments hash by value or identity."""
+    @functools.wraps(build)
+    def keeper(*args):
+        key = (build, args)
+        if key not in _KEPT:
+            _KEPT[key] = build(*args)
+        return _KEPT[key]
+    return keeper
 
 
 def _atom_sort_key(atom: Expr):

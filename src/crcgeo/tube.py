@@ -18,6 +18,10 @@ printed coefficients are then specialized to rho's own cache
 (``_specialization``); the final zero verdict and its samples are taken
 over rho's box.  The same ``build_coframe`` and ``curvature_coefficients``
 run on a rho model directly, the per-rho route that tests cross-check.
+The jet model and what the coframe is built from (the ambient chart and
+forms, the frame chart, the base substitution) are kept per model and
+generation of the kernel's memos (``kept``), and ``clear_caches()`` drops
+them; every identity of the proof is checked again on each call.
 One derivation, ``_derive``, gives d1 and d2 to the derivative cache, the
 direct scalar route and the charts' scalar rules: the plain derivative in
 t1 or t2 for rho, plus the Monge-Ampere jet rules over jets.
@@ -62,6 +66,7 @@ from .scalars import (
     free_variables,
     is_identically_zero,
     is_zero_expr,
+    kept,
     lift,
     normalize,
     sample_point,
@@ -296,6 +301,7 @@ JET_ORDER = 3   # the least the proof needs: jets r0..r3, m0..m3; rules to r2, m
 JET_INTERVAL = (0.5, 1.5)
 
 
+@kept
 def jet_model() -> TubeModel:
     """The tube over free jets of a Monge-Ampere solution: r_k stands for
     d1^k rho11 (r0 > 0) and m_k for d1^k (rho12/rho11).  d1 shifts a jet
@@ -371,6 +377,7 @@ class TubeCoframe(NamedTuple):
         return self.frame.gen(name)
 
 
+@kept
 def _ambient_chart(model: TubeModel) -> Chart:
     table = model.table
     chart = Chart(table, [g_imaginary("mu"), *g_pair("dz1", "dz1c"), *g_pair("dz2", "dz2c"),
@@ -409,6 +416,7 @@ def _coframe_scalars(model: TubeModel) -> tuple:
             model.d("S"), (u * rho11 ** 3) ** Fraction(-1, 2))
 
 
+@kept
 def _ambient_forms(model: TubeModel, chart: Chart) -> dict:
     g, combine = chart.gen, chart.combine
     u, a, ab, b, bb, lam, rho11, rho12, rho111, s_fn, x = _coframe_scalars(model)
@@ -427,6 +435,7 @@ def _ambient_forms(model: TubeModel, chart: Chart) -> dict:
             "eta1": eta1, "eta2": g("dz2"), "nu": nu, "mu": g("mu")}
 
 
+@kept
 def _frame_chart(model: TubeModel) -> Chart:
     """The model chart's generators (psi inert) and dlam, db, dbc."""
     return Chart(model.table, [*model_chart().generators,
@@ -442,6 +451,7 @@ def _minus_structure_terms(frame: Chart, name: str, dform: FormExpr,
     return dform - structure_terms(forms, (name,))[name]
 
 
+@kept
 def _base_substitution(model: TubeModel, frame: Chart) -> dict:
     """Images of the ambient generators in the adapted coframe, leaving the
     fiber differentials db, dbc, dlam in place."""
@@ -479,7 +489,9 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     structure identities of the coframe, and that the fiber correction
     form extracted from the second identity vanishes at b=0.  An identity
     the zero test cannot decide is recorded as inconclusive, not failed.
-    Each check's time includes building the forms it verifies.
+    The charts, the ambient forms and the substitution are kept per model
+    and generation of the memos; every check runs on each call, its time
+    including the forms it derives to verify.
     """
     checks = Report("tube coframe")
     ambient = _ambient_chart(model)
@@ -695,8 +707,9 @@ def _sample_text(val: complex) -> str:
 def analyze(rho, box: dict, seed: int = 0) -> Report:
     """End-to-end tube analysis: hypotheses, Levi rank, coframe identities
     (proved over jets), curvature coefficients (specialized to rho), and
-    the flatness verdict.  The jet proof is rebuilt on every call, from
-    the kernel's memos when they are warm.  Each check is timed
+    the flatness verdict.  The jet model and the coframe's charts and
+    forms are kept per generation of the kernel's memos; the proof's
+    checks and the curvature are computed on every call.  Each check is timed
     from the one before it; the final zero test belongs to the curvature
     coefficients.  A failed or undecided hypothesis, or a failed coframe
     identity, ends the report after the checks made before it."""

@@ -495,6 +495,16 @@ def test_golden_dga_verify(suite):
     assert payload == golden
 
 
+@pytest.mark.parametrize("suite", ["shifts", "equivariance", "cartan", "flat"])
+def test_dga_golden_is_the_report_without_timing_byte_for_byte(suite, monkeypatch):
+    # the bytes `crc dga verify --suite <suite>` writes, less the timing
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", lambda report, args: emitted.append(report) or 0)
+    assert cli.main(["dga", "verify", "--suite", suite]) == 0
+    text = (GOLDEN.parent / f"dga_{suite}.json").read_bytes().decode("ascii")
+    assert emitted[0].to_json(include_timing=False) + "\n" == text
+
+
 def test_text_format():
     result = run_cli("model", "verify", "--format", "text")
     assert result.returncode == 0

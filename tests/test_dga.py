@@ -3,7 +3,7 @@ criterion, diagonal scaling, flat consistency."""
 
 import pytest
 
-from crcgeo import dga, model, tube
+from crcgeo import dga, model, scalars, tube
 from crcgeo.scalars import (
     Var,
     conjugate,
@@ -20,6 +20,14 @@ def expanded():
 
 # ---------------------------------------------------------------------------
 # chart construction
+
+
+def test_one_chart_per_zeroed_families_is_kept_per_generation():
+    flat = dga.build_chart(dga.CURVATURE_COEFFS)
+    assert dga.build_chart(set(dga.CURVATURE_COEFFS)) is flat
+    assert dga.build_chart() is dga.build_chart(frozenset()) is not flat
+    scalars.clear_caches()
+    assert dga.build_chart(dga.CURVATURE_COEFFS) is not flat
 
 
 def test_flat_opaque_chart_has_d_squared_zero():

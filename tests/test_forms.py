@@ -1,5 +1,6 @@
 """Exterior algebra: wedge, d, rewriting, coefficients, conjugation."""
 
+import collections
 import gc
 import random
 import sys
@@ -636,6 +637,44 @@ def test_gc_paused_nests():
     # the inner call finds the collector off and leaves it off
     assert _collector_state(_collector_state) == (False, (False, None))
     assert gc.isenabled()
+
+
+def cyclic_garbage(run) -> collections.Counter:
+    """The type names of what ``run()``, in a new generation of the
+    kernel's memos, leaves to the cyclic collector once ``clear_caches()``
+    has dropped the constructions the generation kept."""
+    scalars.clear_caches()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        scalars.clear_caches()
+        gc.collect()
+        return collections.Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_a_cold_suites_round_leaves_nothing_in_cyclic_garbage():
+    # a chart holds its rules as term dicts, not as forms that point back
+    # at it, so the charts a round built are freed by reference counts
+    def suites_round():
+        model.verify_structure_equations()
+        model.verify_adjoint_transforms()
+        for entry in cli.DGA_SUITES.values():
+            getattr(dga, entry)()
+
+    assert cyclic_garbage(suites_round) == {}
+
+
+def test_rules_read_back_as_the_installed_forms():
+    chart = model_chart()
+    for gen in chart.generators:
+        rule = chart.d_rule(gen.name)
+        assert rule.chart is chart and rule.degree == 2 and rule.terms
+    assert chart.d_rule("omega1c") == chart.d_rule("omega1").conj()
+    assert chart.scalar_rule(chart.table["B"]) == chart.zero(1)
 
 
 class _Probe(Exception):

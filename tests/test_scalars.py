@@ -884,7 +884,7 @@ def test_clear_caches_empties_every_memo():
     # every module-level dict of the kernel but the kind table and the
     # node intern table's own storage is a table clear_caches() empties
     names = {"_NF_MEMO", "_NORM_MEMO", "_CONJ_MEMO", "_DIFF_MEMO", "_FREEVARS_MEMO",
-             "_CERT_MEMO", "_QUOT_MEMO", "_MUL_MEMO", "_MONO_MEMO", "_EXPS"}
+             "_CERT_MEMO", "_QUOT_MEMO", "_MUL_MEMO", "_MONO_MEMO", "_EXPS", "_KEPT"}
     dicts = {k for k, v in vars(scalars).items() if type(v) is dict and not k.startswith("__")}
     assert names == dicts - {"KINDS", "_INTERN_REFS"}
     for name in names:

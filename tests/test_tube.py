@@ -2,7 +2,6 @@
 torsion coefficients, and the flatness verdict."""
 
 import collections
-import gc
 import json
 import random
 from fractions import Fraction
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from crcgeo import cli, scalars, tube
-from crcgeo.forms import FormExpr
+from crcgeo.forms import Chart, FormExpr
 from crcgeo.parsing import parse
 from crcgeo.scalars import (
     Var,
@@ -28,6 +27,7 @@ from crcgeo.scalars import (
     substitute,
     to_text,
 )
+from tests.test_forms import cyclic_garbage
 
 BOX = {"t1": (0.02, 0.08), "t2": (0.02, 0.08)}
 GOLDEN = Path(__file__).parent / "golden"
@@ -68,18 +68,41 @@ def _equal(model, a, b, seed=0):
 def test_cold_analysis_leaves_no_closures_in_cyclic_garbage():
     # the run pauses the collector, so a cycle it makes lives until the
     # next collection: none may hold a function or its cells (and through
-    # them a memo)
+    # them a memo), nor a chart its rules
+    assert cyclic_garbage(lambda: tube.analyze(tube.paper_example_rho(), BOX, seed=0)) == {}
+
+
+def test_a_warm_analysis_builds_no_chart_and_still_checks_the_coframe(monkeypatch):
+    tube.analyze(tube.paper_example_rho(), BOX)
+    built = []
+    init = Chart.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Chart, "__init__", counting)
+    report = tube.analyze(tube.paper_example_rho(), BOX)
+    assert built == []
+    golden = json.loads((GOLDEN / "paper_example_seed0.json").read_text())
+    coframe = [(c.name, c.status) for c in report.checks if c.name.startswith("coframe:")]
+    assert coframe == [(c["name"], "pass") for c in golden["checks"]
+                       if c["name"].startswith("coframe:")]
+    assert len(coframe) == 9
+
+
+def test_the_jet_model_and_its_coframe_inputs_are_kept_per_generation():
+    model = tube.jet_model()
+    assert tube.jet_model() is model
+    cf = tube.build_coframe(model)
+    again = tube.build_coframe(tube.jet_model())
+    assert again.ambient is cf.ambient and again.frame is cf.frame
+    assert again.forms_ambient is cf.forms_ambient
+    assert [c.name for c in again.checks.checks] == [c.name for c in cf.checks.checks]
     scalars.clear_caches()
-    gc.collect()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        tube.analyze(tube.paper_example_rho(), BOX, seed=0)
-        gc.collect()
-        kinds = collections.Counter(type(o).__name__ for o in gc.garbage)
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-    assert kinds["function"] == kinds["cell"] == 0, kinds
+    fresh = tube.build_coframe(tube.jet_model())
+    assert fresh.model is not model and fresh.ambient is not cf.ambient
+    assert fresh.frame is not cf.frame
 
 
 def test_paper_example_accepted(paper_model):
@@ -549,7 +572,11 @@ def test_a_nonzero_jet_identity_fails_rather_than_inconclusive(jets, monkeypatch
         return sub
 
     monkeypatch.setattr(tube, "_base_substitution", perturbed)
-    report = tube.analyze("t1^2/t2", HOMOG_BOX)
+    scalars.clear_caches()  # the kept substitution was built before the patch
+    try:
+        report = tube.analyze("t1^2/t2", HOMOG_BOX)
+    finally:
+        scalars.clear_caches()  # no later test may read the perturbed one
     assert report.overall == "fail"
     assert [(c.name, c.status) for c in report.checks[-2:]] == [
         ("coframe:substitution inverts omega", "fail"), ("coframe construction", "fail")]
