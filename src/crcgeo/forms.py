@@ -261,23 +261,20 @@ class Chart:
 
     # -- rules -------------------------------------------------------------
 
-    def _d_terms(self, name: str) -> dict:
-        terms = self._d_rules.get(name)
-        if terms is None:
-            raise MissingRuleError("generator d", name)
-        return terms
-
-    def _scalar_terms(self, v: Variable) -> dict:
-        terms = self._scalar_rules.get(v.name)
-        if terms is None:
-            raise MissingRuleError("scalar d", v.name)
-        return terms
-
     def d_rule(self, name: str) -> "FormExpr":
-        return FormExpr(self, 2, self._d_terms(name))
+        return self._rule(self._d_rules, 2, "generator d", name)
 
     def scalar_rule(self, v: Variable) -> "FormExpr":
-        return FormExpr(self, 1, self._scalar_terms(v))
+        return self._rule(self._scalar_rules, 1, "scalar d", v.name)
+
+    def _rule(self, rules: dict, degree: int, kind: str, name: str) -> "FormExpr":
+        # the installed terms are normal already: shared, not normalized again
+        terms = rules.get(name)
+        if terms is None:
+            raise MissingRuleError(kind, name)
+        form = FormExpr.__new__(FormExpr)
+        form.chart, form.degree, form.terms = self, degree, terms
+        return form
 
     # -- validation --------------------------------------------------------
 
@@ -366,7 +363,7 @@ class FormExpr:
         def pieces():
             for word, coeff in self.terms.items():
                 for v in sorted(free_variables(coeff), key=lambda v: v.name):
-                    rule = chart._scalar_terms(v)
+                    rule = chart.scalar_rule(v).terms
                     if not rule:  # a constant
                         continue
                     dc = differentiate(coeff, v)
@@ -377,7 +374,7 @@ class FormExpr:
                         if merged is not None:
                             yield merged[0], _signed(Mul((dc, rcoeff)), merged[1])
                 for j, idx in enumerate(word):
-                    rule = chart._d_terms(chart.generators[idx].name)
+                    rule = chart.d_rule(chart.generators[idx].name).terms
                     rest = word[:j] + word[j + 1:]
                     outer_sign = -1 if j % 2 else 1
                     for rword, rcoeff in rule.items():

@@ -412,6 +412,7 @@ def test_forms_lift_no_unit_sign(monkeypatch):
     # operation of the forms layer lifts a Python 1 or -1 into a constant
     from crcgeo import dga, tube
 
+    scalars.clear_caches()  # build every chart and form again, not the kept ones
     lifted = []
     of = scalars.QC.of
 
