@@ -52,6 +52,7 @@ from .scalars import (
     free_variables,
     is_identically_zero,
     is_name,
+    kept,
     lift,
     normalize,
     substitute,
@@ -102,8 +103,18 @@ def g_pair(name: str, partner: str) -> list[Variable]:
     return declared("pair", (name, partner))
 
 
-def _merge_word(w1: tuple, w2: tuple):
-    """Concatenate index words, sort, return (sorted_word, sign) or None."""
+@kept
+def _word_merges() -> dict:
+    """The generation's table of ``_merge_word`` results by word pair."""
+    return {}
+
+
+def _merge_word(merges: dict, w1: tuple, w2: tuple):
+    """Concatenate index words, sort, return (sorted_word, sign) or None;
+    read from ``merges`` (``_word_merges()``) once computed."""
+    merged = merges.get((w1, w2), merges)  # the table itself: not yet seen
+    if merged is not merges:
+        return merged
     word = list(w1 + w2)
     sign = 1
     # insertion sort counting transpositions; small words only
@@ -113,10 +124,8 @@ def _merge_word(w1: tuple, w2: tuple):
             word[j - 1], word[j] = word[j], word[j - 1]
             sign = -sign
             j -= 1
-    for i in range(1, len(word)):
-        if word[i - 1] == word[i]:
-            return None
-    return tuple(word), sign
+    merged = merges[w1, w2] = None if len(set(word)) < len(word) else (tuple(word), sign)
+    return merged
 
 
 def _signed(c: Expr, sign: int) -> Expr:
@@ -141,11 +150,11 @@ def _summed(chart: "Chart", degree: int, pieces) -> "FormExpr":
     return FormExpr(chart, degree, _sums(pieces))
 
 
-def _wedge_pieces(terms1, terms2):
+def _wedge_pieces(merges: dict, terms1, terms2):
     """The signed ``(word, coeff)`` products of two sequences of terms."""
     for w1, c1 in terms1:
         for w2, c2 in terms2:
-            merged = _merge_word(w1, w2)
+            merged = _merge_word(merges, w1, w2)
             if merged is not None:
                 yield merged[0], _signed(Mul((c1, c2)), merged[1])
 
@@ -354,11 +363,13 @@ class FormExpr:
     def wedge(self, other: "FormExpr") -> "FormExpr":
         self._check_same_chart(other)
         return _summed(self.chart, self.degree + other.degree,
-                       _wedge_pieces(self.terms.items(), other.terms.items()))
+                       _wedge_pieces(_word_merges(), self.terms.items(),
+                                     other.terms.items()))
 
     def d(self) -> "FormExpr":
         """Exterior derivative; a 0-form's is its scalar's differential."""
         chart = self.chart
+        merges = _word_merges()
 
         def pieces():
             for word, coeff in self.terms.items():
@@ -370,7 +381,7 @@ class FormExpr:
                     if dc == ZERO:
                         continue
                     for rword, rcoeff in rule.items():
-                        merged = _merge_word(rword, word)
+                        merged = _merge_word(merges, rword, word)
                         if merged is not None:
                             yield merged[0], _signed(Mul((dc, rcoeff)), merged[1])
                 for j, idx in enumerate(word):
@@ -378,7 +389,7 @@ class FormExpr:
                     rest = word[:j] + word[j + 1:]
                     outer_sign = -1 if j % 2 else 1
                     for rword, rcoeff in rule.items():
-                        merged = _merge_word(rword, rest)
+                        merged = _merge_word(merges, rword, rest)
                         if merged is not None:
                             yield merged[0], _signed(Mul((coeff, rcoeff)),
                                                      merged[1] * outer_sign)
@@ -390,13 +401,14 @@ class FormExpr:
     def conj(self) -> "FormExpr":
         """Conjugate the coefficients, swap pair partners, negate imaginaries."""
         chart = self.chart
+        merges = _word_merges()
 
         def pieces():
             for word, coeff in self.terms.items():
                 gens = [chart.generators[idx] for idx in word]
                 sign = (-1) ** sum(g.reality == IMAGINARY for g in gens)
                 # a permutation of the indices: no index repeats
-                mword, psign = _merge_word(tuple(
+                mword, psign = _merge_word(merges, tuple(
                     chart._index[g.partner] if g.reality == COMPLEX_PAIRED else idx
                     for g, idx in zip(gens, word)), ())
                 yield mword, _signed(conjugate(coeff), sign * psign)
@@ -418,7 +430,7 @@ class FormExpr:
             raise ChartError("coefficient word repeats a generator")
         if len(indices) != self.degree:
             raise ChartError("coefficient word length must equal the form degree")
-        word, sign = _merge_word(indices, ())
+        word, sign = _merge_word(_word_merges(), indices, ())
         coeff = self.terms.get(word, ZERO)
         return coeff if sign > 0 else normalize(Mul((coeff, MINUS_ONE)))
 
@@ -435,6 +447,7 @@ class FormExpr:
         chart = self.chart
         target = next((image.chart for image in sub.values()), chart)
         within = None if keep is None else {target._require_gen(n) for n in keep}
+        merges = _word_merges()
 
         def pieces():
             for word, coeff in self.terms.items():
@@ -453,7 +466,7 @@ class FormExpr:
                                    if within.issuperset(w)])
                 products = {(): coeff}
                 for terms in images:
-                    products = _sums(_wedge_pieces(products.items(), terms))
+                    products = _sums(_wedge_pieces(merges, products.items(), terms))
                 yield from products.items()
 
         return _summed(target, self.degree, pieces())

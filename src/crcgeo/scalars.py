@@ -473,25 +473,32 @@ _CERT_MEMO: dict = {}
 _QUOT_MEMO: dict = {}
 _MUL_MEMO: dict = {}
 _MONO_MEMO: dict = {}
+_SUBST_MEMO: dict = {}
+_TEXT_MEMO: dict = {}
 _EXPS: dict = {}
 # what ``kept`` functions returned, by (function, arguments)
 _KEPT: dict = {}
 
 
 def clear_caches() -> None:
-    """Empty the memos, the exponent table and what ``kept`` functions
-    returned: a new generation.  Live nodes stay interned, with their
-    cached sort keys, complex values and float exponents."""
+    """Empty the memos (normal forms, conjugates, derivatives, certificates,
+    quotients, accepted substitutions, renderings), the exponent table and
+    what ``kept`` functions returned (the jet model, the dga charts, the
+    forms layer's word merges): a new generation.  Live nodes stay
+    interned, with their cached sort keys, complex values and float
+    exponents."""
     for memo in (_NF_MEMO, _NORM_MEMO, _CONJ_MEMO, _DIFF_MEMO,
                  _FREEVARS_MEMO, _CERT_MEMO, _QUOT_MEMO,
-                 _MUL_MEMO, _MONO_MEMO, _EXPS, _KEPT):
+                 _MUL_MEMO, _MONO_MEMO, _SUBST_MEMO, _TEXT_MEMO, _EXPS, _KEPT):
         memo.clear()
 
 
 def kept(build):
     """``build`` returning, for arguments it has seen in this generation,
-    what it returned then.  For constructions (charts, forms, models) that
-    no caller changes; the arguments hash by value or identity."""
+    what it returned then.  For constructions (charts, forms, models,
+    tables) that no caller changes; the arguments hash by value or
+    identity.  It keeps the jet model, one dga chart per set of zeroed
+    families and the forms layer's table of word merges."""
     @functools.wraps(build)
     def keeper(*args):
         key = (build, args)
@@ -1167,19 +1174,25 @@ def _map_leaves(node: Expr, leaf, memo: dict) -> Expr:
 
 def substitute(e: Expr, bindings: Mapping[Variable, Expr]) -> Expr:
     """Simultaneous substitution; conjugate partners follow automatically,
-    and every binding must respect its variable's reality tag."""
-    full: dict[Variable, Expr] = {}
-    for v, s in bindings.items():
-        full[v] = lift(s)
-    for v, s in list(full.items()):
+    and every binding must respect its variable's reality tag.
+    ``_SUBST_MEMO`` keeps an accepted substitution's result by ``e`` and
+    its lifted bindings; a refused one is not stored and raises again."""
+    lifted = tuple([(v, lift(s)) for v, s in bindings.items()])
+    key = (e, lifted)
+    cached = _SUBST_MEMO.get(key)
+    if cached is not None:
+        return cached
+    full = dict(lifted)
+    for v, s in lifted:
         if v.reality == COMPLEX_PAIRED:
             partner = Variable(v.partner, COMPLEX_PAIRED, v.name)
             if partner not in full:
                 full[partner] = conjugate(s)
     for v, s in full.items():
         _check_substitution_reality(v, s, full)
-    return normalize(_map_leaves(
+    cached = _SUBST_MEMO[key] = normalize(_map_leaves(
         e, lambda leaf: leaf if isinstance(leaf, Const) else full.get(leaf.var, leaf), {}))
+    return cached
 
 
 def _check_substitution_reality(v: Variable, s: Expr, full: Mapping) -> None:
@@ -1518,8 +1531,13 @@ def _render(n: Expr) -> str:
 
 
 def to_text(e: Expr) -> str:
-    """Render in the CLI grammar; ``parse(to_text(e))`` normalizes to ``normalize(e)``."""
-    return _render(normalize(e))
+    """Render in the CLI grammar; ``parse(to_text(e))`` normalizes to
+    ``normalize(e)``.  ``_TEXT_MEMO`` keeps the text by normal form."""
+    n = normalize(e)
+    text = _TEXT_MEMO.get(n)
+    if text is None:
+        text = _TEXT_MEMO[n] = _render(n)
+    return text
 
 
 def _split_mono(t: Expr):

@@ -18,10 +18,10 @@ printed coefficients are then specialized to rho's own cache
 (``_specialization``); the final zero verdict and its samples are taken
 over rho's box.  The same ``build_coframe`` and ``curvature_coefficients``
 run on a rho model directly, the per-rho route that tests cross-check.
-The jet model and what the coframe is built from (the ambient chart and
-forms, the frame chart, the base substitution) are kept per model and
-generation of the kernel's memos (``kept``), and ``clear_caches()`` drops
-them; every identity of the proof is checked again on each call.
+The jet model is kept per generation of the kernel's memos (``kept``);
+each model holds what its coframe is built from (the ambient chart and
+forms, the frame chart, the base substitution), so it leaves with the
+model; every identity of the proof is checked again on each call.
 One derivation, ``_derive``, gives d1 and d2 to the derivative cache, the
 direct scalar route and the charts' scalar rules: the plain derivative in
 t1 or t2 for rho, plus the Monge-Ampere jet rules over jets.
@@ -142,9 +142,20 @@ class TubeModel:
         self.derivs = {} if derivs is None else derivs
         self.hypotheses = Report("tube hypotheses") if hypotheses is None else hypotheses
         self.jets = {} if jets is None else jets  # see ``_derive``; empty for a rho
+        self._coframe_inputs = None
 
     def d(self, key: str) -> Expr:
         return self.derivs[key]
+
+    def coframe_inputs(self) -> tuple:
+        """The ambient chart and forms, the frame chart and the base
+        substitution ``build_coframe`` starts from, built once per model and
+        dropped with it: the jet model's at ``clear_caches()``."""
+        if self._coframe_inputs is None:
+            ambient, frame = _ambient_chart(self), _frame_chart(self)
+            self._coframe_inputs = (ambient, _ambient_forms(self, ambient),
+                                    frame, _base_substitution(self, frame))
+        return self._coframe_inputs
 
     def derive(self, e: Expr, axis: int) -> Expr:
         return _derive(e, axis, self.table, self.jets)
@@ -377,7 +388,6 @@ class TubeCoframe(NamedTuple):
         return self.frame.gen(name)
 
 
-@kept
 def _ambient_chart(model: TubeModel) -> Chart:
     table = model.table
     chart = Chart(table, [g_imaginary("mu"), *g_pair("dz1", "dz1c"), *g_pair("dz2", "dz2c"),
@@ -416,7 +426,6 @@ def _coframe_scalars(model: TubeModel) -> tuple:
             model.d("S"), (u * rho11 ** 3) ** Fraction(-1, 2))
 
 
-@kept
 def _ambient_forms(model: TubeModel, chart: Chart) -> dict:
     g, combine = chart.gen, chart.combine
     u, a, ab, b, bb, lam, rho11, rho12, rho111, s_fn, x = _coframe_scalars(model)
@@ -435,7 +444,6 @@ def _ambient_forms(model: TubeModel, chart: Chart) -> dict:
             "eta1": eta1, "eta2": g("dz2"), "nu": nu, "mu": g("mu")}
 
 
-@kept
 def _frame_chart(model: TubeModel) -> Chart:
     """The model chart's generators (psi inert) and dlam, db, dbc."""
     return Chart(model.table, [*model_chart().generators,
@@ -451,7 +459,6 @@ def _minus_structure_terms(frame: Chart, name: str, dform: FormExpr,
     return dform - structure_terms(forms, (name,))[name]
 
 
-@kept
 def _base_substitution(model: TubeModel, frame: Chart) -> dict:
     """Images of the ambient generators in the adapted coframe, leaving the
     fiber differentials db, dbc, dlam in place."""
@@ -489,15 +496,12 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     structure identities of the coframe, and that the fiber correction
     form extracted from the second identity vanishes at b=0.  An identity
     the zero test cannot decide is recorded as inconclusive, not failed.
-    The charts, the ambient forms and the substitution are kept per model
-    and generation of the memos; every check runs on each call, its time
+    The charts, the ambient forms and the substitution are built once per
+    model (``TubeModel.coframe_inputs``); every check runs on each call, its time
     including the forms it derives to verify.
     """
     checks = Report("tube coframe")
-    ambient = _ambient_chart(model)
-    forms = _ambient_forms(model, ambient)
-    frame = _frame_chart(model)
-    sub = _base_substitution(model, frame)
+    ambient, forms, frame, sub = model.coframe_inputs()
 
     def record(name: str, ok, detail: str = "") -> None:
         checks.add(f"coframe:{name}", ok)
@@ -707,8 +711,8 @@ def _sample_text(val: complex) -> str:
 def analyze(rho, box: dict, seed: int = 0) -> Report:
     """End-to-end tube analysis: hypotheses, Levi rank, coframe identities
     (proved over jets), curvature coefficients (specialized to rho), and
-    the flatness verdict.  The jet model and the coframe's charts and
-    forms are kept per generation of the kernel's memos; the proof's
+    the flatness verdict.  The jet model, and with it the coframe's charts
+    and forms, is kept per generation of the kernel's memos; the proof's
     checks and the curvature are computed on every call.  Each check is timed
     from the one before it; the final zero test belongs to the curvature
     coefficients.  A failed or undecided hypothesis, or a failed coframe

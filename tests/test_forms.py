@@ -77,6 +77,18 @@ def test_wedge_graded_commutativity_degree_two(chart):
 # exterior derivative
 
 
+def test_word_merges_keep_order_and_sign_per_generation(chart):
+    # merged words are read from a table the generation drops: each
+    # ordered pair keeps its own sign, a repeated generator stays zero
+    scalars.clear_caches()
+    ab = w(chart, "theta2", "omega1")
+    for _ in range(2):
+        assert w(chart, "omega1", "theta2") == ab.scale(-1)
+        assert w(chart, "theta2", "omega1") == ab
+        assert w(chart, "omega1", "omega1").is_zero
+        scalars.clear_caches()
+
+
 def test_d_of_structure_rule_matches_chart(chart):
     g = chart.gen
     expected = w(chart, "omega1", "omega1c").scale(-1) - g("omega").wedge(g("phi2") + g("phi2c"))

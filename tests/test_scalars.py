@@ -370,6 +370,28 @@ def test_substitute_refuses_bindings_that_break_a_tag(table):
             substitute(Var(b) + Var(a) + Var(lam), bindings)
 
 
+def test_a_refused_substitution_raises_on_every_call(table):
+    # an accepted substitution is answered from the generation's memo; a
+    # refused one is never stored, so its reality check runs every time
+    t1, t2, b, bb = table["t1"], table["t2"], table["b"], table["bb"]
+    x, y = Var(t1), Var(t2)
+    e = paper_rho(table) * Var(b) + x * Var(bb)
+    scalars.clear_caches()
+    accepted = to_text(substitute(e, {t1: y, b: x + I}))
+    for bindings, broken in (({t1: I * y}, "not self-conjugate"),
+                             ({b: x + I, bb: x + I}, "not conjugate")):
+        for _ in range(2):
+            with pytest.raises(RealityViolationError, match=broken):
+                substitute(e, bindings)
+    warm = substitute(e, {t1: y, b: x + I})
+    assert substitute(e, {t1: y, b: x + I}) is warm
+    assert to_text(warm) == accepted
+    scalars.clear_caches()
+    assert to_text(substitute(e, {t1: y, b: x + I})) == accepted
+    with pytest.raises(RealityViolationError, match="not self-conjugate"):
+        substitute(e, {t1: I * y})
+
+
 def test_evaluate_refuses_paired_values_that_are_not_conjugate(table):
     e = Var(table["b"]) * Var(table["bb"])
     assert evaluate(e, {"b": 0.3 + 0.4j, "bb": 0.3 - 0.4j}) == pytest.approx(0.25)
@@ -884,7 +906,8 @@ def test_clear_caches_empties_every_memo():
     # every module-level dict of the kernel but the kind table and the
     # node intern table's own storage is a table clear_caches() empties
     names = {"_NF_MEMO", "_NORM_MEMO", "_CONJ_MEMO", "_DIFF_MEMO", "_FREEVARS_MEMO",
-             "_CERT_MEMO", "_QUOT_MEMO", "_MUL_MEMO", "_MONO_MEMO", "_EXPS", "_KEPT"}
+             "_CERT_MEMO", "_QUOT_MEMO", "_MUL_MEMO", "_MONO_MEMO", "_SUBST_MEMO",
+             "_TEXT_MEMO", "_EXPS", "_KEPT"}
     dicts = {k for k, v in vars(scalars).items() if type(v) is dict and not k.startswith("__")}
     assert names == dicts - {"KINDS", "_INTERN_REFS"}
     for name in names:

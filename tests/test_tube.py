@@ -4,6 +4,7 @@ torsion coefficients, and the flatness verdict."""
 import collections
 import json
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,6 +104,20 @@ def test_the_jet_model_and_its_coframe_inputs_are_kept_per_generation():
     fresh = tube.build_coframe(tube.jet_model())
     assert fresh.model is not model and fresh.ambient is not cf.ambient
     assert fresh.frame is not cf.frame
+
+
+def test_a_rho_models_coframe_inputs_leave_with_the_model():
+    # the per-rho route keeps its charts, forms and substitution on the
+    # model, not in the generation, so they go when the model goes
+    tube.build_coframe(tube.tube_from_rho("t1^2/t2", HOMOG_BOX))  # fills the word merges
+    kept = len(scalars._KEPT)
+    model = tube.tube_from_rho("t1^2/t2", HOMOG_BOX)
+    cf = tube.build_coframe(model)
+    assert tube.build_coframe(model).ambient is cf.ambient
+    assert len(scalars._KEPT) == kept
+    chart, frame = weakref.ref(cf.ambient), weakref.ref(cf.frame)
+    del model, cf
+    assert chart() is None and frame() is None
 
 
 def test_paper_example_accepted(paper_model):
@@ -770,6 +785,23 @@ def test_light_cone_tube_report_is_byte_identical_to_golden():
     report = tube.analyze("t1^2/t2", HOMOG_BOX, seed=0)
     golden = (GOLDEN / "tube_light_cone_seed0.json").read_text()
     assert report.to_json(include_timing=False) == golden
+
+
+@pytest.mark.parametrize("profile", [None, "s^2+s^3"], ids=["light_cone", "profile"])
+def test_a_profile_report_is_byte_identical_warm_and_cold(profile):
+    # a warm run reads its substitutions, renderings and word merges from
+    # the generation; clear_caches() makes the next run compute them again
+    rho = "t1^2/t2" if profile is None else tube.ma_profile_solution(profile)
+
+    def report():
+        return tube.analyze(rho, HOMOG_BOX, seed=0).to_json(include_timing=False)
+
+    scalars.clear_caches()
+    cold = report()
+    assert scalars._SUBST_MEMO and scalars._TEXT_MEMO
+    assert report() == cold
+    scalars.clear_caches()
+    assert report() == cold
 
 
 def test_warm_analysis_reuses_zero_certificates(monkeypatch):
