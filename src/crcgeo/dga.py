@@ -4,8 +4,8 @@ The chart carries the canonical coframe (contact form, two complex coframe
 pairs, two connection-form pairs, one imaginary connection scalar): its
 ten generators are those of ``model.model_chart()``.  Its d-rules solve
 the curvature definitions for the differentials: each rule is the model
-structure equation (``structure_terms``) plus a curvature 2-form, and
-``curvature_from`` is the differential minus the same structure terms.
+structure equation (``model.structure_terms``) plus a curvature 2-form,
+and ``curvature_from`` is the forms' ``model.structure_residuals``.
 The four curvature 2-forms are expanded over named coefficient scalars
 with the reality constraints wired in; zeroing every coefficient
 (``CURVATURE_COEFFS``) gives the flat chart.  Charts are built unchecked;
@@ -165,7 +165,7 @@ def _build_chart(zero_coeffs: frozenset) -> DgaChart:
     curv = _expanded_curvature(chart, zero_coeffs)
 
     g = chart.gen
-    d_rules = structure_terms({name: g(name) for name in COFRAME}, COFRAME)
+    d_rules = model.structure_terms({name: g(name) for name in COFRAME}, COFRAME)
     for name, curv_name in _CURV_OF_GEN.items():
         d_rules[name] = d_rules[name] + curv[curv_name]
     scalar_rules = {n: g(f"d_{n}") for names, _ in SCALARS for n in names}
@@ -178,25 +178,6 @@ _CURV_OF_GEN = {"theta2": "Theta2", "phi1": "Phi1", "phi2": "Phi2", "psi": "Psi"
 CURVATURES = tuple(_CURV_OF_GEN.values())
 
 
-def _with_conjugates(forms: dict) -> dict:
-    """``forms``, keyed by coframe generator names, plus the conjugate of
-    each under its pair partner's name."""
-    out = dict(forms)
-    for gen in model.model_chart().generators:
-        if gen.partner in forms:
-            out[gen.name] = forms[gen.partner].conj()
-    return out
-
-
-def structure_terms(forms: dict, names) -> dict:
-    """Right-hand sides of the model structure equations for ``names``,
-    evaluated on the six 1-forms ``forms`` (keyed by ``COFRAME``): each
-    generator of the model chart becomes its form, a pair partner the
-    conjugate."""
-    sub = _with_conjugates(forms)
-    return {name: model.model_chart().d_rule(name).rewrite(sub) for name in names}
-
-
 def curvature_from(w: FormExpr, w1: FormExpr, t2: FormExpr,
                    p1: FormExpr, p2: FormExpr, ps: FormExpr,
                    names=CURVATURES) -> dict:
@@ -205,8 +186,8 @@ def curvature_from(w: FormExpr, w1: FormExpr, t2: FormExpr,
     structure terms evaluated on the six forms."""
     forms = dict(zip(COFRAME, (w, w1, t2, p1, p2, ps)))
     gens = [gen for gen, curv in _CURV_OF_GEN.items() if curv in names]
-    terms = structure_terms(forms, gens)
-    return {_CURV_OF_GEN[gen]: forms[gen].d() - terms[gen] for gen in gens}
+    residuals = model.structure_residuals(forms, {gen: forms[gen].d() for gen in gens})
+    return {_CURV_OF_GEN[gen]: form for gen, form in residuals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +199,7 @@ def _basis_sub(dc: DgaChart, images) -> dict:
     and each conjugate generator to the conjugate image; inert covectors
     map to themselves."""
     sub = {gen.name: dc.chart.gen(gen.name) for gen in dc.chart.generators}
-    sub.update(_with_conjugates(dict(zip(COFRAME, images))))
+    sub.update(model.with_conjugates(dict(zip(COFRAME, images))))
     return sub
 
 

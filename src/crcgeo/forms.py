@@ -486,9 +486,9 @@ class FormExpr:
     def certify_zero(self) -> bool:
         return all(certify_zero(c) for c in self.terms.values())
 
-    def vanishes(self, box, trials: int = 16, seed: int = 0) -> bool:
+    def vanishes(self, box, seed: int = 0) -> bool:
         """``is_identically_zero`` on each coefficient, in word order."""
-        return all(is_identically_zero(coeff, box, trials=trials, seed=seed)
+        return all(is_identically_zero(coeff, box, seed=seed)
                    for _, coeff in self.items())
 
     def generators_present(self) -> set:

@@ -7,11 +7,13 @@ original coordinates).  The connection matrix is assembled from six
 scalar-valued 1-forms on the model chart.  ``model_chart`` declares its
 ten generators, its six structure equations and the constant isotropy
 parameters (``PARAMETERS``), once per process; ``dga`` and ``tube`` take
-the generators and equations from it.  ``verify_structure_equations``
-certifies d(MC) = MC /\\ MC entrywise, and ``verify_adjoint_transforms``
-certifies the closed-form component transformations ``h2_transform`` and
-``h1_transform`` under both isotropy subgroup families.  Those two
-functions take any six 1-forms, so ``dga`` applies the same formulas.
+the generators from it, and the equations on any six 1-forms through
+``structure_terms`` and ``structure_residuals`` (differentials minus those
+terms).  ``verify_structure_equations`` certifies d(MC) = MC /\\ MC
+entrywise, and ``verify_adjoint_transforms`` certifies the closed-form
+component transformations ``h2_transform`` and ``h1_transform`` under both
+isotropy subgroup families.  Those two functions take any six 1-forms, so
+``dga`` applies the same formulas.
 """
 
 from __future__ import annotations
@@ -204,6 +206,32 @@ def model_chart() -> Chart:
     }
     return chart.install_rules(
         d_rules, {n: chart.zero(1) for names, _ in PARAMETERS for n in names})
+
+
+def with_conjugates(forms: dict) -> dict:
+    """``forms``, keyed by coframe generator names, plus the conjugate of
+    each under its pair partner's name."""
+    out = dict(forms)
+    for gen in model_chart().generators:
+        if gen.partner in forms:
+            out[gen.name] = forms[gen.partner].conj()
+    return out
+
+
+def structure_terms(forms: dict, names) -> dict:
+    """Right-hand sides of the model structure equations for ``names``,
+    evaluated on the six 1-forms ``forms`` (keyed by ``COFRAME``): each
+    generator of the model chart becomes its form, a pair partner the
+    conjugate."""
+    sub = with_conjugates(forms)
+    return {name: model_chart().d_rule(name).rewrite(sub) for name in names}
+
+
+def structure_residuals(forms: dict, differentials: dict) -> dict:
+    """Each entry of ``differentials``, keyed by a coframe generator, minus
+    that generator's structure terms on the six 1-forms ``forms``."""
+    terms = structure_terms(forms, differentials)
+    return {name: dform - terms[name] for name, dform in differentials.items()}
 
 
 def coframe(chart: Chart) -> tuple[FormExpr, ...]:

@@ -5,8 +5,9 @@ Grammar (precedence low to high): ``+ -`` < ``* /`` < unary minus <
 literals, the imaginary unit ``i``, ``sqrt(x)`` (sugar for ``x^(1/2)``),
 declared identifiers, and parenthesized expressions.  Exponents must fold
 to rational constants.  ``parse`` builds raw scalar nodes over a variable
-table.  Errors carry the byte offset of the offending token in the text
-as given.
+table; a run of ``+ -`` (or ``* /``) is one n-ary ``Add`` (``Mul``), so
+flat input of any length does not nest.  Errors carry the byte offset
+of the offending token in the text as given.
 """
 
 from __future__ import annotations
@@ -91,32 +92,32 @@ class Parser:
         return node
 
     def parse_sum(self) -> Expr:
-        node = self.parse_product()
+        terms = [self.parse_product()]
         tokens = self.tokens
         while True:
             op = tokens[self.pos][1]
             if op == "+":
                 self.pos += 1
-                node = Add((node, self.parse_product()))
+                terms.append(self.parse_product())
             elif op == "-":
                 self.pos += 1
-                node = Add((node, Mul((MINUS_ONE, self.parse_product()))))
+                terms.append(Mul((MINUS_ONE, self.parse_product())))
             else:
-                return node
+                return Add(tuple(terms)) if len(terms) > 1 else terms[0]
 
     def parse_product(self) -> Expr:
-        node = self.parse_unary()
+        factors = [self.parse_unary()]
         tokens = self.tokens
         while True:
             op = tokens[self.pos][1]
             if op == "*":
                 self.pos += 1
-                node = Mul((node, self.parse_unary()))
+                factors.append(self.parse_unary())
             elif op == "/":
                 self.pos += 1
-                node = Mul((node, Pow(self.parse_unary(), MINUS_ONE_EXP)))
+                factors.append(Pow(self.parse_unary(), MINUS_ONE_EXP))
             else:
-                return node
+                return Mul(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def parse_unary(self) -> Expr:
         # also the exponent operand: a leading minus binds to the exponent,

@@ -28,7 +28,7 @@ t1 or t2 for rho, plus the Monge-Ampere jet rules over jets.
 
 The frame chart's coframe and structure equations are those of
 ``model.model_chart()``: the two coframe identities and the torsion form
-are each a differential minus ``dga.structure_terms``.  All heavy identities
+are ``model.structure_residuals`` of differentials.  All heavy identities
 are verified as exterior-algebra identities after the basis rewriting.
 Every zero question goes through one method, ``TubeModel.vanishes``, which hands a scalar to the kernel's
 ``is_identically_zero`` and a form to ``FormExpr.vanishes`` (certificate
@@ -75,8 +75,7 @@ from .scalars import (
     to_text,
 )
 from .forms import Chart, FormExpr, g_imaginary, g_pair, g_real, gc_paused
-from .dga import COFRAME, structure_terms
-from .model import model_chart
+from .model import COFRAME, model_chart, structure_residuals
 from .report import FAIL, INCONCLUSIVE, Report
 
 HALF = Fraction(1, 2)
@@ -450,15 +449,6 @@ def _frame_chart(model: TubeModel) -> Chart:
                                g_imaginary("dlam"), *g_pair("db", "dbc")])
 
 
-def _minus_structure_terms(frame: Chart, name: str, dform: FormExpr,
-                           phi1: FormExpr) -> FormExpr:
-    """``dform``, the frame's d(``name``), minus the structure terms of
-    ``name`` on the frame's coframe with ``phi1`` as first connection form."""
-    forms = {n: frame.gen(n) for n in COFRAME}
-    forms["phi1"] = phi1
-    return dform - structure_terms(forms, (name,))[name]
-
-
 def _base_substitution(model: TubeModel, frame: Chart) -> dict:
     """Images of the ambient generators in the adapted coframe, leaving the
     fiber differentials db, dbc, dlam in place."""
@@ -519,13 +509,12 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
     # the model structure equations of omega and omega1, with the fiber
     # differential dbc + (lam/2) omega1 for phi1
     phi1 = frame.combine(((g("dbc"), None), (g("omega1"), lam * HALF)))
-    first = _minus_structure_terms(
-        frame, "omega", forms["omega"].d().rewrite(sub), phi1)
+    first, residue = structure_residuals(
+        {n: g(n) for n in COFRAME} | {"phi1": phi1},
+        {n: forms[n].d().rewrite(sub) for n in ("omega", "omega1")}).values()
     record("contact form structure identity", model.vanishes(first))
 
     # second structure identity, solved for the fiber correction form
-    residue = _minus_structure_terms(
-        frame, "omega1", forms["omega1"].d().rewrite(sub), phi1)
     record("coframe structure identity holds modulo the contact form",
            model.vanishes(residue.reduce_mod(["omega"])))
     pairs = [(frame.zero(1), None)]  # a 1-form also where no coefficient is left
@@ -604,9 +593,8 @@ def restrict_to_section(e: Expr, table: VariableTable) -> Expr:
 def torsion_form(cf: TubeCoframe) -> FormExpr:
     """The torsion 2-form of the adapted coframe, in coframe coordinates:
     d(theta2) minus its model structure terms."""
-    return _minus_structure_terms(cf.frame, "theta2",
-                                  cf.rewrite(cf.forms_ambient["theta2"].d()),
-                                  cf.gen("phi1"))
+    dtheta2 = cf.rewrite(cf.forms_ambient["theta2"].d())
+    return structure_residuals({n: cf.gen(n) for n in COFRAME}, {"theta2": dtheta2})["theta2"]
 
 
 def expected_theta2_2bar1(model: TubeModel) -> Expr:

@@ -168,6 +168,16 @@ def test_expr_loads_no_exterior_algebra():
                 "crcgeo.tube"}.isdisjoint(loaded), command
 
 
+def test_tube_loads_no_dga_suites():
+    # the tube reads the model's structure equations from ``model``, not
+    # through the dga suites built on them
+    argv = ["tube", "paper-example", "--out", os.devnull]
+    loaded = _modules_loaded_by_importing_the_cli(
+        then=f"assert crcgeo.cli.main({argv!r}) == 0")
+    assert {"crcgeo.tube", "crcgeo.model"} <= set(loaded)
+    assert "crcgeo.dga" not in loaded
+
+
 def test_expr_zero_is_inconclusive_where_every_term_underflows(capsys):
     # 10^-400 is 0.0 in floating point: each sampled point has value 0 and
     # scale 0, which says nothing about the expression
@@ -257,12 +267,23 @@ def test_expr_eval_and_diff():
 
 
 def test_expr_eval_deep_input_is_inconclusive_without_traceback():
-    result = run_cli("expr", "eval", "--expr", "+".join(["t1"] * 3000),
+    result = run_cli("expr", "eval", "--expr", "(" * 2000 + "t1" + ")" * 2000,
                      "--at", "t1=1")
     assert result.returncode == 3
     assert result.stderr.startswith("inconclusive:")
     assert result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
+
+
+def test_expr_flat_long_input_is_evaluated_and_differentiated(capsys):
+    # a run of one operator is one node however long, so it nests nothing
+    flat_sum, flat_product = "+".join(["t1"] * 3000), "*".join(["t1"] * 3000)
+    assert cli.main(["expr", "eval", "--expr", flat_sum, "--at", "t1=1"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["details"]["value"] \
+        == "3000.0+0.0j"
+    assert cli.main(["expr", "diff", "--expr", flat_product, "--by", "t1"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["details"]["result"] \
+        == "3000*t1^2999"
 
 
 def test_expr_diff_power_of_sum_over_work_budget_is_inconclusive():

@@ -140,13 +140,16 @@ def test_parse_rejects_wedge_and_at_sign(table):
         assert err.value.offset == offset, text
 
 
-_BINARY = {"+": (1, operator.add), "-": (1, operator.sub),
-           "*": (2, operator.mul), "/": (2, operator.truediv)}
+# each operator's precedence, the node a run of that precedence builds, and
+# the operand the operator puts in it
+_BINARY = {"+": (1, Add, lambda x: x), "-": (1, Add, operator.neg),
+           "*": (2, Mul, lambda x: x), "/": (2, Mul, lambda x: x ** -1)}
 
 
 def _reference_build(text, table):
     """The grammar over ``tokenize``'s stream by precedence climbing, each
-    node built with ``Expr``'s operators."""
+    node built with ``Expr``'s operators, except that a run of one
+    precedence is one ``Add`` or ``Mul`` of its operands."""
     tokens = tokenize(text)
     pos = 0
 
@@ -164,8 +167,11 @@ def _reference_build(text, table):
     def binary(min_prec):
         node = unary()
         while peek() in _BINARY and _BINARY[peek()][0] >= min_prec:
-            prec, apply = _BINARY[take()[1]]
-            node = apply(node, binary(prec + 1))
+            prec, build, _ = _BINARY[peek()]
+            run = [node]
+            while peek() in _BINARY and _BINARY[peek()][0] == prec:
+                run.append(_BINARY[take()[1]][2](binary(prec + 1)))
+            node = build(tuple(run))
         return node
 
     def unary():

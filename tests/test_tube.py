@@ -679,14 +679,16 @@ def test_analyze_report_for_rejected_input():
 
 
 def test_analyze_report_keeps_checks_before_a_failed_coframe_identity(monkeypatch):
-    minus_structure_terms = tube._minus_structure_terms
+    structure_residuals = tube.structure_residuals
 
-    def perturbed(frame, name, dform, phi1):
+    def perturbed(forms, differentials):
         # the contact form structure identity gains a nonzero term
-        out = minus_structure_terms(frame, name, dform, phi1)
-        return out + frame.gen("omega").wedge(frame.gen("omega1")) if name == "omega" else out
+        out = structure_residuals(forms, differentials)
+        if "omega" in out:
+            out["omega"] = out["omega"] + forms["omega"].wedge(forms["omega1"])
+        return out
 
-    monkeypatch.setattr(tube, "_minus_structure_terms", perturbed)
+    monkeypatch.setattr(tube, "structure_residuals", perturbed)
     report = tube.analyze("t1^2/t2", HOMOG_BOX)
     assert report.overall == "fail"
     assert [c.name for c in report.checks] == [
