@@ -604,9 +604,10 @@ def _is_sum_atom(atom: Expr) -> bool:
     return not isinstance(atom, (Var, Const))
 
 
-# Monomial products one expansion of a power of a sum may make.  The
-# heaviest expansion in the tests and benchmark workloads is estimated at
-# 2448; an expansion at the budget takes about 2-3 s on one core.
+# Monomial products one expansion of a power of a sum, or one product of
+# normal forms, may make.  The heaviest expansion in the tests and benchmark
+# workloads is estimated at 2448; an expansion at the budget takes about
+# 2-3 s on one core.
 _EXPANSION_BUDGET = 200_000
 
 
@@ -974,9 +975,14 @@ def _nf(e: Expr) -> dict:
         # itself, term for term
         factors = [_nf(f) for f in e.factors]
         acc = dict(factors[0]) if factors else {(): QC_ONE}
+        products = 0
         for nf in factors[1:]:
             if not acc:
                 break
+            products += len(acc) * len(nf)
+            if products > _EXPANSION_BUDGET:
+                raise WorkBudgetError(f"a product of {len(factors)} factors exceeds the work "
+                                      f"budget of {_EXPANSION_BUDGET} monomial products")
             acc = _nf_mul(acc, nf)
         out = _collapse(acc)
     elif isinstance(e, Pow):
@@ -1332,13 +1338,20 @@ def _eval_tree(e: Expr, point: Mapping[str, complex], memo: dict) -> complex:
 Box = Mapping[str, tuple]
 
 
+def _check_interval(v: Variable, box: Box) -> None:
+    """Refuse a positive variable whose interval reaches below 0."""
+    if v.reality == POSITIVE_REAL and v.name in box and box[v.name][0] < 0:
+        lo, hi = box[v.name]
+        raise RealityViolationError(f"{v.name} must be positive, got interval [{lo}, {hi}]")
+
+
 def sample_point(variables: Sequence[Variable], box: Box, rng: random.Random) -> dict:
     """Draw one tag-respecting point of ``box`` for ``variables``, in their
     order: each takes its own interval or its partner's (a unit-modulus one
     as an angle), and a paired one drawn after its partner is the partner's
     conjugate.  A variable with no interval raises
     ``ZeroTestInconclusiveError``, and a positive one whose interval reaches
-    below 0 ``RealityViolationError``."""
+    below 0 ``RealityViolationError`` (``_check_interval``)."""
     point: dict[str, complex] = {}
     for v in variables:
         name = v.name
@@ -1350,9 +1363,8 @@ def sample_point(variables: Sequence[Variable], box: Box, rng: random.Random) ->
         key = name if name in box else (v.partner if v.partner and v.partner in box else None)
         if key is None:
             raise ZeroTestInconclusiveError(f"no box interval for variable {name}")
+        _check_interval(v, box)
         lo, hi = box[key]
-        if v.reality == POSITIVE_REAL and lo < 0:
-            raise RealityViolationError(f"{name} must be positive, got interval [{lo}, {hi}]")
         if v.reality in (REAL, POSITIVE_REAL):
             point[name] = complex(rng.uniform(lo, hi))
         elif v.reality == IMAGINARY:
@@ -1428,10 +1440,13 @@ def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0) -> b
     scale is the sum of the terms' moduli there: the rule is relative, so
     a constant factor leaves the verdict as it is.
 
+    ``_check_interval`` vets ``e``'s variables before any route answers.
     The certificate is memoized per node; the sampling runs on every call.
     Deterministic for a fixed seed.  If too few admissible points are found
     the test is inconclusive and raises ``ZeroTestInconclusiveError``.
     """
+    for v in sorted(free_variables(e), key=lambda v: v.name):
+        _check_interval(v, box)
     n = normalize(e)
     if n == ZERO or certify_zero(n):
         return True

@@ -39,6 +39,9 @@ The Levi rank is decided exactly, from the Monge-Ampere residual's zero
 certificate (``TubeModel.levi_rank``).
 The defining function is read once, by ``_rho_over_base``, which refuses
 variables other than t1, t2 and a function that is not real.
+``analyze`` stops one way: a ``TubeHypothesisError`` or a
+``CoframeVerificationError`` (a failed identity of the coframe or of the
+curvature) carries the report of the checks before it, its own failed last.
 """
 
 from __future__ import annotations
@@ -107,15 +110,15 @@ class TubeHypothesisUndecided(TubeHypothesisError):
 
 
 class CoframeVerificationError(ExprError):
-    """A failed coframe identity; ``report``, when given, holds the coframe
-    checks up to it, the failed one last."""
+    """A failed identity of the coframe or of the curvature.  Raising it
+    records the failed ``coframe construction`` check as the last of
+    ``report``, which holds the checks made before it."""
 
-    def __init__(self, identity: str, detail: str = "",
-                 report: Report | None = None):
+    def __init__(self, identity: str, detail: str, report: Report):
         super().__init__(f"coframe identity failed: {identity}" +
                          (f" ({detail})" if detail else ""))
-        self.identity = identity
         self.report = report
+        report.add("coframe construction", FAIL, {"identity": identity})
 
 
 def _tube_table() -> VariableTable:
@@ -469,14 +472,13 @@ def _base_substitution(model: TubeModel, frame: Chart) -> dict:
                      (omega1, 3 * b * HALF + ab * rho111 * x * HALF),
                      (omega1c, -(3 * bb * HALF + a * rho111 * x * HALF)),
                      (phi2, HALF), (phi2c, -HALF)))
-    sub = {
+    return {
         "mu": omega.scale(1 / u),
         "dz1": dz1, "dz1c": dz1.conj(),
         "dz2": dz2, "dz2c": dz2.conj(),
         "du": du, "alpha": alpha,
         "db": g("db"), "dbc": g("dbc"), "dlam": g("dlam"),
     }
-    return sub
 
 
 def build_coframe(model: TubeModel) -> TubeCoframe:
@@ -548,20 +550,17 @@ def build_coframe(model: TubeModel) -> TubeCoframe:
 # curvature coefficients
 
 
-# what each zero-test state of the final coefficient says: (Cartan
-# obstruction, flatness, flat, conclusion).  A nonzero value obstructs both
-# flatness and the connection property; zero only passes a necessary
-# condition (other curvature components are not computed here); an
-# undecided test claims nothing.
+# the flatness verdict's details for each zero-test state of the final
+# coefficient; each conclusion says what its state claims
 _READINGS = {
-    "nonzero": (True, "not_flat", False,
-                "not flat; not locally equivalent to the model; "
-                "the parallelism is not a Cartan connection"),
-    "zero": (False, "necessary_condition_passed", None,
-             "necessary condition passed; flatness NOT concluded "
-             "(remaining curvature components not computed)"),
-    "inconclusive": (None, "inconclusive", None,
-                     "inconclusive zero test; no claim made"),
+    "nonzero": {"cartan_obstruction": True, "flatness": "not_flat",
+                "conclusion": "not flat; not locally equivalent to the model; "
+                              "the parallelism is not a Cartan connection"},
+    "zero": {"cartan_obstruction": False, "flatness": "necessary_condition_passed",
+             "conclusion": "necessary condition passed; flatness NOT concluded "
+                           "(remaining curvature components not computed)"},
+    "inconclusive": {"cartan_obstruction": None, "flatness": "inconclusive",
+                     "conclusion": "inconclusive zero test; no claim made"},
 }
 
 
@@ -574,16 +573,15 @@ class CurvatureVerdict(NamedTuple):
 
     @property
     def cartan_obstruction(self) -> bool | None:
-        return _READINGS[self.is_final_zero][0]
+        return _READINGS[self.is_final_zero]["cartan_obstruction"]
 
     @property
     def flatness(self) -> str:
-        return _READINGS[self.is_final_zero][1]
+        return _READINGS[self.is_final_zero]["flatness"]
 
 
 def gamma0_bindings(table: VariableTable) -> dict:
-    return {table[name]: lift(value) for name, value in GAMMA0.items()
-            if name in table} | {table["bb"]: ZERO}
+    return {table[name]: lift(value) for name, value in GAMMA0.items()} | {table["bb"]: ZERO}
 
 
 def restrict_to_section(e: Expr, table: VariableTable) -> Expr:
@@ -664,7 +662,8 @@ def curvature_coefficients(cf: TubeCoframe,
         names = tilde.word_names(word)
         if "dlam" in names and "omega" not in names:
             raise CoframeVerificationError(
-                "inert covector escaped the contact direction", str(names))
+                "inert covector escaped the contact direction", str(names),
+                Report("tube curvature"))
     final = restrict_to_section(tilde.coefficient(("theta2", "omega1")), table)
 
     spec = partial(substitute, bindings=_specialization(cf.model, model))
@@ -677,12 +676,6 @@ def curvature_coefficients(cf: TubeCoframe,
         theta2_21_final=final,
         is_final_zero={True: "zero", False: "nonzero"}.get(verdict, "inconclusive"),
     )
-
-
-def flatness_probe(verdict: CurvatureVerdict) -> dict:
-    """Interpret the final coefficient (see ``_READINGS``)."""
-    _, _, flat, conclusion = _READINGS[verdict.is_final_zero]
-    return {"flat": flat, "conclusion": conclusion}
 
 
 # ---------------------------------------------------------------------------
@@ -703,30 +696,24 @@ def analyze(rho, box: dict, seed: int = 0) -> Report:
     and forms, is kept per generation of the kernel's memos; the proof's
     checks and the curvature are computed on every call.  Each check is timed
     from the one before it; the final zero test belongs to the curvature
-    coefficients.  A failed or undecided hypothesis, or a failed coframe
-    identity, ends the report after the checks made before it."""
+    coefficients.  A failed or undecided hypothesis, or a failed identity
+    of the coframe or the curvature, ends the report with its failed check
+    after the checks made before it."""
     report = Report("tube hypersurface analysis")
     report.config = {"seed": seed, "box": {k: list(v) for k, v in box.items()}}
     try:
         model = tube_from_rho(rho, box, seed=seed)
-    except TubeHypothesisError as exc:
-        report.extend(exc.report)
-        return report
-    report.extend(model.hypotheses)
-
-    proved = model.levi_rank() == 1
-    report.add("levi rank 1", proved or INCONCLUSIVE, {} if proved else {
-        "reason": "rank 1 is not proven: the Monge-Ampere residual has no zero certificate"})
-
-    try:
+        report.extend(model.hypotheses)
+        proved = model.levi_rank() == 1
+        report.add("levi rank 1", proved or INCONCLUSIVE, {} if proved else {
+            "reason": "rank 1 is not proven: the Monge-Ampere residual has no zero certificate"})
         cf = build_coframe(jet_model())
-    except CoframeVerificationError as exc:
+        report.extend(cf.checks)
+        verdict = curvature_coefficients(cf, model)
+    except (TubeHypothesisError, CoframeVerificationError) as exc:
         report.extend(exc.report)
-        report.add("coframe construction", False, {"identity": exc.identity})
         return report
-    report.extend(cf.checks)
 
-    verdict = curvature_coefficients(cf, model)
     sample_rng = random.Random(seed + 97)
     samples = []
     for _ in range(4):
@@ -744,12 +731,7 @@ def analyze(rho, box: dict, seed: int = 0) -> Report:
         "theta2_21_final": to_text(verdict.theta2_21_final),
         "theta2_21_final_samples": samples,
     })
-    probe = flatness_probe(verdict)
     status = "pass" if verdict.is_final_zero != "inconclusive" else "inconclusive"
-    report.add("flatness verdict", status, {
-        "final_coefficient_zero": verdict.is_final_zero,
-        "cartan_obstruction": verdict.cartan_obstruction,
-        "flatness": verdict.flatness,
-        "conclusion": probe["conclusion"],
-    })
+    report.add("flatness verdict", status, {"final_coefficient_zero": verdict.is_final_zero,
+                                            **_READINGS[verdict.is_final_zero]})
     return report

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crcgeo import cli, model
@@ -296,6 +296,14 @@ def test_expr_diff_power_of_sum_over_work_budget_is_inconclusive():
         assert "Traceback" not in result.stderr
 
 
+def test_expr_flat_product_of_sums_over_work_budget_is_inconclusive(capsys):
+    # a flat product expands factor by factor, under the budget of a power
+    assert cli.main(["expr", "diff", "--expr", "*".join(["(t1-t2)"] * 3000),
+                     "--by", "t1"]) == 3
+    assert capsys.readouterr() == ("", "inconclusive: a product of 3000 factors exceeds "
+                                       "the work budget of 200000 monomial products\n")
+
+
 def test_expr_diff_coefficient_power_over_work_budget_is_inconclusive():
     # a power of a monomial whose coefficient would outgrow the bit budget
     for text in ("(2*t1)^20000", "2^(40001/2)"):
@@ -388,6 +396,15 @@ def test_expr_zero_refuses_a_positive_variable_sampled_below_zero(capsys):
     assert cli.main([*args, "--box", "x=0.5:2"]) == 0
     details = json.loads(capsys.readouterr().out)["checks"][0]["details"]
     assert details["identically_zero"] is True
+
+
+@pytest.mark.parametrize("text", ["u", "u-u", "u+1"])
+def test_expr_zero_refuses_a_positive_variable_below_zero_whichever_route_answers(
+        text, capsys):
+    # the monomial rule would answer u, and the normal form u-u, unsampled
+    assert cli.main(["expr", "zero", "--expr", text, "--vars", "u:positive",
+                     "--box", "u=-2:-1"]) == 2
+    assert capsys.readouterr() == ("", "error: u must be positive, got interval [-2.0, -1.0]\n")
 
 
 def test_expr_zero_refuses_a_pole_beside_a_zero_factor_in_either_order():
@@ -599,3 +616,29 @@ def test_expr_commands_end_with_a_contract_exit_code(text, command, bound, by, b
         assert code == 2
     if command == "zero" and not box_t2 and "t2" in text:
         assert code == 2
+
+
+_FLAT_OPERANDS = ("t1", "t2", "2", ".5", "0", "sqrt(t1)", "t1^2", "(t1-t2)", "t2^(-1)")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(count=st.one_of(st.integers(1, 40), st.integers(1, 3000)),
+       operands=st.lists(st.sampled_from(_FLAT_OPERANDS), min_size=1, max_size=3),
+       operators=st.lists(st.sampled_from("+-*/"), min_size=1, max_size=3),
+       command=st.sampled_from(("eval", "diff", "zero")))
+@example(count=3000, operands=["t1"], operators=["+"], command="eval")
+def test_flat_runs_end_with_a_contract_exit_code(count, operands, operators, command):
+    # a run of up to 3000 operands joined by +, -, * and / in a cycle
+    text = operands[0] + "".join(operators[k % len(operators)] + operands[(k + 1) % len(operands)]
+                                 for k in range(count - 1))
+    extra = {"eval": ["--at", "t1=1,t2=0.7"], "diff": ["--by", "t1"],
+             "zero": ["--box", "t1=0.1:1,t2=0.1:1", "--trials", "4"]}[command]
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["expr", command, f"--expr={text}", *extra])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if set(operands) == {"t1"} and set(operators) == {"+"} and command == "eval":
+        assert code == 0
+        assert json.loads(out.getvalue())["checks"][0]["details"]["value"] \
+            == f"{float(count)!r}+0.0j"

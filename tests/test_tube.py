@@ -448,21 +448,31 @@ def test_homogeneous_example_final_zero(homog_model):
     assert is_identically_zero(direct, HOMOG_BOX, trials=16, seed=2)
 
 
-def test_flatness_probe_branches(paper_verdict):
-    probe = tube.flatness_probe(paper_verdict)
-    assert probe["flat"] is False
-    assert "not a Cartan connection" in probe["conclusion"]
-    passed = tube.CurvatureVerdict(ZERO, ZERO, ZERO, ZERO, "zero")
-    probe2 = tube.flatness_probe(passed)
-    assert probe2["flat"] is None and "NOT concluded" in probe2["conclusion"]
-    assert passed.flatness == "necessary_condition_passed"
-    assert passed.cartan_obstruction is False
+def _flatness_details(report):
+    (check,) = (c for c in report.checks if c.name == "flatness verdict")
+    return check.status, check.details
+
+
+def test_flatness_verdict_reads_each_state_from_one_table(monkeypatch):
+    assert _flatness_details(tube.analyze(tube.paper_example_rho(), BOX)) == ("pass", {
+        "final_coefficient_zero": "nonzero", "cartan_obstruction": True,
+        "flatness": "not_flat",
+        "conclusion": "not flat; not locally equivalent to the model; "
+                      "the parallelism is not a Cartan connection"})
+    assert _flatness_details(tube.analyze("t1^2/t2", HOMOG_BOX)) == ("pass", {
+        "final_coefficient_zero": "zero", "cartan_obstruction": False,
+        "flatness": "necessary_condition_passed",
+        "conclusion": "necessary condition passed; flatness NOT concluded "
+                      "(remaining curvature components not computed)"})
     # an undecided final zero test claims nothing, in any field
     unknown = tube.CurvatureVerdict(ZERO, ZERO, ZERO, ZERO, "inconclusive")
-    probe3 = tube.flatness_probe(unknown)
-    assert probe3["flat"] is None and "no claim" in probe3["conclusion"]
-    assert unknown.flatness == "inconclusive"
-    assert unknown.cartan_obstruction is None
+    assert (unknown.cartan_obstruction, unknown.flatness) == (None, "inconclusive")
+    curvature = tube.curvature_coefficients
+    monkeypatch.setattr(tube, "curvature_coefficients", lambda *args: curvature(
+        *args)._replace(is_final_zero="inconclusive"))
+    assert _flatness_details(tube.analyze("t1^2/t2", HOMOG_BOX)) == ("inconclusive", {
+        "final_coefficient_zero": "inconclusive", "cartan_obstruction": None,
+        "flatness": "inconclusive", "conclusion": "inconclusive zero test; no claim made"})
 
 
 def test_tube_models_share_no_cache_or_report():
@@ -699,6 +709,50 @@ def test_analyze_report_keeps_checks_before_a_failed_coframe_identity(monkeypatc
         "coframe:contact form structure identity", "coframe construction"]
     assert [c.status for c in report.checks[-2:]] == ["fail", "fail"]
     assert report.checks[-1].details == {"identity": "contact form structure identity"}
+
+
+_STRUCTURE_RESIDUALS, _TORSION_FORM = tube.structure_residuals, tube.torsion_form
+
+
+def _refuted_positivity(model):
+    raise tube.TubeHypothesisError("positivity", "injected", model.hypotheses)
+
+
+def _perturbed_contact_identity(forms, differentials):
+    out = _STRUCTURE_RESIDUALS(forms, differentials)
+    if "omega" in out:
+        out["omega"] = out["omega"] + forms["omega"].wedge(forms["omega1"])
+    return out
+
+
+def _inert_covector_in_torsion(cf):
+    return _TORSION_FORM(cf) + cf.gen("theta2").wedge(cf.gen("dlam"))
+
+
+@pytest.mark.parametrize("target, fault, kept, tail", [
+    ("_check_positivity", _refuted_positivity, 1,
+     [("hypothesis:positivity", "fail", {"reason": "positivity: injected"})]),
+    ("structure_residuals", _perturbed_contact_identity, 8,
+     [("coframe:contact form structure identity", "fail", {}),
+      ("coframe construction", "fail", {"identity": "contact form structure identity"})]),
+    ("torsion_form", _inert_covector_in_torsion, 13,
+     [("coframe construction", "fail",
+       {"identity": "inert covector escaped the contact direction"})]),
+], ids=["hypothesis", "coframe", "curvature"])
+def test_a_failure_in_any_tube_stage_ends_the_report_with_exit_1(
+        target, fault, kept, tail, monkeypatch, capsys):
+    # a fault in the hypotheses, the coframe or the curvature stage ends the
+    # report with its failed check after the ``kept`` checks made before it,
+    # never as an input error
+    golden = json.loads((GOLDEN / "paper_example_seed0.json").read_text())
+    monkeypatch.setattr(tube, target, fault)
+    assert cli.main(["tube", "paper-example"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    checks = [(c["name"], c["status"], c["details"]) for c in json.loads(out)["checks"]]
+    assert checks[:kept] == [(c["name"], c["status"], c["details"])
+                             for c in golden["checks"][:kept]]
+    assert checks[kept:] == tail
 
 
 def test_analyze_report_homogeneous():
