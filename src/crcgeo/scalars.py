@@ -20,13 +20,10 @@ is ``certify_zero``: it clears all denominators and radical offsets by a
 monomial that is nonvanishing wherever the expression is defined, so a
 surviving zero certifies the identity; a ``False`` only means "not
 proven", never "nonzero".  The sampled one is ``is_identically_zero``: it
-normalizes, tries the certificate, and only then reads values at seeded
+normalizes, tries the certificate, and only then judges values at seeded
 points of a caller-supplied box from ``sample_values``, the one sampler,
-which also serves the tube's positivity check.  It draws and evaluates
-one point at a time, each distinct node once per point, with the tree
-walk ``evaluate`` uses, so a verdict stops at the point that decides it.
-A point where the expression has a pole or a non-finite value is
-inadmissible and is redrawn.
+which also serves the tube's positivity check and alone decides which
+drawn point counts (see its docstring).
 Certificate verdicts are memoized per node like the kernel's other
 results.  Forms, the suites and the tube pipeline call these two and
 decide nothing themselves.
@@ -730,7 +727,15 @@ def _nf_pow(base: Expr, e: Fraction) -> dict:
         k = int(e)
         if len(items) == 1:
             pows, c = items[0]
-            return _fix_monomial(c.pow_int(k), {atom: ex * k for atom, ex in pows})
+            # a sum atom split under a fractional power is split again as
+            # a sum when its exponent becomes an integer
+            again = {atom: ex * k for atom, ex in pows if _is_sum_atom(atom)
+                     and ex.denominator != 1 and (ex * k).denominator == 1}
+            out = _fix_monomial(c.pow_int(k), {atom: ex * k for atom, ex in pows
+                                               if atom not in again})
+            for atom, ex in again.items():
+                out = _nf_mul(out, _nf_pow(atom, ex))
+            return out
         if k >= 2:
             return _fix_monomial(QC_ONE, {base: k})
     content_coeff, content_pows, primitive = _extract_content(nf, fractional=e.denominator != 1)
@@ -1405,21 +1410,20 @@ def _eval_with_scale(e_norm: Expr, point: Mapping[str, complex]) -> tuple:
 
 
 def sample_values(e_norm: Expr, box: Box, count: int, seed: int) -> Iterable:
-    """``(point, value, scale)`` at up to ``count`` admissible points of
-    ``box``, in draw order (see ``_eval_with_scale``): the sampler of the
-    zero test and of the tube's positivity check.
+    """``(point, value, scale)`` at up to ``count`` informative points of
+    ``box``, in draw order (see ``_eval_with_scale``).
 
     ``random.Random(seed)`` draws at most ``max(count*8, 64)`` points, one
-    at a time: each is evaluated when drawn and yielded if admissible, so
-    a reader that stops early draws and evaluates no further point.  A
-    point with a pole or a non-finite value is inadmissible and skipped.
-    One of scale 0 (every term 0, as when all underflow) tells nothing: it
-    is yielded for the reader to skip, and not counted.  Deterministic for
-    a fixed seed.
+    at a time: each is evaluated when drawn, with the tree walk ``evaluate``
+    uses, so a reader that stops early draws and evaluates no further
+    point.  A point with a pole or a non-finite value is inadmissible, and
+    one of scale 0 (every term 0, as when all underflow) tells nothing;
+    neither is yielded.  Draws that run out with none yielded raise
+    ``ZeroTestInconclusiveError``.  Deterministic for a fixed seed.
     """
     variables = sorted(free_variables(e_norm), key=lambda v: v.name)
     rng = random.Random(seed)
-    found = 0
+    found = underflows = 0
     for _ in range(max(count * 8, 64)):
         if found >= count:
             return
@@ -1428,9 +1432,16 @@ def sample_values(e_norm: Expr, box: Box, count: int, seed: int) -> Iterable:
             value, scale = _eval_with_scale(e_norm, point)
         except DomainEvalError:
             continue
-        if scale:
-            found += 1
+        if not scale:
+            underflows += 1
+            continue
+        found += 1
         yield point, value, scale
+    if not found:
+        raise ZeroTestInconclusiveError(
+            "every term is 0 (underflow) at the sampled points that hit no "
+            "singularity; zero test inconclusive" if underflows else
+            "all sampled points hit singularities; zero test inconclusive")
 
 
 def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0) -> bool:
@@ -1442,8 +1453,8 @@ def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0) -> b
 
     ``_check_interval`` vets ``e``'s variables before any route answers.
     The certificate is memoized per node; the sampling runs on every call.
-    Deterministic for a fixed seed.  If too few admissible points are found
-    the test is inconclusive and raises ``ZeroTestInconclusiveError``.
+    Deterministic for a fixed seed.  Fewer than ``trials`` points make it
+    inconclusive (``ZeroTestInconclusiveError``).
     """
     for v in sorted(free_variables(e), key=lambda v: v.name):
         _check_interval(v, box)
@@ -1453,21 +1464,13 @@ def is_identically_zero(e: Expr, box: Box, trials: int = 16, seed: int = 0) -> b
     if not isinstance(n, Add) and all(isinstance(atom, Var) and ex.denominator == 1
                                       for atom, ex in _split_mono(n)[1]):
         return False  # one monomial of variables vanishes on no open set
-    successes = underflows = 0
+    successes = 0
     for _, val, scale in sample_values(n, box, trials, seed):
-        if not scale:
-            underflows += 1
-            continue
         # cancellation in double precision leaves about 1e-15 of the scale
         if not _modulus(val) <= 1e-9 * scale:
             return False
         successes += 1
-    if successes == 0:
-        raise ZeroTestInconclusiveError(
-            "every term is 0 (underflow) at the sampled points that hit no "
-            "singularity; zero test inconclusive" if underflows else
-            "all sampled points hit singularities; zero test inconclusive")
-    if successes < trials:
+    if successes < max(trials, 1):  # trials < 1 reads no point: no verdict
         raise ZeroTestInconclusiveError(
             f"only {successes}/{trials} sample points were admissible")
     return True

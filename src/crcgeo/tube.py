@@ -290,20 +290,18 @@ def _rho_over_base(rho) -> Expr:
 
 
 def _check_positivity(model: TubeModel) -> None:
-    """rho11 > 0 at the 16 points ``sample_values`` draws on the box."""
-    found = 0
-    for point, val, scale in sample_values(model.d("rho11"), model.zero_test_box,
+    """rho11 > 0 at up to 16 admissible points ``sample_values`` draws on
+    the box."""
+    try:
+        for point, val, _ in sample_values(model.d("rho11"), model.zero_test_box,
                                            16, model.seed + 5):
-        if not scale:
-            continue  # every term is 0 there: the point tells nothing
-        found += 1
-        if abs(val.imag) > 1e-9 * (1 + abs(val)) or val.real <= 0:
-            raise TubeHypothesisError(
-                "positivity", f"rho11 = {val} at {point} is not positive",
-                model.hypotheses)
-    if found == 0:
+            if abs(val.imag) > 1e-9 * (1 + abs(val)) or val.real <= 0:
+                raise TubeHypothesisError(
+                    "positivity", f"rho11 = {val} at {point} is not positive",
+                    model.hypotheses)
+    except ZeroTestInconclusiveError:
         raise TubeHypothesisUndecided("positivity", "no admissible sample points",
-                                      model.hypotheses)
+                                      model.hypotheses) from None
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,19 @@ def test_expr_zero_is_inconclusive_where_every_term_underflows(capsys):
         "every term is 0 (underflow) at the sampled points")
 
 
+@pytest.mark.parametrize("text, reason", [
+    # sqrt(t1-2) is undefined on the whole box
+    ("sqrt(t1-2)", "all sampled points hit singularities; zero test inconclusive"),
+    # the radicals are undefined below t1 = 0.98: 3 of 16 points are found
+    ("((t1-0.98)+2*(t1-0.98)^(1/2)+1)^(1/2) - (t1-0.98)^(1/2) - 1",
+     "only 3/16 sample points were admissible"),
+], ids=["singularities", "too_few"])
+def test_expr_zero_names_why_the_sampler_is_inconclusive(text, reason, capsys):
+    assert cli.main(["expr", "zero", "--expr", text, "--box", "t1=0:1"]) == cli.EXIT_INCONCLUSIVE
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert (check["status"], check["details"]) == ("inconclusive", {"reason": reason})
+
+
 def test_usage_error_exit_code():
     result = run_cli("tube", "analyze")
     assert result.returncode == 2

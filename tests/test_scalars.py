@@ -1065,6 +1065,20 @@ def test_normalize_is_idempotent_across_clear_caches():
     assert normalize(result) is result
 
 
+def test_an_integer_power_of_a_radical_sum_atom_is_idempotent_across_clear_caches():
+    # the sum atom under the square root is split for a fractional power;
+    # at the power -1 it must be split as a negative power of a sum is
+    table = VariableTable()
+    tree = parse("((((-2 + i) + sqrt(10))^2 + 1)^(1/2))^(-2)", table)
+    scalars.clear_caches()
+    result = normalize(tree)
+    assert to_text(result) == "(7/106 + 1/53*i)*(1 + (-16/53 + 3/53*i)*2^(1/2)*5^(1/2))^(-1)"
+    # the form the atom gave before it was split again is the same number
+    assert certify_zero(parse("1/2*((7 - 2*i) + (-2 + i)*2^(1/2)*5^(1/2))^(-1)", table) - result)
+    scalars.clear_caches()
+    assert normalize(result) is result
+
+
 def test_coefficient_power_budget_refuses_only_growing_powers():
     table = VariableTable()
     table.real("t")
@@ -1579,6 +1593,19 @@ def test_a_missing_interval_raises_at_the_first_draw():
     assert list(scalars.sample_values(e, {"x": (0, 1)}, 0, seed=1)) == []
     with pytest.raises(ZeroTestInconclusiveError, match="^no box interval for variable y$"):
         next(scalars.sample_values(e, {"x": (0, 1)}, 1, seed=1))
+
+
+def test_a_zero_test_that_reads_no_point_is_not_zero():
+    # the kernel cannot certify this identity, so only sampling calls it zero
+    table = VariableTable()
+    table.positive("p")
+    e = parse("(p+2*p^(1/2)+1)^(1/2) - p^(1/2) - 1", table)
+    box = {"p": (1, 2)}
+    assert not certify_zero(normalize(e))
+    assert is_identically_zero(e, box, trials=16) is True
+    for trials in (0, -1):
+        with pytest.raises(ZeroTestInconclusiveError):
+            is_identically_zero(e, box, trials=trials)
 
 
 def test_shared_dag_visits_each_node_once():

@@ -183,6 +183,15 @@ def test_positivity_reason_names_the_first_nonpositive_point(seed, capsys):
     assert last["details"]["reason"] == want
 
 
+def test_positivity_without_an_admissible_point_is_undecided():
+    # rho11 of t2*g(t1/t2) for g = s^(5/2) is undefined wherever t1 < 0
+    report = tube.analyze(tube.ma_profile_solution("s^(5/2)"),
+                          {"t1": (-1, -0.5), "t2": (0.5, 1)})
+    last = report.checks[-1]
+    assert (last.name, last.status) == ("hypothesis:positivity", "inconclusive")
+    assert last.details == {"reason": "positivity: no admissible sample points"}
+
+
 def test_vanishing_rho11_rejected_by_positivity():
     # rho11 = 0, so S = (rho12/rho11)_1 is undefined
     with pytest.raises(tube.TubeHypothesisError) as err:
@@ -325,8 +334,7 @@ def test_base_derivative_structure(paper_model):
     dmu = chart.gen("mu").d()
     target = forms["eta1"].wedge(forms["eta1"].conj()).scale(-1 / rho11)
     diff = dmu - target
-    assert diff.certify_zero() or diff.vanishes(paper_model.zero_test_box,
-                                                trials=8, seed=1)
+    assert diff.vanishes(paper_model.zero_test_box, seed=1)
     # d eta1 = -S eta2 ^ eta1c + [rho111/rho11^2 eta1c + S eta2c] ^ eta1
     s_fn = paper_model.d("S")
     rho111 = paper_model.d("rho111")
@@ -335,8 +343,7 @@ def test_base_derivative_structure(paper_model):
     bracket = eta1.conj().scale(rho111 / rho11 ** 2) + eta2.conj().scale(s_fn)
     target1 = eta2.wedge(eta1.conj()).scale(-s_fn) + bracket.wedge(eta1)
     diff1 = deta1 - target1
-    assert diff1.certify_zero() or diff1.vanishes(paper_model.zero_test_box,
-                                                  trials=8, seed=2)
+    assert diff1.vanishes(paper_model.zero_test_box, seed=2)
 
 
 def test_gamma0_collapses_fiber_differentials(paper_model, paper_coframe):
@@ -503,8 +510,7 @@ def test_torsion_conjugation_consistency(paper_model, paper_coframe):
     from_inputs = (dtheta2c + g("theta2c").wedge(g("phi2c") - g("phi2"))
                    - g("omega1c").wedge(g("phi1c")))
     diff = direct_conj - from_inputs
-    assert diff.certify_zero() or diff.vanishes(
-        paper_model.zero_test_box, trials=8, seed=17)
+    assert diff.vanishes(paper_model.zero_test_box, seed=17)
 
 
 # ---------------------------------------------------------------------------
