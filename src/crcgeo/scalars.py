@@ -11,9 +11,9 @@ leaves a fractional power (its base's positive content, ``_extract_content``),
 and a recombination pass that lifts monomial groups divisible by a radical
 base into the next power of the atom (which keeps derivative cascades of
 closed-form radicals in factored shape).  No general algebraic-extension
-engine is attempted; the normal form is canonical on the Laurent-polynomial
-fragment, everywhere deterministic and idempotent, and on real variables
-value-or-error: where a tree has a value, its normal form has the same one.
+engine is attempted; the normal form is canonical on Laurent polynomials,
+deterministic, idempotent on every tree of ROADMAP item 13's scan, and on
+real variables value-or-error: a tree's value, where it has one, is kept.
 
 This module owns every zero decision, along two routes.  The exact one
 is ``certify_zero``: it clears all denominators and radical offsets by a
@@ -611,8 +611,10 @@ _EXPANSION_BUDGET = 200_000
 def _fix_monomial(coeff: QC, powmap: dict) -> dict:
     """Canonicalize one monomial of a nonzero coefficient: the one place
     where a power becomes monomials.  A constant atom's integer part folds
-    into the coefficient, and a sum atom's integer part expands, so the
-    result may hold several monomials.
+    into the coefficient, a sum atom's integer part expands, and a sum atom
+    at a negative integral power splits into content and primitive
+    (``_extract_content``) unless it is its own primitive, so the result
+    may hold several monomials.
 
     An expansion multiplies by a ``terms``-term sum ``n`` times; after j
     factors at most C(terms+j-1, j) monomials remain, so the n steps make
@@ -620,6 +622,15 @@ def _fix_monomial(coeff: QC, powmap: dict) -> dict:
     expanded term count, C(terms+n-1, n).  Over ``_EXPANSION_BUDGET``
     products it is refused.
     """
+    for atom, e in powmap.items():
+        if e.denominator == 1 and e < 0 and _is_sum_atom(atom):
+            c, content, primitive = _extract_content(_nf(atom), fractional=False)
+            if primitive is not atom:
+                # a content atom may be the primitive itself, so exponents add
+                split = {a: x for a, x in powmap.items() if a is not atom}
+                for a, x in content + ((primitive, 1),):
+                    _add_exp(split, a, x * e)
+                return _fix_monomial(coeff * c.pow_int(int(e)), split)
     reduced: dict = {}
     expansions: list[dict] = []
     for atom, e in powmap.items():
@@ -709,8 +720,8 @@ def _atom_certified_positive(atom: Expr, exp: Fraction) -> bool:
 
 def _nf_pow(base: Expr, e: Fraction) -> dict:
     """Normal form of base**e.  An integer power of a monomial multiplies
-    its exponents and a positive integer power of a sum expands; every
-    other power, of a monomial or a sum, splits the base as content *
+    its exponents, and ``_fix_monomial`` expands or splits one of a sum; a
+    fractional power, of a monomial or a sum, splits the base as content *
     primitive (``_extract_content``) and keeps the primitive as one atom.
     ``_fix_monomial`` makes the monomials of each."""
     nf = _nf(base)
@@ -718,58 +729,43 @@ def _nf_pow(base: Expr, e: Fraction) -> dict:
         return {(): QC_ONE}
     if e == 1:
         return dict(nf)
-    items = list(nf.items())
-    if not items:
+    if not nf:
         if e < 0:
             raise DomainEvalError("zero raised to a negative power")
         return {}
     if e.denominator == 1:
         k = int(e)
-        if len(items) == 1:
-            pows, c = items[0]
-            # a sum atom split under a fractional power is split again as
-            # a sum when its exponent becomes an integer
-            again = {atom: ex * k for atom, ex in pows if _is_sum_atom(atom)
-                     and ex.denominator != 1 and (ex * k).denominator == 1}
-            out = _fix_monomial(c.pow_int(k), {atom: ex * k for atom, ex in pows
-                                               if atom not in again})
-            for atom, ex in again.items():
-                out = _nf_mul(out, _nf_pow(atom, ex))
-            return out
-        if k >= 2:
+        if len(nf) > 1:
             return _fix_monomial(QC_ONE, {base: k})
-    content_coeff, content_pows, primitive = _extract_content(nf, fractional=e.denominator != 1)
+        (pows, c), = nf.items()
+        return _fix_monomial(c.pow_int(k), {atom: ex * k for atom, ex in pows})
+    content_coeff, content_pows, primitive = _extract_content(nf, fractional=True)
+    # the positive rational content splits into prime radicals, which cancel
     powmap: dict = {}
-    if e.denominator == 1:
-        coeff = content_coeff.pow_int(int(e))
-    else:
-        # a positive rational content splits into prime radicals, so that
-        # constant radicals cancel
-        coeff = QC_ONE
-        for n, power in ((content_coeff.a, e), (content_coeff.d, -e)):
-            for p in _factor_positive_int(n):
-                _add_exp(powmap, Const(QC(p)), power)
+    for n, power in ((content_coeff.a, e), (content_coeff.d, -e)):
+        for p in _factor_positive_int(n):
+            _add_exp(powmap, Const(QC(p)), power)
     for atom, ex in content_pows:
         _add_exp(powmap, atom, ex * e)
     if primitive is not ONE:
         _add_exp(powmap, primitive, e)
-    return _fix_monomial(coeff, powmap)
+    return _fix_monomial(QC_ONE, powmap)
 
 
 def _extract_content(nf: Mapping, fractional: bool):
     """Factor a nonzero normal form as content * primitive.
 
-    For a negative integer power of a sum the content is the full common
-    atom powers and the coefficient of the primitive's leading monomial,
-    so the sign of a sum atom does not depend on the atoms it shares.
-    Under a fractional power e, ``(content*P)**e = content**e * P**e``
-    must hold wherever the left side is defined, so the content is what is
-    positive there: the common atoms ``_atom_certified_positive`` accepts
-    and the positive rational content of the coefficients.  A monomial
-    whose coefficient is that content, and whose other atoms are real
-    variables, one at an odd power f**k and the rest E at even powers,
-    gives up f**k too: E is never negative, so the monomial is positive
-    only where f is, and ``(f**k*E)**e = f**(k*e) * E**e``.
+    For a sum atom at a negative integer power (``_fix_monomial``) the
+    content is the full common atom powers and the coefficient of the
+    primitive's leading monomial, so the sign of a sum atom does not depend
+    on the atoms it shares.  Under a fractional power e (``_nf_pow``),
+    ``(content*P)**e = content**e * P**e`` must hold wherever the left side
+    is defined, so the content is what is positive there: the common atoms
+    ``_atom_certified_positive`` accepts and the positive rational content
+    of the coefficients.  A monomial whose coefficient is that content, and
+    whose other atoms are real variables, one at an odd power f**k and the
+    rest E at even powers, gives up f**k too: E is never negative, so the
+    monomial is positive only where f is, and ``(f**k*E)**e = f**(k*e) * E**e``.
     """
     common: dict | None = None
     for pows in nf:
@@ -838,15 +834,17 @@ def _graded_quotient(nf: Mapping, base: Mapping):
     A formal identity ``nf = q*base`` gives ``_nf_mul(q, base) == nf``:
     ``_nf_mul`` applies ``_fix_monomial`` to each monomial product,
     ``_fix_monomial`` is linear, and it fixes every monomial of the normal
-    form nf.  Each quotient term goes through ``_fix_monomial`` as well,
+    form nf (a sum atom nf holds at a negative integral power is its own
+    primitive).  Each quotient term goes through ``_fix_monomial`` as well,
     which folds a constant radical's integer part into the coefficient;
     products keep their value and form, as the integer parts still add up
     (floor(a) + floor(a - floor(a) + b) = floor(a + b)).  A sum atom's
     quotient exponent must stay below 1, its ceiling: the greatest
     exponents add too, so at 1 or more every divisor monomial holds that
     atom at a negative power, and the expansion ``_fix_monomial`` would
-    make of the term does not fold back under ``_nf_mul``.  The division
-    knows no relation between atoms, such as ``r^2 = 2`` for
+    make of the term does not fold back under ``_nf_mul``; a split at a
+    negative integral power keeps the value but need not fold back either.
+    The division knows no relation between atoms, such as ``r^2 = 2`` for
     ``r = 2^(1/2)``, so it refuses ``(x^2 - 2)/(x + 2^(1/2))``.
     """
     order = sorted({atom for pows in base for atom, _ in pows}, key=_atom_sort_key)

@@ -1065,18 +1065,72 @@ def test_normalize_is_idempotent_across_clear_caches():
     assert normalize(result) is result
 
 
-def test_an_integer_power_of_a_radical_sum_atom_is_idempotent_across_clear_caches():
-    # the sum atom under the square root is split for a fractional power;
-    # at the power -1 it must be split as a negative power of a sum is
+def _scan_trees(seed, fresh, index=None):
+    """Depth-5 trees of the idempotence scan: ``_random_tree`` on positive
+    x, y, z, 500 trees per depth.  The continuous stream draws depths 2, 3,
+    4 and 5 from one ``random.Random(seed)``; a fresh stream starts a new
+    one for each depth.  All 500 trees, or the one at ``index``."""
+    variables = VariableTable().positive("x", "y", "z")
+    rng = random.Random(seed)
+    if not fresh:
+        for depth in (2, 3, 4):
+            for _ in range(500):
+                _random_tree(rng, variables, depth)
+    trees = [_random_tree(rng, variables, 5) for _ in range(500 if index is None else index + 1)]
+    return trees if index is None else trees[index:]
+
+
+_RADICAL_SUM = "((-2 + 4*i) + (-2 - 4*i)*y + y^2)"
+
+
+@pytest.mark.parametrize("source, shown, before", [
+    pytest.param("((((-2 + i) + sqrt(10))^2 + 1)^(1/2))^(-2)",
+                 "(7/106 + 1/53*i)*(1 + (-16/53 + 3/53*i)*2^(1/2)*5^(1/2))^(-1)",
+                 "1/2*((7 - 2*i) + (-2 + i)*2^(1/2)*5^(1/2))^(-1)", id="power"),
+    pytest.param(f"{_RADICAL_SUM}^(-1/2)*{_RADICAL_SUM}^(-1/2)",
+                 "(-1/10 - 1/5*i)*(1 + (-3/5 + 4/5*i)*y + (-1/10 - 1/5*i)*y^2)^(-1)",
+                 f"{_RADICAL_SUM}^(-1)", id="product"),
+    pytest.param((2028, False), None, None, id="scan-2028"),
+    pytest.param((2036, False), None, None, id="scan-2036"),
+    pytest.param((2037, False, 382), None, None, id="2037-382"),
+    pytest.param((2042, False, 216), None, None, id="2042-216"),
+    pytest.param((2044, False, 62), None, None, id="2044-62"),
+    pytest.param((2026, True, 33), None, None, id="2026-fresh-33"),
+    pytest.param((2027, True, 352), None, None, id="2027-fresh-352"),
+])
+def test_an_integer_power_of_a_radical_sum_atom_is_idempotent_across_clear_caches(
+        source, shown, before):
+    # a sum atom split under a fractional power must be split as a negative
+    # power of a sum is when a power or a product gives it an integral
+    # exponent; the scans hold trees that were not, and they are checked
+    # against their input, not against an earlier output of the kernel
     table = VariableTable()
-    tree = parse("((((-2 + i) + sqrt(10))^2 + 1)^(1/2))^(-2)", table)
-    scalars.clear_caches()
-    result = normalize(tree)
-    assert to_text(result) == "(7/106 + 1/53*i)*(1 + (-16/53 + 3/53*i)*2^(1/2)*5^(1/2))^(-1)"
-    # the form the atom gave before it was split again is the same number
-    assert certify_zero(parse("1/2*((7 - 2*i) + (-2 + i)*2^(1/2)*5^(1/2))^(-1)", table) - result)
-    scalars.clear_caches()
-    assert normalize(result) is result
+    table.positive("y")
+    trees = [parse(source, table)] if shown else _scan_trees(*source)
+    point = {"x": 0.7, "y": 1.3, "z": 1.1}
+    valued = 0
+    for tree in trees:
+        scalars.clear_caches()
+        try:
+            result = normalize(tree)
+        except DomainEvalError:
+            if shown:
+                raise
+            continue
+        if shown:
+            assert to_text(result) == shown
+            # the form the atom gave before it was split again is the same number
+            assert certify_zero(parse(before, table) - result)
+        scalars.clear_caches()
+        assert normalize(result) is result, to_text(tree)
+        # where the tree has a value, its normal form has the same one
+        try:
+            want = evaluate(tree, point)
+        except DomainEvalError:
+            continue
+        assert cmath.isclose(evaluate(result, point), want, rel_tol=1e-9, abs_tol=1e-12)
+        valued += 1
+    assert len(trees) == 1 or valued > len(trees) // 2, valued
 
 
 def test_coefficient_power_budget_refuses_only_growing_powers():
