@@ -6,12 +6,15 @@ for the differential of each scalar variable.  FormExpr stores a form of
 homogeneous degree as a map from strictly increasing generator index
 words to scalar coefficients; construction normalizes coefficients and
 prunes zeros, and wedge ordering signs are applied automatically.
-``Chart.combine`` sums scaled forms in one pass, normalizing once per
-word, for ``+``, ``-`` and longer sums; ``d`` takes no derivative along a
-variable whose scalar rule is the zero form, which declares a constant.
-``rewrite`` expands each word once, image by image, into unnormalized
-partial products summed per word, and builds and normalizes only its
-result, with no form per image.
+``wedge``, ``d``, ``conj``, ``rewrite``, ``scale`` and ``Chart.combine``
+name each coefficient by a tuple of its pieces, ``("*", a, b)`` for a
+product (times ``MINUS_ONE`` for a negation) and ``("+", a, b)`` for a
+sum, a word's pieces added left to right, which ``normalize`` evaluates on
+normal forms, building no scalar node.  ``Chart.combine`` sums scaled
+forms in one pass for ``+``, ``-`` and longer sums; ``d`` takes no
+derivative along a variable whose scalar rule is the zero form, which
+declares a constant.  ``rewrite`` expands each word once, image by image,
+into partial products summed per word, and builds only its result.
 
 Forms decide no zero question themselves: ``certify_zero`` and
 ``vanishes`` hand each coefficient to the kernel's ``certify_zero`` and
@@ -33,13 +36,11 @@ import gc
 from typing import Mapping, Sequence
 
 from .scalars import (
-    Add,
     COMPLEX_PAIRED,
     Expr,
     ExprError,
     IMAGINARY,
     MINUS_ONE,
-    Mul,
     ONE,
     REAL,
     Variable,
@@ -128,35 +129,29 @@ def _merge_word(merges: dict, w1: tuple, w2: tuple):
     return merged
 
 
-def _signed(c: Expr, sign: int) -> Expr:
-    """``c`` times ``sign``, +1 adding no factor: ``_collapse`` returns its
-    output, a product's normal form, unchanged (seeded trees test this)."""
-    return c if sign > 0 else Mul((c, MINUS_ONE))
+def _product(a, b, sign: int) -> tuple:
+    """The piece key of ``a*b``, negated when ``sign`` is -1."""
+    key = ("*", a, b)
+    return key if sign > 0 else ("*", key, MINUS_ONE)
 
 
-def _sums(pieces) -> dict[tuple, Expr]:
-    """``{word: coefficient}`` summing the ``(word, coeff)`` pairs of
-    ``pieces``, unnormalized: each word's coefficients add up left to
-    right, the first as it is."""
-    out: dict[tuple, Expr] = {}
-    for word, coeff in pieces:
+def _sums(pieces) -> dict[tuple, object]:
+    """``{word: key}`` summing the ``(word, key)`` pairs of ``pieces``:
+    each word's keys add up left to right, the first as it is."""
+    out: dict[tuple, object] = {}
+    for word, key in pieces:
         cur = out.get(word)
-        out[word] = coeff if cur is None else Add((cur, coeff))
+        out[word] = key if cur is None else ("+", cur, key)
     return out
 
 
-def _summed(chart: "Chart", degree: int, pieces) -> "FormExpr":
-    """The form of ``degree`` with the coefficients ``_sums(pieces)``."""
-    return FormExpr(chart, degree, _sums(pieces))
-
-
 def _wedge_pieces(merges: dict, terms1, terms2):
-    """The signed ``(word, coeff)`` products of two sequences of terms."""
+    """The signed ``(word, key)`` products of two sequences of terms."""
     for w1, c1 in terms1:
         for w2, c2 in terms2:
             merged = _merge_word(merges, w1, w2)
             if merged is not None:
-                yield merged[0], _signed(Mul((c1, c2)), merged[1])
+                yield merged[0], _product(c1, c2, merged[1])
 
 
 class Chart:
@@ -242,11 +237,11 @@ class Chart:
     def combine(self, pairs) -> "FormExpr":
         """The sum of ``form.scale(s)`` over the ``(form, s)`` of ``pairs``
         (``form`` itself where ``s`` is None) in one pass: each word's
-        coefficient is one ``Add``, normalized once; a scalar ``ZERO`` adds
+        coefficient is one sum, normalized once; a scalar ``ZERO`` adds
         no term.  As for ``+``, nonzero forms share one degree; with none
         the result has the first form's degree (0 with no form)."""
         degree = zero_degree = None
-        out: dict[tuple, Expr] = {}
+        pieces = []
         for form, s in pairs:
             if form.chart is not self:
                 raise ChartError("forms live on different charts")
@@ -262,11 +257,10 @@ class Chart:
                 if s is ZERO:
                     continue
                 s = lift(s)
-            for word, c in form.terms.items():  # ``_summed``'s sum, inline
-                c = c if s is None else Mul((c, s))
-                cur = out.get(word)
-                out[word] = c if cur is None else Add((cur, c))
-        return FormExpr(self, degree if degree is not None else zero_degree or 0, out)
+            pieces += (form.terms.items() if s is None else
+                       [(word, ("*", c, s)) for word, c in form.terms.items()])
+        return FormExpr(self, degree if degree is not None else zero_degree or 0,
+                        _sums(pieces))
 
     # -- rules -------------------------------------------------------------
 
@@ -301,15 +295,16 @@ class FormExpr:
 
     __slots__ = ("chart", "degree", "terms")
 
-    def __init__(self, chart: Chart, degree: int, terms: Mapping[tuple, Expr]):
+    def __init__(self, chart: Chart, degree: int, terms: Mapping[tuple, object]):
+        """``terms`` maps words to ``Expr`` coefficients or piece keys."""
         self.chart = chart
         self.degree = degree
         cleaned: dict[tuple, Expr] = {}
         for word, coeff in terms.items():
             if len(word) != degree:
                 raise ChartError("word length does not match form degree")
-            c = normalize(coeff if isinstance(coeff, Expr) else lift(coeff))
-            if c != ZERO:
+            c = normalize(coeff)
+            if c is not ZERO:
                 cleaned[word] = c
         self.terms = cleaned
 
@@ -352,7 +347,7 @@ class FormExpr:
     def scale(self, e) -> "FormExpr":
         e = lift(e)
         return FormExpr(self.chart, self.degree,
-                        {w: Mul((c, e)) for w, c in self.terms.items()})
+                        {w: ("*", c, e) for w, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FormExpr) and self.chart is other.chart
@@ -362,9 +357,8 @@ class FormExpr:
 
     def wedge(self, other: "FormExpr") -> "FormExpr":
         self._check_same_chart(other)
-        return _summed(self.chart, self.degree + other.degree,
-                       _wedge_pieces(_word_merges(), self.terms.items(),
-                                     other.terms.items()))
+        return FormExpr(self.chart, self.degree + other.degree, _sums(_wedge_pieces(
+            _word_merges(), self.terms.items(), other.terms.items())))
 
     def d(self) -> "FormExpr":
         """Exterior derivative; a 0-form's is its scalar's differential."""
@@ -383,7 +377,7 @@ class FormExpr:
                     for rword, rcoeff in rule.items():
                         merged = _merge_word(merges, rword, word)
                         if merged is not None:
-                            yield merged[0], _signed(Mul((dc, rcoeff)), merged[1])
+                            yield merged[0], _product(dc, rcoeff, merged[1])
                 for j, idx in enumerate(word):
                     rule = chart.d_rule(chart.generators[idx].name).terms
                     rest = word[:j] + word[j + 1:]
@@ -391,10 +385,10 @@ class FormExpr:
                     for rword, rcoeff in rule.items():
                         merged = _merge_word(merges, rword, rest)
                         if merged is not None:
-                            yield merged[0], _signed(Mul((coeff, rcoeff)),
-                                                     merged[1] * outer_sign)
+                            yield merged[0], _product(coeff, rcoeff,
+                                                      merged[1] * outer_sign)
 
-        return _summed(chart, self.degree + 1, pieces())
+        return FormExpr(chart, self.degree + 1, _sums(pieces()))
 
     # -- chart operations ------------------------------------------------------
 
@@ -411,9 +405,10 @@ class FormExpr:
                 mword, psign = _merge_word(merges, tuple(
                     chart._index[g.partner] if g.reality == COMPLEX_PAIRED else idx
                     for g, idx in zip(gens, word)), ())
-                yield mword, _signed(conjugate(coeff), sign * psign)
+                c = conjugate(coeff)
+                yield mword, c if sign * psign > 0 else ("*", c, MINUS_ONE)
 
-        return _summed(chart, self.degree, pieces())
+        return FormExpr(chart, self.degree, _sums(pieces()))
 
     def reduce_mod(self, names: Sequence[str]) -> "FormExpr":
         drop = {self.chart._require_gen(n) for n in names}
@@ -432,16 +427,16 @@ class FormExpr:
             raise ChartError("coefficient word length must equal the form degree")
         word, sign = _merge_word(_word_merges(), indices, ())
         coeff = self.terms.get(word, ZERO)
-        return coeff if sign > 0 else normalize(Mul((coeff, MINUS_ONE)))
+        return coeff if sign > 0 else normalize(("*", coeff, MINUS_ONE))
 
     def rewrite(self, sub: Mapping[str, "FormExpr"],
                 keep: Sequence[str] | None = None) -> "FormExpr":
         """Homomorphic basis change: replace each generator by a degree-1
         form of ``sub``.  The result lives on the chart of the images, or
         on this form's chart when ``sub`` is empty.  Each word expands
-        image by image into unnormalized ``(word, coefficient)`` products,
-        those on one word summed at each step, and only the result's
-        coefficients are normalized.  With ``keep``, generator names of the
+        image by image into ``(word, key)`` products, those on one word
+        summed at each step, and only the result's coefficients are
+        normalized.  With ``keep``, generator names of the
         target, an image term outside them is skipped: a wedge term only
         adds generators, so words within ``keep`` are unchanged."""
         chart = self.chart
@@ -469,7 +464,7 @@ class FormExpr:
                     products = _sums(_wedge_pieces(merges, products.items(), terms))
                 yield from products.items()
 
-        return _summed(target, self.degree, pieces())
+        return FormExpr(target, self.degree, _sums(pieces()))
 
     def rewritten_coefficient(self, sub: Mapping[str, "FormExpr"],
                               names: Sequence[str]) -> Expr:

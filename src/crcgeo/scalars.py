@@ -473,20 +473,24 @@ _MONO_MEMO: dict = {}
 _SUBST_MEMO: dict = {}
 _TEXT_MEMO: dict = {}
 _EXPS: dict = {}
+# ``_pieces_nf``'s normal forms by piece key, ``_fix_monomial``'s splits by atom
+_PIECES_MEMO: dict = {}
+_SPLIT_MEMO: dict = {}
 # what ``kept`` functions returned, by (function, arguments)
 _KEPT: dict = {}
 
 
 def clear_caches() -> None:
-    """Empty the memos (normal forms, conjugates, derivatives, certificates,
-    quotients, accepted substitutions, renderings), the exponent table and
+    """Empty the memos (normal forms, piece keys, sum atom splits,
+    conjugates, derivatives, certificates, quotients, accepted
+    substitutions, renderings), the exponent table and
     what ``kept`` functions returned (the jet model, the dga charts, the
     forms layer's word merges): a new generation.  Live nodes stay
     interned, with their cached sort keys, complex values and float
     exponents."""
-    for memo in (_NF_MEMO, _NORM_MEMO, _CONJ_MEMO, _DIFF_MEMO,
-                 _FREEVARS_MEMO, _CERT_MEMO, _QUOT_MEMO,
-                 _MUL_MEMO, _MONO_MEMO, _SUBST_MEMO, _TEXT_MEMO, _EXPS, _KEPT):
+    for memo in (_NF_MEMO, _NORM_MEMO, _PIECES_MEMO, _SPLIT_MEMO, _CONJ_MEMO,
+                 _DIFF_MEMO, _FREEVARS_MEMO, _CERT_MEMO, _QUOT_MEMO, _MUL_MEMO,
+                 _MONO_MEMO, _SUBST_MEMO, _TEXT_MEMO, _EXPS, _KEPT):
         memo.clear()
 
 
@@ -613,8 +617,8 @@ def _fix_monomial(coeff: QC, powmap: dict) -> dict:
     where a power becomes monomials.  A constant atom's integer part folds
     into the coefficient, a sum atom's integer part expands, and a sum atom
     at a negative integral power splits into content and primitive
-    (``_extract_content``) unless it is its own primitive, so the result
-    may hold several monomials.
+    (``_extract_content``, recorded per atom in ``_SPLIT_MEMO``) unless it
+    is its own primitive, so the result may hold several monomials.
 
     An expansion multiplies by a ``terms``-term sum ``n`` times; after j
     factors at most C(terms+j-1, j) monomials remain, so the n steps make
@@ -624,7 +628,10 @@ def _fix_monomial(coeff: QC, powmap: dict) -> dict:
     """
     for atom, e in powmap.items():
         if e.denominator == 1 and e < 0 and _is_sum_atom(atom):
-            c, content, primitive = _extract_content(_nf(atom), fractional=False)
+            parts = _SPLIT_MEMO.get(atom)
+            if parts is None:
+                parts = _SPLIT_MEMO[atom] = _extract_content(_nf(atom), fractional=False)
+            c, content, primitive = parts
             if primitive is not atom:
                 # a content atom may be the primitive itself, so exponents add
                 split = {a: x for a, x in powmap.items() if a is not atom}
@@ -669,7 +676,9 @@ def _nf_mul(a: Mapping, b: Mapping) -> dict:
     two monomial keys, by value, as ``_fix_monomial``'s terms at unit
     coefficient; scaled by ``c = ca*cb`` (never zero) they are exactly, in
     order, the terms of ``_fix_monomial(c, ...)``, as canonicalizing a
-    monomial is linear in its coefficient."""
+    monomial is linear in its coefficient.  Of a monomial of ``Var`` atoms
+    alone, ``_fix_monomial`` only drops zero exponents, stores the others
+    as keys and sorts the atoms, so that is done here."""
     acc: dict = {}
     for pa, ca in a.items():
         for pb, cb in b.items():
@@ -680,7 +689,12 @@ def _nf_mul(a: Mapping, b: Mapping) -> dict:
                 for atom, e in pb:
                     cur = powmap.get(atom)
                     powmap[atom] = e if cur is None else cur + e
-                unit = _MUL_MEMO[pa, pb] = tuple(_fix_monomial(QC_ONE, powmap).items())
+                if all(type(atom) is Var for atom in powmap):
+                    unit = ((tuple(sorted([(atom, _key_exp(e)) for atom, e in powmap.items() if e],
+                                          key=_item_key)), QC_ONE),)
+                else:
+                    unit = tuple(_fix_monomial(QC_ONE, powmap).items())
+                _MUL_MEMO[pa, pb] = unit
             for pows, u in unit:
                 cur = acc.get(pows)
                 new = c * u if cur is None else cur + c * u
@@ -968,26 +982,12 @@ def _nf(e: Expr) -> dict:
     elif isinstance(e, Var):
         out = {((e, 1),): QC_ONE}
     elif isinstance(e, Add):
-        acc: dict = {}
-        for t in e.terms:
-            _nf_add_into(acc, _nf(t))
-        out = _collapse(acc)
+        out = _sum_nf([_nf(t) for t in e.terms])
     elif isinstance(e, Mul):
         # derive every factor first, so a pole after a zero factor raises
         # as one before it does; a normal form times the unit monomial is
         # itself, term for term
-        factors = [_nf(f) for f in e.factors]
-        acc = dict(factors[0]) if factors else {(): QC_ONE}
-        products = 0
-        for nf in factors[1:]:
-            if not acc:
-                break
-            products += len(acc) * len(nf)
-            if products > _EXPANSION_BUDGET:
-                raise WorkBudgetError(f"a product of {len(factors)} factors exceeds the work "
-                                      f"budget of {_EXPANSION_BUDGET} monomial products")
-            acc = _nf_mul(acc, nf)
-        out = _collapse(acc)
+        out = _product_nf([_nf(f) for f in e.factors])
     elif isinstance(e, Pow):
         out = _collapse(_nf_pow(e.base, e.exp))
     else:
@@ -996,8 +996,52 @@ def _nf(e: Expr) -> dict:
     return out
 
 
-def normalize(e: Expr) -> Expr:
-    """Canonical sum-of-monomials form; idempotent and evaluation-preserving.
+def _sum_nf(terms) -> dict:
+    """``_nf`` of an ``Add`` of terms with the normal forms ``terms``."""
+    acc: dict = {}
+    for nf in terms:
+        _nf_add_into(acc, nf)
+    return _collapse(acc)
+
+
+def _product_nf(factors: list) -> dict:
+    """``_nf`` of a ``Mul`` of factors with the normal forms ``factors``."""
+    acc = dict(factors[0]) if factors else {(): QC_ONE}
+    products = 0
+    for nf in factors[1:]:
+        if not acc:
+            break
+        products += len(acc) * len(nf)
+        if products > _EXPANSION_BUDGET:
+            raise WorkBudgetError(f"a product of {len(factors)} factors exceeds the work "
+                                  f"budget of {_EXPANSION_BUDGET} monomial products")
+        acc = _nf_mul(acc, nf)
+    return _collapse(acc)
+
+
+def _pieces_nf(key) -> dict:
+    """The normal form of a coefficient named by its pieces: an ``Expr``,
+    or a product ``("*", a, b)`` or sum ``("+", a, b)`` of such keys, as
+    the forms layer builds them.  It is ``_nf`` of the ``Mul((a, b))`` or
+    ``Add((a, b))`` tree the key names, step for step, so a form prints as
+    that tree would: ``_collapse`` runs once per product and once per sum,
+    at each level of a word's left-nested sum.  Memoized per key in
+    ``_PIECES_MEMO``: a key hashes by value, so a sum recomputed from the
+    same pieces is found again, and no node is built."""
+    if type(key) is not tuple:
+        return _nf(key)
+    cached = _PIECES_MEMO.get(key)
+    if cached is not None:
+        return cached
+    op, left, right = key
+    out = (_product_nf if op == "*" else _sum_nf)([_pieces_nf(left), _pieces_nf(right)])
+    _PIECES_MEMO[key] = out
+    return out
+
+
+def normalize(e) -> Expr:
+    """Canonical sum-of-monomials form of an ``Expr`` or of a piece key
+    (``_pieces_nf``); idempotent and evaluation-preserving.
 
     The result keeps the normal form it was rebuilt from, so ``_nf`` does
     not walk it again where it becomes a factor or term, when that form has
@@ -1006,7 +1050,7 @@ def normalize(e: Expr) -> Expr:
     cached = _NORM_MEMO.get(e)
     if cached is not None:
         return cached
-    nf = _nf(e)
+    nf = _pieces_nf(e)
     result = _rebuild(nf)
     _NORM_MEMO[e] = result
     _NORM_MEMO[result] = result

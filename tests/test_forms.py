@@ -14,7 +14,6 @@ from crcgeo.forms import (
     ChartError,
     FormExpr,
     MissingRuleError,
-    _signed,
     g_imaginary,
     g_pair,
     g_real,
@@ -25,10 +24,10 @@ from crcgeo.parsing import parse
 from crcgeo.scalars import (
     KINDS,
     ONE,
+    Add,
     Const,
     ExprError,
     Mul,
-    Pow,
     QC,
     Var,
     VariableTable,
@@ -36,6 +35,7 @@ from crcgeo.scalars import (
     declared,
     is_zero_expr,
     normalize,
+    to_text,
 )
 
 
@@ -444,31 +444,90 @@ def test_forms_lift_no_unit_sign(monkeypatch):
     assert [value for value in lifted if value in ((1, 0), (-1, 0))] == []
 
 
-def test_plus_one_sign_normalizes_as_the_unit_product():
-    # an ordering sign of +1 adds no factor: a fresh product normalizes as
-    # it does with a factor ONE, also with a radical or a sum atom in it
-    from tests.test_scalars import _random_tree
+def _tree(key):
+    """The ``Add``/``Mul`` tree a piece key names."""
+    if not isinstance(key, tuple):
+        return key
+    op, a, b = key
+    return (Mul if op == "*" else Add)((_tree(a), _tree(b)))
 
+
+def test_keyed_coefficients_normalize_as_the_trees_of_their_pieces(monkeypatch):
+    # each coefficient wedge, d, conj, rewrite and combine name by a piece
+    # key normalizes to the node of the Add/Mul tree of the same pieces, so
+    # _collapse runs at each level of a sum, also with sum atoms at negative
+    # and fractional powers and along the per-rho paper coframe
+    from crcgeo import forms
+
+    def has_sum_atom(e):
+        return any(scalars._is_sum_atom(atom)
+                   for pows in scalars._nf(e) for atom, _ in pows)
+
+    keyed, seen = [], collections.Counter()
+
+    def recording(key):
+        result = normalize(key)
+        if isinstance(key, tuple):
+            keyed.append((key, result))
+        return result
+
+    def checked():
+        """The keys recorded since the last call whose normal form holds a
+        sum atom, after checking every key against its tree; sums count in
+        ``seen["sums"]``."""
+        for key, result in keyed:
+            assert normalize(_tree(key)) is result, key
+        with_atoms = [key for key, result in keyed if has_sum_atom(result)]
+        seen["sums"] += sum(key[0] == "+" for key in with_atoms)
+        keyed.clear()
+        return len(with_atoms)
+
+    scalars.clear_caches()
     table = VariableTable()
-    variables = table.positive("x", "y", "z")
-    x = Var(variables[0])
-    radical = Pow(Const(QC(-2)), Fraction(3, 2))  # (-2)^(3/2) = -2*i*2^(1/2)
-    sum_atom = normalize(Pow(x * x + 1, Fraction(1, 2)))
-    rng = random.Random(2031)
-    trees = [radical, radical * x, sum_atom * x + 1]
-    trees += [_random_tree(rng, variables, rng.randint(1, 5)) for _ in range(400)]
-    checked = 0
-    previous = sum_atom
-    for tree in trees:
-        try:
-            n = normalize(tree)
-        except ExprError:
-            continue
-        product = Mul((n, previous))
-        assert normalize(_signed(product, 1)) is normalize(Mul((product, ONE)))
-        checked += 1
-        previous = n
-    assert checked > 390
+    t1, t2 = (Var(v) for v in table.real("t1", "t2"))
+    shapes = [parse(text, table) for text in (
+        "(1-12*t1*t2)^(1/2)", "(1-12*t1*t2)^(-1/2)", "(1+t1^2)^(-1)", "(t1-2*t2)^(-2)",
+        "(2+t1*t2)^(3/2)", "t1^(-1)*t2^(1/2)")]
+    chart = Chart(table, [g_real("a"), g_real("b"), g_imaginary("m"), *g_pair("p", "pc")])
+    g = chart.gen
+    chart.install_rules(
+        {"a": g("b").wedge(g("m")).scale(shapes[0]), "b": chart.zero(2),
+         "m": g("a").wedge(g("p")) + g("a").wedge(g("pc")),
+         "p": g("p").wedge(g("m")).scale(shapes[2])},
+        {"t1": g("a").scale(shapes[1]) + g("p").scale(t2),
+         "t2": g("b").scale(t1) + g("pc").scale(shapes[3])}, check=False)
+    rng = random.Random(4701)
+
+    def coefficient():
+        e = Const(QC.of(rng.randint(1, 3) * rng.choice((1, -1)), rng.randint(-1, 1)))
+        for _ in range(rng.randint(1, 3)):
+            e = e * rng.choice(shapes + [t1, t2])
+        return normalize(e + rng.choice(shapes) if rng.random() < 0.5 else e)
+
+    def one_form():
+        return chart.combine((g(name), coefficient())
+                             for name in rng.sample(["a", "b", "m", "p", "pc"], 3))
+
+    monkeypatch.setattr(forms, "normalize", recording)
+    for _ in range(4):
+        x, y, z = one_form(), one_form(), one_form()
+        xy, s1, s2 = x.wedge(y), coefficient(), coefficient()
+        sub = {name: one_form() for name in chart._index}
+        keyed.clear()
+        for op, run in (("wedge", lambda: x.wedge(z)), ("d", xy.d), ("conj", xy.conj),
+                        ("rewrite", lambda: xy.rewrite(sub)),
+                        ("combine", lambda: chart.combine(((x, s1), (y, None), (z, s2))))):
+            run()
+            seen[op] += checked()
+    assert min(seen.values()) > 0, seen
+    # t1/A + t2/A collapses to 1 before -t1/A is added, A = t1 + t2: the
+    # text shows that _collapse runs at each step of a sum
+    over = [normalize(parse(f"{v}/(t1+t2)", table)) for v in ("t1", "t2", "-t1")]
+    one = chart.combine((g("a"), c) for c in over).coefficient(["a"])
+    assert checked() == 1 and to_text(one) == "1 - t1*(t1 + t2)^(-1)"
+    paper = tube.tube_from_rho(tube.paper_example_rho(), {"t1": (0.02, 0.08), "t2": (0.02, 0.08)})
+    tube.curvature_coefficients(tube.build_coframe(paper), paper)
+    assert checked() > 0
 
 
 # ---------------------------------------------------------------------------

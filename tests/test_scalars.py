@@ -911,15 +911,49 @@ def test_memoized_monomial_products_match_the_memo_free_product(monkeypatch):
 def test_clear_caches_empties_every_memo():
     # every module-level dict of the kernel but the kind table and the
     # node intern table's own storage is a table clear_caches() empties
-    names = {"_NF_MEMO", "_NORM_MEMO", "_CONJ_MEMO", "_DIFF_MEMO", "_FREEVARS_MEMO",
-             "_CERT_MEMO", "_QUOT_MEMO", "_MUL_MEMO", "_MONO_MEMO", "_SUBST_MEMO",
-             "_TEXT_MEMO", "_EXPS", "_KEPT"}
+    names = {"_NF_MEMO", "_NORM_MEMO", "_PIECES_MEMO", "_SPLIT_MEMO", "_CONJ_MEMO",
+             "_DIFF_MEMO", "_FREEVARS_MEMO", "_CERT_MEMO", "_QUOT_MEMO", "_MUL_MEMO",
+             "_MONO_MEMO", "_SUBST_MEMO", "_TEXT_MEMO", "_EXPS", "_KEPT"}
     dicts = {k for k, v in vars(scalars).items() if type(v) is dict and not k.startswith("__")}
     assert names == dicts - {"KINDS", "_INTERN_REFS"}
     for name in names:
         getattr(scalars, name)[object()] = None
     scalars.clear_caches()
     assert not any(getattr(scalars, name) for name in names)
+
+
+def test_a_product_of_variable_monomials_canonicalizes_as_fix_monomial():
+    # _nf_mul canonicalizes a product of monomials of Var atoms alone
+    # itself: terms, exponent keys and atom order must be _fix_monomial's,
+    # also where exponents cancel to 0 and for two Vars of one name, which
+    # sort alike and so keep their order of insertion
+    rng = random.Random(4702)
+    x, y, z = (Var(v) for v in VariableTable().positive("x", "y", "z"))
+    x_real = Var(VariableTable().real("x")[0])
+    exps = [1, 2, 3, -1, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 3)]
+
+    def monomial(atoms):
+        return tuple(sorted(((a, scalars._key_exp(Fraction(rng.choice(exps)))) for a in atoms),
+                            key=scalars._item_key))
+
+    seen = collections.Counter()
+    for _ in range(600):
+        pa = monomial(rng.sample([x, y, z, x_real], rng.randint(0, 3)))
+        pb = monomial(rng.sample([x, y, z, x_real], rng.randint(0, 3)))
+        if rng.random() < 0.3:
+            pb = tuple((a, scalars._key_exp(-e)) for a, e in pa[:rng.randint(1, 2)]) + pb[:1]
+        powmap = dict(pa)
+        for atom, e in pb:
+            powmap[atom] = powmap[atom] + e if atom in powmap else e
+        scalars.clear_caches()
+        expected = scalars._fix_monomial(QC(1), dict(powmap))
+        scalars.clear_caches()
+        (pows, c), = scalars._nf_mul({pa: QC(1)}, {pb: QC(1)}).items()
+        assert {pows: c} == expected
+        assert [(a, type(e)) for a, e in pows] == [(a, type(e)) for a, e in next(iter(expected))]
+        seen["cancelled"] += len(pows) < len(powmap)
+        seen["same name"] += {x, x_real} <= {a for a, _ in pows}
+    assert seen["cancelled"] > 50 and seen["same name"] > 50, seen
 
 
 def _random_laurent_tree(rng, variables, depth):
