@@ -51,9 +51,9 @@ from .scalars import (
     declared,
     differentiate,
     free_variables,
+    generation_table,
     is_identically_zero,
     is_name,
-    kept,
     lift,
     normalize,
     substitute,
@@ -104,15 +104,14 @@ def g_pair(name: str, partner: str) -> list[Variable]:
     return declared("pair", (name, partner))
 
 
-@kept
-def _word_merges() -> dict:
-    """The generation's table of ``_merge_word`` results by word pair."""
-    return {}
+# ``_merge_word``'s results by word pair
+_WORD_MERGES = generation_table()
 
 
-def _merge_word(merges: dict, w1: tuple, w2: tuple):
+def _merge_word(w1: tuple, w2: tuple):
     """Concatenate index words, sort, return (sorted_word, sign) or None;
-    read from ``merges`` (``_word_merges()``) once computed."""
+    read from ``_WORD_MERGES`` once computed."""
+    merges = _WORD_MERGES
     merged = merges.get((w1, w2), merges)  # the table itself: not yet seen
     if merged is not merges:
         return merged
@@ -145,11 +144,11 @@ def _sums(pieces) -> dict[tuple, object]:
     return out
 
 
-def _wedge_pieces(merges: dict, terms1, terms2):
+def _wedge_pieces(terms1, terms2):
     """The signed ``(word, key)`` products of two sequences of terms."""
     for w1, c1 in terms1:
         for w2, c2 in terms2:
-            merged = _merge_word(merges, w1, w2)
+            merged = _merge_word(w1, w2)
             if merged is not None:
                 yield merged[0], _product(c1, c2, merged[1])
 
@@ -357,13 +356,12 @@ class FormExpr:
 
     def wedge(self, other: "FormExpr") -> "FormExpr":
         self._check_same_chart(other)
-        return FormExpr(self.chart, self.degree + other.degree, _sums(_wedge_pieces(
-            _word_merges(), self.terms.items(), other.terms.items())))
+        return FormExpr(self.chart, self.degree + other.degree,
+                        _sums(_wedge_pieces(self.terms.items(), other.terms.items())))
 
     def d(self) -> "FormExpr":
         """Exterior derivative; a 0-form's is its scalar's differential."""
         chart = self.chart
-        merges = _word_merges()
 
         def pieces():
             for word, coeff in self.terms.items():
@@ -375,7 +373,7 @@ class FormExpr:
                     if dc == ZERO:
                         continue
                     for rword, rcoeff in rule.items():
-                        merged = _merge_word(merges, rword, word)
+                        merged = _merge_word(rword, word)
                         if merged is not None:
                             yield merged[0], _product(dc, rcoeff, merged[1])
                 for j, idx in enumerate(word):
@@ -383,7 +381,7 @@ class FormExpr:
                     rest = word[:j] + word[j + 1:]
                     outer_sign = -1 if j % 2 else 1
                     for rword, rcoeff in rule.items():
-                        merged = _merge_word(merges, rword, rest)
+                        merged = _merge_word(rword, rest)
                         if merged is not None:
                             yield merged[0], _product(coeff, rcoeff,
                                                       merged[1] * outer_sign)
@@ -395,14 +393,13 @@ class FormExpr:
     def conj(self) -> "FormExpr":
         """Conjugate the coefficients, swap pair partners, negate imaginaries."""
         chart = self.chart
-        merges = _word_merges()
 
         def pieces():
             for word, coeff in self.terms.items():
                 gens = [chart.generators[idx] for idx in word]
                 sign = (-1) ** sum(g.reality == IMAGINARY for g in gens)
                 # a permutation of the indices: no index repeats
-                mword, psign = _merge_word(merges, tuple(
+                mword, psign = _merge_word(tuple(
                     chart._index[g.partner] if g.reality == COMPLEX_PAIRED else idx
                     for g, idx in zip(gens, word)), ())
                 c = conjugate(coeff)
@@ -425,7 +422,7 @@ class FormExpr:
             raise ChartError("coefficient word repeats a generator")
         if len(indices) != self.degree:
             raise ChartError("coefficient word length must equal the form degree")
-        word, sign = _merge_word(_word_merges(), indices, ())
+        word, sign = _merge_word(indices, ())
         coeff = self.terms.get(word, ZERO)
         return coeff if sign > 0 else normalize(("*", coeff, MINUS_ONE))
 
@@ -442,7 +439,6 @@ class FormExpr:
         chart = self.chart
         target = next((image.chart for image in sub.values()), chart)
         within = None if keep is None else {target._require_gen(n) for n in keep}
-        merges = _word_merges()
 
         def pieces():
             for word, coeff in self.terms.items():
@@ -461,7 +457,7 @@ class FormExpr:
                                    if within.issuperset(w)])
                 products = {(): coeff}
                 for terms in images:
-                    products = _sums(_wedge_pieces(merges, products.items(), terms))
+                    products = _sums(_wedge_pieces(products.items(), terms))
                 yield from products.items()
 
         return FormExpr(target, self.degree, _sums(pieces()))

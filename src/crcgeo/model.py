@@ -6,7 +6,7 @@ and a Hermitian form T (plus the real form J = diag(1,1,1,-1,-1) in the
 original coordinates).  The connection matrix is assembled from six
 scalar-valued 1-forms on the model chart.  ``model_chart`` declares its
 ten generators, its six structure equations and the constant isotropy
-parameters (``PARAMETERS``), once per process; ``dga`` and ``tube`` take
+parameters (``PARAMETERS``), once per generation; ``dga`` and ``tube`` take
 the generators from it, and the equations on any six 1-forms through
 ``structure_terms`` and ``structure_residuals`` (differentials minus those
 terms).  ``verify_structure_equations`` certifies d(MC) = MC /\\ MC
@@ -18,7 +18,6 @@ isotropy subgroup families.  Those two functions take any six 1-forms, so
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .scalars import (
@@ -30,6 +29,7 @@ from .scalars import (
     certify_zero,
     conjugate,
     is_zero_expr,
+    kept,
     lift,
     normalize,
     to_text,
@@ -183,11 +183,11 @@ COFRAME = ("omega", "omega1", "theta2", "phi1", "phi2", "psi")
 PARAMETERS = ((("B", "Bb"), "pair"), (("Lam",), "imaginary"), (("A", "Ab"), "pair"))
 
 
-@functools.cache
+@kept
 def model_chart() -> Chart:
     """Model coframe chart: the ten generators, the six structure equations
     (partners' rules by conjugation) and the isotropy parameters B, Lam, A
-    as constants, built and d-squared-checked once per process."""
+    as constants, built and d-squared-checked once per generation."""
     table = VariableTable()
     for names, kind in PARAMETERS:
         table.declare(kind, *names)

@@ -461,45 +461,53 @@ def lift(x: NumberLike) -> Expr:
 _PowsKey = tuple
 
 
-_NF_MEMO: dict = {}
-_NORM_MEMO: dict = {}
-_CONJ_MEMO: dict = {}
-_DIFF_MEMO: dict = {}
-_FREEVARS_MEMO: dict = {}
-_CERT_MEMO: dict = {}
-_QUOT_MEMO: dict = {}
-_MUL_MEMO: dict = {}
-_MONO_MEMO: dict = {}
-_SUBST_MEMO: dict = {}
-_TEXT_MEMO: dict = {}
-_EXPS: dict = {}
-# ``_pieces_nf``'s normal forms by piece key, ``_fix_monomial``'s splits by atom
-_PIECES_MEMO: dict = {}
-_SPLIT_MEMO: dict = {}
+# every table of one generation, in the order declared
+_GENERATION: list = []
+
+
+def generation_table() -> dict:
+    """A new module-level table of the current generation: ``clear_caches()``
+    empties it with the others."""
+    table: dict = {}
+    _GENERATION.append(table)
+    return table
+
+
+_NF_MEMO = generation_table()
+_NORM_MEMO = generation_table()
+_CONJ_MEMO = generation_table()
+_DIFF_MEMO = generation_table()
+_FREEVARS_MEMO = generation_table()
+_CERT_MEMO = generation_table()
+_QUOT_MEMO = generation_table()
+_MUL_MEMO = generation_table()
+_MONO_MEMO = generation_table()
+_SUBST_MEMO = generation_table()
+_TEXT_MEMO = generation_table()
+_EXPS = generation_table()
+# ``_fix_monomial``'s splits by atom
+_SPLIT_MEMO = generation_table()
 # what ``kept`` functions returned, by (function, arguments)
-_KEPT: dict = {}
+_KEPT = generation_table()
 
 
 def clear_caches() -> None:
-    """Empty the memos (normal forms, piece keys, sum atom splits,
-    conjugates, derivatives, certificates, quotients, accepted
-    substitutions, renderings), the exponent table and
-    what ``kept`` functions returned (the jet model, the dga charts, the
-    forms layer's word merges): a new generation.  Live nodes stay
-    interned, with their cached sort keys, complex values and float
-    exponents."""
-    for memo in (_NF_MEMO, _NORM_MEMO, _PIECES_MEMO, _SPLIT_MEMO, _CONJ_MEMO,
-                 _DIFF_MEMO, _FREEVARS_MEMO, _CERT_MEMO, _QUOT_MEMO, _MUL_MEMO,
-                 _MONO_MEMO, _SUBST_MEMO, _TEXT_MEMO, _EXPS, _KEPT):
-        memo.clear()
+    """Start a new generation: empty every ``generation_table()`` (the
+    kernel's memos of normal forms, sum atom splits, conjugates,
+    derivatives, certificates, quotients, accepted substitutions and
+    renderings, the exponent table, what ``kept`` functions returned and
+    the forms layer's word merges).  Live nodes stay interned, with their
+    cached sort keys, complex values and float exponents."""
+    for table in _GENERATION:
+        table.clear()
 
 
 def kept(build):
     """``build`` returning, for arguments it has seen in this generation,
     what it returned then.  For constructions (charts, forms, models,
     tables) that no caller changes; the arguments hash by value or
-    identity.  It keeps the jet model, one dga chart per set of zeroed
-    families and the forms layer's table of word merges."""
+    identity.  It keeps the model chart, the jet model and one dga chart
+    per set of zeroed families."""
     @functools.wraps(build)
     def keeper(*args):
         key = (build, args)
@@ -973,11 +981,23 @@ def _collapse(nf: dict) -> dict:
     return nf
 
 
-def _nf(e: Expr) -> dict:
+def _nf(e) -> dict:
+    """The normal form of an ``Expr``, or of a coefficient named by its
+    pieces: a product ``("*", a, b)`` or sum ``("+", a, b)`` of such keys,
+    as the forms layer builds them.  A key's is the normal form of the
+    ``Mul((a, b))`` or ``Add((a, b))`` tree it names, step for step, so a
+    form prints as that tree would: ``_collapse`` runs once per product and
+    once per sum, at each level of a word's left-nested sum.  Memoized per
+    node or key in ``_NF_MEMO``; a key is a tuple hashing by value and a
+    node an ``Expr`` equal only to itself, so the two never collide, and a
+    sum recomputed from the same pieces is found again without a node."""
     cached = _NF_MEMO.get(e)
     if cached is not None:
         return cached
-    if isinstance(e, Const):
+    if type(e) is tuple:
+        op, left, right = e
+        out = (_product_nf if op == "*" else _sum_nf)([_nf(left), _nf(right)])
+    elif isinstance(e, Const):
         out = {} if e.value.is_zero else {(): e.value}
     elif isinstance(e, Var):
         out = {((e, 1),): QC_ONE}
@@ -1019,29 +1039,9 @@ def _product_nf(factors: list) -> dict:
     return _collapse(acc)
 
 
-def _pieces_nf(key) -> dict:
-    """The normal form of a coefficient named by its pieces: an ``Expr``,
-    or a product ``("*", a, b)`` or sum ``("+", a, b)`` of such keys, as
-    the forms layer builds them.  It is ``_nf`` of the ``Mul((a, b))`` or
-    ``Add((a, b))`` tree the key names, step for step, so a form prints as
-    that tree would: ``_collapse`` runs once per product and once per sum,
-    at each level of a word's left-nested sum.  Memoized per key in
-    ``_PIECES_MEMO``: a key hashes by value, so a sum recomputed from the
-    same pieces is found again, and no node is built."""
-    if type(key) is not tuple:
-        return _nf(key)
-    cached = _PIECES_MEMO.get(key)
-    if cached is not None:
-        return cached
-    op, left, right = key
-    out = (_product_nf if op == "*" else _sum_nf)([_pieces_nf(left), _pieces_nf(right)])
-    _PIECES_MEMO[key] = out
-    return out
-
-
 def normalize(e) -> Expr:
     """Canonical sum-of-monomials form of an ``Expr`` or of a piece key
-    (``_pieces_nf``); idempotent and evaluation-preserving.
+    (``_nf``); idempotent and evaluation-preserving.
 
     The result keeps the normal form it was rebuilt from, so ``_nf`` does
     not walk it again where it becomes a factor or term, when that form has
@@ -1050,7 +1050,7 @@ def normalize(e) -> Expr:
     cached = _NORM_MEMO.get(e)
     if cached is not None:
         return cached
-    nf = _pieces_nf(e)
+    nf = _nf(e)
     result = _rebuild(nf)
     _NORM_MEMO[e] = result
     _NORM_MEMO[result] = result

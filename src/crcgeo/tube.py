@@ -30,15 +30,15 @@ The frame chart's coframe and structure equations are those of
 ``model.model_chart()``: the two coframe identities and the torsion form
 are ``model.structure_residuals`` of differentials.  All heavy identities
 are verified as exterior-algebra identities after the basis rewriting.
-Every zero question goes through one method, ``TubeModel.vanishes``, which hands a scalar to the kernel's
-``is_identically_zero`` and a form to ``FormExpr.vanishes`` (certificate
-first, sampling on the model's box at the run's seed otherwise) and turns
-an undecided test into ``INCONCLUSIVE``.  rho11 > 0 is checked, and the final
-coefficient printed, at points of the kernel's one sampler, ``sample_point``.
-The Levi rank is decided exactly, from the Monge-Ampere residual's zero
-certificate (``TubeModel.levi_rank``).
-The defining function is read once, by ``_rho_over_base``, which refuses
-variables other than t1, t2 and a function that is not real.
+The Monge-Ampere and 2-nondegeneracy hypotheses, the coframe identities
+and the final zero verdict go through ``TubeModel.vanishes``: a scalar to
+the kernel's ``is_identically_zero``, a form to ``FormExpr.vanishes``
+(certificate first, then sampling on the model's box at the run's seed),
+an undecided test to ``INCONCLUSIVE``.  Three questions go to the kernel
+directly: ``levi_rank`` decides the rank by ``certify_zero`` of the
+Monge-Ampere residual, rho11 > 0 is checked at points of ``sample_values``,
+and ``_rho_over_base``, which reads rho once, refuses variables other than
+t1, t2 and, by ``is_zero_expr``, a rho that is not real.
 ``analyze`` stops one way: a ``TubeHypothesisError`` or a
 ``CoframeVerificationError`` (a failed identity of the coframe or of the
 curvature) carries the report of the checks before it, its own failed last.

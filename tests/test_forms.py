@@ -4,6 +4,7 @@ import collections
 import gc
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -77,10 +78,9 @@ def test_wedge_graded_commutativity_degree_two(chart):
 # exterior derivative
 
 
-def test_word_merges_keep_order_and_sign_per_generation(chart):
+def test_word_merges_keep_order_and_sign_per_generation(fresh_generation, chart):
     # merged words are read from a table the generation drops: each
     # ordered pair keeps its own sign, a repeated generator stays zero
-    scalars.clear_caches()
     ab = w(chart, "theta2", "omega1")
     for _ in range(2):
         assert w(chart, "omega1", "theta2") == ab.scale(-1)
@@ -319,7 +319,7 @@ def test_rewrite_builds_one_form(monkeypatch):
     assert rewritten.degree == 2 and len(rewritten.terms) == 3
 
 
-def test_d_takes_no_derivative_along_a_constant(monkeypatch):
+def test_d_takes_no_derivative_along_a_constant(fresh_generation, monkeypatch):
     # a variable whose scalar rule is the zero form is a constant: d asks
     # for no derivative along it
     from crcgeo import dga, forms
@@ -334,7 +334,6 @@ def test_d_takes_no_derivative_along_a_constant(monkeypatch):
 
     derive = forms.differentiate
     monkeypatch.setattr(forms, "differentiate", counting)
-    scalars.clear_caches()
     assert dga.verify_cartan_criterion().overall == "pass"
     assert [name for name in along if name in constants] == []
 
@@ -419,12 +418,12 @@ def test_vanishes_certifies_each_coefficient_once(monkeypatch):
     assert not any(certify(c) for c in calls)
 
 
-def test_forms_lift_no_unit_sign(monkeypatch):
+def test_forms_lift_no_unit_sign(fresh_generation, monkeypatch):
     # ordering signs and negation use the interned MINUS_ONE node: no
-    # operation of the forms layer lifts a Python 1 or -1 into a constant
+    # operation of the forms layer lifts a Python 1 or -1 into a constant;
+    # the new generation builds every chart and form again
     from crcgeo import dga, tube
 
-    scalars.clear_caches()  # build every chart and form again, not the kept ones
     lifted = []
     of = scalars.QC.of
 
@@ -452,7 +451,7 @@ def _tree(key):
     return (Mul if op == "*" else Add)((_tree(a), _tree(b)))
 
 
-def test_keyed_coefficients_normalize_as_the_trees_of_their_pieces(monkeypatch):
+def test_keyed_coefficients_normalize_as_the_trees_of_their_pieces(fresh_generation, monkeypatch):
     # each coefficient wedge, d, conj, rewrite and combine name by a piece
     # key normalizes to the node of the Add/Mul tree of the same pieces, so
     # _collapse runs at each level of a sum, also with sum atoms at negative
@@ -482,7 +481,6 @@ def test_keyed_coefficients_normalize_as_the_trees_of_their_pieces(monkeypatch):
         keyed.clear()
         return len(with_atoms)
 
-    scalars.clear_caches()
     table = VariableTable()
     t1, t2 = (Var(v) for v in table.real("t1", "t2"))
     shapes = [parse(text, table) for text in (
@@ -738,6 +736,20 @@ def test_a_cold_suites_round_leaves_nothing_in_cyclic_garbage():
             getattr(dga, entry)()
 
     assert cyclic_garbage(suites_round) == {}
+
+
+def test_no_construction_outlives_its_generation(fresh_generation):
+    # the model chart, the jet model, the dga charts and the word merges
+    # are the generation's: clear_caches() drops them, and nothing else
+    # holds them
+    from crcgeo import forms
+
+    built = [weakref.ref(model_chart()), weakref.ref(tube.jet_model()),
+             weakref.ref(dga.build_chart().chart)]
+    assert all(ref() is not None for ref in built) and forms._WORD_MERGES
+    scalars.clear_caches()
+    assert [ref() for ref in built] == [None, None, None]
+    assert forms._WORD_MERGES == {}
 
 
 def test_rules_read_back_as_the_installed_forms():

@@ -260,24 +260,24 @@ def test_verify_d_squared_names_each_generator_the_mutation_breaks():
         _corrupted_chart(check=True)
 
 
-def test_flat_suite_reports_a_broken_structure_equation_as_failed_checks(monkeypatch):
+def test_flat_suite_reports_a_broken_structure_equation_as_failed_checks(
+        fresh_generation, monkeypatch):
     # the flat dga chart takes its rules from the model chart, so a corrupted
-    # model chart fails the suite's d^2 checks instead of raising
+    # model chart fails the suite's d^2 checks instead of raising; the new
+    # generation keeps no flat chart from before the patch and leaves none
+    # built from it
     bad = _corrupted_chart()
     monkeypatch.setattr(model, "model_chart", lambda: bad)
-    scalars.clear_caches()  # a kept flat chart would predate the patch
-    try:
-        report = dga.verify_flat_consistency()
-        assert {c.name for c in report.failed_checks()} == {
-            f"d^2 {name} = 0" for name in ("omega", "omega1", "omega1c", "phi2", "phi2c")}
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["dga", "verify", "--suite", "flat"]) == 1
-    finally:
-        scalars.clear_caches()  # no later test may read the corrupted charts
+    report = dga.verify_flat_consistency()
+    assert {c.name for c in report.failed_checks()} == {
+        f"d^2 {name} = 0" for name in ("omega", "omega1", "omega1c", "phi2", "phi2c")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["dga", "verify", "--suite", "flat"]) == 1
 
 
-def test_model_suites_load_the_chart_once(monkeypatch):
-    # the chart is built, and its d^2 check run, once per process
+def test_model_suites_load_the_chart_once(fresh_generation, monkeypatch):
+    # the chart is built, and its d^2 check run, once per generation: a
+    # cold run pays for it again
     builds = []
     install_rules = Chart.install_rules
 
@@ -286,10 +286,12 @@ def test_model_suites_load_the_chart_once(monkeypatch):
         return install_rules(chart, *args, **kwargs)
 
     monkeypatch.setattr(Chart, "install_rules", counting_install)
-    model.model_chart.cache_clear()
     assert model.verify_structure_equations().overall == "pass"
     assert model.verify_adjoint_transforms().overall == "pass"
     assert builds == [(model.model_chart(), True)]
+    scalars.clear_caches()
+    assert model.model_chart() is not builds[0][0]
+    assert builds[1:] == [(model.model_chart(), True)]
 
 
 # ---------------------------------------------------------------------------

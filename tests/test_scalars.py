@@ -670,8 +670,7 @@ def _random_var_only(rng, variables, n_terms):
     return scalars._nf(normalize(Add(tuple(terms))))
 
 
-def test_exact_quotient_recovers_var_only_factor():
-    scalars.clear_caches()
+def test_exact_quotient_recovers_var_only_factor(fresh_generation):
     table = VariableTable()
     variables = table.positive("x", "y", "z")
     # q may carry variables outside b, constant radicals and sum atoms
@@ -690,7 +689,7 @@ def test_exact_quotient_recovers_var_only_factor():
     assert recovered > 140
 
 
-def test_exact_quotients_multiply_back_to_the_dividend(monkeypatch):
+def test_exact_quotients_multiply_back_to_the_dividend(fresh_generation, monkeypatch):
     # every division _collapse asks for on the random-tree stream, cold
     pairs = []
     divide = scalars._exact_quotient
@@ -699,7 +698,6 @@ def test_exact_quotients_multiply_back_to_the_dividend(monkeypatch):
         pairs.append((dict(nf), dict(base)))
         return divide(nf, base)
 
-    scalars.clear_caches()
     monkeypatch.setattr(scalars, "_exact_quotient", recording)
     table = VariableTable()
     variables = table.positive("x", "y", "z")
@@ -754,8 +752,7 @@ def test_exact_quotients_multiply_back_to_the_dividend(monkeypatch):
     assert outcomes["radical", True] > 40 and outcomes["radical", False] > 200
 
 
-def test_units_over_const_and_sum_atoms_are_refused():
-    scalars.clear_caches()
+def test_units_over_const_and_sum_atoms_are_refused(fresh_generation):
     table = VariableTable()
     table.positive("x", "y")
     # units: (1 + 2^(1/2)) (2^(1/2) - 1) = 1 and
@@ -773,9 +770,8 @@ def test_units_over_const_and_sum_atoms_are_refused():
                                    _nf_of("x*(1+y)^(-1) + (1+y)^(-2)", table)) is None
 
 
-def test_graded_division_over_constant_radicals():
+def test_graded_division_over_constant_radicals(fresh_generation):
     # a constant radical is an indeterminate r of the formal ring, as x is
-    scalars.clear_caches()
     table = VariableTable()
     table.positive("x", "y")
     base = _nf_of("x + 2^(1/2)", table)
@@ -812,8 +808,7 @@ def test_paper_binomial_divisions_are_refused():
         assert scalars._exact_quotient(_nf_of(text, table), _nf_of(den, table)) is None
 
 
-def test_quotient_memo_returns_fresh_copies():
-    scalars.clear_caches()
+def test_quotient_memo_returns_fresh_copies(fresh_generation):
     table = VariableTable()
     table.positive("x")
     product = _nf_of("x^2-1", table)
@@ -881,8 +876,7 @@ def _radical_form(rng, x, y, n_terms):
     return scalars._nf(normalize(Add(tuple(terms))))
 
 
-def test_memoized_monomial_products_match_the_memo_free_product(monkeypatch):
-    scalars.clear_caches()
+def test_memoized_monomial_products_match_the_memo_free_product(fresh_generation, monkeypatch):
     table = VariableTable()
     x, y = (Var(v) for v in table.positive("x", "y"))
     rng = random.Random(2207)
@@ -909,17 +903,25 @@ def test_memoized_monomial_products_match_the_memo_free_product(monkeypatch):
 
 
 def test_clear_caches_empties_every_memo():
-    # every module-level dict of the kernel but the kind table and the
-    # node intern table's own storage is a table clear_caches() empties
-    names = {"_NF_MEMO", "_NORM_MEMO", "_PIECES_MEMO", "_SPLIT_MEMO", "_CONJ_MEMO",
-             "_DIFF_MEMO", "_FREEVARS_MEMO", "_CERT_MEMO", "_QUOT_MEMO", "_MUL_MEMO",
-             "_MONO_MEMO", "_SUBST_MEMO", "_TEXT_MEMO", "_EXPS", "_KEPT"}
-    dicts = {k for k, v in vars(scalars).items() if type(v) is dict and not k.startswith("__")}
-    assert names == dicts - {"KINDS", "_INTERN_REFS"}
-    for name in names:
-        getattr(scalars, name)[object()] = None
+    # every module-level dict of the kernel and the forms layer but the kind
+    # table and the node intern table's own storage is a generation_table(),
+    # which clear_caches() empties
+    from crcgeo import forms
+
+    names = {"_NF_MEMO", "_NORM_MEMO", "_SPLIT_MEMO", "_CONJ_MEMO", "_DIFF_MEMO",
+             "_FREEVARS_MEMO", "_CERT_MEMO", "_QUOT_MEMO", "_MUL_MEMO", "_MONO_MEMO",
+             "_SUBST_MEMO", "_TEXT_MEMO", "_EXPS", "_KEPT"}
+    tables = {(module, k): v for module in (scalars, forms) for k, v in vars(module).items()
+              if type(v) is dict and not k.startswith("__")}
+    del tables[scalars, "KINDS"], tables[scalars, "_INTERN_REFS"]
+    assert {k for module, k in tables if module is scalars} == names
+    assert {k for module, k in tables if module is forms} == {"_WORD_MERGES"}
+    registered = {id(table) for table in scalars._GENERATION}
+    assert all(id(table) in registered for table in tables.values())
+    for table in tables.values():
+        table[object()] = None
     scalars.clear_caches()
-    assert not any(getattr(scalars, name) for name in names)
+    assert not any(tables.values())
 
 
 def test_a_product_of_variable_monomials_canonicalizes_as_fix_monomial():
@@ -997,8 +999,7 @@ def test_normalize_registers_the_laurent_normal_form_it_rebuilt_from():
     assert rebuilt > 150 and fractional > 50, (rebuilt, fractional)
 
 
-def test_normalize_does_not_register_a_normal_form_with_a_sum_atom():
-    scalars.clear_caches()
+def test_normalize_does_not_register_a_normal_form_with_a_sum_atom(fresh_generation):
     table = VariableTable()
     x, y = (Var(v) for v in table.positive("x", "y"))
     for tree in (Mul((x, Pow(x + y, -1), x)),
@@ -1021,10 +1022,9 @@ def _reference_nf_of_product(e):
     return scalars._collapse(acc)
 
 
-def test_product_normal_forms_start_from_the_first_factor_exactly():
+def test_product_normal_forms_start_from_the_first_factor_exactly(fresh_generation):
     # the same terms in the same order as from the unit monomial, sum atoms
     # and radical recombination included
-    scalars.clear_caches()
     table = VariableTable()
     variables = table.positive("x", "y", "z")
     rng = random.Random(2402)
@@ -1068,10 +1068,9 @@ def _full_product_rule(e, v):
     return Mul((Const(QC.of(e.exp)), Pow(e.base, e.exp - 1), _full_product_rule(e.base, v)))
 
 
-def test_differentiate_equals_the_full_product_rule():
+def test_differentiate_equals_the_full_product_rule(fresh_generation):
     # differentiate builds no term whose derivative factor is ZERO; on a
     # normal form that drops nothing the full rule would keep
-    scalars.clear_caches()
     table = VariableTable()
     variables = table.positive("x", "y", "z")
     rng = random.Random(2603)
@@ -1084,10 +1083,9 @@ def test_differentiate_equals_the_full_product_rule():
     assert with_sum_atoms >= 100, with_sum_atoms
 
 
-def test_normalize_is_idempotent_across_clear_caches():
+def test_normalize_is_idempotent_across_clear_caches(fresh_generation):
     # a sum atom's sign comes from its own leading monomial, not from the
     # atoms it shares with the rest of the product
-    scalars.clear_caches()
     table = VariableTable()
     x, z = (Var(v) for v in table.positive("x", "z"))
     one, minus_one = Const(QC.of(1)), Const(QC.of(-1))
@@ -1179,10 +1177,9 @@ def test_coefficient_power_budget_refuses_only_growing_powers():
     assert QC.of(-1).pow_int(10**9) == QC.of(1)
 
 
-def test_integer_powers_of_radical_sums_equal_their_products():
+def test_integer_powers_of_radical_sums_equal_their_products(fresh_generation):
     # the power expands as the product of its copies does, also where the
     # products fold constant radicals and expand sum atoms
-    scalars.clear_caches()
     table = VariableTable()
     x, y = (Var(v) for v in table.positive("x", "y"))
     rng = random.Random(3911)
@@ -1352,8 +1349,7 @@ def test_printer_reuses_the_cached_text_of_a_sum_atom(monkeypatch):
     assert rendered == [e]
 
 
-def test_const_evaluates_to_its_cached_complex():
-    scalars.clear_caches()
+def test_const_evaluates_to_its_cached_complex(fresh_generation):
     table = VariableTable()
     x = Var(table.real("x")[0])
     third = Const(QC.of(Fraction(1, 3), Fraction(-2, 7)))
@@ -1364,8 +1360,7 @@ def test_const_evaluates_to_its_cached_complex():
     assert evaluate(third, {}) is third._complex
 
 
-def test_pow_evaluates_with_its_cached_float_exponent():
-    scalars.clear_caches()
+def test_pow_evaluates_with_its_cached_float_exponent(fresh_generation):
     table = VariableTable()
     x = Var(table.real("x")[0])
     root = Pow(x + 2, Fraction(5, 17))  # an exponent no other test builds
@@ -1741,10 +1736,9 @@ def _exponents(nf, seen=None):
                 yield from _exponents(scalars._nf(atom), seen)
 
 
-def test_pows_keys_store_integral_exponents_as_int():
+def test_pows_keys_store_integral_exponents_as_int(fresh_generation):
     # integral exponents are ints; any other is the one interned _KeyExp of
     # its value, hashing as its Fraction does
-    scalars.clear_caches()
     table = VariableTable()
     variables = table.positive("x", "y", "z")
     texts = [

@@ -2,6 +2,8 @@
 torsion coefficients, and the flatness verdict."""
 
 import collections
+import hashlib
+import importlib.util
 import json
 import random
 import weakref
@@ -109,7 +111,7 @@ def test_the_jet_model_and_its_coframe_inputs_are_kept_per_generation():
 def test_a_rho_models_coframe_inputs_leave_with_the_model():
     # the per-rho route keeps its charts, forms and substitution on the
     # model, not in the generation, so they go when the model goes
-    tube.build_coframe(tube.tube_from_rho("t1^2/t2", HOMOG_BOX))  # fills the word merges
+    tube.build_coframe(tube.tube_from_rho("t1^2/t2", HOMOG_BOX))  # keeps the model chart
     kept = len(scalars._KEPT)
     model = tube.tube_from_rho("t1^2/t2", HOMOG_BOX)
     cf = tube.build_coframe(model)
@@ -591,7 +593,8 @@ def test_specialized_paper_final_is_certified_equal_to_closed_form(paper_model, 
     assert verdict.is_final_zero == "nonzero"
 
 
-def test_a_nonzero_jet_identity_fails_rather_than_inconclusive(jets, monkeypatch):
+def test_a_nonzero_jet_identity_fails_rather_than_inconclusive(jets, fresh_generation,
+                                                              monkeypatch):
     # every jet has a box interval, so a false identity is refuted
     assert jets.vanishes(_jet(jets, "m1") * _jet(jets, "r2")) is False
     base_substitution = tube._base_substitution
@@ -602,12 +605,10 @@ def test_a_nonzero_jet_identity_fails_rather_than_inconclusive(jets, monkeypatch
             sub["mu"] = sub["mu"].scale(1 + _jet(model, "m1"))
         return sub
 
+    # the new generation's jet model is built with the perturbed
+    # substitution, and no later test reads it
     monkeypatch.setattr(tube, "_base_substitution", perturbed)
-    scalars.clear_caches()  # the kept substitution was built before the patch
-    try:
-        report = tube.analyze("t1^2/t2", HOMOG_BOX)
-    finally:
-        scalars.clear_caches()  # no later test may read the perturbed one
+    report = tube.analyze("t1^2/t2", HOMOG_BOX)
     assert report.overall == "fail"
     assert [(c.name, c.status) for c in report.checks[-2:]] == [
         ("coframe:substitution inverts omega", "fail"), ("coframe construction", "fail")]
@@ -847,6 +848,21 @@ def test_light_cone_tube_report_is_byte_identical_to_golden():
     report = tube.analyze("t1^2/t2", HOMOG_BOX, seed=0)
     golden = (GOLDEN / "tube_light_cone_seed0.json").read_text()
     assert report.to_json(include_timing=False) == golden
+
+
+def test_payload_digests_hash_the_tube_runs_as_the_goldens_hold_them():
+    # tools/payload_digests.py prints, for these runs, the digests of the
+    # golden files
+    path = GOLDEN.parents[1] / "tools" / "payload_digests.py"
+    spec = importlib.util.spec_from_file_location("payload_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = dict(tool.runs())
+    for name, golden in (("paper seed 0", "paper_example_seed0"),
+                         ("paper seed 7", "paper_example_seed7"),
+                         ("rho t1^2/t2", "tube_light_cone_seed0")):
+        expected = hashlib.sha256((GOLDEN / f"{golden}.json").read_bytes()).hexdigest()
+        assert tool.digest(runs[name]()) == expected[:16], name
 
 
 @pytest.mark.parametrize("profile", [None, "s^2+s^3"], ids=["light_cone", "profile"])
